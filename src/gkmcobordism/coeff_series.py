@@ -5,11 +5,21 @@ generator.  Series live in Q[m.][[t1, ..., tr]] and are truncated at a fixed
 total degree in the t-variables only; the m-parts are exact polynomials.
 All arithmetic is exact rational (gmpy2 when installed, stdlib fractions
 otherwise); no floating point anywhere.
+
+Products of series and of coefficients go through one integer kernel
+(`_product`).  Each operand is written once as integer numerators over one
+common denominator, the lcm of its coefficient denominators; the kernel
+sums int * int products into one bucket per (t-monomial, m-monomial), with
+the t-monomials packed into integers so that multiplying monomials is an
+integer addition; each output coefficient is built once as
+QQ(numerator, den_a * den_b), and zero sums are dropped at the end.  So a
+product makes no rational per multiply-add and takes no gcd inside its loop.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 try:  # exact rationals: gmpy2 when available, stdlib fractions otherwise
     from gmpy2 import mpq as QQ
@@ -52,21 +62,50 @@ def _mmul(a: MKey, b: MKey) -> MKey:
     return tuple(sorted(merged.items()))
 
 
-def _accumulate_product(bucket: dict, ca: dict, cb: dict):
-    """bucket += ca * cb, all three as raw m-monomial dicts (mutates bucket)."""
-    for ma, qa in ca.items():
-        for mb, qb in cb.items():
-            m = _mmul(ma, mb)
-            q = qa * qb
-            cur = bucket.get(m)
-            if cur is None:
-                bucket[m] = q
-            else:
-                cur = cur + q
-                if cur:
-                    bucket[m] = cur
-                else:
-                    del bucket[m]
+def _numerators(coeffs) -> tuple:
+    """(den, rows): each m-monomial dict as a list of (mkey, int) over one den."""
+    den = lcm(*(q.denominator for c in coeffs for q in c.values()))
+    rows = [[(m, q.numerator * (den // q.denominator)) for m, q in c.items()] for c in coeffs]
+    return den, rows
+
+
+def _packed_rows(f: "TruncatedSeries", order: int, powers: list) -> tuple:
+    """(den, rows): f's terms through order as _product rows, t-keys packed
+    as sum(e_i * powers[i])."""
+    kept = sorted((sum(k), k, c.terms) for k, c in f.terms.items() if sum(k) <= order)
+    den, nums = _numerators([c for _, _, c in kept])
+    rows = [(d, sum(e * p for e, p in zip(k, powers)), row) for (d, k, _), row in zip(kept, nums)]
+    return den, rows
+
+
+def _product(a: list, b: list, order: int) -> dict:
+    """The integer kernel behind every product.
+
+    a and b are lists of (t-degree, packed t-key, [(mkey, int), ...]) sorted
+    by t-degree, each with its numerators over one denominator.  Returns
+    {packed t-key: {mkey: int}}, the numerators of a * b through total degree
+    `order` over the product of the two denominators; a sum may be zero.
+    """
+    buckets: dict = {}
+    for da, pa, ca in a:
+        room = order - da
+        for db, pb, cb in b:
+            if db > room:
+                break
+            key = pa + pb
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = {}
+            for ma, na in ca:
+                for mb, nb in cb:
+                    m = _mmul(ma, mb)
+                    bucket[m] = bucket.get(m, 0) + na * nb
+    return buckets
+
+
+def _rationals(bucket: dict, den: int) -> dict:
+    """{mkey: QQ(num, den)} for the nonzero sums of a kernel bucket."""
+    return {m: QQ(n, den) for m, n in bucket.items() if n}
 
 
 class LazardCoefficient:
@@ -157,21 +196,10 @@ class LazardCoefficient:
     def __mul__(self, other) -> "LazardCoefficient":
         if not isinstance(other, LazardCoefficient):
             return self.scale(other)
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mmul(ma, mb)
-                c = ca * cb
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return LazardCoefficient(out)
+        den_a, (ca,) = _numerators([self.terms])
+        den_b, (cb,) = _numerators([other.terms])
+        buckets = _product([(0, 0, ca)], [(0, 0, cb)], 0)
+        return LazardCoefficient(_rationals(buckets.get(0, {}), den_a * den_b))
 
     def __rmul__(self, other) -> "LazardCoefficient":
         return self.scale(other)
@@ -194,15 +222,6 @@ class LazardCoefficient:
 
     def specialize(self, assignment) -> "LazardCoefficient":
         return LazardCoefficient.rational(self.evaluate(assignment))
-
-    def max_generator(self) -> int:
-        """Largest mk index appearing (0 if the coefficient is rational)."""
-        best = 0
-        for m in self.terms:
-            for k, _ in m:
-                if k > best:
-                    best = k
-        return best
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -397,23 +416,22 @@ class TruncatedSeries:
             return self.scale(other)
         self._check_rank(other)
         order = min(self.order, other.order)
-        a = sorted((sum(k), k, c.terms) for k, c in self.terms.items())
-        b = sorted((sum(k), k, c.terms) for k, c in other.terms.items())
-        buckets: dict = {}
-        for da, ka, ca in a:
-            if da > order:
-                break
-            for db, kb, cb in b:
-                if da + db > order:
-                    break
-                key = tuple(x + y for x, y in zip(ka, kb))
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = buckets[key] = {}
-                _accumulate_product(bucket, ca, cb)
-        out = {
-            k: LazardCoefficient(bucket) for k, bucket in buckets.items() if bucket
-        }
+        # A t-key packs into sum(e_i * base**i); below the order no exponent
+        # reaches the base, so adding packed keys multiplies the monomials.
+        base = order + 1
+        powers = [base**i for i in range(self.rank)]
+        den_a, a = _packed_rows(self, order, powers)
+        den_b, b = _packed_rows(other, order, powers)
+        out = {}
+        den = den_a * den_b
+        for packed, bucket in _product(a, b, order).items():
+            coeff = _rationals(bucket, den)
+            if coeff:
+                key = []
+                for _ in powers:
+                    packed, e = divmod(packed, base)
+                    key.append(e)
+                out[tuple(key)] = LazardCoefficient(coeff)
         return TruncatedSeries(self.rank, order, out)
 
     def __rmul__(self, other) -> "TruncatedSeries":
@@ -532,8 +550,9 @@ class TruncatedSeries:
             m = tuple(sorted((int(k), int(e)) for k, e in term["m_exponents"]))
             if any(k < 1 or e < 1 for k, e in m):
                 raise ValueError("malformed m-monomial")
-            coeff = LazardCoefficient({m: as_rational(term["coeff"])} if term["coeff"] != "0" else {})
-            _clean_insert(out, key, coeff)
+            q = as_rational(term["coeff"])
+            if q:
+                _clean_insert(out, key, LazardCoefficient({m: q}))
         return cls(rank, order, out)
 
     def render(self, names=None) -> str:

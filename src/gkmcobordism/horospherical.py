@@ -324,10 +324,11 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
                 Character(curve.root),
             )
 
+    chi_coords = scan.chi.coords
     for w in group.cosets(parabolic_joint):
         ya = group.apply_word(w.word, omega_y)
         za = group.apply_word(w.word, omega_z)
-        line_weight = Character(group.apply_word(w.word, chi(triple).coords))
+        line_weight = Character(group.apply_word(w.word, chi_coords))
         value = inner(lam, line_weight.coords)
         if not value:
             raise GkmValidationError("ordering covector does not orient a joining line")

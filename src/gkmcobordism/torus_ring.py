@@ -322,7 +322,8 @@ class TorusRing:
 
         For power 1 the report holds f on the zero locus t_j = phi; for power
         2 additionally the t_j-derivative there.  f lies in the ideal iff all
-        components vanish through the certified order (order - power).
+        components vanish through the certified order: min(f.order, ring
+        order) - power, since phi is solved only to the ring order.
         """
         chi = self._char(chi)
         if chi.is_zero():
@@ -340,7 +341,7 @@ class TorusRing:
             power=power,
             pivot=pivot,
             components=components,
-            certified_order=f.order - power,
+            certified_order=min(f.order, self.order) - power,
         )
 
     def divide_exact(self, f: TruncatedSeries, chi) -> tuple:
@@ -364,7 +365,7 @@ class TorusRing:
                 power=1,
                 pivot=pivot,
                 components=[f.substitute(pivot, phi.truncated(f.order))],
-                certified_order=f.order - 1,
+                certified_order=min(f.order, self.order) - 1,
             )
             return None, report
         h = TruncatedSeries(
@@ -385,7 +386,7 @@ class TorusRing:
         for ch in elem.denominator:
             quotient, report = self.divide_exact(series, ch)
             if quotient is None:
-                return ClearResult(None, series.order - 1, obstruction=(ch, report))
+                return ClearResult(None, report.certified_order, obstruction=(ch, report))
             series = quotient
         return ClearResult(series, series.order)
 

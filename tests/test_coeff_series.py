@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from gkmcobordism.coeff_series import QQ
 
 from gkmcobordism.coeff_series import (
@@ -215,6 +218,108 @@ def test_json_rejects_malformed_terms():
     bad_m = dict(base, terms=[{"t_exponents": [1, 0], "m_exponents": [[0, 1]], "coeff": "1"}])
     with pytest.raises(ValueError):
         TS.from_json_obj(bad_m)
+
+
+def test_json_skips_zero_coefficients():
+    obj = {
+        "vars": 2,
+        "order": 3,
+        "terms": [{"t_exponents": [1, 0], "m_exponents": [[1, 1]], "coeff": "0/5"}],
+    }
+    loaded = TS.from_json_obj(obj)
+    assert loaded.is_zero()
+    assert loaded == TS.zero(2, 3)
+
+
+# -- the product kernel against a reference product, one Fraction at a time --
+
+
+def reference_product(a, b):
+    """{t-key: {m-key: Fraction}} of a * b by the schoolbook rule."""
+    order = min(a.order, b.order)
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if sum(key) > order:
+                continue
+            slot = out.setdefault(key, {})
+            for ma, qa in ca.terms.items():
+                for mb, qb in cb.terms.items():
+                    merged = dict(ma)
+                    for k, e in mb:
+                        merged[k] = merged.get(k, 0) + e
+                    m = tuple(sorted(merged.items()))
+                    slot[m] = slot.get(m, Fraction(0)) + Fraction(qa) * Fraction(qb)
+    cleaned = {k: {m: q for m, q in c.items() if q} for k, c in out.items()}
+    return {k: c for k, c in cleaned.items() if c}
+
+
+rationals = st.builds(QQ, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+m_monomials = st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2).map(
+    lambda d: tuple(sorted(d.items()))
+)
+coefficients = st.dictionaries(m_monomials, rationals, max_size=3).map(
+    lambda d: LC({m: q for m, q in d.items() if q})
+)
+
+
+@st.composite
+def series(draw, rank, order):
+    exponents = st.tuples(*[st.integers(0, order)] * rank)
+    drawn = draw(st.dictionaries(exponents, coefficients, max_size=8))
+    terms = {k: c for k, c in drawn.items() if sum(k) <= order and not c.is_zero()}
+    return TS(rank, order, terms)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series of one rank and independent orders; some built to cancel."""
+    rank = draw(st.integers(1, 3))
+    a = draw(series(rank, draw(st.integers(0, 6))))
+    b = draw(series(rank, draw(st.integers(0, 6))))
+    if draw(st.booleans()):
+        a, b = a + b, a - b  # (a + b)(a - b): the cross terms cancel
+    return a, b
+
+
+def assert_product_invariants(product, a, b):
+    order = min(a.order, b.order)
+    assert product.order == order
+    for key, coeff in product.terms.items():
+        assert sum(key) <= order
+        assert coeff.terms
+        assert all(q for q in coeff.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pairs())
+def test_series_product_matches_reference(pair):
+    a, b = pair
+    product = a * b
+    assert {k: c.terms for k, c in product.terms.items()} == reference_product(a, b)
+    assert_product_invariants(product, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs())
+def test_cancelling_product_is_difference_of_squares(pair):
+    a, b = pair
+    s, d = a + b, a - b
+    product = s * d
+    assert product == a * a - b * b
+    assert_product_invariants(product, s, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficients, coefficients, st.booleans())
+def test_coefficient_product_matches_reference(x, y, cancel):
+    if cancel:
+        x, y = x + y, x - y
+    product = x * y
+    expected = reference_product(TS(1, 0, {(0,): x}), TS(1, 0, {(0,): y}))
+    assert product.terms == expected.get((0,), {})
+    assert all(q for q in product.terms.values())
 
 
 def test_specialize_series():

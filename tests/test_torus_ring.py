@@ -110,6 +110,21 @@ def test_divide_exact_and_failures(ring):
     assert failed is None and not report.is_zero
 
 
+def test_certified_order_is_capped_by_the_ring_order():
+    # phi is solved only to the ring order, so a finer f certifies no more.
+    small = TorusRing(FormalGroupLaw.universal(4), 2)
+    f = TS.monomial((0, 6), 1, 2, 10)
+    report = small.reduce_mod(f, C(1, 0), 1)
+    assert report.certified_order == 3
+    assert small.reduce_mod(f, C(1, 0), 2).certified_order == 2
+    g = f + TS.monomial((0, 2), 1, 2, 10)
+    failed, report = small.divide_exact(g, C(1, 0))
+    assert failed is None and not report.is_zero
+    assert report.certified_order == 3
+    cleared = small.clear_denominators(LocalizedElement(g, (C(1, 0),)))
+    assert not cleared.ok and cleared.certified_order == 3
+
+
 def test_clear_denominators(ring):
     t1 = ring.variable(0)
     ok = ring.clear_denominators(LocalizedElement(t1 * t1, (C(1, 0),)))
