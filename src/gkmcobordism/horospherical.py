@@ -22,11 +22,9 @@ from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent
 from .root_flag import (
     RootSystem,
     WeylGroup,
-    direction,
     enumerate_curves,
     inner,
     pairing,
-    reflect,
     root_system,
     vsub,
 )
@@ -190,7 +188,8 @@ def _family3_point_name(anchor, n: int, kernel: bool) -> str:
 
 
 def _point_tables(triple: PasquierTriple, rs: RootSystem, group: WeylGroup):
-    """Name maps anchor -> point name for both closed orbits, plus weights."""
+    """Both closed orbits' parabolics and name maps labels -> point name, plus
+    the weight of every point."""
     iy, iz = triple.weight_indices()
     parabolic_y = frozenset(i for i in range(1, rs.rank + 1) if i != iy)
     parabolic_z = frozenset(i for i in range(1, rs.rank + 1) if i != iz)
@@ -204,11 +203,11 @@ def _point_tables(triple: PasquierTriple, rs: RootSystem, group: WeylGroup):
 
     name_y = namer("y", False)
     name_z = namer("z", True)
-    y_names = {c.anchor: name_y(c) for c in cosets_y}
-    z_names = {c.anchor: name_z(c) for c in cosets_z}
-    weights = {name: anchor for anchor, name in y_names.items()}
-    weights.update({name: anchor for anchor, name in z_names.items()})
-    return cosets_y, cosets_z, y_names, z_names, weights
+    y_names = {c.labels: name_y(c) for c in cosets_y}
+    z_names = {c.labels: name_z(c) for c in cosets_z}
+    weights = {y_names[c.labels]: c.anchor for c in cosets_y}
+    weights.update({z_names[c.labels]: c.anchor for c in cosets_z})
+    return parabolic_y, parabolic_z, y_names, z_names, weights
 
 
 def point_weights(triple: PasquierTriple) -> dict:
@@ -222,12 +221,21 @@ def point_weights(triple: PasquierTriple) -> dict:
     triple.validate()
     rs = triple.group()
     group = WeylGroup(rs)
-    _, _, _, _, weights = _point_tables(triple, rs, group)
+    *_, weights = _point_tables(triple, rs, group)
     return {name: Character(anchor) for name, anchor in weights.items()}
+
+
+# Ordering covectors are tried as sum_k b^(k-1) omega_k for b = 1, 2, ...,
+# _COVECTOR_BASES; b = 1 is the Weyl vector.
+_COVECTOR_BASES = 8
 
 
 def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum:
     """Assemble the full GKM datum of a classification triple.
+
+    The ordering covector is the Weyl vector when it orients every joining
+    line and separates the points of every surface, and otherwise the first
+    of the candidates sum_k b^(k-1) omega_k, b = 2, 3, ..., that does.
 
     Raises UnresolvedSurfaceKindError when a surface component exists but the
     family does not determine its kind and no override was supplied.
@@ -235,21 +243,16 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     triple.validate()
     rs = triple.group()
     iy, iz = triple.weight_indices()
-    omega_y, omega_z = rs.fundamental_weight(iy), rs.fundamental_weight(iz)
-    lam = rs.weyl_vector()
     group = WeylGroup(rs)
-    parabolic_y = frozenset(i for i in range(1, rs.rank + 1) if i != iy)
-    parabolic_z = frozenset(i for i in range(1, rs.rank + 1) if i != iz)
-    parabolic_joint = parabolic_y & parabolic_z
+    omega_y = group.labels(rs.fundamental_weight(iy))
+    omega_z = group.labels(rs.fundamental_weight(iz))
+    parabolic_y, parabolic_z, y_names, z_names, weights = _point_tables(triple, rs, group)
 
-    cosets_y, cosets_z, y_names, z_names, weights = _point_tables(triple, rs, group)
-
-    def lam_value(anchor):
-        return inner(lam, anchor)
-
-    # Surface components, one per Weyl translate of the root along chi.
+    # Surface components, one per Weyl translate of the root along chi: the
+    # orbit of (omega_Y, s omega_Y, omega_Z, s omega_Z, root) with s the
+    # reflection in the root.
     scan = surface_scan(triple)
-    surfaces = []
+    components = {}
     if scan.root is not None:
         kind, model, index_n = scan.kind, scan.model, scan.n
         if force_kind is not None:
@@ -260,39 +263,58 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
                 f"{tuple(str(p) for p in scan.pairings)}, but no established rule gives its "
                 "Hirzebruch index; pass an explicit kind override to emit it"
             )
-        root0 = scan.root.coords
-        a, b = scan.pairings
-        seen_components = {}
-        for w in group.elements():
-            names = []
-            ya = group.apply_word(w.word, omega_y)
-            names.append(y_names[ya])
-            if a:
-                names.append(y_names[group.apply_word(w.word, reflect(root0, omega_y))])
-            za = group.apply_word(w.word, omega_z)
-            names.append(z_names[za])
-            if b:
-                names.append(z_names[group.apply_word(w.word, reflect(root0, omega_z))])
-            key = frozenset(names)
-            if key in seen_components:
+        root0 = group.labels(scan.root.coords)
+        a, b = (int(p) for p in scan.pairings)
+        positive = {group.labels(r): r for r in rs.positive_roots}
+        seed = (
+            omega_y,
+            tuple(x - a * r for x, r in zip(omega_y, root0)),
+            omega_z,
+            tuple(x - b * r for x, r in zip(omega_z, root0)),
+            root0,
+        )
+        expected = 3 if kind == "P2" else 4
+        for _, (ya, sya, za, sza, root) in group.orbit(seed):
+            key = frozenset((y_names[ya], y_names[sya], z_names[za], z_names[sza]))
+            if key in components:
                 continue
-            alpha_dir = direction(group.apply_word(w.word, root0))
-            alpha = Character(rs.positive_root_in_direction(alpha_dir))
-            ordered = sorted(set(names), key=lambda p: lam_value(weights[p]), reverse=True)
-            values = [lam_value(weights[p]) for p in ordered]
-            if len(set(values)) != len(values):
+            if len(key) != expected:
                 raise GkmValidationError(
-                    "ordering covector does not separate the surface points"
+                    f"surface component has {len(key)} points but kind {kind} needs {expected}"
                 )
-            expected = 3 if kind == "P2" else 4
-            if len(ordered) != expected:
-                raise GkmValidationError(
-                    f"surface component has {len(ordered)} points but kind {kind} needs {expected}"
-                )
-            seen_components[key] = SurfaceComponent(
-                kind=kind, points=tuple(ordered), alpha=alpha, n=index_n, model=model
-            )
-        surfaces = [seen_components[k] for k in sorted(seen_components, key=sorted)]
+            alpha = positive.get(root) or positive[tuple(-x for x in root)]
+            components[key] = Character(alpha)
+
+    # Joining lines: the orbit of (omega_Y, omega_Z), with weight w.chi.
+    lines = [
+        (y_names[ya], z_names[za], group.vector(tuple(x - y for x, y in zip(ya, za))))
+        for _, (ya, za) in group.orbit((omega_y, omega_z))
+    ]
+
+    for base in range(1, _COVECTOR_BASES + 1):
+        lam = group.vector(tuple(base**k for k in range(rs.rank)))
+        if all(inner(lam, w) for _, _, w in lines) and all(
+            len({inner(lam, weights[p]) for p in key}) == len(key) for key in components
+        ):
+            break
+    else:
+        raise GkmValidationError(
+            "no ordering covector orients every joining line and separates every surface's points"
+        )
+
+    def lam_value(point):
+        return inner(lam, weights[point])
+
+    surfaces = [
+        SurfaceComponent(
+            kind=kind,
+            points=tuple(sorted(key, key=lam_value, reverse=True)),
+            alpha=components[key],
+            n=index_n,
+            model=model,
+        )
+        for key in sorted(components, key=sorted)
+    ]
 
     # Edges: curves of the two closed orbits plus the joining lines, with the
     # curves absorbed by a surface dropped (their congruences come from the
@@ -315,26 +337,15 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
         if key not in edges:
             edges[key] = GkmEdge(a_, b_, weight)
 
-    for cosets, names in ((cosets_y, y_names), (cosets_z, z_names)):
-        parabolic = parabolic_y if names is y_names else parabolic_z
+    for parabolic, names in ((parabolic_y, y_names), (parabolic_z, z_names)):
         for curve in enumerate_curves(rs, parabolic, group):
-            add_edge(
-                names[curve.u.anchor],
-                names[curve.v.anchor],
-                Character(curve.root),
-            )
+            add_edge(names[curve.u.labels], names[curve.v.labels], Character(curve.root))
 
-    chi_coords = scan.chi.coords
-    for w in group.cosets(parabolic_joint):
-        ya = group.apply_word(w.word, omega_y)
-        za = group.apply_word(w.word, omega_z)
-        line_weight = Character(group.apply_word(w.word, chi_coords))
-        value = inner(lam, line_weight.coords)
-        if not value:
-            raise GkmValidationError("ordering covector does not orient a joining line")
-        if value < 0:
+    for y, z, weight in lines:
+        line_weight = Character(weight)
+        if inner(lam, weight) < 0:
             line_weight = -line_weight
-        add_edge(y_names[ya], z_names[za], line_weight)
+        add_edge(y, z, line_weight)
 
     points = sorted(weights)
     datum = GkmDatum(

@@ -1,17 +1,20 @@
 """Root systems in Bourbaki epsilon-coordinates, Weyl groups, and flag curves.
 
-Types A, B, C, F4 and G2 are supported.  Weyl groups are enumerated
-explicitly as the orbit of a strictly dominant anchor vector, which makes
-coset enumeration and curve adjacency exhaustive and exact.  Invariant
-curves in G/P_I connect fixed-point cosets swapped by a reflection; each
-curve carries the reflection root, the weight difference of its endpoints,
-and its degree over the one-dimensional Schubert classes.
+Types A, B, C, F4 and G2 are supported.  The Weyl group acts on weights
+written by their labels <v, alpha_j^vee>, by integer arithmetic through the
+Cartan matrix.  Cosets of W/W_I, and any other orbit a caller needs, are
+enumerated exactly by BFS over the simple reflections; the full group is
+built only on request.  Invariant curves in G/P_I connect fixed-point
+cosets swapped by a reflection and are found as the neighbours s_gamma u of
+each coset u; each curve carries the reflection root, the weight difference
+of its endpoints, and its degree over the one-dimensional Schubert classes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .coeff_series import QQ, as_rational
 
@@ -52,9 +55,11 @@ def reflect(alpha: Vector, v: Vector) -> Vector:
 
 
 def direction(v: Vector) -> tuple:
-    """Canonical primitive integer direction of a nonzero rational vector."""
-    from math import gcd
+    """Canonical primitive integer direction of a nonzero rational vector.
 
+    Denominators are cleared, the gcd divided out, and the sign fixed so the
+    first nonzero entry is positive.
+    """
     denom = 1
     for c in v:
         d = int(c.denominator)
@@ -217,21 +222,7 @@ class RootSystem:
     def positive_root_in_direction(self, v: Vector):
         """The positive root proportional to v, or None."""
         d = direction(v)
-        return self._direction_table().get(d)
-
-    def _direction_table(self):
-        table = getattr(self, "_dir_table", None)
-        if table is None:
-            table = {direction(r): r for r in self.positive_roots}
-            object.__setattr__(self, "_dir_table", table)
-        return table
-
-    def positive_root_set(self) -> frozenset:
-        cached = getattr(self, "_pos_set", None)
-        if cached is None:
-            cached = frozenset(self.positive_roots)
-            object.__setattr__(self, "_pos_set", cached)
-        return cached
+        return next((r for r in self.positive_roots if direction(r) == d), None)
 
     def decompose_in_simple_roots(self, root: Vector):
         """Coefficients n_i with root = sum n_i alpha_i."""
@@ -239,15 +230,6 @@ class RootSystem:
             [self.simple_roots[j][i] for j in range(self.rank)] for i in range(self.dim)
         ]
         return solve_linear(matrix, list(root))
-
-    def parabolic_positive_roots(self, parabolic) -> set:
-        """Positive roots supported on the simple roots in `parabolic` (1-based)."""
-        inside = set()
-        for r in self.positive_roots:
-            coeffs = self.decompose_in_simple_roots(r)
-            if all(not c for i, c in enumerate(coeffs, start=1) if i not in parabolic):
-                inside.add(r)
-        return inside
 
 
 def root_system(label: str) -> RootSystem:
@@ -288,6 +270,7 @@ class Coset:
 
     word: tuple  # composition of simple reflections, leftmost applied last
     anchor: Vector  # word applied to the coset's defining dominant weight
+    labels: tuple  # the anchor's labels <anchor, alpha_j^vee>, j = 1..rank
 
     @property
     def length(self) -> int:
@@ -298,66 +281,142 @@ class Coset:
 
 
 class WeylGroup:
-    """The Weyl group of a root system, enumerated exhaustively."""
+    """The Weyl group of a root system, acting on weights by their labels.
+
+    A weight v is written by its labels l_j = <v, alpha_j^vee>.  The simple
+    reflection s_i acts as l_j <- l_j - l_i <alpha_i, alpha_j^vee>, so on
+    integral weights the group acts by integer arithmetic through the Cartan
+    matrix; epsilon-coordinate vectors are built only for the results.
+    Orbits, cosets and the full group are enumerated on demand.
+    """
 
     def __init__(self, system: RootSystem):
         self.system = system
-        self._elements = self._orbit(system.weyl_vector())
+        simple = system.simple_roots
+        # Row i holds the labels of alpha_i: <alpha_i, alpha_j^vee>.
+        self._rows = tuple(tuple(int(pairing(b, a)) for b in simple) for a in simple)
+        den = 1
+        for w in system.fundamental_weights:
+            for c in w:
+                den = lcm(den, int(c.denominator))
+        self._den = den
+        # Column k holds the k-th coordinates of the omega_j, times den.
+        self._columns = tuple(
+            tuple(int(w[k] * den) for w in system.fundamental_weights)
+            for k in range(system.dim)
+        )
+        self._cosets = {}
+        self._elements = None
 
     @property
     def order(self) -> int:
-        return len(self._elements)
+        return len(self.elements())
 
     def elements(self):
+        """All elements, as the orbit of the Weyl vector."""
+        if self._elements is None:
+            rho = (1,) * self.system.rank
+            self._elements = [
+                Coset(word, self.vector(image[0]), image[0])
+                for word, image in self.orbit((rho,))
+            ]
         return list(self._elements)
 
+    def labels(self, v: Vector) -> tuple:
+        """The integer labels <v, alpha_j^vee> of an integral weight v."""
+        out = []
+        for a in self.system.simple_roots:
+            x = pairing(a, v)
+            if x.denominator != 1:
+                raise ValueError(f"{v} is not an integral weight")
+            out.append(int(x))
+        return tuple(out)
+
+    def vector(self, labels) -> Vector:
+        """The weight sum_j labels_j omega_j in epsilon-coordinates."""
+        return tuple(
+            QQ(sum(x * c for x, c in zip(labels, column)), self._den)
+            for column in self._columns
+        )
+
+    def _reflect(self, labels: tuple, i: int) -> tuple:
+        c = labels[i]
+        if not c:
+            return labels
+        return tuple(x - c * r for x, r in zip(labels, self._rows[i]))
+
     def apply_word(self, word, v: Vector) -> Vector:
+        """The word applied to any rational vector v, exactly.
+
+        The reflections act on the labels of v; the image is v plus
+        sum_j (l'_j - l_j) omega_j, which is exact also off the root span.
+        """
+        before = tuple(pairing(a, v) for a in self.system.simple_roots)
+        after = before
         for i in reversed(word):
-            v = reflect(self.system.simple_root(i), v)
-        return v
-
-    def apply_inverse_word(self, word, v: Vector) -> Vector:
-        for i in word:
-            v = reflect(self.system.simple_root(i), v)
-        return v
-
-    def coset_weight(self, parabolic) -> Vector:
-        """The dominant weight whose stabilizer is exactly W_I."""
-        outside = [i for i in range(1, self.system.rank + 1) if i not in parabolic]
-        if not outside:
-            raise ValueError("the full parabolic leaves a single coset; no defining weight")
-        w = self.system.fundamental_weight(outside[0])
-        for i in outside[1:]:
-            w = vadd(w, self.system.fundamental_weight(i))
-        return w
-
-    def cosets(self, parabolic) -> list:
-        """Shortest representatives of W/W_I for I given by 1-based indices."""
-        parabolic = frozenset(parabolic)
-        for i in parabolic:
             if not 1 <= i <= self.system.rank:
-                raise ValueError(f"parabolic index {i} out of range")
-        if len(parabolic) == self.system.rank:
-            return [Coset((), self.system.weyl_vector())]
-        seed = self.coset_weight(parabolic)
-        return self._orbit(seed)
+                raise ValueError(f"simple root index {i} out of range for {self.system.label}")
+            after = self._reflect(after, i - 1)
+        for x, y, omega in zip(after, before, self.system.fundamental_weights):
+            if x != y:
+                v = vadd(v, vscale(x - y, omega))
+        return v
 
-    def _orbit(self, seed: Vector):
-        """BFS over simple reflections; words are shortest, built by left action."""
-        start = Coset((), seed)
-        seen = {seed: start}
+    def orbit(self, seed: tuple) -> list:
+        """The orbit of a tuple of label vectors, as (word, image) pairs.
+
+        BFS over the simple reflections, acting on every vector of the tuple
+        at once: images come in BFS order, each with a shortest word, built by
+        left action (leftmost letter applied last).
+        """
+        start = ((), seed)
+        seen = {seed}
         queue = deque([start])
         out = [start]
+        step = self._reflect
         while queue:
-            current = queue.popleft()
-            for i in range(1, self.system.rank + 1):
-                image = reflect(self.system.simple_root(i), current.anchor)
+            word, point = queue.popleft()
+            for i in range(self.system.rank):
+                image = tuple(step(labels, i) for labels in point)
                 if image not in seen:
-                    nxt = Coset((i,) + current.word, image)
-                    seen[image] = nxt
+                    seen.add(image)
+                    nxt = ((i + 1,) + word, image)
                     queue.append(nxt)
                     out.append(nxt)
         return out
+
+    def cosets(self, parabolic) -> list:
+        """Shortest representatives of W/W_I for I given by 1-based indices."""
+        return list(self._coset_orbit(parabolic)[0])
+
+    def _coset_orbit(self, parabolic):
+        """Cosets of W/W_I and, for each coset w W_I, the labels of w.omega_i
+        for every i outside I; memoised per parabolic."""
+        parabolic = frozenset(parabolic)
+        cached = self._cosets.get(parabolic)
+        if cached is not None:
+            return cached
+        rank = self.system.rank
+        for i in parabolic:
+            if not 1 <= i <= rank:
+                raise ValueError(f"parabolic index {i} out of range")
+        if len(parabolic) == rank:
+            cached = [Coset((), self.system.weyl_vector(), (1,) * rank)], [()]
+        else:
+            # The tuple (omega_i)_{i not in I} has stabilizer W_I, like their sum.
+            seed = tuple(
+                tuple(int(j == i) for j in range(1, rank + 1))
+                for i in range(1, rank + 1)
+                if i not in parabolic
+            )
+            cosets, images = [], []
+            for word, image in self.orbit(seed):
+                labels = tuple(map(sum, zip(*image)))
+                cosets.append(Coset(word, self.vector(labels), labels))
+                images.append(image)
+            cached = cosets, images
+        self._cosets[parabolic] = cached
+        return cached
 
 
 @dataclass(frozen=True)
@@ -401,24 +460,37 @@ def enumerate_fixed_points(system: RootSystem, parabolic) -> list:
 
 
 def enumerate_curves(system: RootSystem, parabolic, group: WeylGroup | None = None) -> list:
-    """All invariant curves of G/P_I with roots, weights and degrees."""
+    """All invariant curves of G/P_I with roots, weights and degrees.
+
+    From the coset u = w.lambda, a positive root gamma with p = <u, gamma^vee>
+    nonzero gives the curve to s_gamma u = u - p gamma.  Its degree on
+    sigma(s_i) is |<w.omega_i, gamma^vee>|, which is curve_degree(w^-1 gamma)
+    by W-invariance.  Curves come sorted by the coset indices of (u, v).
+    """
     group = group or WeylGroup(system)
-    cosets = group.cosets(parabolic)
+    cosets, images = group._coset_orbit(parabolic)
+    outside = [i for i in range(1, system.rank + 1) if i not in parabolic]
+    if not outside:
+        return []
+    index = {c.labels: k for k, c in enumerate(cosets)}
+    # <v, gamma^vee> = sum_j c_j <v, alpha_j^vee> with c_j = <omega_j, gamma^vee>.
+    roots = []
+    for gamma in system.positive_roots:
+        coroot = tuple(int(pairing(gamma, w)) for w in system.fundamental_weights)
+        roots.append((gamma, group.labels(gamma), coroot))
     out = []
-    for a in range(len(cosets)):
-        for b in range(a + 1, len(cosets)):
-            u, v = cosets[a], cosets[b]
-            delta = vsub(u.anchor, v.anchor)
-            gamma = system.positive_root_in_direction(delta)
-            if gamma is None:
+    for a, (u, omegas) in enumerate(zip(cosets, images)):
+        found = []
+        for gamma, gamma_labels, coroot in roots:
+            parts = [sum(c * x for c, x in zip(coroot, labels)) for labels in omegas]
+            p = sum(parts)
+            if not p:
                 continue
-            if vscale(pairing(gamma, u.anchor), gamma) != delta:
-                continue
-            base = group.apply_inverse_word(u.word, gamma)
-            if base not in system.positive_root_set():
-                base = vscale(-1, base)
-                if base not in system.positive_root_set():
-                    raise ValueError("reflection vector is not a root")
-            degree = curve_degree(system, base, parabolic)
-            out.append(FlagCurve(u=u, v=v, root=gamma, weight=delta, degree=degree))
+            b = index[tuple(x - p * g for x, g in zip(u.labels, gamma_labels))]
+            if b > a:
+                degree = {i: QQ(abs(q)) for i, q in zip(outside, parts) if q}
+                v = cosets[b]
+                found.append((b, FlagCurve(u, v, gamma, vsub(u.anchor, v.anchor), degree)))
+        found.sort(key=lambda item: item[0])
+        out.extend(curve for _, curve in found)
     return out

@@ -12,7 +12,6 @@ denominators; clearing denominators is iterated exact division.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .coeff_series import (
     QQ,
@@ -23,6 +22,7 @@ from .coeff_series import (
     series_inverse,
 )
 from .fgl import FormalGroupLaw
+from .root_flag import direction
 
 
 @dataclass(frozen=True)
@@ -63,26 +63,11 @@ class Character:
     def primitive_direction(self) -> tuple:
         """Canonical integer direction of the line through the character.
 
-        Denominators are cleared, the gcd divided out, and the sign fixed so
-        the first nonzero entry is positive; zero characters are rejected.
+        See root_flag.direction; zero characters are rejected.
         """
         if self.is_zero():
             raise ValueError("the zero character has no direction")
-        denom_lcm = 1
-        for c in self.coords:
-            d = int(c.denominator)
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-        ints = [int(c * denom_lcm) for c in self.coords]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        for v in ints:
-            if v:
-                if v < 0:
-                    ints = [-x for x in ints]
-                break
-        return tuple(ints)
+        return direction(self.coords)
 
     def proportional_to(self, other: "Character") -> bool:
         if self.is_zero() or other.is_zero():

@@ -130,6 +130,12 @@ def test_horo_family4_unresolved_exit_code(capsys):
     assert code == 3
 
 
+def test_horo_family1_n4_builds(capsys):
+    code, out = run(capsys, "horo", "build", "--family", "1", "--n", "4")
+    assert code == 0
+    assert len(json.loads(out)["points"]) == 48
+
+
 def test_horo_scan_text(capsys):
     code, out = run(capsys, "horo", "scan", "--family", "5")
     assert code == 0

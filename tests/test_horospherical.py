@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from gkmcobordism.horospherical import (
     point_weights,
     surface_scan,
 )
+from gkmcobordism.root_flag import inner
 from gkmcobordism.torus_ring import Character, TorusRing
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -216,3 +218,79 @@ def test_build_validates():
     assert len(datum.surfaces) == 12
     for s in datum.surfaces:
         assert s.kind == "P2" and len(s.points) == 3
+
+
+def test_family1_n4_orders_by_another_covector():
+    # The Weyl vector of B4 is orthogonal to the joining weight (1,-1,-1,1)/2,
+    # so the builder falls back to sum_k 2^(k-1) omega_k.
+    triple = PasquierTriple(family=1, n=4)
+    rho = triple.group().weyl_vector()
+    half = QQ(1, 2)
+    assert inner(rho, (half, -half, -half, half)) == 0
+    datum = build_gkm(triple)
+    assert len(datum.points) == 48 and len(datum.edges) == 336
+    assert datum.ordering == (11, 10, 8, 4)
+    for edge in datum.edges:
+        assert inner(datum.ordering, edge.weight.coords)
+
+
+# Every buildable triple of the classification; family 3 for n <= 4.
+SWEEP = {
+    "b3-spinor": (dict(family=1, n=3), None),
+    "b4-spinor": (dict(family=1, n=4), None),
+    "b5-spinor": (dict(family=1, n=5), None),
+    "b3-quadric": (dict(family=2), None),
+    "c2-m2": (dict(family=3, n=2, m=2), None),
+    "c3-m2": (dict(family=3, n=3, m=2), None),
+    "c3-m3": (dict(family=3, n=3, m=3), None),
+    "c4-m2": (dict(family=3, n=4, m=2), None),
+    "c4-m3": (dict(family=3, n=4, m=3), None),
+    "c4-m4": (dict(family=3, n=4, m=4), None),
+    "g2": (dict(family=5), None),
+    "f4-fn2": (dict(family=4), "fn:2"),
+}
+
+# sha256 of build_gkm(...).dumps(): a change to the root-system or builder
+# code must leave every swept datum byte-identical.
+SWEEP_SHA256 = {
+    "b3-spinor": "efe57daf52bc564e3ad84b0beedc6e5609996f4d5c2662c2a91eb432904fd6ac",
+    "b4-spinor": "905e445d03ac11320e969795c4724acd14f34079dd791b5ec31724ad5b7523e6",
+    "b5-spinor": "b99f03c82f4bbf3ced51432ef4a3b4a4dd9daa32dbf278d39489b0937b5d6a7c",
+    "b3-quadric": "e9a3de272f0a502b7cbcd297d6380cf2e1e64bb55f4f830e4f8b673c598d78e2",
+    "c2-m2": "077418eb783a052df8fe5d76fd44f55c4617126c18675560994b92e2d64398c1",
+    "c3-m2": "e7c3027120e33132b60588db72c6047f92656df8dad579c891bd86a06218ae19",
+    "c3-m3": "be7343ecfcdfcd13f48edd58b1c8308de7d55403c2b7798ec0ac97cc5bf100a3",
+    "c4-m2": "213050ce539c979c6b6deb66c383d05eb2cb4cd58fd2e5ba89cf6bcfc8cafa8d",
+    "c4-m3": "274047e3f987558dbc056562a4d04bea62680968126c8fd47b03f87a269bde7b",
+    "c4-m4": "4c38426810aa78350f6bb4b4691249a33c0065fdb7dfa292bcecc31386533c98",
+    "g2": "486ae5af6875290c97e2ce787526b665f9e1531870e2713f84ca80912fdd4132",
+    "f4-fn2": "84caab899f73b8052ef30d391c0c7da1e4d67e1add831c7365239d4b6dd2f07d",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SWEEP))
+def swept(request):
+    args, kind = SWEEP[request.param]
+    triple = PasquierTriple(**args)
+    return request.param, triple, build_gkm(triple, force_kind=kind)
+
+
+def test_sweep_datum_bytes(swept):
+    name, _, datum = swept
+    assert hashlib.sha256(datum.dumps().encode()).hexdigest() == SWEEP_SHA256[name]
+
+
+def test_sweep_hyperplane_tuple_is_member(swept):
+    """The hyperplane tuple of every buildable triple is a member: under the
+    additive law at order 4, and under the universal law at order 5 for data
+    with at most 56 points."""
+    _, triple, datum = swept
+    weights = point_weights(triple)
+    assert set(weights) == set(datum.points)
+    laws = [FormalGroupLaw.additive(4)]
+    if len(datum.points) <= 56:
+        laws.append(FormalGroupLaw.universal(5))
+    for law in laws:
+        ring = TorusRing(law, datum.rank)
+        values = {p: ring.chern(weights[p]) for p in datum.points}
+        assert check_membership(datum, values, ring).is_member

@@ -1,9 +1,11 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from gkmcobordism.coeff_series import QQ
 
 from gkmcobordism.root_flag import (
+    FlagCurve,
     WeylGroup,
     curve_degree,
     direction,
@@ -105,7 +107,7 @@ def test_curve_degree_weyl_invariance():
     alpha = g2.positive_roots[2]
     for i in parabolic:
         image = reflect(g2.simple_root(i), alpha)
-        if image in g2.positive_root_set():
+        if image in g2.positive_roots:
             assert curve_degree(g2, image, parabolic) == curve_degree(g2, alpha, parabolic)
 
 
@@ -163,3 +165,75 @@ def test_adjacency_complete_for_g2_quadric():
     g2 = root_system("G2")
     points = enumerate_fixed_points(g2, {1})
     assert len(enumerate_curves(g2, {1})) == len(points) * (len(points) - 1) // 2
+
+
+def pair_scan_curves(system, parabolic, group):
+    """Reference enumeration: scan every pair of cosets for a positive root
+    along the anchor difference with v = s_gamma u, and take the degree of
+    the root w^-1 gamma, reflected back along the word of u, from
+    curve_degree."""
+    cosets = group.cosets(parabolic)
+    out = []
+    for a, b in combinations(range(len(cosets)), 2):
+        u, v = cosets[a], cosets[b]
+        delta = vsub(u.anchor, v.anchor)
+        gamma = system.positive_root_in_direction(delta)
+        if gamma is None or vscale(pairing(gamma, u.anchor), gamma) != delta:
+            continue
+        base = gamma
+        for i in u.word:
+            base = reflect(system.simple_root(i), base)
+        if base not in system.positive_roots:
+            base = vscale(-1, base)
+        assert base in system.positive_roots
+        degree = curve_degree(system, base, parabolic)
+        out.append(FlagCurve(u=u, v=v, root=gamma, weight=delta, degree=degree))
+    return out
+
+
+ORACLE_CASES = [
+    (label, frozenset(parabolic))
+    for label in ("A2", "A3", "B2", "B3", "C2", "C3", "G2")
+    for size in range(int(label[1]) + 1)
+    for parabolic in combinations(range(1, int(label[1]) + 1), size)
+] + [("F4", frozenset({1, 3, 4}))]
+
+
+@pytest.mark.parametrize(
+    "label, parabolic",
+    ORACLE_CASES,
+    ids=[f"{label}-{''.join(map(str, sorted(p)))}" for label, p in ORACLE_CASES],
+)
+def test_curves_match_pair_scan(label, parabolic):
+    system = root_system(label)
+    group = WeylGroup(system)
+    # Shortest words of W_I use only letters of I.
+    stabilizer = sum(1 for w in group.elements() if set(w.word) <= parabolic)
+    assert len(group.cosets(parabolic)) == group.order // stabilizer
+    curves = enumerate_curves(system, parabolic, group)
+    reference = pair_scan_curves(system, parabolic, group)
+    assert curves == reference
+    assert [list(c.degree.items()) for c in curves] == [
+        list(c.degree.items()) for c in reference
+    ]
+
+
+def test_apply_word_matches_reflections():
+    # Vectors off the root span (A2 and G2 live in three coordinates) and
+    # non-integral ones must move exactly as under the epsilon reflections.
+    cases = (
+        ("A2", (1, 0, 0)),
+        ("G2", (QQ(1, 3), 2, -5)),
+        ("F4", (QQ(1, 2), 0, 3, QQ(-7, 5))),
+    )
+    for label, v in cases:
+        system = root_system(label)
+        group = WeylGroup(system)
+        v = vec(v)
+        for word in (w.word for w in group.elements()[:40]):
+            expected = v
+            for i in reversed(word):
+                expected = reflect(system.simple_root(i), expected)
+            assert group.apply_word(word, v) == expected
+    with pytest.raises(ValueError):
+        WeylGroup(root_system("B2")).apply_word((0,), vec((1, 0)))
