@@ -239,7 +239,7 @@ def _load_tangent(path: str) -> mult.TangentData:
         return mult.TangentData.from_json_obj(json.load(fh))
 
 
-def _tuple_payload(values: dict, rank: int, order: int) -> str:
+def _tuple_payload(values: dict) -> str:
     obj = {p: s.to_json_obj() for p, s in sorted(values.items())}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -255,13 +255,13 @@ def cmd_mult(args) -> int:
             for name, series in mult.point_class(ring, point, data).items():
                 key = name if len(points) == 1 else f"{point}:{name}"
                 out[key] = series
-        _write_or_print(args, _tuple_payload(out, ring.rank, ring.order))
+        _write_or_print(args, _tuple_payload(out))
         return EXIT_OK
     if args.mult_op == "subvariety":
         data = _load_tangent(args.weights)
         ring = TorusRing(law, next(iter(data.weights.values()))[0].rank)
         values = mult.subvariety_class(ring, data)
-        _write_or_print(args, _tuple_payload(values, ring.rank, ring.order))
+        _write_or_print(args, _tuple_payload(values))
         return EXIT_OK
     fiber = _load_tangent(args.weights)
     ring = TorusRing(law, next(iter(fiber.weights.values()))[0].rank)

@@ -14,6 +14,13 @@ the t-monomials packed into integers so that multiplying monomials is an
 integer addition; each output coefficient is built once as
 QQ(numerator, den_a * den_b), and zero sums are dropped at the end.  So a
 product makes no rational per multiply-add and takes no gcd inside its loop.
+sum_of_products runs several products, with rational scalars, into the same
+buckets, so a linear combination of products also builds each output
+coefficient once.
+
+Multiplicative inverses use Newton iteration; compositional inverses a
+triangular solve against the powers of the series; compositions and
+substitutions share one Horner loop.
 """
 
 from __future__ import annotations
@@ -69,24 +76,40 @@ def _numerators(coeffs) -> tuple:
     return den, rows
 
 
-def _packed_rows(f: "TruncatedSeries", order: int, powers: list) -> tuple:
-    """(den, rows): f's terms through order as _product rows, t-keys packed
-    as sum(e_i * powers[i])."""
-    kept = sorted((sum(k), k, c.terms) for k, c in f.terms.items() if sum(k) <= order)
-    den, nums = _numerators([c for _, _, c in kept])
-    rows = [(d, sum(e * p for e, p in zip(k, powers)), row) for (d, k, _), row in zip(kept, nums)]
+def _packed_rows(series: list, order: int, powers: list) -> tuple:
+    """(den, [rows, ...]): the terms of each series through order as
+    _product rows, all numerators over one den, t-keys packed as
+    sum(e_i * powers[i])."""
+    kept = [
+        sorted((sum(k), k, c.terms) for k, c in f.terms.items() if sum(k) <= order)
+        for f in series
+    ]
+    den = lcm(*(q.denominator for f_rows in kept for _, _, c in f_rows for q in c.values()))
+    rows = [
+        [
+            (
+                d,
+                sum(e * p for e, p in zip(k, powers)),
+                [(m, q.numerator * (den // q.denominator)) for m, q in c.items()],
+            )
+            for d, k, c in f_rows
+        ]
+        for f_rows in kept
+    ]
     return den, rows
 
 
-def _product(a: list, b: list, order: int) -> dict:
+def _product(a: list, b: list, order: int, buckets: dict | None = None) -> dict:
     """The integer kernel behind every product.
 
     a and b are lists of (t-degree, packed t-key, [(mkey, int), ...]) sorted
-    by t-degree, each with its numerators over one denominator.  Returns
-    {packed t-key: {mkey: int}}, the numerators of a * b through total degree
-    `order` over the product of the two denominators; a sum may be zero.
+    by t-degree, each with its numerators over one denominator.  Adds the
+    numerators of a * b through total degree `order`, over the product of
+    the two denominators, into `buckets` ({packed t-key: {mkey: int}}, a new
+    dict by default) and returns it; a sum may be zero.
     """
-    buckets: dict = {}
+    if buckets is None:
+        buckets = {}
     for da, pa, ca in a:
         room = order - da
         for db, pb, cb in b:
@@ -415,24 +438,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check_rank(other)
-        order = min(self.order, other.order)
-        # A t-key packs into sum(e_i * base**i); below the order no exponent
-        # reaches the base, so adding packed keys multiplies the monomials.
-        base = order + 1
-        powers = [base**i for i in range(self.rank)]
-        den_a, a = _packed_rows(self, order, powers)
-        den_b, b = _packed_rows(other, order, powers)
-        out = {}
-        den = den_a * den_b
-        for packed, bucket in _product(a, b, order).items():
-            coeff = _rationals(bucket, den)
-            if coeff:
-                key = []
-                for _ in powers:
-                    packed, e = divmod(packed, base)
-                    key.append(e)
-                out[tuple(key)] = LazardCoefficient(coeff)
-        return TruncatedSeries(self.rank, order, out)
+        return sum_of_products([(self, other)], self.rank, min(self.order, other.order))
 
     def __rmul__(self, other) -> "TruncatedSeries":
         return self.scale(other)
@@ -491,14 +497,8 @@ class TruncatedSeries:
         pieces = self.split_by_variable(index)
         if not pieces:
             return TruncatedSeries(self.rank, order)
-        top = max(pieces)
-        acc = TruncatedSeries.zero(self.rank, order)
-        for e in range(top, -1, -1):
-            acc = acc * replacement
-            piece = pieces.get(e)
-            if piece is not None:
-                acc = acc + piece.truncated(order)
-        return acc
+        pieces = {e: piece.truncated(order) for e, piece in pieces.items()}
+        return _horner(pieces, max(pieces), replacement, order)
 
     def divide_by_variable(self, index: int) -> "TruncatedSeries":
         """Exact division by t_{index+1}; every term must contain the variable."""
@@ -587,6 +587,56 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.render()} + O(deg {self.order + 1}))"
 
 
+def sum_of_products(pairs: list, rank: int, order: int, scalars: list | None = None) -> TruncatedSeries:
+    """sum(s * a * b for (a, b), s in zip(pairs, scalars)) through `order`
+    in one pass of the kernel; the rational scalars default to 1.
+
+    All left factors share one denominator and all right factors another, so
+    every product lands in the same buckets and each output coefficient is
+    built once.  A scalar p/q enters as the integer factor p * (lcm / q) on
+    its left factor's numerators, with the lcm of the q in the denominator.
+    """
+    # A t-key packs into sum(e_i * base**i); below the order no exponent
+    # reaches the base, so adding packed keys multiplies the monomials.
+    base = order + 1
+    powers = [base**i for i in range(rank)]
+    den_a, rows_a = _packed_rows([a for a, _ in pairs], order, powers)
+    den_b, rows_b = _packed_rows([b for _, b in pairs], order, powers)
+    if scalars is not None:
+        q = lcm(*(s.denominator for s in scalars))
+        den_a *= q
+        rows_a = [
+            [(d, key, [(m, n * factor) for m, n in row]) for d, key, row in rows]
+            for rows, factor in zip(rows_a, (s.numerator * (q // s.denominator) for s in scalars))
+        ]
+    buckets: dict = {}
+    for a, b in zip(rows_a, rows_b):
+        _product(a, b, order, buckets)
+    out = {}
+    den = den_a * den_b
+    for packed, bucket in buckets.items():
+        coeff = _rationals(bucket, den)
+        if coeff:
+            key = []
+            for _ in powers:
+                packed, e = divmod(packed, base)
+                key.append(e)
+            out[tuple(key)] = LazardCoefficient(coeff)
+    return TruncatedSeries(rank, order, out)
+
+
+def _horner(pieces: dict, top: int, x: TruncatedSeries, order: int) -> TruncatedSeries:
+    """sum_e pieces[e] * x^e by Horner from degree `top` down; the pieces are
+    series at `order`, and a missing degree is a zero piece."""
+    acc = TruncatedSeries.zero(x.rank, order)
+    for e in range(top, -1, -1):
+        acc = acc * x
+        piece = pieces.get(e)
+        if piece is not None:
+            acc = acc + piece
+    return acc
+
+
 def compose_univariate(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f(g) for univariate f and any series g with zero constant term."""
     if f.rank != 1:
@@ -594,20 +644,28 @@ def compose_univariate(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSerie
     if not g.constant_term().is_zero():
         raise ValueError("inner series must have zero constant term")
     order = min(f.order, g.order)
-    acc = TruncatedSeries.zero(g.rank, order)
-    for k in range(order, -1, -1):
-        acc = acc * g
-        c = f.coefficient((k,))
-        if not c.is_zero():
-            acc = acc + TruncatedSeries.constant(c, g.rank, order)
-    return acc
+    pieces = {
+        k: TruncatedSeries.constant(c, g.rank, order) for (k,), c in f.terms.items() if k <= order
+    }
+    return _horner(pieces, order, g, order)
 
 
-def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
+def series_powers(f: TruncatedSeries) -> list:
+    """[f^0, f^1, ..., f^order], each through f's order."""
+    out = [TruncatedSeries.one(f.rank, f.order)]
+    for _ in range(f.order):
+        out.append(out[-1] * f)
+    return out
+
+
+def compositional_inverse(f: TruncatedSeries, powers: list | None = None) -> TruncatedSeries:
     """The series e with e(f(u)) = u = f(e(u)) up to the truncation order.
 
-    Requires f = c1*u + O(u^2) with c1 a nonzero rational; solved degree by
-    degree from the defect of e(f(u)).
+    Requires f = c1*u + O(u^2) with c1 a nonzero rational.  Writing
+    u = sum_a e_a f^a and reading off u^p, where [f^a]_p = 0 for a > p and
+    [f^p]_p = c1^p, gives the triangular solve
+    e_p = (delta_{p,1} - sum_{a<p} e_a [f^a]_p) / c1^p.  `powers` may hand in
+    series_powers(f) when the caller has it.
     """
     if f.rank != 1:
         raise ValueError("compositional inverse is defined for univariate series")
@@ -617,30 +675,35 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
     if c1.is_zero() or not c1.is_rational():
         raise ValueError("series must have an invertible rational linear term")
     c1 = c1.rational_value()
-    order = f.order
-    inv_coeffs = {1: LazardCoefficient.rational(1 / c1)}
-    for n in range(2, order + 1):
-        partial = TruncatedSeries(
-            1, n, {(k,): c for k, c in inv_coeffs.items() if k <= n}
-        )
-        defect = compose_univariate(partial, f.truncated(n)).coefficient((n,))
-        if not defect.is_zero():
-            inv_coeffs[n] = defect.scale(-(QQ(1) / c1**n))
-    terms = {(k,): c for k, c in inv_coeffs.items() if not c.is_zero()}
-    return TruncatedSeries(1, order, terms)
+    if powers is None:
+        powers = series_powers(f)
+    inv_coeffs: dict = {}
+    for p in range(1, f.order + 1):
+        acc = LazardCoefficient.one() if p == 1 else LazardCoefficient.zero()
+        for a, e_a in inv_coeffs.items():
+            acc = acc - e_a * powers[a].coefficient((p,))
+        if not acc.is_zero():
+            inv_coeffs[p] = acc.scale(QQ(1) / c1**p)
+    return TruncatedSeries(1, f.order, {(k,): c for k, c in inv_coeffs.items()})
 
 
 def series_inverse(w: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a series with nonzero rational constant term."""
+    """Multiplicative inverse of a series with nonzero rational constant term.
+
+    Newton iteration g <- g + g (1 - w g): if g inverts w through degree p,
+    one step inverts it through 2p + 1, so the precision runs 0, 1, 3, 7, ...
+    up to the order in about 2 log2(order) products.
+    """
     c = w.constant_term()
     if c.is_zero() or not c.is_rational():
         raise ValueError("series must have an invertible rational constant term")
-    c = c.rational_value()
-    rest = TruncatedSeries.one(w.rank, w.order) - w.scale(QQ(1) / c)
-    acc = TruncatedSeries.one(w.rank, w.order)
-    for _ in range(w.order):
-        acc = acc * rest + TruncatedSeries.one(w.rank, w.order)
-    return acc.scale(QQ(1) / c)
+    g = TruncatedSeries.constant(QQ(1) / c.rational_value(), w.rank, 0)
+    p = 0
+    while p < w.order:
+        p = min(2 * p + 1, w.order)
+        g = g.at_order(p)
+        g = g + g * (TruncatedSeries.one(w.rank, p) - w.truncated(p) * g)
+    return g
 
 
 def product(series_list, rank: int, order: int) -> TruncatedSeries:

@@ -5,12 +5,23 @@ compositional inverse e: the group sum is e(l(u) + l(v)), integer multiples
 are e(n*l(u)), rational divisions e(l(u)/m), and the degree-zero correction
 operator rho_{n/m} u = [n]([1/m]u) / u comes out as a univariate series in u.
 
+One cached power table P = [l^0, l^1, ..., l^N] builds all of these.  The
+exponential is solved from u = sum_a e_a l^a by a triangular solve, one
+degree at a time.  Every series of the form g(sum_i chi_i l(t_i)) (Chern
+classes, [n]x, [1/m]x, the pair table F(u, v), rho of a Chern class) is
+a linear combination of rows of P in one variable and a sum of outer products
+of such combinations in several (exp_linear), with no composition into a
+multivariate series.  Composition (compose_univariate) remains for genuinely
+multivariate arguments: sum, inverse, multiple, divide and rho of a series.
+
 Specializations assign rationals to the mk: the additive law sets all mk = 0,
 the multiplicative law with parameter b sets mk = b^k/(k+1), which collapses
 F(u, v) to u + v - b*u*v.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .coeff_series import (
     QQ,
@@ -19,6 +30,9 @@ from .coeff_series import (
     as_rational,
     compose_univariate,
     compositional_inverse,
+    series_inverse,
+    series_powers,
+    sum_of_products,
 )
 
 
@@ -43,6 +57,7 @@ class FormalGroupLaw:
                 )
         self.assignment = assignment
         self._logs: dict = {}
+        self._log_powers: dict = {}
         self._exps: dict = {}
         self._univariate: dict = {}
         self._pair_tables: dict = {}
@@ -53,14 +68,17 @@ class FormalGroupLaw:
     def universal(cls, order: int) -> "FormalGroupLaw":
         return cls(order)
 
+    # The closed-form laws also assign m_order: rho_series works one order
+    # above the truncation order, where the top coefficient depends on it.
+
     @classmethod
     def additive(cls, order: int) -> "FormalGroupLaw":
-        return cls(order, {k: QQ(0) for k in range(1, order)}, label="additive")
+        return cls(order, {k: QQ(0) for k in range(1, order + 1)}, label="additive")
 
     @classmethod
     def multiplicative(cls, beta, order: int) -> "FormalGroupLaw":
         beta = as_rational(beta)
-        assignment = {k: beta**k / (k + 1) for k in range(1, order)}
+        assignment = {k: beta**k / (k + 1) for k in range(1, order + 1)}
         return cls(order, assignment, label=f"multiplicative:{beta}")
 
     @classmethod
@@ -101,21 +119,63 @@ class FormalGroupLaw:
             self._logs[order] = cached
         return cached
 
+    def log_powers(self, order: int | None = None) -> list:
+        """The power table [l^0, l^1, ..., l^order] of the logarithm."""
+        order = self.order if order is None else order
+        cached = self._log_powers.get(order)
+        if cached is None:
+            cached = series_powers(self.log_series(order))
+            self._log_powers[order] = cached
+        return cached
+
     def exp_series(self, order: int | None = None) -> TruncatedSeries:
         order = self.order if order is None else order
         cached = self._exps.get(order)
         if cached is None:
-            cached = compositional_inverse(self.log_series(order))
+            cached = compositional_inverse(self.log_series(order), self.log_powers(order))
             self._exps[order] = cached
         return cached
 
     # -- univariate building blocks -------------------------------------------
 
-    def _scaled_exp_log(self, scale, order: int) -> TruncatedSeries:
-        """e(scale * l(x)) as a univariate series."""
-        return compose_univariate(
-            self.exp_series(order), self.log_series(order).scale(scale)
-        )
+    def exp_linear(self, chi, order: int | None = None) -> TruncatedSeries:
+        """e(sum_i chi_i l(t_i)) in len(chi) variables, for rational chi_i;
+        variables with chi_i = 0 are skipped."""
+        order = self.order if order is None else order
+        return self._of_log_form(self.exp_series(order), chi, order)
+
+    def rho_linear(self, n: int, m: int, chi, order: int | None = None) -> TruncatedSeries:
+        """rho_{n/m} applied to e(sum_i chi_i l(t_i)), for a nonzero chi.
+
+        rho_{n/m}(e(y)) = e((n/m) y) / e(y) is a univariate series h(y), so
+        this is h of the same linear form as exp_linear, with no composition
+        into a multivariate series.
+        """
+        if not any(chi):
+            raise ValueError("rho requires an input of t-order exactly 1")
+        order = self.order if order is None else order
+        key = ("rho-exp", n, m, order)
+        h = self._univariate.get(key)
+        if h is None:
+            # Both e(q y) and e(y) are divisible by y; dividing one order up
+            # keeps the quotient exact through `order`.
+            q = QQ(n, m)
+            exp = self.exp_series(order + 1).terms
+            top = TruncatedSeries(1, order, {(k - 1,): c.scale(q**k) for (k,), c in exp.items()})
+            bottom = TruncatedSeries(1, order, {(k - 1,): c for (k,), c in exp.items()})
+            h = top * series_inverse(bottom)
+            self._univariate[key] = h
+        return self._of_log_form(h, chi, order)
+
+    def _of_log_form(self, g: TruncatedSeries, chi, order: int) -> TruncatedSeries:
+        """g(sum_i chi_i l(t_i)) in len(chi) variables for a univariate g."""
+        chi = [as_rational(c) for c in chi]
+        coeffs = [(g.coefficient((n,)), QQ(1)) for n in range(order + 1)]
+        table = self.log_powers(order)
+        rows = {
+            i: [_embed(row, i, len(chi)) for row in table] for i, c in enumerate(chi) if c
+        }
+        return _taylor_outer(coeffs, chi, rows, list(rows), order)
 
     def multiple_series(self, n: int, order: int | None = None) -> TruncatedSeries:
         """[n]x as a univariate series."""
@@ -126,7 +186,7 @@ class FormalGroupLaw:
             if n == 0:
                 cached = TruncatedSeries.zero(1, order)
             else:
-                cached = self._scaled_exp_log(QQ(n), order)
+                cached = self.exp_linear((n,), order)
             self._univariate[key] = cached
         return cached
 
@@ -138,7 +198,7 @@ class FormalGroupLaw:
         key = ("divide", m, order)
         cached = self._univariate.get(key)
         if cached is None:
-            cached = self._scaled_exp_log(QQ(1, m), order)
+            cached = self.exp_linear((QQ(1, m),), order)
             self._univariate[key] = cached
         return cached
 
@@ -154,7 +214,7 @@ class FormalGroupLaw:
         if cached is None:
             # [n]([1/m]x) = e((n/m) l(x)) is divisible by x; build one order
             # higher so the shifted quotient is exact through `order`.
-            g = self._scaled_exp_log(QQ(n, m), order + 1)
+            g = self.exp_linear((QQ(n, m),), order + 1)
             terms = {(k - 1,): c for (k,), c in g.terms.items()}
             cached = TruncatedSeries(1, order, terms)
             self._univariate[key] = cached
@@ -173,11 +233,7 @@ class FormalGroupLaw:
         order = self.order if order is None else order
         cached = self._pair_tables.get(order)
         if cached is None:
-            u = TruncatedSeries.variable(0, 2, order)
-            v = TruncatedSeries.variable(1, 2, order)
-            lu = compose_univariate(self.log_series(order), u)
-            lv = compose_univariate(self.log_series(order), v)
-            cached = compose_univariate(self.exp_series(order), lu + lv)
+            cached = self.exp_linear((1, 1), order)
             self._pair_tables[order] = cached
         return cached
 
@@ -257,3 +313,48 @@ class FormalGroupLaw:
 
     def __repr__(self) -> str:
         return f"FormalGroupLaw(order={self.order}, law={self.label})"
+
+
+def _taylor_outer(coeffs: list, chi: list, rows: dict, live: list, order: int) -> TruncatedSeries:
+    """g(sum_{i in live} chi_i l(t_i)) through `order`, where
+    g(y) = sum_n q_n g_n y^n for coeffs[n] = (g_n, q_n), a coefficient and a
+    rational, and rows[i][a] = l(t_i)^a.
+
+    Taylor expansion in the first live variable: with y0 = chi_i l(t_i),
+    g(y0 + y') = sum_a y0^a g_a(y'), where g_a = g^(a)/a! has coefficients
+    q_{a+b} g_{a+b} C(a + b, a).  So the result is a sum of outer products of
+    series in disjoint variables; with one live variable left, g_a is the
+    constant q_a g_a and the result is a linear combination of the rows.
+    The rationals ride along as scalars of the kernel, not per m-monomial.
+    """
+    rank = len(chi)
+    if not live:
+        g, q = coeffs[0]
+        return TruncatedSeries.constant(g.scale(q), rank, order)
+    i, rest = live[0], live[1:]
+    c = chi[i]
+    pairs, scalars = [], []
+    for a in range(order + 1):
+        if rest:
+            shifted = [(g, q * comb(a + b, a)) for b, (g, q) in enumerate(coeffs[a : order + 1])]
+            inner = _taylor_outer(shifted, chi, rows, rest, order - a)
+            if not inner.is_zero():
+                pairs.append((rows[i][a], inner))
+                scalars.append(c**a)
+        else:
+            g, q = coeffs[a]
+            if not g.is_zero():
+                pairs.append((TruncatedSeries.constant(g, rank, order), rows[i][a]))
+                scalars.append(q * c**a)
+    return sum_of_products(pairs, rank, order, scalars)
+
+
+def _embed(f: TruncatedSeries, index: int, rank: int) -> TruncatedSeries:
+    """The univariate series f as a series in t_{index+1} of `rank` variables."""
+    if rank == 1:
+        return f
+    return TruncatedSeries(
+        rank,
+        f.order,
+        {tuple(k if j == index else 0 for j in range(rank)): c for (k,), c in f.terms.items()},
+    )

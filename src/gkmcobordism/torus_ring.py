@@ -2,11 +2,15 @@
 
 A character is a rational vector in the chosen character-lattice basis; its
 equivariant first Chern class is the series e(sum_i chi_i l(t_i)), which makes
-chern an FGL homomorphism from characters into the series ring.  Divisibility
-by a Chern class (and by its square) is decided by solving chern(chi) = 0 for
-a pivot variable, which is exact because the linear part always has a unit
-pivot coefficient.  LocalizedElement models fractions with Chern-class
-denominators; clearing denominators is iterated exact division.
+chern an FGL homomorphism from characters into the series ring; it is built
+by FormalGroupLaw.exp_linear from the law's table of logarithm powers.
+Divisibility by a Chern class (and by its square) is decided on the zero
+locus of chern(chi) in a pivot variable t_j.  Since e is invertible, that
+locus is sum_i chi_i l(t_i) = 0, so t_j = exp_linear(chi') with chi'_j = 0
+and chi'_i = -chi_i/chi_j, in closed form; the linear part has a unit pivot
+coefficient, so the solution is unique.  LocalizedElement models fractions
+with Chern-class denominators; clearing denominators is iterated exact
+division.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .coeff_series import (
     LazardCoefficient,
     TruncatedSeries,
     as_rational,
-    compose_univariate,
     series_inverse,
 )
 from .fgl import FormalGroupLaw
@@ -222,19 +225,7 @@ class TorusRing:
         chi = self._char(chi)
         cached = self._chern.get(chi.coords)
         if cached is None:
-            if chi.is_zero():
-                cached = self.zero()
-            else:
-                log = self.law.log_series(self.order)
-                arg_terms: dict = {}
-                for i, c in enumerate(chi.coords):
-                    if not c:
-                        continue
-                    for (k,), coeff in log.terms.items():
-                        key = tuple(k if j == i else 0 for j in range(self.rank))
-                        arg_terms[key] = coeff.scale(c)
-                arg = TruncatedSeries(self.rank, self.order, arg_terms)
-                cached = compose_univariate(self.law.exp_series(self.order), arg)
+            cached = self.law.exp_linear(chi.coords, self.order)
             self._chern[chi.coords] = cached
         return cached
 
@@ -250,7 +241,7 @@ class TorusRing:
         key = (n, m, chi.coords)
         cached = self._rho.get(key)
         if cached is None:
-            cached = self.law.rho(n, m, self.chern(chi))
+            cached = self.law.rho_linear(n, m, chi.coords, self.order)
             self._rho[key] = cached
         return cached
 
@@ -263,31 +254,19 @@ class TorusRing:
     def _pivot_phi(self, chi: Character):
         """Pivot index j and the series phi with chern(chi)(t_j = phi) = 0.
 
-        phi depends only on the line through chi, so the cache is keyed by
-        the primitive direction.
+        e is invertible, so chern(chi) vanishes exactly where
+        sum_i chi_i l(t_i) = 0, that is where l(t_j) = -sum_{i != j}
+        (chi_i / chi_j) l(t_i): phi = e(that sum), in closed form.  phi
+        depends only on the line through chi, so the cache is keyed by the
+        primitive direction.
         """
         line = chi.primitive_direction()
         cached = self._pivots.get(line)
         if cached is None:
             pivot = next(i for i, c in enumerate(line) if c)
-            primitive = Character(line)
-            u = self.chern(primitive)
-            c = QQ(line[pivot])
-            scale = -1 / c
-            phi = TruncatedSeries(
-                self.rank,
-                self.order,
-                {
-                    tuple(1 if j == i else 0 for j in range(self.rank)): LazardCoefficient.rational(
-                        scale * v
-                    )
-                    for i, v in enumerate(line)
-                    if v and i != pivot
-                },
-            )
-            for _ in range(self.order - 1):
-                phi = phi + u.substitute(pivot, phi).scale(scale)
-            cached = (pivot, phi)
+            scale = -1 / QQ(line[pivot])
+            coords = tuple(0 if i == pivot else scale * v for i, v in enumerate(line))
+            cached = (pivot, self.law.exp_linear(coords, self.order))
             self._pivots[line] = cached
         return cached
 
@@ -377,14 +356,8 @@ class TorusRing:
 
     # -- localized arithmetic ---------------------------------------------------
 
-    def loc_from_series(self, f: TruncatedSeries) -> LocalizedElement:
-        return LocalizedElement(f, ())
-
     def loc_mul(self, a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
         return LocalizedElement(a.numerator * b.numerator, a.denominator + b.denominator)
-
-    def loc_scale(self, a: LocalizedElement, f: TruncatedSeries) -> LocalizedElement:
-        return LocalizedElement(a.numerator * f, a.denominator)
 
     def loc_add(self, a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
         da, db = _den_multiset(a.denominator), _den_multiset(b.denominator)
@@ -406,9 +379,6 @@ class TorusRing:
         for coords, mult in lcm.items():
             den.extend([Character(coords)] * mult)
         return LocalizedElement(num, tuple(den))
-
-    def loc_sub(self, a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
-        return self.loc_add(a, -b)
 
     def loc_eq(self, a: LocalizedElement, b: LocalizedElement) -> bool:
         """Cross-multiplied equality of the stored truncations.
@@ -436,13 +406,6 @@ class TorusRing:
                 a = 1 / a
             if a == 1:
                 continue
-            g = self.law._scaled_exp_log(a, out.order)
-            out = out.substitute(i, TruncatedSeries(
-                self.rank,
-                out.order,
-                {
-                    tuple(k if j == i else 0 for j in range(self.rank)): c
-                    for (k,), c in g.terms.items()
-                },
-            ))
+            coords = tuple(a if j == i else 0 for j in range(self.rank))
+            out = out.substitute(i, self.law.exp_linear(coords, out.order))
         return out

@@ -1,0 +1,109 @@
+"""Byte-identity guard for the series commands.
+
+Each entry runs one `gkmcob` command at a small order and compares the sha256
+of its stdout with a digest recorded from the Horner-composition
+implementation (Chern classes and pair tables composed through
+`compose_univariate`, pivots solved by fixed-point sweeps, inverses by
+geometric series).  Every series the engine builds is the unique exact
+truncation of a closed-form object, so a kernel rewrite must reproduce these
+bytes.  `python tests/test_output_guard.py` prints the current digests.
+"""
+
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from gkmcobordism.cli import main
+from gkmcobordism.fgl import FormalGroupLaw
+from gkmcobordism.horospherical import PasquierTriple, point_weights
+from gkmcobordism.torus_ring import TorusRing
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "gkmcobordism" / "data"
+IG25_ORDER = 8
+
+
+def _fiber_sum(name, law, order):
+    return (
+        "mult", "fiber-sum", str(DATA / f"ig25_{name}.json"),
+        "--ambient", str(DATA / "ig25_tangent.json"), "--point", "x12",
+        "--law", law, "--order", str(order), "--format", "json",
+    )  # fmt: skip
+
+
+COMMANDS = {
+    "fgl-table": ("fgl", "table", "--order", "10", "--max-degree", "10", "--format", "json"),
+    "fgl-inverse": ("fgl", "inverse", "--order", "7", "--format", "json"),
+    "fgl-multiple": ("fgl", "multiple", "3", "--order", "7", "--format", "json"),
+    "fgl-divide": ("fgl", "divide", "2", "--order", "7", "--format", "json"),
+    "fgl-rho": ("fgl", "rho", "3", "2", "--order", "7", "--format", "json"),
+    "x4tilde-universal": _fiber_sum("x4tilde", "universal", 8),
+    "x4tilde-kt": _fiber_sum("x4tilde", "multiplicative:1", 16),
+    "x4tilde_star-universal": _fiber_sum("x4tilde_star", "universal", 8),
+    "point-class": (
+        "mult", "point-class", str(DATA / "ig25_tangent.json"), "--point", "x12",
+        "--order", "5", "--format", "json",
+    ),  # fmt: skip
+}
+
+DIGESTS = {
+    "fgl-table": "e0fd28d02dd8a6b2e79a3576a7386fac585aa9b1160e49f509b27e3fc5c44848",
+    "fgl-inverse": "f2f413cba25bf653c69f48f8dea460fb9a1d28ca8bb20c2d79b29937ef1cc1ec",
+    "fgl-multiple": "848b06d7c8fa8f4d05dc27b5c96d0c4d61c34abd78245e99503592b73404756e",
+    "fgl-divide": "389bf5307772888104fd389a70369685e2a8efd96582f16ed59bed8cf2ad180f",
+    "fgl-rho": "82d42e0aefca44f5a5b3bcffe2689754ddfdffe4ee628749131b11060bf028b2",
+    "x4tilde-universal": "f3d020522ed6beabd79269238ccb06ac32c90af72eb7013c043f0d1697e140aa",
+    "x4tilde-kt": "c649bf485d6dc7b54dafdaf94537801125ec3aa1567e11cf544ec58125f1334e",
+    "x4tilde_star-universal": "0a3ccf12b197b8fdcfbe760b701d66f58ff4f4f6ca351b3a496078a902b408ac",
+    "point-class": "791322a158a2bed131cf0b1ecb3a8492821f4a627a35d039803e85bb02972a0a",
+    "ig25-hyperplane-tuple": "4eb78234bac7a9052d68709762aa5fd026d952db252cfc2ad8a31a5b6f6f2b65",
+    "ig25-gkm-check": "e1ab0cef06fb9d0c134c74af1084e9137e3bde227a79e2e910b21899784f16ed",
+}
+
+
+def _stdout(argv) -> bytes:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    assert code == 0, (argv, code)
+    return buf.getvalue().encode()
+
+
+def _ig25_outputs(tmp: Path) -> dict:
+    """The IG(2,5) hyperplane tuple (Chern classes of the point weights) and
+    the stdout of `gkm check` on it."""
+    datum = tmp / "ig25.json"
+    _stdout(("horo", "build", "--family", "3", "--n", "2", "--m", "2", "-o", str(datum)))
+    ring = TorusRing(FormalGroupLaw.universal(IG25_ORDER), 2)
+    weights = point_weights(PasquierTriple(3, n=2, m=2))
+    text = json.dumps({p: ring.chern(w).to_json_obj() for p, w in sorted(weights.items())})
+    tuple_path = tmp / "hyperplane.json"
+    tuple_path.write_text(text)
+    check = ("gkm", "check", str(datum), str(tuple_path), "--order", str(IG25_ORDER), "--format", "json")
+    return {"ig25-hyperplane-tuple": text.encode(), "ig25-gkm-check": _stdout(check)}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_stdout_is_byte_identical(name):
+    assert _digest(_stdout(COMMANDS[name])) == DIGESTS[name]
+
+
+def test_ig25_check_stdout_is_byte_identical(tmp_path):
+    for name, data in _ig25_outputs(tmp_path).items():
+        assert _digest(data) == DIGESTS[name], name
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {name: _stdout(argv) for name, argv in COMMANDS.items()}
+        outputs.update(_ig25_outputs(Path(tmp)))
+    for name, data in outputs.items():
+        print(f'    "{name}": "{_digest(data)}",')
