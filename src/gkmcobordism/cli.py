@@ -26,6 +26,7 @@ from .gkm_model import (
     GkmValidationError,
     check_membership,
     congruence_system,
+    congruence_system_json,
 )
 from .root_flag import WeylGroup, enumerate_curves, root_system
 from .horospherical import (
@@ -132,11 +133,10 @@ def cmd_gkm(args) -> int:
     datum = _load_datum(args.datum)
     if args.gkm_op == "congruences":
         constraints = congruence_system(datum)
-        payload = (
-            json.dumps([c.to_json_obj() for c in constraints], indent=2, sort_keys=True) + "\n"
-        )
         if args.format == "text":
             payload = "\n".join(c.describe() for c in constraints) + "\n"
+        else:
+            payload = congruence_system_json(constraints)
         _write_or_print(args, payload)
         return EXIT_OK
     law = make_law(args.law, args.order)

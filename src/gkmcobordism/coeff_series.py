@@ -16,7 +16,9 @@ QQ(numerator, den_a * den_b), and zero sums are dropped at the end.  So a
 product makes no rational per multiply-add and takes no gcd inside its loop.
 sum_of_products runs several products, with rational scalars, into the same
 buckets, so a linear combination of products also builds each output
-coefficient once.
+coefficient once.  Chains of linear maps (separable substitutions
+t_i -> u_i(t_i), restriction to a hyperplane, combinations) run on that
+integer form itself (Numerators) and build rationals only at their end.
 
 Multiplicative inverses use Newton iteration; compositional inverses a
 triangular solve against the powers of the series; compositions and
@@ -612,17 +614,151 @@ def sum_of_products(pairs: list, rank: int, order: int, scalars: list | None = N
     buckets: dict = {}
     for a, b in zip(rows_a, rows_b):
         _product(a, b, order, buckets)
+    return _unpacked(buckets, den_a * den_b, rank, order, base)
+
+
+def _unpacked(buckets: dict, den: int, rank: int, order: int, base: int) -> TruncatedSeries:
+    """The series of kernel buckets {packed t-key: {mkey: int}} over den,
+    t-keys packed as sum(e_i * base**i); zero sums are dropped."""
     out = {}
-    den = den_a * den_b
+    places = range(rank)
     for packed, bucket in buckets.items():
         coeff = _rationals(bucket, den)
         if coeff:
             key = []
-            for _ in powers:
+            for _ in places:
                 packed, e = divmod(packed, base)
                 key.append(e)
             out[tuple(key)] = LazardCoefficient(coeff)
     return TruncatedSeries(rank, order, out)
+
+
+def embed(f: TruncatedSeries, index: int, rank: int) -> TruncatedSeries:
+    """The univariate series f as a series in t_{index+1} of `rank` variables."""
+    if rank == 1:
+        return f
+    return TruncatedSeries(
+        rank,
+        f.order,
+        {tuple(k if j == index else 0 for j in range(rank)): c for (k,), c in f.terms.items()},
+    )
+
+
+def _degree(packed: int, base: int) -> int:
+    """Total degree of a packed t-key: the sum of its base-`base` digits."""
+    d = 0
+    while packed:
+        packed, e = divmod(packed, base)
+        d += e
+    return d
+
+
+def pack_table(series: list, base: int, order: int) -> tuple:
+    """(den, [rows, ...]): series of one rank as _product rows over one
+    common den, t-keys packed in `base` (which must exceed `order`)."""
+    return _packed_rows(series, order, [base**i for i in range(series[0].rank)])
+
+
+class Numerators:
+    """The working form of the linear maps on series: integer numerators
+    over one denominator, t-monomials packed in a fixed base.
+
+    rows lists (t-degree, packed t-key, [(mkey, int), ...]) sorted by degree,
+    with no zero numerator, as _product takes them.  Substitutions,
+    restrictions and combinations run on the integers, and rationals are
+    built only when a result is turned back into a series.
+    """
+
+    __slots__ = ("rank", "order", "base", "den", "rows")
+
+    def __init__(self, rank: int, order: int, base: int, den: int, rows: list):
+        self.rank, self.order, self.base, self.den, self.rows = rank, order, base, den, rows
+
+    @classmethod
+    def of(cls, f: TruncatedSeries, base: int, order: int | None = None) -> "Numerators":
+        """f through min(f.order, order), packed in `base` (greater than that order)."""
+        order = f.order if order is None else min(order, f.order)
+        den, (rows,) = pack_table([f], base, order)
+        return cls(f.rank, order, base, den, rows)
+
+    @classmethod
+    def _of_buckets(cls, buckets: dict, like: "Numerators", order: int, den: int) -> "Numerators":
+        rows = []
+        for packed, bucket in buckets.items():
+            row = [(m, n) for m, n in bucket.items() if n]
+            if row:
+                rows.append((_degree(packed, like.base), packed, row))
+        rows.sort(key=lambda r: r[0])
+        return cls(like.rank, order, like.base, den, rows)
+
+    def series(self) -> TruncatedSeries:
+        buckets = {packed: dict(row) for _, packed, row in self.rows}
+        return _unpacked(buckets, self.den, self.rank, self.order, self.base)
+
+    def is_zero_through(self, order: int) -> bool:
+        return not self.rows or self.rows[0][0] > order
+
+    def substitute(self, index: int, table: tuple) -> "Numerators":
+        """t_{index+1} -> u(t_{index+1}) for a univariate u without constant
+        term, where table = (den, [rows of u^0, u^1, ...]) from pack_table,
+        u^k embedded in that variable, through at least self.order.
+
+        The series is sum_k t^k C_k with C_k free of t, so the result is
+        sum_k C_k u^k: one kernel pass of outer products into shared buckets.
+        """
+        den_u, powers = table
+        weight = self.base**index
+        parts: dict = {}
+        for d, packed, row in self.rows:
+            k = packed // weight % self.base
+            parts.setdefault(k, []).append((d - k, packed - k * weight, row))
+        buckets: dict = {}
+        for k, part in parts.items():
+            _product(part, powers[k], self.order, buckets)
+        return Numerators._of_buckets(buckets, self, self.order, self.den * den_u)
+
+    def restrict(self, pivot: int, table: tuple, derivative: bool = False) -> "Numerators":
+        """f on the hyperplane t_pivot = y, or with derivative=True
+        df/dt_pivot there (exact one order lower), for a linear form y in the
+        other variables with rational coefficients, where table = (den,
+        [[(packed t-key, int), ...] for y^0, y^1, ...]) in this base.
+
+        A linear change of variables multiplies coefficients by rationals
+        only, so this is one pass of integer multiply-adds.
+        """
+        den_y, ys = table
+        weight = self.base**pivot
+        buckets: dict = {}
+        for _, packed, row in self.rows:
+            e = packed // weight % self.base
+            if derivative and not e:
+                continue
+            rest = packed - e * weight
+            factor, powers = (e, ys[e - 1]) if derivative else (1, ys[e])
+            for offset, y in powers:
+                y *= factor
+                bucket = buckets.setdefault(rest + offset, {})
+                for m, n in row:
+                    bucket[m] = bucket.get(m, 0) + y * n
+        order = max(self.order - 1, 0) if derivative else self.order
+        return Numerators._of_buckets(buckets, self, order, self.den * den_y)
+
+    @staticmethod
+    def combine(parts: list, order: int) -> "Numerators":
+        """sum(c * x for c, x in parts) through `order`, for coefficients c
+        (LazardCoefficient or rational) and Numerators x of one rank and base."""
+        scaled = []
+        for c, x in parts:
+            if not isinstance(c, LazardCoefficient):
+                c = LazardCoefficient.rational(c)
+            den_c, (row,) = _numerators([c.terms])
+            scaled.append((den_c * x.den, row, x))
+        den = lcm(*(d for d, _, _ in scaled))
+        buckets: dict = {}
+        for d, row, x in scaled:
+            factor = den // d
+            _product([(0, 0, [(m, n * factor) for m, n in row])], x.rows, order, buckets)
+        return Numerators._of_buckets(buckets, parts[0][1], order, den)
 
 
 def _horner(pieces: dict, top: int, x: TruncatedSeries, order: int) -> TruncatedSeries:

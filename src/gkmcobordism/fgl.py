@@ -5,7 +5,9 @@ compositional inverse e: the group sum is e(l(u) + l(v)), integer multiples
 are e(n*l(u)), rational divisions e(l(u)/m), and the degree-zero correction
 operator rho_{n/m} u = [n]([1/m]u) / u comes out as a univariate series in u.
 
-One cached power table P = [l^0, l^1, ..., l^N] builds all of these.  The
+One cached power table P = [l^0, l^1, ..., l^N] builds all of these; its
+counterpart [e^0, ..., e^N] (exp_powers) takes series to the logarithmic
+coordinates s_i = l(t_i), where every Chern class is e of a linear form.  The
 exponential is solved from u = sum_a e_a l^a by a triangular solve, one
 degree at a time.  Every series of the form g(sum_i chi_i l(t_i)) (Chern
 classes, [n]x, [1/m]x, the pair table F(u, v), rho of a Chern class) is
@@ -30,6 +32,7 @@ from .coeff_series import (
     as_rational,
     compose_univariate,
     compositional_inverse,
+    embed,
     series_inverse,
     series_powers,
     sum_of_products,
@@ -59,6 +62,7 @@ class FormalGroupLaw:
         self._logs: dict = {}
         self._log_powers: dict = {}
         self._exps: dict = {}
+        self._exp_powers: dict = {}
         self._univariate: dict = {}
         self._pair_tables: dict = {}
 
@@ -83,6 +87,9 @@ class FormalGroupLaw:
 
     @classmethod
     def with_assignment(cls, order: int, assignment: dict) -> "FormalGroupLaw":
+        """A law with the given rational mk.  m_1..m_{order-1} are required;
+        series built one order up (rho_series, rho_linear) also need m_order
+        and raise ValueError without it."""
         return cls(order, assignment, label="custom")
 
     def specialize(self, spec) -> "FormalGroupLaw":
@@ -103,7 +110,9 @@ class FormalGroupLaw:
     def _m(self, k: int) -> LazardCoefficient:
         if self.assignment is None:
             return LazardCoefficient.generator(k)
-        return LazardCoefficient.rational(self.assignment.get(k, QQ(0)))
+        if k not in self.assignment:
+            raise ValueError(f"m{k} is not assigned; this series needs it")
+        return LazardCoefficient.rational(self.assignment[k])
 
     def log_series(self, order: int | None = None) -> TruncatedSeries:
         """l(u) = u + m1 u^2 + m2 u^3 + ... truncated at the requested order."""
@@ -134,6 +143,15 @@ class FormalGroupLaw:
         if cached is None:
             cached = compositional_inverse(self.log_series(order), self.log_powers(order))
             self._exps[order] = cached
+        return cached
+
+    def exp_powers(self, order: int | None = None) -> list:
+        """The power table [e^0, e^1, ..., e^order] of the exponential."""
+        order = self.order if order is None else order
+        cached = self._exp_powers.get(order)
+        if cached is None:
+            cached = series_powers(self.exp_series(order))
+            self._exp_powers[order] = cached
         return cached
 
     # -- univariate building blocks -------------------------------------------
@@ -167,13 +185,22 @@ class FormalGroupLaw:
             self._univariate[key] = h
         return self._of_log_form(h, chi, order)
 
+    def rho_slope(self, n: int, m: int) -> LazardCoefficient:
+        """h'(0) for h(y) = e(q y)/e(y), q = n/m, the univariate series behind
+        rho_linear (and h(0) = q).
+
+        With e(y) = y + e_2 y^2 + O(y^3), h(y) = q + q (q - 1) e_2 y + O(y^2).
+        """
+        q = QQ(n, m)
+        return self.exp_series(2).coefficient((2,)).scale(q * (q - 1))
+
     def _of_log_form(self, g: TruncatedSeries, chi, order: int) -> TruncatedSeries:
         """g(sum_i chi_i l(t_i)) in len(chi) variables for a univariate g."""
         chi = [as_rational(c) for c in chi]
         coeffs = [(g.coefficient((n,)), QQ(1)) for n in range(order + 1)]
         table = self.log_powers(order)
         rows = {
-            i: [_embed(row, i, len(chi)) for row in table] for i, c in enumerate(chi) if c
+            i: [embed(row, i, len(chi)) for row in table] for i, c in enumerate(chi) if c
         }
         return _taylor_outer(coeffs, chi, rows, list(rows), order)
 
@@ -348,13 +375,3 @@ def _taylor_outer(coeffs: list, chi: list, rows: dict, live: list, order: int) -
                 scalars.append(q * c**a)
     return sum_of_products(pairs, rank, order, scalars)
 
-
-def _embed(f: TruncatedSeries, index: int, rank: int) -> TruncatedSeries:
-    """The univariate series f as a series in t_{index+1} of `rank` variables."""
-    if rank == 1:
-        return f
-    return TruncatedSeries(
-        rank,
-        f.order,
-        {tuple(k if j == index else 0 for j in range(rank)): c for (k,), c in f.terms.items()},
-    )

@@ -7,6 +7,13 @@ generates a congruence system; a tuple of series indexed by the fixed points
 belongs to the image of restriction iff every congruence holds, and the
 checker returns a machine-readable certificate either way.
 
+Each congruence is a list of per-point weights, +-1 or +-rho_factor, and
+its residual is built from that list.  The checker does not build
+residuals: it converts each point value to logarithmic coordinates once
+and reduces every congruence as a combination of the values' restrictions
+to the congruence's hyperplane (TorusRing.reduce_combination), so a
+congruence costs rational linear maps, not series products.
+
 Surface components also carry explicit generator tuples and a closed-form
 decomposition of any member over those generators.
 """
@@ -203,24 +210,38 @@ class CongruenceConstraint:
     def constraint_id(self) -> str:
         return f"{self.kind}[{','.join(self.points)}]mod{self.character.render()}^{self.power}"
 
-    def residual(self, values: dict, ring: TorusRing) -> TruncatedSeries:
-        """The series whose divisibility by c(character)^power is required."""
-        f = {p: values[p] for p in self.points}
+    def weights(self) -> list:
+        """The congruence as (point, sign, rho) triples: the residual is the
+        sum of sign * f[point], times rho_factor(n, m, character) when rho is
+        (n, m) rather than None."""
         if self.kind == "edge":
             a, b = self.points
-            return f[a] - f[b]
+            return [(a, 1, None), (b, -1, None)]
         if self.kind == "p2":
             x, y, z = self.points
-            return (f[x] - f[y]) + ring.rho_factor(1, 2, self.character) * (f[z] - f[x])
+            half = (1, 2)
+            return [(x, 1, None), (y, -1, None), (z, 1, half), (x, -1, half)]
         if self.kind == "f0":
             w, x, y, z = self.points
-            return f[w] - f[x] - f[y] + f[z]
+            return [(w, 1, None), (x, -1, None), (y, -1, None), (z, 1, None)]
         if self.kind == "fn":
             w, x, y, z = self.points
-            return ring.rho_factor(self.n, 2, self.character) * (f[y] - f[z]) + ring.rho_factor(
-                -self.n, 2, self.character
-            ) * (f[w] - f[x])
+            up, down = (self.n, 2), (-self.n, 2)
+            return [(y, 1, up), (z, -1, up), (w, 1, down), (x, -1, down)]
         raise GkmValidationError(f"unknown constraint kind {self.kind!r}")
+
+    def residual(self, values: dict, ring: TorusRing) -> TruncatedSeries:
+        """The series whose divisibility by c(character)^power is required."""
+        groups: dict = {}
+        for point, sign, rho in self.weights():
+            f = values[point] if sign > 0 else -values[point]
+            groups[rho] = groups[rho] + f if rho in groups else f
+        total = None
+        for rho, f in groups.items():
+            if rho is not None:
+                f = ring.rho_factor(*rho, self.character) * f
+            total = f if total is None else total + f
+        return total
 
     def describe(self) -> str:
         c = f"c(L_{self.character.render()})"
@@ -359,9 +380,11 @@ def check_membership(datum: GkmDatum, values: dict, ring: TorusRing) -> Membersh
     if extra:
         raise GkmValidationError(f"tuple has values at unknown points {', '.join(sorted(extra))}")
     results = []
+    cache: dict = {}  # each value is converted to logarithmic coordinates once
     for constraint in congruence_system(datum):
-        residual = constraint.residual(values, ring)
-        report = ring.reduce_mod(residual, constraint.character, constraint.power)
+        report = ring.reduce_combination(
+            values, constraint.weights(), constraint.character, constraint.power, cache
+        )
         results.append(ConstraintResult(constraint, report))
     return MembershipCertificate(results, ring.law.label, ring.order)
 

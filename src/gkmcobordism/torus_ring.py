@@ -4,25 +4,43 @@ A character is a rational vector in the chosen character-lattice basis; its
 equivariant first Chern class is the series e(sum_i chi_i l(t_i)), which makes
 chern an FGL homomorphism from characters into the series ring; it is built
 by FormalGroupLaw.exp_linear from the law's table of logarithm powers.
-Divisibility by a Chern class (and by its square) is decided on the zero
-locus of chern(chi) in a pivot variable t_j.  Since e is invertible, that
-locus is sum_i chi_i l(t_i) = 0, so t_j = exp_linear(chi') with chi'_j = 0
-and chi'_i = -chi_i/chi_j, in closed form; the linear part has a unit pivot
-coefficient, so the solution is unique.  LocalizedElement models fractions
-with Chern-class denominators; clearing denominators is iterated exact
-division.
+
+Reduction modulo a Chern class (and its square) runs in the logarithmic
+coordinates s_i = l(t_i).  Over Q the logarithm is an isomorphism onto the
+additive law, so there chern(chi) = e(L) for the linear form L = sum_i chi_i
+s_i, and e(L)/L is a unit: a series lies in the ideal of chern(chi)^k iff it
+vanishes to order k along the hyperplane L = 0.  Restricting to that
+hyperplane, s_j = -sum_{i != j} (chi_i/chi_j) s_i for the pivot j, is a
+linear change of variables with rational coefficients, so each value is
+converted to s once (one pass per variable against the table of powers of
+e) and every congruence through it is a rational combination of its
+restrictions.  Only a failing remainder is converted back, with the powers
+of l.
+
+Exact division stays in t: the shear f(t_j -> t_j + phi), with phi =
+exp_linear(chi') the zero locus of chern(chi) (chi'_j = 0, chi'_i =
+-chi_i/chi_j), splits off the quotient, which is multiplied by a cached
+unit and sheared back.  Division in s coordinates gives the same quotients
+but was slower on the clearing of denominators in the pullback formulas.
+LocalizedElement models fractions with Chern-class denominators; clearing
+denominators is iterated exact division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .coeff_series import (
     QQ,
     LazardCoefficient,
     TruncatedSeries,
+    Numerators,
     as_rational,
+    embed,
+    pack_table,
     series_inverse,
+    series_powers,
 )
 from .fgl import FormalGroupLaw
 from .root_flag import direction
@@ -102,7 +120,8 @@ class RemainderReport:
 
     components[0] is the series evaluated on the zero locus of the Chern
     class; for power 2, components[1] is the pivot-derivative there.  The
-    verdict is certified through order - power.
+    verdict is certified through order - power; a passing report carries
+    zero components at that order.
     """
 
     character: Character
@@ -194,6 +213,9 @@ class TorusRing:
         self._rho: dict = {}
         self._pivots: dict = {}
         self._units: dict = {}
+        self._tables: dict = {}
+        self._hyperplanes: dict = {}
+        self._slope_units: dict = {}
 
     @property
     def order(self) -> int:
@@ -249,7 +271,71 @@ class TorusRing:
         """Base change to the coefficient ring: set every t_i to zero."""
         return f.constant_term()
 
+    # -- logarithmic coordinates ------------------------------------------------
+
+    @property
+    def _base(self) -> int:
+        """Packing base of the working forms: values are converted through
+        at most the ring order + 1."""
+        return self.order + 2
+
+    def _power_table(self, kind: str, order: int, index: int) -> tuple:
+        """pack_table of [u^0, ..., u^order] in variable `index`, for u = e
+        ("exp") or l ("log")."""
+        key = (kind, order, index)
+        cached = self._tables.get(key)
+        if cached is None:
+            powers = self.law.exp_powers(order) if kind == "exp" else self.law.log_powers(order)
+            rows = [embed(row, index, self.rank) for row in powers]
+            cached = self._tables[key] = pack_table(rows, self._base, order)
+        return cached
+
+    def _convert(self, f: TruncatedSeries, kind: str, order: int) -> Numerators:
+        out = Numerators.of(f, self._base, order)
+        for i in range(self.rank):
+            out = out.substitute(i, self._power_table(kind, out.order, i))
+        return out
+
+    def to_log(self, f: TruncatedSeries) -> TruncatedSeries:
+        """f(e(s_1), ..., e(s_r)), f in the coordinates s_i = l(t_i), through
+        min(f.order, ring order)."""
+        return self._convert(f, "exp", min(f.order, self.order)).series()
+
+    def from_log(self, g: TruncatedSeries) -> TruncatedSeries:
+        """g(l(t_1), ..., l(t_r)): a series in logarithmic coordinates back in t."""
+        return self._convert(g, "log", g.order).series()
+
     # -- the zero locus of a Chern class -------------------------------------
+
+    @staticmethod
+    def _solve_pivot(line: tuple) -> tuple:
+        """Pivot j (the first nonzero entry) and chi' with chi'_j = 0, chi'_i =
+        -line_i/line_j: on sum_i line_i s_i = 0, s_j = sum_i chi'_i s_i."""
+        pivot = next(i for i, c in enumerate(line) if c)
+        scale = -1 / QQ(line[pivot])
+        return pivot, tuple(0 if i == pivot else scale * v for i, v in enumerate(line))
+
+    def _hyperplane(self, line: tuple) -> tuple:
+        """Pivot j and the table of y^0, ..., y^(order + 1) for the linear form
+        y = sum_i chi'_i s_i, s_j = y on the line's hyperplane, as
+        Numerators.restrict takes it."""
+        cached = self._hyperplanes.get(line)
+        if cached is None:
+            pivot, coords = self._solve_pivot(line)
+            y = {self._base**i: c for i, c in enumerate(coords) if c}
+            powers = [{0: QQ(1)}]
+            for _ in range(self.order + 1):
+                step: dict = {}
+                for k, a in powers[-1].items():
+                    for one, c in y.items():
+                        step[k + one] = step.get(k + one, 0) + a * c
+                powers.append(step)
+            den = lcm(*(q.denominator for row in powers for q in row.values()))
+            table = [
+                [(k, q.numerator * (den // q.denominator)) for k, q in row.items()] for row in powers
+            ]
+            cached = self._hyperplanes[line] = (pivot, (den, table))
+        return cached
 
     def _pivot_phi(self, chi: Character):
         """Pivot index j and the series phi with chern(chi)(t_j = phi) = 0.
@@ -263,9 +349,7 @@ class TorusRing:
         line = chi.primitive_direction()
         cached = self._pivots.get(line)
         if cached is None:
-            pivot = next(i for i, c in enumerate(line) if c)
-            scale = -1 / QQ(line[pivot])
-            coords = tuple(0 if i == pivot else scale * v for i, v in enumerate(line))
+            pivot, coords = self._solve_pivot(line)
             cached = (pivot, self.law.exp_linear(coords, self.order))
             self._pivots[line] = cached
         return cached
@@ -281,32 +365,116 @@ class TorusRing:
             self._units[chi.coords] = cached
         return cached
 
-    def reduce_mod(self, f: TruncatedSeries, chi, power: int = 1) -> RemainderReport:
-        """Reduce f modulo chern(chi)^power with an exact certificate.
+    def _slope_unit(self, line: tuple, order: int) -> TruncatedSeries:
+        """1/e'(s_j) on the line's hyperplane, through order: the factor that
+        turns an s_j-derivative into a t_j-derivative there."""
+        key = (line, order)
+        cached = self._slope_units.get(key)
+        if cached is None:
+            unit = series_inverse(self.law.exp_series(order + 1).partial(0))
+            pivot, table = self._hyperplane(line)
+            packed = Numerators.of(embed(unit, pivot, self.rank), self._base)
+            cached = self._slope_units[key] = packed.restrict(pivot, table).series()
+        return cached
 
-        For power 1 the report holds f on the zero locus t_j = phi; for power
-        2 additionally the t_j-derivative there.  f lies in the ideal iff all
-        components vanish through the certified order: min(f.order, ring
-        order) - power, since phi is solved only to the ring order.
+    def _restricted(
+        self, cache: dict, point, f: TruncatedSeries, line: tuple, order: int, derivative: bool
+    ) -> Numerators:
+        """g, or dg/ds_j, on the line's hyperplane for g = f in logarithmic
+        coordinates through `order`, as Numerators; the conversion and the
+        restrictions are kept in `cache`."""
+        key = (point, order)
+        g = cache.get(key)
+        if g is None:
+            g = cache[key] = self._convert(f, "exp", order)
+        key = (point, order, line, derivative)
+        restricted = cache.get(key)
+        if restricted is None:
+            pivot, table = self._hyperplane(line)
+            restricted = cache[key] = g.restrict(pivot, table, derivative)
+        return restricted
+
+    def reduce_combination(
+        self, values: dict, weights, chi, power: int = 1, cache: dict | None = None
+    ) -> RemainderReport:
+        """Reduce sum_P w_P * values[P] modulo chern(chi)^power.
+
+        weights lists (P, sign, rho): w_P is the integer sign, or sign *
+        rho_factor(n, m, chi) for rho = (n, m).  In the coordinates s_i =
+        l(t_i) the ideal of chern(chi)^power is that of L^power for the
+        linear form L = sum_i chi_i s_i, and a rho weight is h(L) with h(y) =
+        e((n/m) y)/e(y); on the hyperplane L = 0 it is h(0) = n/m, and its
+        s_j-derivative is h'(0) chi_j.  So the value of the combination there,
+        and for power 2 its s_j-derivative there, are combinations of the
+        restrictions of the converted values (kept in `cache`, which calls
+        on the same values may share, so each value is converted once).
+        Vanishing through an order is invariant under s = t + O(t^2) and
+        under a unit factor, so the verdict is read in s; a failing remainder
+        is converted back: the combination on t_j = phi and its
+        t_j-derivative there, (d/ds_j) / e'(s_j), the same series the shear
+        substitution gives.  Certified through min(order of the combination,
+        ring order) - power.
         """
         chi = self._char(chi)
         if chi.is_zero():
             raise ValueError("cannot reduce modulo the zero character")
         if power not in (1, 2):
             raise ValueError("only first and second powers are supported")
-        if f.rank != self.rank:
-            raise ValueError("series rank does not match the ring rank")
-        pivot, phi = self._pivot_phi(chi)
-        components = [f.substitute(pivot, phi)]
+        for point, _, _ in weights:
+            if values[point].rank != self.rank:
+                raise ValueError("series rank does not match the ring rank")
+        if cache is None:
+            cache = {}
+        line = chi.primitive_direction()
+        pivot, _ = self._hyperplane(line)
+        order = min(values[point].order for point, _, _ in weights)
+        if any(rho is not None for _, _, rho in weights):
+            order = min(order, self.order)  # rho factors are truncated at the ring order
+        # The value on the hyperplane is exact through the ring order, the
+        # derivative one order below the combination's.
+        orders = [min(order, self.order), min(max(order - 1, 0), self.order)]
+        certified = orders[0] - power
+        value_parts, slope_parts = [], []
+        for point, sign, rho in weights:
+            f = values[point]
+            # the derivative through the ring order needs the value one order up
+            args = (cache, point, f, line, min(f.order, self.order + power - 1))
+            value = self._restricted(*args, derivative=False)
+            q = QQ(sign) if rho is None else sign * QQ(*rho)
+            value_parts.append((q, value))
+            if power == 2:
+                slope_parts.append((q, self._restricted(*args, derivative=True)))
+                if rho is not None:
+                    dh = self.law.rho_slope(*rho).scale(sign * chi.coords[pivot])
+                    slope_parts.append((dh, value))
+        components = [Numerators.combine(value_parts, orders[0])]
         if power == 2:
-            components.append(f.partial(pivot).substitute(pivot, phi))
+            components.append(Numerators.combine(slope_parts, orders[1]))
+        if all(c.is_zero_through(certified) for c in components):
+            series = [TruncatedSeries.zero(self.rank, max(certified, 0))] * power
+        else:
+            series = [c.series() for c in components]
+            if power == 2:
+                series[1] = series[1] * self._slope_unit(line, orders[1])
+            series = [self.from_log(c) for c in series]
         return RemainderReport(
             character=chi,
             power=power,
             pivot=pivot,
-            components=components,
-            certified_order=min(f.order, self.order) - power,
+            components=series,
+            certified_order=certified,
         )
+
+    def reduce_mod(self, f: TruncatedSeries, chi, power: int = 1) -> RemainderReport:
+        """Reduce f modulo chern(chi)^power with an exact certificate.
+
+        For power 1 the report holds f on the zero locus t_j = phi; for power
+        2 additionally the t_j-derivative there.  f lies in the ideal iff all
+        components vanish through the certified order: min(f.order, ring
+        order) - power, since the zero locus is known only to the ring order.
+        The one-value case of reduce_combination.
+        """
+        return self.reduce_combination({0: f}, [(0, 1, None)], chi, power)
 
     def divide_exact(self, f: TruncatedSeries, chi) -> tuple:
         """Divide f by chern(chi) exactly.
@@ -324,14 +492,7 @@ class TorusRing:
         pieces = sheared.split_by_variable(pivot)
         stuck = pieces.get(0)
         if stuck is not None and not stuck.is_zero():
-            report = RemainderReport(
-                character=chi,
-                power=1,
-                pivot=pivot,
-                components=[f.substitute(pivot, phi.truncated(f.order))],
-                certified_order=min(f.order, self.order) - 1,
-            )
-            return None, report
+            return None, self.reduce_mod(f, chi, 1)
         h = TruncatedSeries(
             self.rank,
             f.order,
@@ -397,15 +558,16 @@ class TorusRing:
         factors = list(factors)
         if len(factors) != self.rank:
             raise ValueError("need one positive factor per variable")
-        out = f
+        base = f.order + 1
+        out = Numerators.of(f, base)
         for i, a in enumerate(factors):
             a = as_rational(a)
             if a <= 0:
                 raise ValueError("rescaling factors must be positive")
             if inverse:
                 a = 1 / a
-            if a == 1:
-                continue
-            coords = tuple(a if j == i else 0 for j in range(self.rank))
-            out = out.substitute(i, self.law.exp_linear(coords, out.order))
-        return out
+            if a != 1:
+                powers = series_powers(self.law.exp_linear((a,), f.order))
+                table = pack_table([embed(row, i, self.rank) for row in powers], base, f.order)
+                out = out.substitute(i, table)
+        return out.series()

@@ -172,6 +172,36 @@ def test_specialize_factory(law):
     ) == TS.variable(0, 2, 8) + TS.variable(1, 2, 8)
 
 
+def test_series_one_order_up_need_m_order():
+    # m1..m4 define the law at order 5; rho works one order up and needs m5.
+    partial = {1: QQ(1), 2: QQ(-2), 3: QQ(1, 3), 4: QQ(0)}
+    law = FormalGroupLaw.with_assignment(5, partial)
+    with pytest.raises(ValueError, match="m5"):
+        law.rho_series(3, 2)
+    with pytest.raises(ValueError, match="m5"):
+        law.rho_linear(1, 2, (1, 1))
+    with pytest.raises(ValueError, match="m5"):
+        FormalGroupLaw.universal(5).specialize(partial).rho_series(1, 2)
+    # everything at the law's own order still works
+    t1, t2 = TS.variable(0, 2, 5), TS.variable(1, 2, 5)
+    assert law.sum(t1, t2) == law.exp_linear((1, 1))
+    assert law.exp_linear((2, -1)).coefficient((1, 0)) == LC.rational(2)
+    full = FormalGroupLaw.with_assignment(5, {**partial, 5: QQ(7)})
+    assert full.rho_series(3, 2).coefficient((0,)) == LC.rational(QQ(3, 2))
+    assert full.rho_linear(1, 2, (1, 1)).order == 5
+
+
+@pytest.mark.parametrize("spec", ["universal", "additive", ("multiplicative", QQ(-2, 3))])
+def test_rho_slope_is_the_linear_coefficient_of_rho(spec):
+    law = FormalGroupLaw.universal(6)
+    if spec != "universal":
+        law = law.specialize(spec)
+    for n, m in ((1, 2), (3, 2), (-3, 2), (2, 3)):
+        h = law.rho_linear(n, m, (1,))  # h(l(t)) = h(0) + h'(0) t + O(t^2)
+        assert h.coefficient((0,)) == LC.rational(QQ(n, m))
+        assert h.coefficient((1,)) == law.rho_slope(n, m)
+
+
 def test_arguments_must_kill_constant_term(law):
     with pytest.raises(ValueError):
         law.sum(TS.one(1, 8), u())

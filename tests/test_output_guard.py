@@ -4,9 +4,11 @@ Each entry runs one `gkmcob` command at a small order and compares the sha256
 of its stdout with a digest recorded from the Horner-composition
 implementation (Chern classes and pair tables composed through
 `compose_univariate`, pivots solved by fixed-point sweeps, inverses by
-geometric series).  Every series the engine builds is the unique exact
-truncation of a closed-form object, so a kernel rewrite must reproduce these
-bytes.  `python tests/test_output_guard.py` prints the current digests.
+geometric series).  The failing certificates and the division remainder were
+recorded from the shear reduction (t_j -> phi substituted into each residual,
+by Horner).  Every series the engine builds is the unique exact truncation of
+a closed-form object, so a kernel rewrite must reproduce these bytes.
+`python tests/test_output_guard.py` prints the current digests.
 """
 
 import hashlib
@@ -14,17 +16,20 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gkmcobordism.cli import main
+from gkmcobordism.cli import main, make_law
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.horospherical import PasquierTriple, point_weights
-from gkmcobordism.torus_ring import TorusRing
+from gkmcobordism.coeff_series import LazardCoefficient, TruncatedSeries
+from gkmcobordism.torus_ring import Character, TorusRing
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gkmcobordism" / "data"
 IG25_ORDER = 8
+FAILING_ORDER = 10
 
 
 def _fiber_sum(name, law, order):
@@ -62,14 +67,18 @@ DIGESTS = {
     "point-class": "791322a158a2bed131cf0b1ecb3a8492821f4a627a35d039803e85bb02972a0a",
     "ig25-hyperplane-tuple": "4eb78234bac7a9052d68709762aa5fd026d952db252cfc2ad8a31a5b6f6f2b65",
     "ig25-gkm-check": "e1ab0cef06fb9d0c134c74af1084e9137e3bde227a79e2e910b21899784f16ed",
+    "ig25-corrupted-universal-json": "1f584cae10369d45bb5aaf5e6221db61028a2c10334536bf096cd0186e425edd",
+    "ig25-corrupted-universal-text": "645b820b27fe6753b9d0f1630e82b085e9fe21e7b707c840d02c0016a6433195",
+    "ig25-corrupted-multiplicative:1-json": "ac4e25838c922318164a4dfd8c496cc62bee9dd14240b9da8333ecb8684fad04",
+    "divide-exact-remainder": "ee799aa04b6f6ff87553ac1eb8985bedabc44979f072975ef9b01b1d63b5fb5e",
 }
 
 
-def _stdout(argv) -> bytes:
+def _stdout(argv, expected_code=0) -> bytes:
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
-    assert code == 0, (argv, code)
+    assert code == expected_code, (argv, code)
     return buf.getvalue().encode()
 
 
@@ -87,6 +96,51 @@ def _ig25_outputs(tmp: Path) -> dict:
     return {"ig25-hyperplane-tuple": text.encode(), "ig25-gkm-check": _stdout(check)}
 
 
+def _corrupted_ig25_tuple(ring: TorusRing) -> dict:
+    """The hyperplane tuple of the ring's law with three points changed.
+
+    x12 (on two P2 surfaces) gets a constant and an m1-weighted quadratic
+    term, x25 a linear term and x35 a cubic one, so edge congruences and P2
+    congruences fail, the latter with nonzero value and derivative
+    components.
+    """
+    weights = point_weights(PasquierTriple(3, n=2, m=2))
+    values = {p: ring.chern(w) for p, w in weights.items()}
+    t1, t2 = ring.variable(0), ring.variable(1)
+    m1 = TruncatedSeries.constant(LazardCoefficient.generator(1), 2, ring.order)
+    values["x12"] = values["x12"] + ring.constant(Fraction(1, 3)) + m1 * t1 * t2
+    values["x25"] = values["x25"] + t2.scale(2)
+    values["x35"] = values["x35"] + (t1 * t1 * t2).scale(Fraction(-3, 2))
+    return values
+
+
+def _failing_outputs(tmp: Path) -> dict:
+    """`gkm check` on the corrupted IG(2,5) tuple at order 10, universal and
+    multiplicative:1, and the remainder report of a failing exact division."""
+    datum = tmp / "ig25.json"
+    _stdout(("horo", "build", "--family", "3", "--n", "2", "--m", "2", "-o", str(datum)))
+    out = {}
+    for law, formats in (("universal", ("json", "text")), ("multiplicative:1", ("json",))):
+        ring = TorusRing(make_law(law, FAILING_ORDER), 2)
+        values = _corrupted_ig25_tuple(ring)
+        tuple_path = tmp / f"corrupted-{law}.json"
+        tuple_path.write_text(json.dumps({p: v.to_json_obj() for p, v in sorted(values.items())}))
+        for fmt in formats:
+            check = (
+                "gkm", "check", str(datum), str(tuple_path), "--law", law,
+                "--order", str(FAILING_ORDER), "--format", fmt,
+            )  # fmt: skip
+            out[f"ig25-corrupted-{law}-{fmt}"] = _stdout(check, expected_code=1)
+    ring = TorusRing(FormalGroupLaw.universal(IG25_ORDER), 2)
+    t1, t2 = ring.variable(0), ring.variable(1)
+    m2 = LazardCoefficient.generator(2)
+    f = ring.chern((1, 1)) * ring.chern((1, 2)) + (t1 * t1 * t2).scale(m2)
+    quotient, report = ring.divide_exact(f, Character((2, -2)))
+    assert quotient is None
+    out["divide-exact-remainder"] = json.dumps(report.to_json_obj(), sort_keys=True).encode()
+    return out
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -101,9 +155,15 @@ def test_ig25_check_stdout_is_byte_identical(tmp_path):
         assert _digest(data) == DIGESTS[name], name
 
 
+def test_failing_certificates_are_byte_identical(tmp_path):
+    for name, data in _failing_outputs(tmp_path).items():
+        assert _digest(data) == DIGESTS[name], name
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {name: _stdout(argv) for name, argv in COMMANDS.items()}
         outputs.update(_ig25_outputs(Path(tmp)))
+        outputs.update(_failing_outputs(Path(tmp)))
     for name, data in outputs.items():
         print(f'    "{name}": "{_digest(data)}",')

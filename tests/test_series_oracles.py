@@ -1,5 +1,6 @@
 """Independent oracles for the series set-up: Chern classes, law series,
-pivot solutions and inverses.
+pivot solutions, inverses, logarithmic coordinates and reduction modulo
+Chern classes.
 
 Two kinds of check.  Closed forms expanded by sympy: under the additive law
 e(sum chi_i l(t_i)) = sum chi_i t_i, and under the multiplicative law with
@@ -7,7 +8,9 @@ parameter b, l(u) = -log(1 - b u)/b, so e(y) = (1 - exp(-b y))/b and
 chern(chi) = (1 - prod_i (1 - b t_i)^chi_i)/b.  And property tests against
 reference copies of the loops the engine used before its closed forms:
 Chern classes composed by Horner, pivots solved by fixed-point sweeps, the
-exponential solved one composition per degree, inverses by geometric series.
+exponential solved one composition per degree, inverses by geometric series,
+and reduction by substituting the pivot solution into the residual and its
+pivot derivative (the shear reduction).
 """
 
 from fractions import Fraction
@@ -26,6 +29,12 @@ from gkmcobordism.coeff_series import (
     series_inverse,
 )
 from gkmcobordism.fgl import FormalGroupLaw
+from gkmcobordism.gkm_model import (
+    GkmDatum,
+    SurfaceComponent,
+    check_membership,
+    surface_generators,
+)
 from gkmcobordism.torus_ring import Character, TorusRing
 
 LC = LazardCoefficient
@@ -61,6 +70,16 @@ def fixed_point_phi(ring, chi):
     for _ in range(ring.order - 1):
         phi = phi + u.substitute(pivot, phi).scale(scale)
     return pivot, phi
+
+
+def shear_reduce_mod(ring, f, chi, power):
+    """(pivot, components, certified order) of f modulo chern(chi)^power:
+    f and, for power 2, its pivot derivative, with t_j -> phi substituted."""
+    pivot, phi = fixed_point_phi(ring, Character(chi))
+    components = [f.substitute(pivot, phi)]
+    if power == 2:
+        components.append(f.partial(pivot).substitute(pivot, phi))
+    return pivot, components, min(f.order, ring.order) - power
 
 
 def degreewise_inverse(f):
@@ -226,6 +245,114 @@ def test_universal_chern_is_a_homomorphism_at_rank_3():
     for a, b in cases:
         total = tuple(x + y for x, y in zip(a, b))
         assert ring.law.sum(ring.chern(a), ring.chern(b)) == ring.chern(total)
+
+
+@st.composite
+def series(draw, rank, order):
+    """A series with coefficients in Q[m1, m2], constant term included."""
+    rationals = st.builds(QQ, st.integers(-9, 9), st.integers(1, 4))
+    m_monomials = st.dictionaries(st.integers(1, 2), st.integers(1, 2), max_size=1).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+    coefficients = st.dictionaries(m_monomials, rationals, min_size=1, max_size=2).map(
+        lambda d: LC({m: q for m, q in d.items() if q})
+    )
+    exponents = st.tuples(*[st.integers(0, order)] * rank)
+    drawn = draw(st.dictionaries(exponents, coefficients, max_size=5))
+    return TS(rank, order, {k: c for k, c in drawn.items() if sum(k) <= order and not c.is_zero()})
+
+
+@settings(max_examples=50, deadline=None)
+@given(law_and_character(), st.data())
+def test_log_coordinates_round_trip(case, data):
+    law, chi = case
+    ring = TorusRing(law, len(chi))
+    f = data.draw(series(ring.rank, data.draw(st.integers(0, law.order))))
+    g = ring.to_log(f)
+    assert g.order == f.order
+    assert ring.from_log(g) == f
+    # a Chern class is e of a linear form in logarithmic coordinates
+    linear = TS(ring.rank, law.order, {
+        tuple(int(i == j) for j in range(ring.rank)): LC.rational(c) for i, c in enumerate(chi) if c
+    })  # fmt: skip
+    assert ring.to_log(ring.chern(chi)) == compose_univariate(law.exp_series(), linear)
+
+
+def assert_reports_agree(report, reference):
+    pivot, components, certified = reference
+    passed = all(c.is_zero_through(certified) for c in components)
+    assert (report.pivot, report.certified_order, report.is_zero) == (pivot, certified, passed)
+    if not passed:
+        assert report.components == components
+
+
+@settings(max_examples=80, deadline=None)
+@given(law_and_character(), st.sampled_from([1, 2]), st.booleans(), st.data())
+def test_reduce_mod_matches_the_shear_reduction(case, power, member, data):
+    law, chi = case
+    if not any(chi):
+        return
+    ring = TorusRing(law, len(chi))
+    f = data.draw(series(ring.rank, data.draw(st.integers(0, law.order + 2))))
+    if member:
+        f = f * ring.chern(chi) ** power
+    report = ring.reduce_mod(f, chi, power)
+    assert_reports_agree(report, shear_reduce_mod(ring, f, chi, power))
+    if member:
+        assert report.is_zero
+
+
+@pytest.mark.parametrize(
+    "law", [FormalGroupLaw.universal(5), FormalGroupLaw.multiplicative(QQ(-2, 3), 5)]
+)
+@pytest.mark.parametrize(
+    "chi", [(2, -4), (QQ(1, 2), QQ(3, 2)), (0, 3), (-1, 1), (0, QQ(-2, 3), 1), (2, 0, -6)]
+)
+def test_reduce_mod_non_primitive_and_rational_characters(law, chi):
+    ring = TorusRing(law, len(chi))
+    t = [ring.variable(i) for i in range(ring.rank)]
+    m1 = TS.constant(LC.generator(1), ring.rank, 7)
+    # a series finer than the ring: its order 7 is above the ring order 5
+    finer = (t[-1] * t[0] + m1 * t[0] * t[0] * t[-1]).at_order(7)
+    finer = finer + TS.constant(QQ(3, 4), ring.rank, 7)
+    for f in (ring.one(), t[0] * t[-1], ring.chern(chi) * (t[0] + ring.one()), finer):
+        for power in (1, 2):
+            reference = shear_reduce_mod(ring, f, chi, power)
+            assert_reports_agree(ring.reduce_mod(f, chi, power), reference)
+    assert ring.reduce_mod(ring.chern(chi) ** 2 * t[-1], chi, 2).is_zero
+
+
+SURFACE = "w x y z".split()
+
+
+@settings(max_examples=40, deadline=None)
+@given(laws(max_order=6), st.sampled_from(["P2:V0V1", "P2:V2", "Fn:1", "Fn:2", "Fn:3"]), st.data())
+def test_surface_congruences_match_their_residuals(law, kind, data):
+    ring = TorusRing(law, 2)
+    alpha = Character(data.draw(st.sampled_from([(2, 0), (0, 1), (1, -1), (QQ(1, 2), 1)])))
+    name, tag = kind.split(":")
+    if name == "P2":
+        surface = SurfaceComponent("P2", tuple(SURFACE[1:]), alpha, model=tag)
+    else:
+        surface = SurfaceComponent("Fn", tuple(SURFACE), alpha, n=int(tag))
+    values = {p: ring.zero() for p in surface.points}
+    for generator in surface_generators(surface, ring):
+        coeff = data.draw(series(2, law.order))
+        values = {p: values[p] + coeff * generator[p] for p in values}
+    if data.draw(st.booleans()):
+        p = data.draw(st.sampled_from(surface.points))
+        values[p] = values[p] + data.draw(series(2, law.order))
+    datum = GkmDatum(rank=2, points=surface.points, edges=(), surfaces=(surface,))
+    results = check_membership(datum, values, ring).results
+    surface_results = [r for r in results if r.constraint.power == 2]
+    assert len(surface_results) == 1
+    constraint, report = surface_results[0].constraint, surface_results[0].report
+    residual = constraint.residual(values, ring)
+    assert_reports_agree(report, shear_reduce_mod(ring, residual, alpha.coords, 2))
+    one_point = ring.reduce_mod(residual, alpha, 2)
+    assert one_point.is_zero == report.is_zero
+    if not report.is_zero:
+        assert one_point.components == report.components
 
 
 # -- sympy closed forms --------------------------------------------------------------
