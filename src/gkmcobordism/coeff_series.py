@@ -17,8 +17,9 @@ product makes no rational per multiply-add and takes no gcd inside its loop.
 sum_of_products runs several products, with rational scalars, into the same
 buckets, so a linear combination of products also builds each output
 coefficient once.  Chains of linear maps (separable substitutions
-t_i -> u_i(t_i), restriction to a hyperplane, combinations) run on that
-integer form itself (Numerators) and build rationals only at their end.
+t_i -> u_i(t_i), restriction to a hyperplane, division by a linear form,
+combinations) run on that integer form itself (Numerators) and build
+rationals only at their end.
 
 Multiplicative inverses use Newton iteration; compositional inverses a
 triangular solve against the powers of the series; compositions and
@@ -502,16 +503,6 @@ class TruncatedSeries:
         pieces = {e: piece.truncated(order) for e, piece in pieces.items()}
         return _horner(pieces, max(pieces), replacement, order)
 
-    def divide_by_variable(self, index: int) -> "TruncatedSeries":
-        """Exact division by t_{index+1}; every term must contain the variable."""
-        out = {}
-        for k, c in self.terms.items():
-            if k[index] == 0:
-                raise ValueError("series is not divisible by the chosen variable")
-            key = k[:index] + (k[index] - 1,) + k[index + 1 :]
-            out[key] = c
-        return TruncatedSeries(self.rank, max(self.order - 1, 0), out)
-
     def specialize(self, assignment) -> "TruncatedSeries":
         """Evaluate every mk at a rational; keeps the t-structure."""
         out = {}
@@ -742,6 +733,32 @@ class Numerators:
                     bucket[m] = bucket.get(m, 0) + y * n
         order = max(self.order - 1, 0) if derivative else self.order
         return Numerators._of_buckets(buckets, self, order, self.den * den_y)
+
+    def divide_linear(self, pivot: int, table: tuple, order: int) -> "Numerators":
+        """(f - f|_{t_pivot = y}) / (t_pivot - y) through `order` (below
+        self.order), for y and table as restrict takes them.
+
+        With f = sum_k t^k C_k, C_k free of t = t_pivot, this is the divided
+        difference sum_k C_k sum_{a<k} t^a y^(k-1-a), one pass of integer
+        multiply-adds; each term drops one degree.  When the restriction
+        vanishes through self.order, it is f / (t_pivot - y).  A negative
+        `order` gives zero at order 0.
+        """
+        den_y, ys = table
+        weight = self.base**pivot
+        buckets: dict = {}
+        for d, packed, row in self.rows:
+            if d > order + 1:
+                break
+            e = packed // weight % self.base
+            rest = packed - e * weight
+            for a in range(e):
+                shift = rest + a * weight
+                for offset, y in ys[e - 1 - a]:
+                    bucket = buckets.setdefault(shift + offset, {})
+                    for m, n in row:
+                        bucket[m] = bucket.get(m, 0) + y * n
+        return Numerators._of_buckets(buckets, self, max(order, 0), self.den * den_y)
 
     @staticmethod
     def combine(parts: list, order: int) -> "Numerators":

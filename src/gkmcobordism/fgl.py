@@ -175,15 +175,31 @@ class FormalGroupLaw:
         key = ("rho-exp", n, m, order)
         h = self._univariate.get(key)
         if h is None:
-            # Both e(q y) and e(y) are divisible by y; dividing one order up
-            # keeps the quotient exact through `order`.
+            # e(q y) is divisible by y; dividing one order up keeps the
+            # quotient exact through `order`.
             q = QQ(n, m)
             exp = self.exp_series(order + 1).terms
             top = TruncatedSeries(1, order, {(k - 1,): c.scale(q**k) for (k,), c in exp.items()})
-            bottom = TruncatedSeries(1, order, {(k - 1,): c for (k,), c in exp.items()})
-            h = top * series_inverse(bottom)
+            h = top * self._y_over_exp(order)
             self._univariate[key] = h
         return self._of_log_form(h, chi, order)
+
+    def unit_of_linear_form(self, chi, order: int | None = None) -> TruncatedSeries:
+        """L / e(L) for the linear form L = sum_i chi_i t_i, chi nonzero: in
+        the coordinates t_i = l(u_i), the unit taking a Chern class to L."""
+        order = self.order if order is None else order
+        identity = [TruncatedSeries.monomial((a,), 1, 1, order) for a in range(order + 1)]
+        return self._of_log_form(self._y_over_exp(order), chi, order, identity)
+
+    def _y_over_exp(self, order: int) -> TruncatedSeries:
+        """y / e(y) through `order`, from e one order up (e(y) is divisible by y)."""
+        key = ("y/e", order)
+        cached = self._univariate.get(key)
+        if cached is None:
+            exp = self.exp_series(order + 1).terms
+            bottom = TruncatedSeries(1, order, {(k - 1,): c for (k,), c in exp.items()})
+            cached = self._univariate[key] = series_inverse(bottom)
+        return cached
 
     def rho_slope(self, n: int, m: int) -> LazardCoefficient:
         """h'(0) for h(y) = e(q y)/e(y), q = n/m, the univariate series behind
@@ -194,11 +210,15 @@ class FormalGroupLaw:
         q = QQ(n, m)
         return self.exp_series(2).coefficient((2,)).scale(q * (q - 1))
 
-    def _of_log_form(self, g: TruncatedSeries, chi, order: int) -> TruncatedSeries:
-        """g(sum_i chi_i l(t_i)) in len(chi) variables for a univariate g."""
+    def _of_log_form(
+        self, g: TruncatedSeries, chi, order: int, table: list | None = None
+    ) -> TruncatedSeries:
+        """g(sum_i chi_i l(t_i)) in len(chi) variables for a univariate g, or
+        g(sum_i chi_i u(t_i)) for table = [u^0, u^1, ...] of another u."""
         chi = [as_rational(c) for c in chi]
         coeffs = [(g.coefficient((n,)), QQ(1)) for n in range(order + 1)]
-        table = self.log_powers(order)
+        if table is None:
+            table = self.log_powers(order)
         rows = {
             i: [embed(row, i, len(chi)) for row in table] for i, c in enumerate(chi) if c
         }
@@ -270,22 +290,6 @@ class FormalGroupLaw:
             raise ValueError("coefficient indices out of the truncation range")
         return self.pair_table().coefficient((i, j))
 
-    def _sum_via_table(self, mono: TruncatedSeries, other: TruncatedSeries) -> TruncatedSeries:
-        """F(mono, other) where mono is a single monomial: Horner over the pair table."""
-        order = min(mono.order, other.order)
-        table = self.pair_table(order).split_by_variable(1)
-        top = max(table)
-        acc = TruncatedSeries.zero(mono.rank, order)
-        for j in range(top, -1, -1):
-            acc = acc * other
-            row = table.get(j)
-            if row is None:
-                continue
-            # row = sum_i a_ij u^i: substitute the monomial for u.
-            for (i, _), c in row.terms.items():
-                acc = acc + (mono**i).scale(c).truncated(order)
-        return acc
-
     def sum(self, u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
         """u +_F v = e(l(u) + l(v))."""
         u._check_rank(v)
@@ -294,10 +298,6 @@ class FormalGroupLaw:
             return v
         if v.is_zero():
             return u
-        if len(u.terms) == 1:
-            return self._sum_via_table(u, v)
-        if len(v.terms) == 1:
-            return self._sum_via_table(v, u)
         order = min(u.order, v.order)
         lu = compose_univariate(self.log_series(order), u)
         lv = compose_univariate(self.log_series(order), v)

@@ -17,6 +17,7 @@ no established rule and therefore needs an explicit override.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent
 from .root_flag import (
@@ -318,23 +319,19 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
 
     # Edges: curves of the two closed orbits plus the joining lines, with the
     # curves absorbed by a surface dropped (their congruences come from the
-    # surface's chains).
-    surface_members = [(set(s.points), s.alpha) for s in surfaces]
-
-    def absorbed(pa, pb, weight: Character) -> bool:
-        for points, alpha in surface_members:
-            if pa in points and pb in points and weight.proportional_to(alpha):
-                return True
-        return False
-
+    # surface's chains): those joining two of its points with a weight
+    # proportional to its alpha.
+    absorbed = {
+        (a, b, s.alpha.primitive_direction())
+        for s in surfaces
+        for a, b in combinations(sorted(s.points), 2)
+    }
     edges = {}
 
     def add_edge(pa, pb, weight: Character):
-        if absorbed(pa, pb, weight):
-            return
         a_, b_ = sorted((pa, pb))
         key = (a_, b_, weight.primitive_direction())
-        if key not in edges:
+        if key not in absorbed and key not in edges:
             edges[key] = GkmEdge(a_, b_, weight)
 
     for parabolic, names in ((parabolic_y, y_names), (parabolic_z, z_names)):

@@ -5,25 +5,23 @@ equivariant first Chern class is the series e(sum_i chi_i l(t_i)), which makes
 chern an FGL homomorphism from characters into the series ring; it is built
 by FormalGroupLaw.exp_linear from the law's table of logarithm powers.
 
-Reduction modulo a Chern class (and its square) runs in the logarithmic
-coordinates s_i = l(t_i).  Over Q the logarithm is an isomorphism onto the
-additive law, so there chern(chi) = e(L) for the linear form L = sum_i chi_i
-s_i, and e(L)/L is a unit: a series lies in the ideal of chern(chi)^k iff it
-vanishes to order k along the hyperplane L = 0.  Restricting to that
-hyperplane, s_j = -sum_{i != j} (chi_i/chi_j) s_i for the pivot j, is a
-linear change of variables with rational coefficients, so each value is
-converted to s once (one pass per variable against the table of powers of
-e) and every congruence through it is a rational combination of its
-restrictions.  Only a failing remainder is converted back, with the powers
-of l.
+Reduction modulo a Chern class (and its square) and exact division run in
+the logarithmic coordinates s_i = l(t_i).  Over Q the logarithm is an
+isomorphism onto the additive law, so there chern(chi) = e(L) for the linear
+form L = sum_i chi_i s_i, and e(L)/L is a unit: a series lies in the ideal of
+chern(chi)^k iff it vanishes to order k along the hyperplane L = 0.
+Restricting to that hyperplane, s_j = y = -sum_{i != j} (chi_i/chi_j) s_i for
+the pivot j, is a linear change of variables with rational coefficients, so
+each value is converted to s once (one pass per variable against the table
+of powers of e) and every congruence through it is a rational combination of
+its restrictions.  Only a failing remainder is converted back, with the
+powers of l; in t it is the series on the zero locus t_j = phi, phi = e(y)
+with s_i = l(t_i).
 
-Exact division stays in t: the shear f(t_j -> t_j + phi), with phi =
-exp_linear(chi') the zero locus of chern(chi) (chi'_j = 0, chi'_i =
--chi_i/chi_j), splits off the quotient, which is multiplied by a cached
-unit and sheared back.  Division in s coordinates gives the same quotients
-but was slower on the clearing of denominators in the pullback formulas.
-LocalizedElement models fractions with Chern-class denominators; clearing
-denominators is iterated exact division.
+Division by chern(chi) is division by the linear form s_j - y (a divided
+difference on the same table of powers of y) and by the unit; clearing the
+denominators of a LocalizedElement converts its numerator once, divides by
+every factor in s and converts back once.
 """
 
 from __future__ import annotations
@@ -89,11 +87,6 @@ class Character:
         if self.is_zero():
             raise ValueError("the zero character has no direction")
         return direction(self.coords)
-
-    def proportional_to(self, other: "Character") -> bool:
-        if self.is_zero() or other.is_zero():
-            return False
-        return self.primitive_direction() == other.primitive_direction()
 
     def to_json_obj(self) -> list:
         return [str(c) for c in self.coords]
@@ -211,7 +204,6 @@ class TorusRing:
         self.rank = rank
         self._chern: dict = {}
         self._rho: dict = {}
-        self._pivots: dict = {}
         self._units: dict = {}
         self._tables: dict = {}
         self._hyperplanes: dict = {}
@@ -307,22 +299,15 @@ class TorusRing:
 
     # -- the zero locus of a Chern class -------------------------------------
 
-    @staticmethod
-    def _solve_pivot(line: tuple) -> tuple:
-        """Pivot j (the first nonzero entry) and chi' with chi'_j = 0, chi'_i =
-        -line_i/line_j: on sum_i line_i s_i = 0, s_j = sum_i chi'_i s_i."""
-        pivot = next(i for i, c in enumerate(line) if c)
-        scale = -1 / QQ(line[pivot])
-        return pivot, tuple(0 if i == pivot else scale * v for i, v in enumerate(line))
-
     def _hyperplane(self, line: tuple) -> tuple:
-        """Pivot j and the table of y^0, ..., y^(order + 1) for the linear form
-        y = sum_i chi'_i s_i, s_j = y on the line's hyperplane, as
-        Numerators.restrict takes it."""
+        """Pivot j (the first nonzero entry) and the table of y^0, ...,
+        y^(order + 1) for y = -sum_{i != j} (line_i/line_j) s_i, s_j = y on
+        the line's hyperplane, as Numerators.restrict takes it."""
         cached = self._hyperplanes.get(line)
         if cached is None:
-            pivot, coords = self._solve_pivot(line)
-            y = {self._base**i: c for i, c in enumerate(coords) if c}
+            pivot = next(i for i, c in enumerate(line) if c)
+            scale = -1 / QQ(line[pivot])
+            y = {self._base**i: scale * c for i, c in enumerate(line) if c and i != pivot}
             powers = [{0: QQ(1)}]
             for _ in range(self.order + 1):
                 step: dict = {}
@@ -335,34 +320,6 @@ class TorusRing:
                 [(k, q.numerator * (den // q.denominator)) for k, q in row.items()] for row in powers
             ]
             cached = self._hyperplanes[line] = (pivot, (den, table))
-        return cached
-
-    def _pivot_phi(self, chi: Character):
-        """Pivot index j and the series phi with chern(chi)(t_j = phi) = 0.
-
-        e is invertible, so chern(chi) vanishes exactly where
-        sum_i chi_i l(t_i) = 0, that is where l(t_j) = -sum_{i != j}
-        (chi_i / chi_j) l(t_i): phi = e(that sum), in closed form.  phi
-        depends only on the line through chi, so the cache is keyed by the
-        primitive direction.
-        """
-        line = chi.primitive_direction()
-        cached = self._pivots.get(line)
-        if cached is None:
-            pivot, coords = self._solve_pivot(line)
-            cached = (pivot, self.law.exp_linear(coords, self.order))
-            self._pivots[line] = cached
-        return cached
-
-    def _shear_unit_inverse(self, chi: Character):
-        """1 / (chern(chi)(t_j -> t_j + phi) / t_j), cached per character."""
-        cached = self._units.get(chi.coords)
-        if cached is None:
-            pivot, phi = self._pivot_phi(chi)
-            shear = self.variable(pivot) + phi
-            w = self.chern(chi).substitute(pivot, shear).divide_by_variable(pivot)
-            cached = series_inverse(w)
-            self._units[chi.coords] = cached
         return cached
 
     def _slope_unit(self, line: tuple, order: int) -> TruncatedSeries:
@@ -411,9 +368,9 @@ class TorusRing:
         Vanishing through an order is invariant under s = t + O(t^2) and
         under a unit factor, so the verdict is read in s; a failing remainder
         is converted back: the combination on t_j = phi and its
-        t_j-derivative there, (d/ds_j) / e'(s_j), the same series the shear
-        substitution gives.  Certified through min(order of the combination,
-        ring order) - power.
+        t_j-derivative there, (d/ds_j) / e'(s_j), the same series as
+        substituting t_j = phi.  Certified through min(order of the
+        combination, ring order) - power.
         """
         chi = self._char(chi)
         if chi.is_zero():
@@ -468,10 +425,11 @@ class TorusRing:
     def reduce_mod(self, f: TruncatedSeries, chi, power: int = 1) -> RemainderReport:
         """Reduce f modulo chern(chi)^power with an exact certificate.
 
-        For power 1 the report holds f on the zero locus t_j = phi; for power
-        2 additionally the t_j-derivative there.  f lies in the ideal iff all
-        components vanish through the certified order: min(f.order, ring
-        order) - power, since the zero locus is known only to the ring order.
+        For power 1 the report holds f on the zero locus t_j = phi (see the
+        module docstring); for power 2 additionally the t_j-derivative there.
+        f lies in the ideal iff all components vanish through the certified
+        order: min(f.order, ring order) - power, since the zero locus is
+        known only to the ring order.
         The one-value case of reduce_combination.
         """
         return self.reduce_combination({0: f}, [(0, 1, None)], chi, power)
@@ -479,41 +437,64 @@ class TorusRing:
     def divide_exact(self, f: TruncatedSeries, chi) -> tuple:
         """Divide f by chern(chi) exactly.
 
-        Returns (quotient, None) with the quotient one order lower, or
-        (None, report) when f is not divisible; the report is the full
-        remainder on the zero locus.
+        Returns (quotient, None), or (None, report) when f is not divisible;
+        the report is reduce_mod(f, chi, 1), and it fails exactly when f is
+        refused.  The one-factor case of clear_denominators.
         """
-        chi = self._char(chi)
-        if chi.is_zero():
-            raise ValueError("cannot divide by the zero character")
-        pivot, phi = self._pivot_phi(chi)
-        shear = TruncatedSeries.variable(pivot, self.rank, f.order) + phi.truncated(f.order)
-        sheared = f.substitute(pivot, shear)
-        pieces = sheared.split_by_variable(pivot)
-        stuck = pieces.get(0)
-        if stuck is not None and not stuck.is_zero():
-            return None, self.reduce_mod(f, chi, 1)
-        h = TruncatedSeries(
-            self.rank,
-            f.order,
-            {k: c for k, c in sheared.terms.items() if k[pivot] > 0},
-        ).divide_by_variable(pivot)
-        unit_inv = self._shear_unit_inverse(chi).truncated(h.order)
-        q_sheared = h * unit_inv
-        unshear = TruncatedSeries.variable(pivot, self.rank, q_sheared.order) - phi.truncated(
-            q_sheared.order
-        )
-        return q_sheared.substitute(pivot, unshear), None
+        result = self.clear_denominators(LocalizedElement(f, (self._char(chi),)))
+        if result.ok:
+            return result.series, None
+        return None, result.obstruction[1]
+
+    def _division_unit(self, chi: Character) -> TruncatedSeries:
+        """(L / e(L)) / chi_j in s, for L = sum_i chi_i s_i and the pivot j,
+        through the ring order - 1 (as far as quotients go), cached."""
+        cached = self._units.get(chi.coords)
+        if cached is None:
+            pivot, _ = self._hyperplane(chi.primitive_direction())
+            unit = self.law.unit_of_linear_form(chi.coords, self.order - 1)
+            cached = self._units[chi.coords] = unit.scale(1 / chi.coords[pivot])
+        return cached
 
     def clear_denominators(self, elem: LocalizedElement) -> ClearResult:
-        """Iterated exact division of the numerator by the denominator factors."""
-        series = elem.numerator
+        """Iterated exact division of the numerator by the denominator factors.
+
+        In s_i = l(t_i), chern(chi) = e(L) with L = chi_j (s_j - y): the
+        numerator is converted once, through min(its order, ring order); per
+        factor it must vanish on s_j = y through order - 1 (the certified
+        order of reduce_mod; if it fails only at order, it is divided one
+        order lower) and is divided by s_j - y; the result times each unit
+        (L / e(L)) / chi_j is converted back once.  On failure the
+        obstruction is reduce_mod of the partial quotient, back in t.
+        """
+        f = elem.numerator
+        if f.rank != self.rank:
+            raise ValueError("series rank does not match the ring rank")
+        if not elem.denominator:
+            return ClearResult(f, f.order)
+        g = self._convert(f, "exp", min(f.order, self.order))
+        units = []
         for ch in elem.denominator:
-            quotient, report = self.divide_exact(series, ch)
-            if quotient is None:
+            ch = self._char(ch)
+            pivot, table = self._hyperplane(ch.primitive_direction())
+            rest = g.restrict(pivot, table)
+            if not rest.is_zero_through(g.order - 1):
+                if units:
+                    f = self._from_log_times(g, units)
+                report = self.reduce_mod(f, ch, 1)
                 return ClearResult(None, report.certified_order, obstruction=(ch, report))
-            series = quotient
+            top = g.order if rest.is_zero_through(g.order) else g.order - 1
+            g = g.divide_linear(pivot, table, top - 1)
+            units.append(self._division_unit(ch))
+        series = self._from_log_times(g, units)
         return ClearResult(series, series.order)
+
+    def _from_log_times(self, g: Numerators, units: list) -> TruncatedSeries:
+        """g times each unit, back in t."""
+        out = g.series()
+        for unit in units:
+            out = out * unit
+        return self.from_log(out)
 
     # -- localized arithmetic ---------------------------------------------------
 

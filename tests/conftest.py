@@ -40,6 +40,13 @@ def random_series(rng, rank, order, terms=4, min_degree=0, rational_only=False):
     return out
 
 
+def divided_by_variable(f, index):
+    """f / t_{index+1}, one order lower; every term of f must contain it."""
+    assert all(k[index] for k in f.terms)
+    terms = {k[:index] + (k[index] - 1,) + k[index + 1 :]: c for k, c in f.terms.items()}
+    return TruncatedSeries(f.rank, max(f.order - 1, 0), terms)
+
+
 def random_character(rng, rank, max_denominator=2):
     while True:
         coords = tuple(

@@ -155,7 +155,7 @@ def test_surface_edges_absorbed():
         if pair in surface_pairs:
             for s in datum.surfaces:
                 if set(pair) <= set(s.points):
-                    assert not e.weight.proportional_to(s.alpha)
+                    assert e.weight.primitive_direction() != s.alpha.primitive_direction()
 
 
 @pytest.mark.parametrize(
@@ -195,7 +195,7 @@ def test_surface_points_connected_by_proportional_congruences():
                 for c in system
                 if c.kind == "edge"
                 and set(c.points) <= set(s.points)
-                and c.character.proportional_to(s.alpha)
+                and c.character.primitive_direction() == s.alpha.primitive_direction()
             ]
             reached = {s.points[0]}
             changed = True

@@ -6,8 +6,10 @@ implementation (Chern classes and pair tables composed through
 `compose_univariate`, pivots solved by fixed-point sweeps, inverses by
 geometric series).  The failing certificates and the division remainder were
 recorded from the shear reduction (t_j -> phi substituted into each residual,
-by Horner).  Every series the engine builds is the unique exact truncation of
-a closed-form object, so a kernel rewrite must reproduce these bytes.
+by Horner), and the quotients of the dense-pivot divisions from the shear
+division (t_j -> t_j + phi and back).  Every series the engine builds is the
+unique exact truncation of a closed-form object, so a kernel rewrite must
+reproduce these bytes.
 `python tests/test_output_guard.py` prints the current digests.
 """
 
@@ -25,7 +27,7 @@ from gkmcobordism.cli import main, make_law
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.horospherical import PasquierTriple, point_weights
 from gkmcobordism.coeff_series import LazardCoefficient, TruncatedSeries
-from gkmcobordism.torus_ring import Character, TorusRing
+from gkmcobordism.torus_ring import Character, LocalizedElement, TorusRing
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gkmcobordism" / "data"
 IG25_ORDER = 8
@@ -71,6 +73,9 @@ DIGESTS = {
     "ig25-corrupted-universal-text": "645b820b27fe6753b9d0f1630e82b085e9fe21e7b707c840d02c0016a6433195",
     "ig25-corrupted-multiplicative:1-json": "ac4e25838c922318164a4dfd8c496cc62bee9dd14240b9da8333ecb8684fad04",
     "divide-exact-remainder": "ee799aa04b6f6ff87553ac1eb8985bedabc44979f072975ef9b01b1d63b5fb5e",
+    "divide-exact-(1, 2)": "5e777a2d609036b4c12feb3e513d30575efda8e5417c7e629dd9b58f56182835",
+    "divide-exact-(1, 1)": "d8d675d91b190a11a6afa9818caf1c749ef7e45d3d384733ec10ab5e3d4d7d8a",
+    "clear-denominators-multiplicative:1": "af9eee78b385766b5187e465af36ca973f3a17d08171c62a3009b2a36e21dc1d",
 }
 
 
@@ -141,6 +146,29 @@ def _failing_outputs(tmp: Path) -> dict:
     return out
 
 
+def _division_outputs() -> dict:
+    """Exact divisions by characters whose pivot solution phi is a dense
+    series: the quotients of c(1,1) c(1,2) (1 + m1 t1) by c(1,2) and by
+    c(1,1) at universal order 8, and two factors cleared under
+    multiplicative:1 at order 12."""
+    ring = TorusRing(FormalGroupLaw.universal(IG25_ORDER), 2)
+    t1 = ring.variable(0)
+    f = ring.chern((1, 1)) * ring.chern((1, 2)) * (ring.one() + t1.scale(LazardCoefficient.generator(1)))
+    out = {}
+    for chi in ((1, 2), (1, 1)):
+        quotient, report = ring.divide_exact(f, Character(chi))
+        assert report is None
+        out[f"divide-exact-{chi}"] = json.dumps(quotient.to_json_obj(), sort_keys=True).encode()
+    ring = TorusRing(make_law("multiplicative:1", 12), 2)
+    t1, t2 = ring.variable(0), ring.variable(1)
+    chars = (Character((1, 1)), Character((2, -1)))
+    f = ring.chern_product(chars) * (ring.one() + t1 + t2 * t2)
+    result = ring.clear_denominators(LocalizedElement(f, chars))
+    obj = {"certified_order": result.certified_order, "series": result.series.to_json_obj()}
+    out["clear-denominators-multiplicative:1"] = json.dumps(obj, sort_keys=True).encode()
+    return out
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -160,10 +188,16 @@ def test_failing_certificates_are_byte_identical(tmp_path):
         assert _digest(data) == DIGESTS[name], name
 
 
+def test_dense_pivot_divisions_are_byte_identical():
+    for name, data in _division_outputs().items():
+        assert _digest(data) == DIGESTS[name], name
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {name: _stdout(argv) for name, argv in COMMANDS.items()}
         outputs.update(_ig25_outputs(Path(tmp)))
         outputs.update(_failing_outputs(Path(tmp)))
+        outputs.update(_division_outputs())
     for name, data in outputs.items():
         print(f'    "{name}": "{_digest(data)}",')

@@ -9,15 +9,16 @@ chern(chi) = (1 - prod_i (1 - b t_i)^chi_i)/b.  And property tests against
 reference copies of the loops the engine used before its closed forms:
 Chern classes composed by Horner, pivots solved by fixed-point sweeps, the
 exponential solved one composition per degree, inverses by geometric series,
-and reduction by substituting the pivot solution into the residual and its
-pivot derivative (the shear reduction).
+reduction by substituting the pivot solution into the residual and its
+pivot derivative (the shear reduction), and exact division by the shear
+t_j -> t_j + phi, which splits off the quotient.
 """
 
 from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkmcobordism.coeff_series import (
@@ -35,7 +36,9 @@ from gkmcobordism.gkm_model import (
     check_membership,
     surface_generators,
 )
-from gkmcobordism.torus_ring import Character, TorusRing
+from gkmcobordism.torus_ring import Character, LocalizedElement, RemainderReport, TorusRing
+
+from conftest import divided_by_variable
 
 LC = LazardCoefficient
 TS = TruncatedSeries
@@ -80,6 +83,47 @@ def shear_reduce_mod(ring, f, chi, power):
     if power == 2:
         components.append(f.partial(pivot).substitute(pivot, phi))
     return pivot, components, min(f.order, ring.order) - power
+
+
+def shear_divide(ring, f, chi):
+    """f / chern(chi) by the shear t_j -> t_j + phi, or None when refused.
+
+    f(t_j + phi) = t_j h + f(t_j = phi).  f is refused when f(t_j = phi) is
+    nonzero below min(f.order, ring order); when it is nonzero only at that
+    top degree, f truncated one order lower is divided.  Otherwise h times
+    the inverse of the sheared unit chern(chi)(t_j + phi) / t_j, sheared
+    back, is the quotient.
+    """
+    pivot, phi = fixed_point_phi(ring, Character(chi))
+    shear = TS.variable(pivot, ring.rank, f.order) + phi.truncated(f.order)
+    sheared = f.substitute(pivot, shear)
+    order = sheared.order
+    stuck = TS(ring.rank, order, {k: c for k, c in sheared.terms.items() if not k[pivot]})
+    if not stuck.is_zero_through(order - 1):
+        return None
+    if not stuck.is_zero():
+        if order == 0:
+            return TS.zero(ring.rank, 0)
+        return shear_divide(ring, f.truncated(order - 1), chi)
+    h = divided_by_variable(sheared, pivot)
+    unit = ring.chern(chi).substitute(pivot, TS.variable(pivot, ring.rank, ring.order) + phi)
+    quotient = h * series_inverse(divided_by_variable(unit, pivot))
+    unshear = TS.variable(pivot, ring.rank, quotient.order) - phi.truncated(quotient.order)
+    return quotient.substitute(pivot, unshear)
+
+
+def shear_clear(ring, f, chars):
+    """(quotient, None) after dividing f by every chern(chi) in turn, or
+    (None, report JSON) of the shear reduction of the partial quotient
+    modulo the first factor that refuses it."""
+    for chi in chars:
+        quotient = shear_divide(ring, f, chi)
+        if quotient is None:
+            pivot, components, certified = shear_reduce_mod(ring, f, chi, 1)
+            report = RemainderReport(Character(chi), 1, pivot, components, certified)
+            return None, report.to_json_obj()
+        f = quotient
+    return f, None
 
 
 def degreewise_inverse(f):
@@ -149,19 +193,6 @@ def test_chern_matches_horner_composition(case):
     law, chi = case
     ring = TorusRing(law, len(chi))
     assert ring.chern(chi) == horner_chern(law, chi, law.order)
-
-
-@settings(max_examples=60, deadline=None)
-@given(law_and_character())
-def test_pivot_phi_matches_fixed_point_and_kills_the_chern_class(case):
-    law, chi = case
-    if not any(chi):
-        return
-    ring = TorusRing(law, len(chi))
-    pivot, phi = ring._pivot_phi(Character(chi))
-    assert (pivot, phi) == fixed_point_phi(ring, Character(chi))
-    assert not any(k[pivot] for k in phi.terms)
-    assert ring.chern(chi).substitute(pivot, phi).is_zero_through(law.order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,6 +333,56 @@ def test_reduce_mod_matches_the_shear_reduction(case, power, member, data):
         assert report.is_zero
 
 
+@st.composite
+def division_cases(draw, max_factors=3):
+    """(ring, f, characters): f at an order below, at or above the ring
+    order; a member (1 + q) * prod chern(chi), such a product over some of
+    the characters, or any series."""
+    rank = draw(st.integers(1, 3))
+    law = draw(laws(max_order=6 if rank < 3 else 5))
+    nonzero = characters(rank).filter(any)
+    chars = draw(st.lists(nonzero, min_size=1, max_size=max_factors))
+    ring = TorusRing(law, rank)
+    f = draw(series(rank, draw(st.integers(0, law.order + 2))))
+    shape = draw(st.sampled_from(["member", "some factors", "any"]))
+    if shape == "member":
+        f = (f + 1) * ring.chern_product(chars)
+    elif shape == "some factors":
+        f = (f + 1) * ring.chern_product([chi for chi in chars if draw(st.booleans())])
+    return ring, f, chars
+
+
+@settings(max_examples=120, deadline=None)
+@given(division_cases(max_factors=1))
+# nonzero on the hyperplane only at the top degree 1: the quotient is known
+# through no degree, and rows above the top degree must not enter it
+@example((TorusRing(FormalGroupLaw.universal(1), 3), TS.variable(0, 3, 1), [(1, 0, 1)]))
+def test_divide_exact_matches_the_shear_division(case):
+    ring, f, chars = case
+    quotient, report = ring.divide_exact(f, chars[0])
+    expected, expected_report = shear_clear(ring, f, chars)
+    assert quotient == expected
+    if expected is None:
+        assert report.to_json_obj() == expected_report
+    else:
+        assert report is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(division_cases())
+def test_clear_denominators_matches_iterated_shear_division(case):
+    ring, f, chars = case
+    result = ring.clear_denominators(LocalizedElement(f, tuple(Character(c) for c in chars)))
+    expected, expected_report = shear_clear(ring, f, sorted(chars))
+    assert result.series == expected
+    if expected is None:
+        _, report = result.obstruction
+        assert report.to_json_obj() == expected_report
+        assert result.certified_order == report.certified_order
+    else:
+        assert result.certified_order == expected.order
+
+
 @pytest.mark.parametrize(
     "law", [FormalGroupLaw.universal(5), FormalGroupLaw.multiplicative(QQ(-2, 3), 5)]
 )
@@ -431,4 +512,4 @@ def test_law_series_match_sympy_closed_forms(beta):
     for n, m in ((3, 2), (-1, 3)):
         # rho_{n/m} x = [n/m]x / x, one order past the quotient's order
         shifted = expand(power(Fraction(n, m)), ORACLE_ORDER + 1)
-        assert law.rho_series(n, m) == shifted.divide_by_variable(0)
+        assert law.rho_series(n, m) == divided_by_variable(shifted, 0)

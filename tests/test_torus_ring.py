@@ -30,8 +30,7 @@ def test_character_basics():
     assert ch.scale(2) == C(1, -2)
     assert ch.primitive_direction() == (1, -2)
     assert C(-2, 4).primitive_direction() == (1, -2)
-    assert ch.proportional_to(C(-1, 2))
-    assert not ch.proportional_to(C(1, 1))
+    assert C(-1, 2).primitive_direction() == (1, -2)
     assert Character.from_json_obj(ch.to_json_obj()) == ch
     with pytest.raises(ValueError):
         C(0, 0).primitive_direction()
@@ -123,6 +122,19 @@ def test_certified_order_is_capped_by_the_ring_order():
     assert report.certified_order == 3
     cleared = small.clear_denominators(LocalizedElement(g, (C(1, 0),)))
     assert not cleared.ok and cleared.certified_order == 3
+
+
+def test_divide_exact_refuses_exactly_when_its_report_fails():
+    # t2^4 at order 4 is nonzero on t1 = 0 only at the top degree: the
+    # report, certified through 3, passes, so f truncated at order 3 is
+    # divided.
+    small = TorusRing(FormalGroupLaw.universal(4), 2)
+    f = TS.monomial((0, 4), 1, 2, 4)
+    assert small.reduce_mod(f, C(1, 0), 1).is_zero
+    quotient, report = small.divide_exact(f, C(1, 0))
+    assert report is None and quotient == TS.zero(2, 2)
+    cleared = small.clear_denominators(LocalizedElement(f, (C(1, 0),)))
+    assert cleared.ok and cleared.certified_order == 2
 
 
 def test_clear_denominators(ring):
