@@ -11,9 +11,12 @@ Products of series and of coefficients go through one integer kernel
 common denominator, the lcm of its coefficient denominators; the kernel
 sums int * int products into one bucket per (t-monomial, m-monomial), with
 the t-monomials packed into integers so that multiplying monomials is an
-integer addition; each output coefficient is built once as
-QQ(numerator, den_a * den_b), and zero sums are dropped at the end.  So a
-product makes no rational per multiply-add and takes no gcd inside its loop.
+integer addition, and the m-monomials interned as small integer ids so that
+multiplying them is a lookup in a table row (filled on first use); each
+output coefficient is built once as QQ(numerator, den_a * den_b), with its
+m-monomial ids decoded back to tuples, and zero sums are dropped at the end.
+So a product makes no rational and no tuple per multiply-add and takes no
+gcd inside its loop.
 sum_of_products runs several products, with rational scalars, into the same
 buckets, so a linear combination of products also builds each output
 coefficient once.  Chains of linear maps (separable substitutions
@@ -28,7 +31,6 @@ substitutions share one Horner loop.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import lcm
 
 try:  # exact rationals: gmpy2 when available, stdlib fractions otherwise
@@ -60,22 +62,46 @@ def m_degree(mkey: MKey) -> int:
     return -sum(k * e for k, e in mkey)
 
 
-@lru_cache(maxsize=1 << 20)
-def _mmul(a: MKey, b: MKey) -> MKey:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for k, e in b:
-        merged[k] = merged.get(k, 0) + e
-    return tuple(sorted(merged.items()))
+# The intern table of m-monomials, which the kernel and Numerators key their
+# coefficients by: _MKEYS[i] is the MKey with id i, _MIDS maps it back, and
+# _TIMES[i] is the product row of id i, {id j: id of mkey i * mkey j}.  The
+# table grows by one entry per distinct monomial and per distinct multiplied
+# pair, and is never cleared: ids stay valid for the life of the process.
+_MKEYS: list = []
+_MIDS: dict = {}
+_TIMES: list = []
+
+
+class _TimesRow(dict):
+    """The product row of one interned m-monomial, filled on its first miss."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, left: int):
+        self.left = left
+
+    def __missing__(self, right: int) -> int:
+        merged = dict(_MKEYS[self.left])
+        for k, e in _MKEYS[right]:
+            merged[k] = merged.get(k, 0) + e
+        m = self[right] = _mid(tuple(sorted(merged.items())))
+        return m
+
+
+def _mid(mkey: MKey) -> int:
+    """The id of an m-monomial, interned on first sight."""
+    i = _MIDS.get(mkey)
+    if i is None:
+        i = _MIDS[mkey] = len(_MKEYS)
+        _MKEYS.append(mkey)
+        _TIMES.append(_TimesRow(i))
+    return i
 
 
 def _numerators(coeffs) -> tuple:
-    """(den, rows): each m-monomial dict as a list of (mkey, int) over one den."""
+    """(den, rows): each m-monomial dict as a list of (mkey id, int) over one den."""
     den = lcm(*(q.denominator for c in coeffs for q in c.values()))
-    rows = [[(m, q.numerator * (den // q.denominator)) for m, q in c.items()] for c in coeffs]
+    rows = [[(_mid(m), q.numerator * (den // q.denominator)) for m, q in c.items()] for c in coeffs]
     return den, rows
 
 
@@ -93,7 +119,7 @@ def _packed_rows(series: list, order: int, powers: list) -> tuple:
             (
                 d,
                 sum(e * p for e, p in zip(k, powers)),
-                [(m, q.numerator * (den // q.denominator)) for m, q in c.items()],
+                [(_mid(m), q.numerator * (den // q.denominator)) for m, q in c.items()],
             )
             for d, k, c in f_rows
         ]
@@ -105,14 +131,15 @@ def _packed_rows(series: list, order: int, powers: list) -> tuple:
 def _product(a: list, b: list, order: int, buckets: dict | None = None) -> dict:
     """The integer kernel behind every product.
 
-    a and b are lists of (t-degree, packed t-key, [(mkey, int), ...]) sorted
-    by t-degree, each with its numerators over one denominator.  Adds the
-    numerators of a * b through total degree `order`, over the product of
-    the two denominators, into `buckets` ({packed t-key: {mkey: int}}, a new
-    dict by default) and returns it; a sum may be zero.
+    a and b are lists of (t-degree, packed t-key, [(mkey id, int), ...])
+    sorted by t-degree, each with its numerators over one denominator.  Adds
+    the numerators of a * b through total degree `order`, over the product
+    of the two denominators, into `buckets` ({packed t-key: {mkey id: int}},
+    a new dict by default) and returns it; a sum may be zero.
     """
     if buckets is None:
         buckets = {}
+    times = _TIMES
     for da, pa, ca in a:
         room = order - da
         for db, pb, cb in b:
@@ -123,15 +150,17 @@ def _product(a: list, b: list, order: int, buckets: dict | None = None) -> dict:
             if bucket is None:
                 bucket = buckets[key] = {}
             for ma, na in ca:
+                row = times[ma]
                 for mb, nb in cb:
-                    m = _mmul(ma, mb)
+                    m = row[mb]
                     bucket[m] = bucket.get(m, 0) + na * nb
     return buckets
 
 
 def _rationals(bucket: dict, den: int) -> dict:
     """{mkey: QQ(num, den)} for the nonzero sums of a kernel bucket."""
-    return {m: QQ(n, den) for m, n in bucket.items() if n}
+    mkeys = _MKEYS
+    return {mkeys[m]: QQ(n, den) for m, n in bucket.items() if n}
 
 
 class LazardCoefficient:
@@ -609,7 +638,7 @@ def sum_of_products(pairs: list, rank: int, order: int, scalars: list | None = N
 
 
 def _unpacked(buckets: dict, den: int, rank: int, order: int, base: int) -> TruncatedSeries:
-    """The series of kernel buckets {packed t-key: {mkey: int}} over den,
+    """The series of kernel buckets {packed t-key: {mkey id: int}} over den,
     t-keys packed as sum(e_i * base**i); zero sums are dropped."""
     out = {}
     places = range(rank)
@@ -654,10 +683,12 @@ class Numerators:
     """The working form of the linear maps on series: integer numerators
     over one denominator, t-monomials packed in a fixed base.
 
-    rows lists (t-degree, packed t-key, [(mkey, int), ...]) sorted by degree,
-    with no zero numerator, as _product takes them.  Substitutions,
-    restrictions and combinations run on the integers, and rationals are
-    built only when a result is turned back into a series.
+    rows lists (t-degree, packed t-key, [(mkey id, int), ...]) sorted by
+    degree, with no zero numerator, as _product takes them; the ids are those
+    of the m-monomial intern table.  Substitutions, restrictions and
+    combinations run on the integers and carry the ids unchanged; rationals
+    and m-monomial tuples are built only when a result is turned back into a
+    series.
     """
 
     __slots__ = ("rank", "order", "base", "den", "rows")
@@ -741,8 +772,7 @@ class Numerators:
         With f = sum_k t^k C_k, C_k free of t = t_pivot, this is the divided
         difference sum_k C_k sum_{a<k} t^a y^(k-1-a), one pass of integer
         multiply-adds; each term drops one degree.  When the restriction
-        vanishes through self.order, it is f / (t_pivot - y).  A negative
-        `order` gives zero at order 0.
+        vanishes through self.order, it is f / (t_pivot - y).
         """
         den_y, ys = table
         weight = self.base**pivot
@@ -758,7 +788,7 @@ class Numerators:
                     bucket = buckets.setdefault(shift + offset, {})
                     for m, n in row:
                         bucket[m] = bucket.get(m, 0) + y * n
-        return Numerators._of_buckets(buckets, self, max(order, 0), self.den * den_y)
+        return Numerators._of_buckets(buckets, self, order, self.den * den_y)
 
     @staticmethod
     def combine(parts: list, order: int) -> "Numerators":

@@ -38,6 +38,19 @@ class DecompositionError(ValueError):
     pass
 
 
+def _check_keys(obj, what: str, required: tuple, optional: tuple = ()) -> None:
+    """Reject a JSON object with a missing or an unknown key: a misspelt
+    optional key would otherwise drop its part of the datum silently."""
+    if not isinstance(obj, dict):
+        raise GkmValidationError(f"{what} must be a JSON object")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise GkmValidationError(f"{what} is missing the key(s) {', '.join(map(repr, missing))}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise GkmValidationError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 @dataclass(frozen=True)
 class SurfaceComponent:
     """A surface in the fixed locus of a codimension-one subtorus.
@@ -80,6 +93,7 @@ class SurfaceComponent:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SurfaceComponent":
+        _check_keys(obj, "surface", ("kind", "points", "alpha"), ("n", "model"))
         return cls(
             kind=obj["kind"],
             points=tuple(obj["points"]),
@@ -100,6 +114,7 @@ class GkmEdge:
 
     @classmethod
     def from_json_obj(cls, obj) -> "GkmEdge":
+        _check_keys(obj, "edge", ("a", "b", "weight"))
         return cls(obj["a"], obj["b"], Character.from_json_obj(obj["weight"]))
 
 
@@ -122,6 +137,11 @@ class GkmDatum:
         seen = set(self.points)
         if len(seen) != len(self.points):
             raise GkmValidationError("duplicate fixed-point names")
+        if self.ordering is not None and len(self.ordering) != self.rank:
+            raise GkmValidationError(
+                f"ordering covector 'lambda' has length {len(self.ordering)}, "
+                f"but the datum has rank {self.rank}"
+            )
         for e in self.edges:
             if e.a == e.b:
                 raise GkmValidationError(f"edge endpoints must differ ({e.a})")
@@ -152,6 +172,7 @@ class GkmDatum:
 
     @classmethod
     def from_json_obj(cls, obj) -> "GkmDatum":
+        _check_keys(obj, "datum", ("rank", "points", "edges"), ("surfaces", "lambda"))
         return cls(
             rank=int(obj["rank"]),
             points=tuple(obj["points"]),

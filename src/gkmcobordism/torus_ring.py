@@ -439,7 +439,8 @@ class TorusRing:
 
         Returns (quotient, None), or (None, report) when f is not divisible;
         the report is reduce_mod(f, chi, 1), and it fails exactly when f is
-        refused.  The one-factor case of clear_denominators.
+        refused.  Raises ValueError when the quotient would be known through
+        no degree.  The one-factor case of clear_denominators.
         """
         result = self.clear_denominators(LocalizedElement(f, (self._char(chi),)))
         if result.ok:
@@ -465,14 +466,17 @@ class TorusRing:
         order of reduce_mod; if it fails only at order, it is divided one
         order lower) and is divided by s_j - y; the result times each unit
         (L / e(L)) / chi_j is converted back once.  On failure the
-        obstruction is reduce_mod of the partial quotient, back in t.
+        obstruction is reduce_mod of the partial quotient, back in t.  A
+        quotient that would be known through no degree (its order would be
+        negative) raises ValueError instead of claiming zero at order 0.
         """
         f = elem.numerator
         if f.rank != self.rank:
             raise ValueError("series rank does not match the ring rank")
         if not elem.denominator:
             return ClearResult(f, f.order)
-        g = self._convert(f, "exp", min(f.order, self.order))
+        known = min(f.order, self.order)
+        g = self._convert(f, "exp", known)
         units = []
         for ch in elem.denominator:
             ch = self._char(ch)
@@ -484,6 +488,11 @@ class TorusRing:
                 report = self.reduce_mod(f, ch, 1)
                 return ClearResult(None, report.certified_order, obstruction=(ch, report))
             top = g.order if rest.is_zero_through(g.order) else g.order - 1
+            if top < 1:
+                raise ValueError(
+                    f"a numerator known through degree {known} divided by "
+                    f"{len(elem.denominator)} Chern factors determines no degree of the quotient"
+                )
             g = g.divide_linear(pivot, table, top - 1)
             units.append(self._division_unit(ch))
         series = self._from_log_times(g, units)

@@ -216,3 +216,71 @@ def test_mult_subvariety_cli(tmp_path, capsys):
     assert code == 0
     obj = json.loads((tmp_path / "out.json").read_text())
     assert set(obj) == {"x12", "x13"}
+
+
+def test_mult_fiber_sum_refuses_an_order_that_determines_no_degree(capsys):
+    # six Chern factors over a numerator known through degree 4 leave no
+    # degree of the quotient known
+    code = main(
+        [
+            "mult",
+            "fiber-sum",
+            str(DATA / "ig25_x4tilde.json"),
+            "--ambient",
+            str(DATA / "ig25_tangent.json"),
+            "--point",
+            "x12",
+            "--order",
+            "4",
+            "--format",
+            "json",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "known through degree 4" in captured.err and "6 Chern factors" in captured.err
+
+
+def _ig25_datum_obj(tmp_path, capsys) -> dict:
+    datum_path = tmp_path / "ig25.json"
+    run(capsys, "horo", "build", "--family", "3", "--n", "2", "--m", "2", "-o", str(datum_path))
+    return json.loads(datum_path.read_text())
+
+
+def _congruences_of(tmp_path, capsys, obj):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    code = main(["gkm", "congruences", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    return code, captured.err
+
+
+def test_gkm_datum_with_an_unknown_key_is_rejected(tmp_path, capsys):
+    obj = _ig25_datum_obj(tmp_path, capsys)
+    obj["surface"] = obj.pop("surfaces")
+    code, err = _congruences_of(tmp_path, capsys, obj)
+    assert code == 2
+    assert "'surface'" in err
+
+
+def test_gkm_edge_and_surface_with_unknown_keys_are_rejected(tmp_path, capsys):
+    obj = _ig25_datum_obj(tmp_path, capsys)
+    obj["edges"][0]["weigth"] = obj["edges"][0]["weight"]
+    code, err = _congruences_of(tmp_path, capsys, obj)
+    assert code == 2
+    assert "edge" in err and "'weigth'" in err
+    obj = _ig25_datum_obj(tmp_path, capsys)
+    obj["surfaces"][0]["index"] = 1
+    code, err = _congruences_of(tmp_path, capsys, obj)
+    assert code == 2
+    assert "surface" in err and "'index'" in err
+
+
+def test_gkm_ordering_covector_of_the_wrong_length_is_rejected(tmp_path, capsys):
+    obj = _ig25_datum_obj(tmp_path, capsys)
+    assert obj["rank"] == 2
+    obj["lambda"] = ["2", "1", "0"]
+    code, err = _congruences_of(tmp_path, capsys, obj)
+    assert code == 2
+    assert "length 3" in err and "rank 2" in err

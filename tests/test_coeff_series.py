@@ -14,6 +14,9 @@ from gkmcobordism.coeff_series import (
     series_inverse,
 )
 
+from gkmcobordism.fgl import FormalGroupLaw
+from gkmcobordism.torus_ring import TorusRing
+
 from conftest import divided_by_variable, random_series
 
 LC = LazardCoefficient
@@ -261,7 +264,7 @@ coefficients = st.dictionaries(m_monomials, rationals, max_size=3).map(
 
 
 @st.composite
-def series(draw, rank, order):
+def series(draw, rank, order, coefficients=coefficients):
     exponents = st.tuples(*[st.integers(0, order)] * rank)
     drawn = draw(st.dictionaries(exponents, coefficients, max_size=8))
     terms = {k: c for k, c in drawn.items() if sum(k) <= order and not c.is_zero()}
@@ -316,6 +319,66 @@ def test_coefficient_product_matches_reference(x, y, cancel):
     expected = reference_product(TS(1, 0, {(0,): x}), TS(1, 0, {(0,): y}))
     assert product.terms == expected.get((0,), {})
     assert all(q for q in product.terms.values())
+
+
+# -- interned m-monomials: large exponents, many generators, any order --------
+
+big_m_monomials = st.dictionaries(st.integers(1, 12), st.integers(1, 400), min_size=1, max_size=4).map(
+    lambda d: tuple(sorted(d.items()))
+)
+
+
+@st.composite
+def big_coefficients(draw):
+    """A coefficient over large-exponent m-monomials, stored in a drawn
+    order, which is the order in which a product first interns them."""
+    monomials = draw(st.lists(big_m_monomials, min_size=1, max_size=3, unique=True))
+    monomials = draw(st.permutations(monomials))
+    values = draw(st.lists(rationals.filter(bool), min_size=len(monomials), max_size=len(monomials)))
+    return LC(dict(zip(monomials, values)))
+
+
+def intern_decoys(data):
+    """Let unrelated monomials, and their pairwise products, reach the
+    intern table first."""
+    decoys = data.draw(st.lists(big_m_monomials, max_size=6))
+    LC({m: QQ(1) for m in decoys}) * LC({m: QQ(1) for m in reversed(decoys)})
+
+
+def test_large_exponent_coefficient_product():
+    x = LC({((1, 300), (7, 2)): QQ(1), ((12, 1),): QQ(1, 2)})
+    y = LC({((1, 5),): QQ(1), ((7, 1),): QQ(-1)})
+    assert (x * y).terms == {
+        ((1, 305), (7, 2)): QQ(1),
+        ((1, 300), (7, 3)): QQ(-1),
+        ((1, 5), (12, 1)): QQ(1, 2),
+        ((7, 1), (12, 1)): QQ(-1, 2),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_of_late_interned_monomials_match_reference(data):
+    intern_decoys(data)
+    rank = data.draw(st.integers(1, 3))
+    a = data.draw(series(rank, data.draw(st.integers(0, 4)), big_coefficients()))
+    b = data.draw(series(rank, data.draw(st.integers(0, 4)), big_coefficients()))
+    product = a * b
+    assert {k: c.terms for k, c in product.terms.items()} == reference_product(a, b)
+    assert_product_invariants(product, a, b)
+    x, y = data.draw(big_coefficients()), data.draw(big_coefficients())
+    expected = reference_product(TS(1, 0, {(0,): x}), TS(1, 0, {(0,): y}))
+    assert (x * y).terms == expected.get((0,), {})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_log_coordinates_round_trip_with_large_monomials(data):
+    intern_decoys(data)
+    rank = data.draw(st.integers(1, 2))
+    ring = TorusRing(FormalGroupLaw.universal(data.draw(st.integers(1, 4))), rank)
+    f = data.draw(series(rank, ring.order, big_coefficients()))
+    assert ring.from_log(ring.to_log(f)) == f
 
 
 def test_specialize_series():

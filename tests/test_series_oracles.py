@@ -92,7 +92,8 @@ def shear_divide(ring, f, chi):
     nonzero below min(f.order, ring order); when it is nonzero only at that
     top degree, f truncated one order lower is divided.  Otherwise h times
     the inverse of the sheared unit chern(chi)(t_j + phi) / t_j, sheared
-    back, is the quotient.
+    back, is the quotient.  A quotient known through no degree (f known
+    only through degree 0) raises ValueError.
     """
     pivot, phi = fixed_point_phi(ring, Character(chi))
     shear = TS.variable(pivot, ring.rank, f.order) + phi.truncated(f.order)
@@ -101,9 +102,9 @@ def shear_divide(ring, f, chi):
     stuck = TS(ring.rank, order, {k: c for k, c in sheared.terms.items() if not k[pivot]})
     if not stuck.is_zero_through(order - 1):
         return None
+    if order == 0:
+        raise ValueError("the quotient is known through no degree")
     if not stuck.is_zero():
-        if order == 0:
-            return TS.zero(ring.rank, 0)
         return shear_divide(ring, f.truncated(order - 1), chi)
     h = divided_by_variable(sheared, pivot)
     unit = ring.chern(chi).substitute(pivot, TS.variable(pivot, ring.rank, ring.order) + phi)
@@ -352,15 +353,33 @@ def division_cases(draw, max_factors=3):
     return ring, f, chars
 
 
+NO_DEGREE = "refused: the quotient would be known through no degree"
+
+
+def outcome(division, *args):
+    """division(*args), or NO_DEGREE when it refuses a quotient known
+    through no degree."""
+    try:
+        return division(*args)
+    except ValueError as exc:
+        if "no degree" not in str(exc):
+            raise
+        return NO_DEGREE
+
+
 @settings(max_examples=120, deadline=None)
 @given(division_cases(max_factors=1))
-# nonzero on the hyperplane only at the top degree 1: the quotient is known
-# through no degree, and rows above the top degree must not enter it
+# nonzero on the hyperplane only at the top degree 1: the quotient would be
+# known through no degree, so both divisions refuse it
 @example((TorusRing(FormalGroupLaw.universal(1), 3), TS.variable(0, 3, 1), [(1, 0, 1)]))
 def test_divide_exact_matches_the_shear_division(case):
     ring, f, chars = case
+    expected = outcome(shear_clear, ring, f, chars)
+    if expected == NO_DEGREE:
+        assert outcome(ring.divide_exact, f, chars[0]) == NO_DEGREE
+        return
     quotient, report = ring.divide_exact(f, chars[0])
-    expected, expected_report = shear_clear(ring, f, chars)
+    expected, expected_report = expected
     assert quotient == expected
     if expected is None:
         assert report.to_json_obj() == expected_report
@@ -372,8 +391,13 @@ def test_divide_exact_matches_the_shear_division(case):
 @given(division_cases())
 def test_clear_denominators_matches_iterated_shear_division(case):
     ring, f, chars = case
-    result = ring.clear_denominators(LocalizedElement(f, tuple(Character(c) for c in chars)))
-    expected, expected_report = shear_clear(ring, f, sorted(chars))
+    elem = LocalizedElement(f, tuple(Character(c) for c in chars))
+    expected = outcome(shear_clear, ring, f, sorted(chars))
+    if expected == NO_DEGREE:
+        assert outcome(ring.clear_denominators, elem) == NO_DEGREE
+        return
+    result = ring.clear_denominators(elem)
+    expected, expected_report = expected
     assert result.series == expected
     if expected is None:
         _, report = result.obstruction
