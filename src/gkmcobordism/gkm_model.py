@@ -51,6 +51,46 @@ def _check_keys(obj, what: str, required: tuple, optional: tuple = ()) -> None:
         raise GkmValidationError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_rational(value) -> bool:
+    """A JSON rational: an integer, or a string such as "3/4"."""
+    return _is_str(value) or _is_int(value)
+
+
+def _list_of(item_ok):
+    return lambda value: isinstance(value, list) and all(item_ok(v) for v in value)
+
+
+_RATIONALS = (_list_of(_is_rational), "a list of rationals (integers or strings like \"1/2\")")
+_STRINGS = (_list_of(_is_str), "a list of strings")
+_LIST = (lambda value: isinstance(value, list), "a list")
+_INT = (_is_int, "an integer")
+_STR = (_is_str, "a string")
+
+
+def _checked(obj, key: str, what: str, check, default=None):
+    """obj[key] if it has the JSON type of check = (predicate, description);
+    default when key is absent.  A value of another type raises
+    GkmValidationError: it would otherwise fail deep inside the engine."""
+    if key not in obj:
+        return default
+    value = obj[key]
+    ok, expected = check
+    if not ok(value):
+        text = json.dumps(value)
+        if len(text) > 40:
+            text = text[:37] + "..."
+        raise GkmValidationError(f"{what} {key!r} must be {expected}, got {text}")
+    return value
+
+
 @dataclass(frozen=True)
 class SurfaceComponent:
     """A surface in the fixed locus of a codimension-one subtorus.
@@ -95,11 +135,11 @@ class SurfaceComponent:
     def from_json_obj(cls, obj) -> "SurfaceComponent":
         _check_keys(obj, "surface", ("kind", "points", "alpha"), ("n", "model"))
         return cls(
-            kind=obj["kind"],
-            points=tuple(obj["points"]),
-            alpha=Character.from_json_obj(obj["alpha"]),
-            n=obj.get("n"),
-            model=obj.get("model"),
+            kind=_checked(obj, "kind", "surface", _STR),
+            points=tuple(_checked(obj, "points", "surface", _STRINGS)),
+            alpha=Character.from_json_obj(_checked(obj, "alpha", "surface", _RATIONALS)),
+            n=_checked(obj, "n", "surface", _INT),
+            model=_checked(obj, "model", "surface", _STR),
         )
 
 
@@ -115,7 +155,11 @@ class GkmEdge:
     @classmethod
     def from_json_obj(cls, obj) -> "GkmEdge":
         _check_keys(obj, "edge", ("a", "b", "weight"))
-        return cls(obj["a"], obj["b"], Character.from_json_obj(obj["weight"]))
+        return cls(
+            _checked(obj, "a", "edge", _STR),
+            _checked(obj, "b", "edge", _STR),
+            Character.from_json_obj(_checked(obj, "weight", "edge", _RATIONALS)),
+        )
 
 
 @dataclass
@@ -173,12 +217,16 @@ class GkmDatum:
     @classmethod
     def from_json_obj(cls, obj) -> "GkmDatum":
         _check_keys(obj, "datum", ("rank", "points", "edges"), ("surfaces", "lambda"))
+        ordering = _checked(obj, "lambda", "datum", _RATIONALS)
         return cls(
-            rank=int(obj["rank"]),
-            points=tuple(obj["points"]),
-            edges=tuple(GkmEdge.from_json_obj(e) for e in obj["edges"]),
-            surfaces=tuple(SurfaceComponent.from_json_obj(s) for s in obj.get("surfaces", [])),
-            ordering=tuple(obj["lambda"]) if "lambda" in obj else None,
+            rank=_checked(obj, "rank", "datum", _INT),
+            points=tuple(_checked(obj, "points", "datum", _STRINGS)),
+            edges=tuple(GkmEdge.from_json_obj(e) for e in _checked(obj, "edges", "datum", _LIST)),
+            surfaces=tuple(
+                SurfaceComponent.from_json_obj(s)
+                for s in _checked(obj, "surfaces", "datum", _LIST, default=[])
+            ),
+            ordering=None if ordering is None else tuple(ordering),
         )
 
     def dumps(self) -> str:

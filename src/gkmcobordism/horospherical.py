@@ -12,6 +12,13 @@ The surface kind is known for the families the classification pins down
 (none for family 1, a projective plane for family 3, the third Hirzebruch
 surface for family 5); family 4 finds a surface whose Hirzebruch index has
 no established rule and therefore needs an explicit override.
+
+The builder keeps every weight as an integer vector: labels, and the
+epsilon-coordinate numerators of WeylGroup.numerators.  Edge keys are
+directions of numerators, and the ordering covector is chosen and applied
+by integer inner products of numerators.  Rationals are built only for what
+the datum emits: the edge and surface characters and the covector lambda;
+the surface scan and chi work on the rational root-system constants.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent
 from .root_flag import (
     RootSystem,
     WeylGroup,
+    direction,
     enumerate_curves,
     inner,
     pairing,
@@ -190,7 +198,7 @@ def _family3_point_name(anchor, n: int, kernel: bool) -> str:
 
 def _point_tables(triple: PasquierTriple, rs: RootSystem, group: WeylGroup):
     """Both closed orbits' parabolics and name maps labels -> point name, plus
-    the weight of every point."""
+    the coset of every point."""
     iy, iz = triple.weight_indices()
     parabolic_y = frozenset(i for i in range(1, rs.rank + 1) if i != iy)
     parabolic_z = frozenset(i for i in range(1, rs.rank + 1) if i != iz)
@@ -206,9 +214,9 @@ def _point_tables(triple: PasquierTriple, rs: RootSystem, group: WeylGroup):
     name_z = namer("z", True)
     y_names = {c.labels: name_y(c) for c in cosets_y}
     z_names = {c.labels: name_z(c) for c in cosets_z}
-    weights = {y_names[c.labels]: c.anchor for c in cosets_y}
-    weights.update({z_names[c.labels]: c.anchor for c in cosets_z})
-    return parabolic_y, parabolic_z, y_names, z_names, weights
+    cosets = {y_names[c.labels]: c for c in cosets_y}
+    cosets.update({z_names[c.labels]: c for c in cosets_z})
+    return parabolic_y, parabolic_z, y_names, z_names, cosets
 
 
 def point_weights(triple: PasquierTriple) -> dict:
@@ -222,8 +230,8 @@ def point_weights(triple: PasquierTriple) -> dict:
     triple.validate()
     rs = triple.group()
     group = WeylGroup(rs)
-    *_, weights = _point_tables(triple, rs, group)
-    return {name: Character(anchor) for name, anchor in weights.items()}
+    *_, cosets = _point_tables(triple, rs, group)
+    return {name: Character(c.anchor) for name, c in cosets.items()}
 
 
 # Ordering covectors are tried as sum_k b^(k-1) omega_k for b = 1, 2, ...,
@@ -245,13 +253,19 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     rs = triple.group()
     iy, iz = triple.weight_indices()
     group = WeylGroup(rs)
-    omega_y = group.labels(rs.fundamental_weight(iy))
-    omega_z = group.labels(rs.fundamental_weight(iz))
-    parabolic_y, parabolic_z, y_names, z_names, weights = _point_tables(triple, rs, group)
+    unit = lambda i: tuple(int(j == i) for j in range(1, rs.rank + 1))
+    omega_y, omega_z = unit(iy), unit(iz)
+    parabolic_y, parabolic_z, y_names, z_names, cosets = _point_tables(triple, rs, group)
+    # Weights as integer numerators: every sign, order and direction below is
+    # that of the rational weight, which is a positive multiple.
+    numerators = {name: group.numerators(c.labels) for name, c in cosets.items()}
+
+    # One Character per positive root, shared by the edges and surfaces along it.
+    root_characters = [Character(root.vector) for root in group.roots]
 
     # Surface components, one per Weyl translate of the root along chi: the
     # orbit of (omega_Y, s omega_Y, omega_Z, s omega_Z, root) with s the
-    # reflection in the root.
+    # reflection in the root.  Each maps its point set to a root index.
     scan = surface_scan(triple)
     components = {}
     if scan.root is not None:
@@ -264,9 +278,9 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
                 f"{tuple(str(p) for p in scan.pairings)}, but no established rule gives its "
                 "Hirzebruch index; pass an explicit kind override to emit it"
             )
-        root0 = group.labels(scan.root.coords)
+        positive = {root.labels: k for k, root in enumerate(group.roots)}
+        root0 = next(r.labels for r in group.roots if r.vector == scan.root.coords)
         a, b = (int(p) for p in scan.pairings)
-        positive = {group.labels(r): r for r in rs.positive_roots}
         seed = (
             omega_y,
             tuple(x - a * r for x, r in zip(omega_y, root0)),
@@ -283,19 +297,22 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
                 raise GkmValidationError(
                     f"surface component has {len(key)} points but kind {kind} needs {expected}"
                 )
-            alpha = positive.get(root) or positive[tuple(-x for x in root)]
-            components[key] = Character(alpha)
+            k = positive.get(root)
+            components[key] = positive[tuple(-x for x in root)] if k is None else k
 
     # Joining lines: the orbit of (omega_Y, omega_Z), with weight w.chi.
     lines = [
-        (y_names[ya], z_names[za], group.vector(tuple(x - y for x, y in zip(ya, za))))
+        (y_names[ya], z_names[za], tuple(x - y for x, y in zip(ya, za)))
         for _, (ya, za) in group.orbit((omega_y, omega_z))
     ]
+    line_numerators = [group.numerators(w) for _, _, w in lines]
 
     for base in range(1, _COVECTOR_BASES + 1):
-        lam = group.vector(tuple(base**k for k in range(rs.rank)))
-        if all(inner(lam, w) for _, _, w in lines) and all(
-            len({inner(lam, weights[p]) for p in key}) == len(key) for key in components
+        lam = tuple(base**k for k in range(rs.rank))
+        lam_numerators = group.numerators(lam)
+        if all(inner(lam_numerators, w) for w in line_numerators) and all(
+            len({inner(lam_numerators, numerators[p]) for p in key}) == len(key)
+            for key in components
         ):
             break
     else:
@@ -304,13 +321,13 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
         )
 
     def lam_value(point):
-        return inner(lam, weights[point])
+        return inner(lam_numerators, numerators[point])
 
     surfaces = [
         SurfaceComponent(
             kind=kind,
             points=tuple(sorted(key, key=lam_value, reverse=True)),
-            alpha=components[key],
+            alpha=root_characters[components[key]],
             n=index_n,
             model=model,
         )
@@ -322,35 +339,39 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     # surface's chains): those joining two of its points with a weight
     # proportional to its alpha.
     absorbed = {
-        (a, b, s.alpha.primitive_direction())
-        for s in surfaces
-        for a, b in combinations(sorted(s.points), 2)
+        (a, b, group.roots[k].direction)
+        for key, k in components.items()
+        for a, b in combinations(sorted(key), 2)
     }
     edges = {}
 
-    def add_edge(pa, pb, weight: Character):
+    def add_edge(pa, pb, key_direction, weight: Character):
         a_, b_ = sorted((pa, pb))
-        key = (a_, b_, weight.primitive_direction())
+        key = (a_, b_, key_direction)
         if key not in absorbed and key not in edges:
             edges[key] = GkmEdge(a_, b_, weight)
 
     for parabolic, names in ((parabolic_y, y_names), (parabolic_z, z_names)):
         for curve in enumerate_curves(rs, parabolic, group):
-            add_edge(names[curve.u.labels], names[curve.v.labels], Character(curve.root))
+            k = curve.root_index
+            add_edge(
+                names[curve.u.labels],
+                names[curve.v.labels],
+                group.roots[k].direction,
+                root_characters[k],
+            )
 
-    for y, z, weight in lines:
-        line_weight = Character(weight)
-        if inner(lam, weight) < 0:
-            line_weight = -line_weight
-        add_edge(y, z, line_weight)
+    for (y, z, weight), numer in zip(lines, line_numerators):
+        if inner(lam_numerators, numer) < 0:
+            weight = tuple(-x for x in weight)
+        add_edge(y, z, direction(numer), Character(group.vector(weight)))
 
-    points = sorted(weights)
     datum = GkmDatum(
         rank=rs.dim,
-        points=tuple(points),
+        points=tuple(sorted(cosets)),
         edges=tuple(edges[k] for k in sorted(edges)),
         surfaces=tuple(surfaces),
-        ordering=tuple(lam),
+        ordering=group.vector(lam),
     )
     datum.validate()
     return datum

@@ -18,9 +18,17 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .coeff_series import TruncatedSeries
+from .gkm_model import _STR, _check_keys, _checked, _is_int, _is_rational, _list_of
 from .torus_ring import Character, ClearResult, LocalizedElement, TorusRing
 
 TAGS = ("tangent", "normal", "fiber")
+
+_is_characters = _list_of(_list_of(_is_rational))
+_WEIGHT_LISTS = (
+    lambda value: isinstance(value, dict) and all(map(_is_characters, value.values())),
+    "an object mapping each point to a list of characters",
+)
+_DIMENSION = (lambda value: value is None or _is_int(value), "an integer or null")
 
 
 @dataclass
@@ -69,13 +77,14 @@ class TangentData:
 
     @classmethod
     def from_json_obj(cls, obj) -> "TangentData":
+        _check_keys(obj, "weight file", ("weights",), ("kind", "dimension", "singular_point", "note"))
+        weights = _checked(obj, "weights", "weight file", _WEIGHT_LISTS)
         return cls(
             weights={
-                p: tuple(Character.from_json_obj(c) for c in chars)
-                for p, chars in obj["weights"].items()
+                p: tuple(Character.from_json_obj(c) for c in chars) for p, chars in weights.items()
             },
-            tag=obj.get("kind", "tangent"),
-            dimension=obj.get("dimension"),
+            tag=_checked(obj, "kind", "weight file", _STR, default="tangent"),
+            dimension=_checked(obj, "dimension", "weight file", _DIMENSION),
         )
 
 

@@ -8,13 +8,23 @@ built only on request.  Invariant curves in G/P_I connect fixed-point
 cosets swapped by a reflection and are found as the neighbours s_gamma u of
 each coset u; each curve carries the reflection root, the weight difference
 of its endpoints, and its degree over the one-dimensional Schubert classes.
+
+Weights stay integer vectors: labels, and epsilon-coordinate numerators
+over one common denominator per group (WeylGroup.numerators).  Each group
+tabulates its positive roots once as integers (WeylGroup.roots), so curve
+enumeration does no rational arithmetic.  Rationals remain where they are
+emitted or solved for: the root-system constants (roots, fundamental
+weights), coset anchors and FlagCurve roots, weights and degrees, and
+solve_linear.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .coeff_series import QQ, as_rational
 
@@ -38,8 +48,9 @@ def vscale(q, a: Vector) -> Vector:
     return tuple(q * x for x in a)
 
 
-def inner(a: Vector, b: Vector) -> QQ:
-    return sum((x * y for x, y in zip(a, b)), start=QQ(0))
+def inner(a: Vector, b: Vector):
+    """The Euclidean inner product: an int for integer vectors, exact always."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def pairing(alpha: Vector, lam: Vector) -> QQ:
@@ -47,7 +58,7 @@ def pairing(alpha: Vector, lam: Vector) -> QQ:
     norm = inner(alpha, alpha)
     if not norm:
         raise ValueError("pairing requires a nonzero root")
-    return 2 * inner(alpha, lam) / norm
+    return QQ(2 * inner(alpha, lam), norm)
 
 
 def reflect(alpha: Vector, v: Vector) -> Vector:
@@ -232,8 +243,12 @@ class RootSystem:
         return solve_linear(matrix, list(root))
 
 
+@lru_cache(maxsize=None)
 def root_system(label: str) -> RootSystem:
-    """Build a root system from a label like "G2", "C2", "B3", "F4", "A3"."""
+    """The root system of a label like "G2", "C2", "B3", "F4", "A3".
+
+    Built once per label: RootSystem is immutable, so every caller shares it.
+    """
     letter = label[0].upper()
     try:
         rank = int(label[1:])
@@ -280,14 +295,25 @@ class Coset:
         return f"{prefix}({''.join(str(i) for i in self.word)})"
 
 
+class PositiveRoot(NamedTuple):
+    """A positive root gamma with its integer data, tabulated once per group."""
+
+    vector: Vector  # gamma in epsilon-coordinates
+    labels: tuple  # <gamma, alpha_j^vee>, j = 1..rank
+    coroot: tuple  # <omega_j, gamma^vee>, so <v, gamma^vee> = coroot . labels(v)
+    direction: tuple  # direction(gamma), from its integer numerators
+
+
 class WeylGroup:
     """The Weyl group of a root system, acting on weights by their labels.
 
     A weight v is written by its labels l_j = <v, alpha_j^vee>.  The simple
     reflection s_i acts as l_j <- l_j - l_i <alpha_i, alpha_j^vee>, so on
     integral weights the group acts by integer arithmetic through the Cartan
-    matrix; epsilon-coordinate vectors are built only for the results.
-    Orbits, cosets and the full group are enumerated on demand.
+    matrix.  Its epsilon-coordinates are integer numerators over the common
+    denominator of the fundamental weights (numerators); rational vectors are
+    built only for the results (vector).  Orbits, cosets and the full group
+    are enumerated on demand.
     """
 
     def __init__(self, system: RootSystem):
@@ -305,8 +331,14 @@ class WeylGroup:
             tuple(int(w[k] * den) for w in system.fundamental_weights)
             for k in range(system.dim)
         )
+        self.roots = tuple(self._positive_root(gamma) for gamma in system.positive_roots)
         self._cosets = {}
         self._elements = None
+
+    def _positive_root(self, gamma: Vector) -> PositiveRoot:
+        labels = self.labels(gamma)
+        coroot = tuple(int(pairing(gamma, w)) for w in self.system.fundamental_weights)
+        return PositiveRoot(gamma, labels, coroot, direction(self.numerators(labels)))
 
     @property
     def order(self) -> int:
@@ -332,12 +364,18 @@ class WeylGroup:
             out.append(int(x))
         return tuple(out)
 
+    def numerators(self, labels) -> tuple:
+        """The epsilon-coordinates of sum_j labels_j omega_j, times _den.
+
+        Integers, proportional to the weight by a positive factor: signs of
+        pairings, their order and directions are those of the weight.
+        """
+        return tuple(sum(x * c for x, c in zip(labels, column)) for column in self._columns)
+
     def vector(self, labels) -> Vector:
         """The weight sum_j labels_j omega_j in epsilon-coordinates."""
-        return tuple(
-            QQ(sum(x * c for x, c in zip(labels, column)), self._den)
-            for column in self._columns
-        )
+        den = self._den
+        return tuple(QQ(n, den) for n in self.numerators(labels))
 
     def _reflect(self, labels: tuple, i: int) -> tuple:
         c = labels[i]
@@ -428,6 +466,7 @@ class FlagCurve:
     root: Vector  # positive root of the connecting reflection
     weight: Vector  # difference of the endpoint weights; a multiple of root
     degree: dict  # Schubert-class coefficients, keyed by simple index
+    root_index: int  # position of root in system.positive_roots and WeylGroup.roots
 
     @property
     def total_degree(self) -> QQ:
@@ -463,9 +502,12 @@ def enumerate_curves(system: RootSystem, parabolic, group: WeylGroup | None = No
     """All invariant curves of G/P_I with roots, weights and degrees.
 
     From the coset u = w.lambda, a positive root gamma with p = <u, gamma^vee>
-    nonzero gives the curve to s_gamma u = u - p gamma.  Its degree on
-    sigma(s_i) is |<w.omega_i, gamma^vee>|, which is curve_degree(w^-1 gamma)
-    by W-invariance.  Curves come sorted by the coset indices of (u, v).
+    nonzero gives the curve to s_gamma u = u - p gamma, whose weight is
+    p gamma.  Its degree on sigma(s_i) is |<w.omega_i, gamma^vee>|, which is
+    curve_degree(w^-1 gamma) by W-invariance.  The scan over (coset, root)
+    pairs is integer arithmetic on the group's root table; each distinct
+    weight and degree value is built once and shared between curves.  Curves
+    come sorted by the coset indices of (u, v).
     """
     group = group or WeylGroup(system)
     cosets, images = group._coset_orbit(parabolic)
@@ -473,24 +515,29 @@ def enumerate_curves(system: RootSystem, parabolic, group: WeylGroup | None = No
     if not outside:
         return []
     index = {c.labels: k for k, c in enumerate(cosets)}
-    # <v, gamma^vee> = sum_j c_j <v, alpha_j^vee> with c_j = <omega_j, gamma^vee>.
-    roots = []
-    for gamma in system.positive_roots:
-        coroot = tuple(int(pairing(gamma, w)) for w in system.fundamental_weights)
-        roots.append((gamma, group.labels(gamma), coroot))
+    weights = {}  # (root index, p) -> p gamma
+    values = {}  # |q| -> QQ(|q|)
     out = []
     for a, (u, omegas) in enumerate(zip(cosets, images)):
         found = []
-        for gamma, gamma_labels, coroot in roots:
+        for k, root in enumerate(group.roots):
+            # <v, gamma^vee> = sum_j c_j <v, alpha_j^vee> with c_j = <omega_j, gamma^vee>.
+            coroot = root.coroot
             parts = [sum(c * x for c, x in zip(coroot, labels)) for labels in omegas]
             p = sum(parts)
             if not p:
                 continue
-            b = index[tuple(x - p * g for x, g in zip(u.labels, gamma_labels))]
+            b = index[tuple(x - p * g for x, g in zip(u.labels, root.labels))]
             if b > a:
-                degree = {i: QQ(abs(q)) for i, q in zip(outside, parts) if q}
-                v = cosets[b]
-                found.append((b, FlagCurve(u, v, gamma, vsub(u.anchor, v.anchor), degree)))
+                weight = weights.get((k, p))
+                if weight is None:
+                    weight = weights[k, p] = vscale(p, root.vector)
+                degree = {}
+                for i, q in zip(outside, parts):
+                    if q:
+                        q = abs(q)
+                        degree[i] = values.get(q) or values.setdefault(q, QQ(q))
+                found.append((b, FlagCurve(u, cosets[b], root.vector, weight, degree, k)))
         found.sort(key=lambda item: item[0])
         out.extend(curve for _, curve in found)
     return out

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from gkmcobordism.cli import main
 from gkmcobordism.coeff_series import TruncatedSeries
 from gkmcobordism.fgl import FormalGroupLaw
@@ -284,3 +285,48 @@ def test_gkm_ordering_covector_of_the_wrong_length_is_rejected(tmp_path, capsys)
     code, err = _congruences_of(tmp_path, capsys, obj)
     assert code == 2
     assert "length 3" in err and "rank 2" in err
+
+
+def _set_lambda_null(obj):
+    obj["lambda"] = None
+
+
+def _set_points_number(obj):
+    obj["points"] = 5
+
+
+def _set_edge_weight_null(obj):
+    obj["edges"][0]["weight"] = None
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_lambda_null, "datum 'lambda' must be a list of rationals"),
+        (_set_points_number, "datum 'points' must be a list of strings, got 5"),
+        (_set_edge_weight_null, "edge 'weight' must be a list of rationals"),
+    ],
+    ids=("lambda-null", "points-number", "edge-weight-null"),
+)
+def test_gkm_datum_value_of_the_wrong_json_type_is_rejected(tmp_path, capsys, edit, message):
+    obj = _ig25_datum_obj(tmp_path, capsys)
+    edit(obj)
+    code, err = _congruences_of(tmp_path, capsys, obj)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
+def test_weight_file_keys_are_checked(tmp_path, capsys):
+    tangent = json.loads((DATA / "ig25_tangent.json").read_text())
+    path = tmp_path / "weights.json"
+    for edit, message in (
+        (lambda obj: obj.__setitem__("dimesion", obj.pop("dimension")), "unknown key(s) 'dimesion'"),
+        (lambda obj: obj.pop("weights"), "missing the key(s) 'weights'"),
+    ):
+        obj = json.loads(json.dumps(tangent))
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        code = main(["mult", "point-class", str(path), "--point", "x12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "weight file" in captured.err and message in captured.err

@@ -268,6 +268,19 @@ SWEEP_SHA256 = {
 }
 
 
+# Larger triples, checked for bytes only: their membership checks would add
+# seconds to the suite.
+LARGE_SWEEP = {
+    "b7-spinor": (dict(family=1, n=7), None),  # 576 points, 10080 edges
+    "c6-m3": (dict(family=3, n=6, m=3), None),  # 220 points, 2250 edges
+}
+
+LARGE_SWEEP_SHA256 = {
+    "b7-spinor": "b0a90b270244dc4ed81f990e137ed844fca6cc3a06a755cadf3107d3c3ed9f92",
+    "c6-m3": "1b2b1ad92edf273862171767ef0036533f924b3a4213cf6efe92bd0e4ddbaf93",
+}
+
+
 @pytest.fixture(scope="module", params=sorted(SWEEP))
 def swept(request):
     args, kind = SWEEP[request.param]
@@ -278,6 +291,13 @@ def swept(request):
 def test_sweep_datum_bytes(swept):
     name, _, datum = swept
     assert hashlib.sha256(datum.dumps().encode()).hexdigest() == SWEEP_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SWEEP))
+def test_large_sweep_datum_bytes(name):
+    args, kind = LARGE_SWEEP[name]
+    datum = build_gkm(PasquierTriple(**args), force_kind=kind)
+    assert hashlib.sha256(datum.dumps().encode()).hexdigest() == LARGE_SWEEP_SHA256[name]
 
 
 def test_sweep_hyperplane_tuple_is_member(swept):

@@ -1,4 +1,4 @@
-"""Byte-identity guard for the series commands.
+"""Byte-identity guard for the series and flag-curve commands.
 
 Each entry runs one `gkmcob` command at a small order and compares the sha256
 of its stdout with a digest recorded from the Horner-composition
@@ -7,7 +7,10 @@ implementation (Chern classes and pair tables composed through
 geometric series).  The failing certificates and the division remainder were
 recorded from the shear reduction (t_j -> phi substituted into each residual,
 by Horner), and the quotients of the dense-pivot divisions from the shear
-division (t_j -> t_j + phi and back).  Every series the engine builds is the
+division (t_j -> t_j + phi and back).  The `flag curves` outputs were
+recorded from curve enumeration with rational weight arithmetic (labels,
+coroots and endpoint differences computed on epsilon-coordinate vectors).
+Every series the engine builds is the
 unique exact truncation of a closed-form object, so a kernel rewrite must
 reproduce these bytes.
 `python tests/test_output_guard.py` prints the current digests.
@@ -55,6 +58,11 @@ COMMANDS = {
         "mult", "point-class", str(DATA / "ig25_tangent.json"), "--point", "x12",
         "--order", "5", "--format", "json",
     ),  # fmt: skip
+    # Curve weights and degrees reach users only through `flag curves`.
+    "flag-curves-F4-134": ("flag", "curves", "--type", "F4", "--parabolic", "1,3,4", "--format", "json"),
+    "flag-curves-F4-124": ("flag", "curves", "--type", "F4", "--parabolic", "1,2,4", "--format", "json"),
+    "flag-curves-C4-123": ("flag", "curves", "--type", "C4", "--parabolic", "1,2,3", "--format", "json"),
+    "flag-curves-B4-123": ("flag", "curves", "--type", "B4", "--parabolic", "1,2,3", "--format", "json"),
 }
 
 DIGESTS = {
@@ -67,6 +75,10 @@ DIGESTS = {
     "x4tilde-kt": "c649bf485d6dc7b54dafdaf94537801125ec3aa1567e11cf544ec58125f1334e",
     "x4tilde_star-universal": "0a3ccf12b197b8fdcfbe760b701d66f58ff4f4f6ca351b3a496078a902b408ac",
     "point-class": "791322a158a2bed131cf0b1ecb3a8492821f4a627a35d039803e85bb02972a0a",
+    "flag-curves-F4-134": "bde33ad65cfc857b31e66480c89f7cfe57e7956d720933ebd6c7911c608aaa8d",
+    "flag-curves-F4-124": "7a12d2c7561ca1d0c418988a3fcfa825bf8bf09964e5d0f45a173b020cb1cdb0",
+    "flag-curves-C4-123": "dff53ccf9ba94c718667c78c241917b7f85c114e41812547e22ea553ad73a3f6",
+    "flag-curves-B4-123": "0f3999d172d056fb33e3dba85fc55d18e8c184418abef6db420e7d69c7dec034",
     "ig25-hyperplane-tuple": "4eb78234bac7a9052d68709762aa5fd026d952db252cfc2ad8a31a5b6f6f2b65",
     "ig25-gkm-check": "e1ab0cef06fb9d0c134c74af1084e9137e3bde227a79e2e910b21899784f16ed",
     "ig25-corrupted-universal-json": "1f584cae10369d45bb5aaf5e6221db61028a2c10334536bf096cd0186e425edd",

@@ -1,7 +1,10 @@
 from collections import Counter
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from gkmcobordism.coeff_series import QQ
 
 from gkmcobordism.root_flag import (
@@ -11,6 +14,7 @@ from gkmcobordism.root_flag import (
     direction,
     enumerate_curves,
     enumerate_fixed_points,
+    inner,
     pairing,
     reflect,
     root_system,
@@ -187,7 +191,10 @@ def pair_scan_curves(system, parabolic, group):
             base = vscale(-1, base)
         assert base in system.positive_roots
         degree = curve_degree(system, base, parabolic)
-        out.append(FlagCurve(u=u, v=v, root=gamma, weight=delta, degree=degree))
+        index = system.positive_roots.index(gamma)
+        out.append(
+            FlagCurve(u=u, v=v, root=gamma, weight=delta, degree=degree, root_index=index)
+        )
     return out
 
 
@@ -237,3 +244,80 @@ def test_apply_word_matches_reflections():
             assert group.apply_word(word, v) == expected
     with pytest.raises(ValueError):
         WeylGroup(root_system("B2")).apply_word((0,), vec((1, 0)))
+
+
+# -- the integer weight path ------------------------------------------------------
+
+INTEGER_PATH_GROUPS = {label: WeylGroup(root_system(label)) for label in ("A3", "B4", "C4", "F4", "G2")}
+
+
+def rational_weight(system, labels):
+    """sum_j labels_j omega_j, summed over the rational fundamental weights."""
+    out = (QQ(0),) * system.dim
+    for x, omega in zip(labels, system.fundamental_weights):
+        out = tuple(a + x * w for a, w in zip(out, omega))
+    return out
+
+
+def rational_inner(a, b):
+    return sum((QQ(x) * QQ(y) for x, y in zip(a, b)), start=QQ(0))
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+@st.composite
+def labelled_weights(draw):
+    """A group, a covector and a few weights, all by integer labels."""
+    label = draw(st.sampled_from(sorted(INTEGER_PATH_GROUPS)))
+    rank = INTEGER_PATH_GROUPS[label].system.rank
+    labels = st.tuples(*[st.integers(-6, 6)] * rank)
+    return label, draw(labels), draw(st.lists(labels, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_weights())
+def test_integer_weight_path_matches_rationals(case):
+    label, covector, weights = case
+    group = INTEGER_PATH_GROUPS[label]
+    system = group.system
+    for labels in (covector, *weights):
+        numerators = group.numerators(labels)
+        assert all(type(n) is int for n in numerators)
+        # numerators over _den are the weight, and vector() is that quotient
+        reference = rational_weight(system, labels)
+        assert tuple(QQ(n, group._den) for n in numerators) == reference
+        assert group.vector(labels) == reference
+        if any(labels):
+            d = direction(numerators)
+            assert d == direction(reference)
+            # a primitive integer vector, first nonzero entry positive, along the weight
+            assert gcd(*d) == 1 and next(x for x in d if x) > 0
+            assert all(
+                d[i] * reference[j] == d[j] * reference[i]
+                for i, j in combinations(range(system.dim), 2)
+            )
+    # integer covector pairings: the signs and the order of the rational ones
+    lam = group.numerators(covector)
+    integer = [inner(lam, group.numerators(w)) for w in weights]
+    rational = [
+        rational_inner(rational_weight(system, covector), rational_weight(system, w))
+        for w in weights
+    ]
+    assert [sign(x) for x in integer] == [sign(x) for x in rational]
+    order = lambda values: sorted(range(len(values)), key=values.__getitem__)
+    assert order(integer) == order(rational)
+
+
+@pytest.mark.parametrize("label", sorted(INTEGER_PATH_GROUPS))
+def test_root_table_matches_rational_pairings(label):
+    group = INTEGER_PATH_GROUPS[label]
+    system = group.system
+    assert [root.vector for root in group.roots] == list(system.positive_roots)
+    for root in group.roots:
+        gamma = root.vector
+        assert root.labels == tuple(pairing(a, gamma) for a in system.simple_roots)
+        assert root.coroot == tuple(pairing(gamma, w) for w in system.fundamental_weights)
+        assert root.direction == direction(gamma)
+        assert group.numerators(root.labels) == tuple(x * group._den for x in gamma)
