@@ -120,9 +120,14 @@ def _load_tuple(path: str, rank: int, order: int) -> dict:
     """A tuple file is a flat mapping from point names to series objects."""
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise GkmValidationError("a tuple file must be a JSON object mapping point names to series")
     values = {}
     for point, series_obj in obj.items():
-        series = TruncatedSeries.from_json_obj(series_obj)
+        try:
+            series = TruncatedSeries.from_json_obj(series_obj)
+        except ValueError as exc:
+            raise GkmValidationError(f"tuple file, point {point!r}: {exc}") from None
         if series.rank != rank:
             raise GkmValidationError("tuple rank does not match the datum rank")
         values[point] = series.truncated(order)

@@ -3,8 +3,8 @@
 Coefficients live in Q[m1, m2, ...] where mk is the degree-(-k) logarithm
 generator.  Series live in Q[m.][[t1, ..., tr]] and are truncated at a fixed
 total degree in the t-variables only; the m-parts are exact polynomials.
-All arithmetic is exact rational (gmpy2 when installed, stdlib fractions
-otherwise); no floating point anywhere.
+All arithmetic is exact: rationals are fractions.Fraction, and the kernels
+below work on integers; no floating point anywhere.
 
 Products of series and of coefficients go through one integer kernel
 (`_product`).  Each operand is written once as integer numerators over one
@@ -19,24 +19,26 @@ So a product makes no rational and no tuple per multiply-add and takes no
 gcd inside its loop.
 sum_of_products runs several products, with rational scalars, into the same
 buckets, so a linear combination of products also builds each output
-coefficient once.  Chains of linear maps (separable substitutions
-t_i -> u_i(t_i), restriction to a hyperplane, division by a linear form,
-combinations) run on that integer form itself (Numerators) and build
-rationals only at their end.
+coefficient once.
+
+Every change of variables is Numerators.substitute: for f = sum_k t^k C_k,
+C_k free of the variable t, it forms sum_k C_k u_k in one kernel pass from a
+table of series u_k.  With u_k = u^k it substitutes t -> u (so also
+f(g) = compose_univariate); for a linear form y free of t, u_k = y^k
+restricts to the hyperplane t = y, k y^(k-1) gives the t-derivative there
+and (t^k - y^k)/(t - y) divides by t - y.  Chains of these maps and their
+combinations run on that integer form (Numerators) and build rationals only
+at their end.
 
 Multiplicative inverses use Newton iteration; compositional inverses a
-triangular solve against the powers of the series; compositions and
-substitutions share one Horner loop.
+triangular solve against the powers of the series.
 """
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction as QQ
 from math import lcm
-
-try:  # exact rationals: gmpy2 when available, stdlib fractions otherwise
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
 
 # A monomial in the m-generators: sorted tuple of (k, exponent), k >= 1.
 MKey = tuple
@@ -47,8 +49,9 @@ _MONE = ()  # the empty m-monomial (the rational 1)
 
 
 def as_rational(value) -> QQ:
-    """Coerce ints, strings like '3/4' and Fraction-alikes to mpq."""
-    if isinstance(value, type(QQ(0))):
+    """Coerce ints, strings like '3/4' and Fraction-alikes to QQ; floats
+    are refused."""
+    if isinstance(value, QQ):
         return value
     if isinstance(value, (int, str)):
         return QQ(value)
@@ -102,29 +105,6 @@ def _numerators(coeffs) -> tuple:
     """(den, rows): each m-monomial dict as a list of (mkey id, int) over one den."""
     den = lcm(*(q.denominator for c in coeffs for q in c.values()))
     rows = [[(_mid(m), q.numerator * (den // q.denominator)) for m, q in c.items()] for c in coeffs]
-    return den, rows
-
-
-def _packed_rows(series: list, order: int, powers: list) -> tuple:
-    """(den, [rows, ...]): the terms of each series through order as
-    _product rows, all numerators over one den, t-keys packed as
-    sum(e_i * powers[i])."""
-    kept = [
-        sorted((sum(k), k, c.terms) for k, c in f.terms.items() if sum(k) <= order)
-        for f in series
-    ]
-    den = lcm(*(q.denominator for f_rows in kept for _, _, c in f_rows for q in c.values()))
-    rows = [
-        [
-            (
-                d,
-                sum(e * p for e, p in zip(k, powers)),
-                [(_mid(m), q.numerator * (den // q.denominator)) for m, q in c.items()],
-            )
-            for d, k, c in f_rows
-        ]
-        for f_rows in kept
-    ]
     return den, rows
 
 
@@ -323,6 +303,68 @@ def _clean_insert(out: dict, key, coeff: LazardCoefficient):
             out[key] = cur
 
 
+# -- JSON boundary checks, shared by every reader of a JSON input ----------
+
+
+def _check_keys(obj, what: str, required: tuple, optional: tuple = ()) -> None:
+    """Reject a JSON object with a missing or an unknown key: a misspelt
+    optional key would otherwise drop its part of the input silently."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"{what} is missing the key(s) {', '.join(map(repr, missing))}")
+    unknown = len(obj) > len(required) and sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON integer; bool is not one
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_rational(value) -> bool:
+    """A JSON rational: an integer, or a string such as "3/4"."""
+    return _is_str(value) or _is_int(value)
+
+
+def _list_of(item_ok):
+    return lambda value: isinstance(value, list) and all(map(item_ok, value))
+
+
+_RATIONALS = (_list_of(_is_rational), "a list of rationals (integers or strings like \"1/2\")")
+_STRINGS = (_list_of(_is_str), "a list of strings")
+_LIST = (lambda value: isinstance(value, list), "a list")
+_INT = (_is_int, "an integer")
+_STR = (_is_str, "a string")
+_INTS = (_list_of(_is_int), "a list of integers")
+_M_PAIRS = (
+    _list_of(lambda pair: isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))),
+    "a list of [generator, exponent] integer pairs",
+)
+_RATIONAL = (_is_rational, 'an integer or a string like "3/4"')
+
+
+def _checked(obj, key: str, what: str, check, default=None):
+    """obj[key] if it has the JSON type of check = (predicate, description);
+    default when key is absent.  A value of another type raises
+    ValueError: it would otherwise fail deep inside the engine."""
+    if key not in obj:
+        return default
+    value = obj[key]
+    ok, expected = check
+    if not ok(value):
+        text = json.dumps(value)
+        if len(text) > 40:
+            text = text[:37] + "..."
+        raise ValueError(f"{what} {key!r} must be {expected}, got {text}")
+    return value
+
+
 class TruncatedSeries:
     """A power series in t1..tr over Q[m.], truncated at total t-degree `order`.
 
@@ -510,27 +552,12 @@ class TruncatedSeries:
             _clean_insert(out, key, c.scale(e))
         return TruncatedSeries(self.rank, max(self.order - 1, 0), out)
 
-    def split_by_variable(self, index: int):
-        """Write the series as sum_k t_index^k * C_k with C_k free of t_index."""
-        pieces = {}
-        for k, c in self.terms.items():
-            e = k[index]
-            rest = k[:index] + (0,) + k[index + 1 :]
-            pieces.setdefault(e, {})[rest] = c
-        return {
-            e: TruncatedSeries(self.rank, self.order, terms)
-            for e, terms in pieces.items()
-        }
-
     def substitute(self, index: int, replacement: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute t_{index+1} -> replacement (Horner in the chosen variable)."""
+        """Substitute t_{index+1} -> replacement, through the smaller order."""
         self._check_rank(replacement)
         order = min(self.order, replacement.order)
-        pieces = self.split_by_variable(index)
-        if not pieces:
-            return TruncatedSeries(self.rank, order)
-        pieces = {e: piece.truncated(order) for e, piece in pieces.items()}
-        return _horner(pieces, max(pieces), replacement, order)
+        table = pack_table(series_powers(replacement.truncated(order)), order + 1, order)
+        return Numerators.of(self, order + 1, order).substitute(index, table).series()
 
     def specialize(self, assignment) -> "TruncatedSeries":
         """Evaluate every mk at a rational; keeps the t-structure."""
@@ -558,21 +585,26 @@ class TruncatedSeries:
         return {"vars": self.rank, "order": self.order, "terms": terms}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "TruncatedSeries":
-        rank, order = int(obj["vars"]), int(obj["order"])
+    def from_json_obj(cls, obj) -> "TruncatedSeries":
+        """The series of a JSON object as to_json_obj writes it; a missing or
+        unknown key, a value of another JSON type or a malformed term raises
+        ValueError."""
+        _check_keys(obj, "series", ("vars", "order", "terms"))
+        rank, order = _checked(obj, "vars", "series", _INT), _checked(obj, "order", "series", _INT)
         out = {}
-        for term in obj["terms"]:
-            key = tuple(int(e) for e in term["t_exponents"])
+        for term in _checked(obj, "terms", "series", _LIST):
+            _check_keys(term, "series term", ("t_exponents", "m_exponents", "coeff"))
+            key = tuple(_checked(term, "t_exponents", "series term", _INTS))
             if len(key) != rank:
                 raise ValueError("t-exponent length does not match the variable count")
             if any(e < 0 for e in key):
                 raise ValueError("t-exponents must be non-negative")
             if sum(key) > order:
                 raise ValueError("a stored t-monomial exceeds the truncation order")
-            m = tuple(sorted((int(k), int(e)) for k, e in term["m_exponents"]))
-            if any(k < 1 or e < 1 for k, e in m):
+            m = tuple(sorted(map(tuple, _checked(term, "m_exponents", "series term", _M_PAIRS))))
+            if any(k < 1 or e < 1 for k, e in m) or len(dict(m)) != len(m):
                 raise ValueError("malformed m-monomial")
-            q = as_rational(term["coeff"])
+            q = as_rational(_checked(term, "coeff", "series term", _RATIONAL))
             if q:
                 _clean_insert(out, key, LazardCoefficient({m: q}))
         return cls(rank, order, out)
@@ -621,9 +653,8 @@ def sum_of_products(pairs: list, rank: int, order: int, scalars: list | None = N
     # A t-key packs into sum(e_i * base**i); below the order no exponent
     # reaches the base, so adding packed keys multiplies the monomials.
     base = order + 1
-    powers = [base**i for i in range(rank)]
-    den_a, rows_a = _packed_rows([a for a, _ in pairs], order, powers)
-    den_b, rows_b = _packed_rows([b for _, b in pairs], order, powers)
+    den_a, rows_a = pack_table([a for a, _ in pairs], base, order)
+    den_b, rows_b = pack_table([b for _, b in pairs], base, order)
     if scalars is not None:
         q = lcm(*(s.denominator for s in scalars))
         den_a *= q
@@ -674,9 +705,27 @@ def _degree(packed: int, base: int) -> int:
 
 
 def pack_table(series: list, base: int, order: int) -> tuple:
-    """(den, [rows, ...]): series of one rank as _product rows over one
-    common den, t-keys packed in `base` (which must exceed `order`)."""
-    return _packed_rows(series, order, [base**i for i in range(series[0].rank)])
+    """(den, [rows, ...]): the terms of each series (all of one rank) through
+    `order` as _product rows, all numerators over one den, t-keys packed as
+    sum(e_i * base**i); base must exceed order."""
+    powers = [base**i for i in range(series[0].rank if series else 0)]
+    kept = [
+        sorted((sum(k), k, c.terms) for k, c in f.terms.items() if sum(k) <= order)
+        for f in series
+    ]
+    den = lcm(*(q.denominator for f_rows in kept for _, _, c in f_rows for q in c.values()))
+    rows = [
+        [
+            (
+                d,
+                sum(e * p for e, p in zip(k, powers)),
+                [(_mid(m), q.numerator * (den // q.denominator)) for m, q in c.items()],
+            )
+            for d, k, c in f_rows
+        ]
+        for f_rows in kept
+    ]
+    return den, rows
 
 
 class Numerators:
@@ -685,8 +734,8 @@ class Numerators:
 
     rows lists (t-degree, packed t-key, [(mkey id, int), ...]) sorted by
     degree, with no zero numerator, as _product takes them; the ids are those
-    of the m-monomial intern table.  Substitutions, restrictions and
-    combinations run on the integers and carry the ids unchanged; rationals
+    of the m-monomial intern table.  Changes of variables and combinations
+    run on the integers and carry the ids unchanged; rationals
     and m-monomial tuples are built only when a result is turned back into a
     series.
     """
@@ -720,75 +769,31 @@ class Numerators:
     def is_zero_through(self, order: int) -> bool:
         return not self.rows or self.rows[0][0] > order
 
-    def substitute(self, index: int, table: tuple) -> "Numerators":
-        """t_{index+1} -> u(t_{index+1}) for a univariate u without constant
-        term, where table = (den, [rows of u^0, u^1, ...]) from pack_table,
-        u^k embedded in that variable, through at least self.order.
+    def substitute(self, index: int, table: tuple, order: int | None = None) -> "Numerators":
+        """sum_k C_k u_k through `order` (default self.order), where the
+        series is sum_k t^k C_k with t = t_{index+1} and C_k free of t, and
+        table = (den, [rows of u_0, u_1, ...]) as pack_table gives them in
+        this base, each u_k known through that order.  This is the one change of
+        variables: u_k = u^k substitutes t -> u; for a linear form y free of
+        t, u_k = y^k restricts to the hyperplane t = y, u_k = k y^(k-1) (one
+        order lower) gives the t-derivative there, and u_k = (t^k - y^k) /
+        (t - y) divides by t - y after subtracting the restriction.
 
-        The series is sum_k t^k C_k with C_k free of t, so the result is
-        sum_k C_k u^k: one kernel pass of outer products into shared buckets.
+        One kernel pass of outer products into shared buckets; each table
+        row is the left operand, so the inner loop runs over the series'
+        m-monomials.
         """
-        den_u, powers = table
+        den_u, rows = table
         weight = self.base**index
         parts: dict = {}
         for d, packed, row in self.rows:
             k = packed // weight % self.base
             parts.setdefault(k, []).append((d - k, packed - k * weight, row))
+        order = self.order if order is None else order
         buckets: dict = {}
         for k, part in parts.items():
-            _product(part, powers[k], self.order, buckets)
-        return Numerators._of_buckets(buckets, self, self.order, self.den * den_u)
-
-    def restrict(self, pivot: int, table: tuple, derivative: bool = False) -> "Numerators":
-        """f on the hyperplane t_pivot = y, or with derivative=True
-        df/dt_pivot there (exact one order lower), for a linear form y in the
-        other variables with rational coefficients, where table = (den,
-        [[(packed t-key, int), ...] for y^0, y^1, ...]) in this base.
-
-        A linear change of variables multiplies coefficients by rationals
-        only, so this is one pass of integer multiply-adds.
-        """
-        den_y, ys = table
-        weight = self.base**pivot
-        buckets: dict = {}
-        for _, packed, row in self.rows:
-            e = packed // weight % self.base
-            if derivative and not e:
-                continue
-            rest = packed - e * weight
-            factor, powers = (e, ys[e - 1]) if derivative else (1, ys[e])
-            for offset, y in powers:
-                y *= factor
-                bucket = buckets.setdefault(rest + offset, {})
-                for m, n in row:
-                    bucket[m] = bucket.get(m, 0) + y * n
-        order = max(self.order - 1, 0) if derivative else self.order
-        return Numerators._of_buckets(buckets, self, order, self.den * den_y)
-
-    def divide_linear(self, pivot: int, table: tuple, order: int) -> "Numerators":
-        """(f - f|_{t_pivot = y}) / (t_pivot - y) through `order` (below
-        self.order), for y and table as restrict takes them.
-
-        With f = sum_k t^k C_k, C_k free of t = t_pivot, this is the divided
-        difference sum_k C_k sum_{a<k} t^a y^(k-1-a), one pass of integer
-        multiply-adds; each term drops one degree.  When the restriction
-        vanishes through self.order, it is f / (t_pivot - y).
-        """
-        den_y, ys = table
-        weight = self.base**pivot
-        buckets: dict = {}
-        for d, packed, row in self.rows:
-            if d > order + 1:
-                break
-            e = packed // weight % self.base
-            rest = packed - e * weight
-            for a in range(e):
-                shift = rest + a * weight
-                for offset, y in ys[e - 1 - a]:
-                    bucket = buckets.setdefault(shift + offset, {})
-                    for m, n in row:
-                        bucket[m] = bucket.get(m, 0) + y * n
-        return Numerators._of_buckets(buckets, self, order, self.den * den_y)
+            _product(rows[k], part, order, buckets)
+        return Numerators._of_buckets(buckets, self, order, self.den * den_u)
 
     @staticmethod
     def combine(parts: list, order: int) -> "Numerators":
@@ -808,29 +813,13 @@ class Numerators:
         return Numerators._of_buckets(buckets, parts[0][1], order, den)
 
 
-def _horner(pieces: dict, top: int, x: TruncatedSeries, order: int) -> TruncatedSeries:
-    """sum_e pieces[e] * x^e by Horner from degree `top` down; the pieces are
-    series at `order`, and a missing degree is a zero piece."""
-    acc = TruncatedSeries.zero(x.rank, order)
-    for e in range(top, -1, -1):
-        acc = acc * x
-        piece = pieces.get(e)
-        if piece is not None:
-            acc = acc + piece
-    return acc
-
-
 def compose_univariate(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f(g) for univariate f and any series g with zero constant term."""
     if f.rank != 1:
         raise ValueError("outer series must be univariate")
     if not g.constant_term().is_zero():
         raise ValueError("inner series must have zero constant term")
-    order = min(f.order, g.order)
-    pieces = {
-        k: TruncatedSeries.constant(c, g.rank, order) for (k,), c in f.terms.items() if k <= order
-    }
-    return _horner(pieces, order, g, order)
+    return embed(f, 0, g.rank).substitute(0, g)
 
 
 def series_powers(f: TruncatedSeries) -> list:
@@ -887,10 +876,3 @@ def series_inverse(w: TruncatedSeries) -> TruncatedSeries:
         g = g.at_order(p)
         g = g + g * (TruncatedSeries.one(w.rank, p) - w.truncated(p) * g)
     return g
-
-
-def product(series_list, rank: int, order: int) -> TruncatedSeries:
-    acc = TruncatedSeries.one(rank, order)
-    for s in series_list:
-        acc = acc * s
-    return acc

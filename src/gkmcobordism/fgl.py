@@ -13,8 +13,10 @@ degree at a time.  Every series of the form g(sum_i chi_i l(t_i)) (Chern
 classes, [n]x, [1/m]x, the pair table F(u, v), rho of a Chern class) is
 a linear combination of rows of P in one variable and a sum of outer products
 of such combinations in several (exp_linear), with no composition into a
-multivariate series.  Composition (compose_univariate) remains for genuinely
-multivariate arguments: sum, inverse, multiple, divide and rho of a series.
+multivariate series; rho_series is rho_linear of the character (1,).
+Composition (compose_univariate, a substitution against the powers of the
+inner series) remains for arguments that are not such linear forms: sum,
+inverse, multiple, divide and rho of a series.
 
 Specializations assign rationals to the mk: the additive law sets all mk = 0,
 the multiplicative law with parameter b sets mk = b^k/(k+1), which collapses
@@ -250,22 +252,13 @@ class FormalGroupLaw:
         return cached
 
     def rho_series(self, n: int, m: int, order: int | None = None) -> TruncatedSeries:
-        """rho_{n/m} x = [n]([1/m]x)/x as a univariate series of degree zero."""
+        """rho_{n/m} x = [n]([1/m]x)/x as a univariate series of degree zero:
+        rho_linear of the character (1,), since x = e(l(x))."""
         if n == 0:
             raise ValueError("rho requires a nonzero numerator")
         if m < 1:
             raise ValueError("rho requires a positive denominator")
-        order = self.order if order is None else order
-        key = ("rho", n, m, order)
-        cached = self._univariate.get(key)
-        if cached is None:
-            # [n]([1/m]x) = e((n/m) l(x)) is divisible by x; build one order
-            # higher so the shifted quotient is exact through `order`.
-            g = self.exp_linear((QQ(n, m),), order + 1)
-            terms = {(k - 1,): c for (k,), c in g.terms.items()}
-            cached = TruncatedSeries(1, order, terms)
-            self._univariate[key] = cached
-        return cached
+        return self.rho_linear(n, m, (1,), order)
 
     # -- operations on series ---------------------------------------------------
 

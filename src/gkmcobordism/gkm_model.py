@@ -23,7 +23,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .coeff_series import QQ, TruncatedSeries, as_rational
+from .coeff_series import (
+    _INT,
+    _LIST,
+    _RATIONALS,
+    _STR,
+    _STRINGS,
+    QQ,
+    TruncatedSeries,
+    _check_keys,
+    _checked,
+    as_rational,
+)
 from .torus_ring import Character, RemainderReport, LocalizedElement, TorusRing
 
 P2_MODELS = ("V0V1", "V2")
@@ -36,59 +47,6 @@ class GkmValidationError(ValueError):
 
 class DecompositionError(ValueError):
     pass
-
-
-def _check_keys(obj, what: str, required: tuple, optional: tuple = ()) -> None:
-    """Reject a JSON object with a missing or an unknown key: a misspelt
-    optional key would otherwise drop its part of the datum silently."""
-    if not isinstance(obj, dict):
-        raise GkmValidationError(f"{what} must be a JSON object")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise GkmValidationError(f"{what} is missing the key(s) {', '.join(map(repr, missing))}")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise GkmValidationError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_rational(value) -> bool:
-    """A JSON rational: an integer, or a string such as "3/4"."""
-    return _is_str(value) or _is_int(value)
-
-
-def _list_of(item_ok):
-    return lambda value: isinstance(value, list) and all(item_ok(v) for v in value)
-
-
-_RATIONALS = (_list_of(_is_rational), "a list of rationals (integers or strings like \"1/2\")")
-_STRINGS = (_list_of(_is_str), "a list of strings")
-_LIST = (lambda value: isinstance(value, list), "a list")
-_INT = (_is_int, "an integer")
-_STR = (_is_str, "a string")
-
-
-def _checked(obj, key: str, what: str, check, default=None):
-    """obj[key] if it has the JSON type of check = (predicate, description);
-    default when key is absent.  A value of another type raises
-    GkmValidationError: it would otherwise fail deep inside the engine."""
-    if key not in obj:
-        return default
-    value = obj[key]
-    ok, expected = check
-    if not ok(value):
-        text = json.dumps(value)
-        if len(text) > 40:
-            text = text[:37] + "..."
-        raise GkmValidationError(f"{what} {key!r} must be {expected}, got {text}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -186,6 +144,7 @@ class GkmDatum:
                 f"ordering covector 'lambda' has length {len(self.ordering)}, "
                 f"but the datum has rank {self.rank}"
             )
+        by_pair: dict = {}
         for e in self.edges:
             if e.a == e.b:
                 raise GkmValidationError(f"edge endpoints must differ ({e.a})")
@@ -195,6 +154,17 @@ class GkmDatum:
                 raise GkmValidationError("edge weight must be nonzero")
             if e.weight.rank != self.rank:
                 raise GkmValidationError("edge weight rank mismatch")
+            by_pair.setdefault((e.a, e.b) if e.a < e.b else (e.b, e.a), []).append(e.weight)
+        # two edges on one pair of points are one curve when their weights
+        # span one line; directions are computed only for shared pairs
+        for (a, b), weights in by_pair.items():
+            if len(weights) > 1:
+                lines = [w.primitive_direction() for w in weights]
+                for line in lines:
+                    if lines.count(line) > 1:
+                        raise GkmValidationError(
+                            f"duplicate edge between {a} and {b}: two weights on the line {line}"
+                        )
         for s in self.surfaces:
             s.validate()
             if s.alpha.rank != self.rank:

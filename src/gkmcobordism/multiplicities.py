@@ -17,8 +17,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .coeff_series import TruncatedSeries
-from .gkm_model import _STR, _check_keys, _checked, _is_int, _is_rational, _list_of
+from .coeff_series import _STR, TruncatedSeries, _check_keys, _checked, _is_int, _is_rational, _list_of
 from .torus_ring import Character, ClearResult, LocalizedElement, TorusRing
 
 TAGS = ("tangent", "normal", "fiber")

@@ -18,16 +18,18 @@ its restrictions.  Only a failing remainder is converted back, with the
 powers of l; in t it is the series on the zero locus t_j = phi, phi = e(y)
 with s_i = l(t_i).
 
-Division by chern(chi) is division by the linear form s_j - y (a divided
-difference on the same table of powers of y) and by the unit; clearing the
-denominators of a LocalizedElement converts its numerator once, divides by
-every factor in s and converts back once.
+Division by chern(chi) is division by the linear form s_j - y and by the
+unit; clearing the denominators of a LocalizedElement converts its numerator
+once, divides by every factor in s and converts back once.  Conversion,
+restriction, the s_j-derivative on the hyperplane and division by s_j - y
+are all Numerators.substitute, with the tables e^k or l^k, y^k, k y^(k-1) and
+(s_j^k - y^k)/(s_j - y); each hyperplane table is built from series_powers
+of y on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .coeff_series import (
     QQ,
@@ -187,6 +189,11 @@ class ClearResult:
         return self.series is not None
 
 
+def _pivot(line: tuple) -> int:
+    """The pivot of a line's hyperplane: the index of its first nonzero entry."""
+    return next(i for i, c in enumerate(line) if c)
+
+
 def _den_multiset(chars) -> dict:
     out: dict = {}
     for ch in chars:
@@ -299,27 +306,40 @@ class TorusRing:
 
     # -- the zero locus of a Chern class -------------------------------------
 
-    def _hyperplane(self, line: tuple) -> tuple:
-        """Pivot j (the first nonzero entry) and the table of y^0, ...,
-        y^(order + 1) for y = -sum_{i != j} (line_i/line_j) s_i, s_j = y on
-        the line's hyperplane, as Numerators.restrict takes it."""
-        cached = self._hyperplanes.get(line)
+    def _hyperplane(self, line: tuple, kind: str) -> tuple:
+        """The pack_table for Numerators.substitute in s_j, j = _pivot(line),
+        on the line's hyperplane s_j = y, y = -sum_{i != j} (line_i/line_j)
+        s_i: u_k = y^k gives the value there ("value"), u_k = k y^(k-1) the
+        s_j-derivative ("slope"), u_k = (s_j^k - y^k)/(s_j - y) the division
+        by s_j - y ("quotient"); k runs through order + 1.  Built on first use.
+
+        The powers of y come from series_powers; the other two tables are
+        read off its rows over the same denominator: q_k = s_j q_(k-1) +
+        y^(k-1), where multiplying by s_j adds s_j's packed key."""
+        key = (line, kind)
+        cached = self._hyperplanes.get(key)
         if cached is None:
-            pivot = next(i for i, c in enumerate(line) if c)
-            scale = -1 / QQ(line[pivot])
-            y = {self._base**i: scale * c for i, c in enumerate(line) if c and i != pivot}
-            powers = [{0: QQ(1)}]
-            for _ in range(self.order + 1):
-                step: dict = {}
-                for k, a in powers[-1].items():
-                    for one, c in y.items():
-                        step[k + one] = step.get(k + one, 0) + a * c
-                powers.append(step)
-            den = lcm(*(q.denominator for row in powers for q in row.values()))
-            table = [
-                [(k, q.numerator * (den // q.denominator)) for k, q in row.items()] for row in powers
-            ]
-            cached = self._hyperplanes[line] = (pivot, (den, table))
+            pivot, top = _pivot(line), self.order + 1
+            if kind == "value":
+                scale = QQ(-1, line[pivot])
+                terms = {
+                    tuple(int(i == j) for j in range(self.rank)): LazardCoefficient.rational(scale * c)
+                    for i, c in enumerate(line)
+                    if c and i != pivot
+                }
+                ys = series_powers(TruncatedSeries(self.rank, top, terms))
+                cached = pack_table(ys, self._base, top)
+            else:
+                den, ys = self._hyperplane(line, "value")
+                s_j = self._base**pivot  # the packed key of s_j
+                rows = [[]]
+                for k in range(1, top + 1):
+                    if kind == "slope":
+                        rows.append([(d, p, [(m, k * n) for m, n in row]) for d, p, row in ys[k - 1]])
+                    else:
+                        rows.append([(d + 1, p + s_j, row) for d, p, row in rows[-1]] + ys[k - 1])
+                cached = (den, rows)
+            self._hyperplanes[key] = cached
         return cached
 
     def _slope_unit(self, line: tuple, order: int) -> TruncatedSeries:
@@ -329,26 +349,29 @@ class TorusRing:
         cached = self._slope_units.get(key)
         if cached is None:
             unit = series_inverse(self.law.exp_series(order + 1).partial(0))
-            pivot, table = self._hyperplane(line)
+            pivot = _pivot(line)
             packed = Numerators.of(embed(unit, pivot, self.rank), self._base)
-            cached = self._slope_units[key] = packed.restrict(pivot, table).series()
+            table = self._hyperplane(line, "value")
+            cached = self._slope_units[key] = packed.substitute(pivot, table).series()
         return cached
 
     def _restricted(
-        self, cache: dict, point, f: TruncatedSeries, line: tuple, order: int, derivative: bool
+        self, cache: dict, point, f: TruncatedSeries, line: tuple, order: int, kind: str
     ) -> Numerators:
-        """g, or dg/ds_j, on the line's hyperplane for g = f in logarithmic
-        coordinates through `order`, as Numerators; the conversion and the
-        restrictions are kept in `cache`."""
+        """g on the line's hyperplane ("value"), or dg/ds_j there ("slope",
+        one order lower), for g = f in logarithmic coordinates through
+        `order`, as Numerators; the conversion and the restrictions are kept
+        in `cache`."""
         key = (point, order)
         g = cache.get(key)
         if g is None:
             g = cache[key] = self._convert(f, "exp", order)
-        key = (point, order, line, derivative)
+        key = (point, order, line, kind)
         restricted = cache.get(key)
         if restricted is None:
-            pivot, table = self._hyperplane(line)
-            restricted = cache[key] = g.restrict(pivot, table, derivative)
+            top = g.order if kind == "value" else max(g.order - 1, 0)
+            table = self._hyperplane(line, kind)
+            restricted = cache[key] = g.substitute(_pivot(line), table, top)
         return restricted
 
     def reduce_combination(
@@ -383,7 +406,7 @@ class TorusRing:
         if cache is None:
             cache = {}
         line = chi.primitive_direction()
-        pivot, _ = self._hyperplane(line)
+        pivot = _pivot(line)
         order = min(values[point].order for point, _, _ in weights)
         if any(rho is not None for _, _, rho in weights):
             order = min(order, self.order)  # rho factors are truncated at the ring order
@@ -396,11 +419,11 @@ class TorusRing:
             f = values[point]
             # the derivative through the ring order needs the value one order up
             args = (cache, point, f, line, min(f.order, self.order + power - 1))
-            value = self._restricted(*args, derivative=False)
+            value = self._restricted(*args, "value")
             q = QQ(sign) if rho is None else sign * QQ(*rho)
             value_parts.append((q, value))
             if power == 2:
-                slope_parts.append((q, self._restricted(*args, derivative=True)))
+                slope_parts.append((q, self._restricted(*args, "slope")))
                 if rho is not None:
                     dh = self.law.rho_slope(*rho).scale(sign * chi.coords[pivot])
                     slope_parts.append((dh, value))
@@ -452,7 +475,7 @@ class TorusRing:
         through the ring order - 1 (as far as quotients go), cached."""
         cached = self._units.get(chi.coords)
         if cached is None:
-            pivot, _ = self._hyperplane(chi.primitive_direction())
+            pivot = _pivot(chi.primitive_direction())
             unit = self.law.unit_of_linear_form(chi.coords, self.order - 1)
             cached = self._units[chi.coords] = unit.scale(1 / chi.coords[pivot])
         return cached
@@ -480,8 +503,9 @@ class TorusRing:
         units = []
         for ch in elem.denominator:
             ch = self._char(ch)
-            pivot, table = self._hyperplane(ch.primitive_direction())
-            rest = g.restrict(pivot, table)
+            line = ch.primitive_direction()
+            pivot = _pivot(line)
+            rest = g.substitute(pivot, self._hyperplane(line, "value"))
             if not rest.is_zero_through(g.order - 1):
                 if units:
                     f = self._from_log_times(g, units)
@@ -493,7 +517,7 @@ class TorusRing:
                     f"a numerator known through degree {known} divided by "
                     f"{len(elem.denominator)} Chern factors determines no degree of the quotient"
                 )
-            g = g.divide_linear(pivot, table, top - 1)
+            g = g.substitute(pivot, self._hyperplane(line, "quotient"), top - 1)
             units.append(self._division_unit(ch))
         series = self._from_log_times(g, units)
         return ClearResult(series, series.order)

@@ -47,6 +47,27 @@ def divided_by_variable(f, index):
     return TruncatedSeries(f.rank, max(f.order - 1, 0), terms)
 
 
+def horner_substitute(f, index, replacement):
+    """f with t_{index+1} -> replacement, through the smaller order, by
+    Horner's rule in that variable from series products and sums only."""
+    order = min(f.order, replacement.order)
+    pieces = {}
+    for k, c in f.terms.items():
+        if sum(k) <= order:
+            pieces.setdefault(k[index], {})[k[:index] + (0,) + k[index + 1 :]] = c
+    x = replacement.truncated(order)
+    acc = TruncatedSeries.zero(f.rank, order)
+    for e in range(max(pieces, default=0), -1, -1):
+        acc = acc * x + TruncatedSeries(f.rank, order, pieces.get(e, {}))
+    return acc
+
+
+def horner_compose(f, g):
+    """f(g) for a univariate f, by horner_substitute."""
+    terms = {(k,) + (0,) * (g.rank - 1): c for (k,), c in f.terms.items()}
+    return horner_substitute(TruncatedSeries(g.rank, f.order, terms), 0, g)
+
+
 def random_character(rng, rank, max_denominator=2):
     while True:
         coords = tuple(

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -330,3 +331,50 @@ def test_weight_file_keys_are_checked(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and "weight file" in captured.err and message in captured.err
+
+
+def _check_tuple(tmp_path, capsys, tuple_obj):
+    datum_path = tmp_path / "ig25.json"
+    run(capsys, "horo", "build", "--family", "3", "--n", "2", "--m", "2", "-o", str(datum_path))
+    tuple_path = tmp_path / "tuple.json"
+    tuple_path.write_text(json.dumps(tuple_obj))
+    code = main(["gkm", "check", str(datum_path), str(tuple_path), "--order", "4"])
+    captured = capsys.readouterr()
+    return code, captured
+
+
+def _constant_series_obj(coeff):
+    term = {"t_exponents": [0, 0], "m_exponents": [], "coeff": coeff}
+    return {"vars": 2, "order": 4, "terms": [term]}
+
+
+@pytest.mark.parametrize(
+    "tuple_obj, message",
+    [
+        ({"x12": None}, "tuple file, point 'x12': series must be a JSON object"),
+        ([_constant_series_obj("1")], "tuple file must be a JSON object"),
+        ({"x12": _constant_series_obj(0.5)}, "series term 'coeff' must be an integer or a string"),
+    ],
+    ids=("null-value", "list", "float-coefficient"),
+)
+def test_gkm_check_malformed_tuple_file_is_rejected(tmp_path, capsys, tuple_obj, message):
+    code, captured = _check_tuple(tmp_path, capsys, tuple_obj)
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_gkm_datum_with_a_duplicate_edge_is_rejected(tmp_path, capsys):
+    obj = _ig25_datum_obj(tmp_path, capsys)
+    edge = obj["edges"][0]
+    doubled = [str(2 * Fraction(c)) for c in edge["weight"]]
+    obj["edges"].append({"a": edge["b"], "b": edge["a"], "weight": doubled})
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(obj))
+    tuple_path = tmp_path / "tuple.json"
+    tuple_path.write_text(json.dumps({}))
+    code = main(["gkm", "check", str(path), str(tuple_path), "--order", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    a, b = sorted((edge["a"], edge["b"]))
+    assert f"duplicate edge between {a} and {b}" in captured.err

@@ -219,6 +219,32 @@ def test_json_rejects_malformed_terms():
         TS.from_json_obj(bad_m)
 
 
+def _one_term(**fields):
+    term = dict({"t_exponents": [1, 0], "m_exponents": [], "coeff": 1}, **fields)
+    return {"vars": 2, "order": 3, "terms": [term]}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (None, "series must be a JSON object"),
+        ({"vars": 2, "order": 3}, "series is missing the key(s) 'terms'"),
+        ({"vars": 2, "order": 3, "terms": [], "rank": 2}, "series has unknown key(s) 'rank'"),
+        ({"vars": "2", "order": 3, "terms": []}, "series 'vars' must be an integer"),
+        ({"vars": 2, "order": 3, "terms": {}}, "series 'terms' must be a list"),
+        ({"vars": 2, "order": 3, "terms": [[1, 0]]}, "series term must be a JSON object"),
+        (_one_term(coeff=0.5), "series term 'coeff' must be an integer or a string"),
+        (_one_term(m_exponents=[1]), "'m_exponents' must be a list of [generator, exponent]"),
+        (_one_term(t_exponents=[1, True]), "series term 't_exponents' must be a list of integers"),
+        (_one_term(m_exponents=[[1, 1], [1, 2]]), "malformed m-monomial"),
+    ],
+)
+def test_json_rejects_keys_and_types_outside_the_format(obj, message):
+    with pytest.raises(ValueError) as excinfo:
+        TS.from_json_obj(obj)
+    assert message in str(excinfo.value)
+
+
 def test_json_skips_zero_coefficients():
     obj = {
         "vars": 2,

@@ -86,6 +86,16 @@ def test_datum_validation():
         SurfaceComponent("Fn", ("w", "x", "y", "z"), ALPHA).validate()  # missing n
 
 
+def test_duplicate_edges_are_rejected():
+    # (1, 0) and (-2, 0) span one line, in either endpoint order
+    duplicate = (GkmEdge("a", "b", C(1, 0)), GkmEdge("b", "a", C(-2, 0)))
+    with pytest.raises(GkmValidationError, match="duplicate edge between a and b"):
+        GkmDatum(rank=2, points=("a", "b"), edges=duplicate).validate()
+    # two curves through one pair of points with independent weights are kept
+    two_lines = (GkmEdge("a", "b", C(1, 0)), GkmEdge("a", "b", C(1, 1)))
+    GkmDatum(rank=2, points=("a", "b"), edges=two_lines).validate()
+
+
 def test_constant_tuples_are_members(ring):
     for surface in KINDS[:3]:
         datum = surface_datum(surface)

@@ -2,14 +2,18 @@
 
 Each entry runs one `gkmcob` command at a small order and compares the sha256
 of its stdout with a digest recorded from the Horner-composition
-implementation (Chern classes and pair tables composed through
+implementation (Chern classes and pair tables composed by a Horner loop in
 `compose_univariate`, pivots solved by fixed-point sweeps, inverses by
 geometric series).  The failing certificates and the division remainder were
 recorded from the shear reduction (t_j -> phi substituted into each residual,
 by Horner), and the quotients of the dense-pivot divisions from the shear
-division (t_j -> t_j + phi and back).  The `flag curves` outputs were
-recorded from curve enumeration with rational weight arithmetic (labels,
-coroots and endpoint differences computed on epsilon-coordinate vectors).
+division (t_j -> t_j + phi and back).  The engine now runs every one of
+these changes of variables (composition, substitution, restriction to the
+pivot's hyperplane and division by a linear form) through
+`Numerators.substitute`, against power tables; the digests are unchanged.
+The `flag curves` outputs were recorded from curve enumeration with rational
+weight arithmetic (labels, coroots and endpoint differences computed on
+epsilon-coordinate vectors).
 Every series the engine builds is the
 unique exact truncation of a closed-form object, so a kernel rewrite must
 reproduce these bytes.

@@ -11,7 +11,10 @@ Chern classes composed by Horner, pivots solved by fixed-point sweeps, the
 exponential solved one composition per degree, inverses by geometric series,
 reduction by substituting the pivot solution into the residual and its
 pivot derivative (the shear reduction), and exact division by the shear
-t_j -> t_j + phi, which splits off the quotient.
+t_j -> t_j + phi, which splits off the quotient.  The references compose and
+substitute by a schoolbook Horner rule made of series products and sums
+(conftest.horner_substitute), not by the engine's change-of-variables
+routine, which a property test checks against that rule.
 """
 
 from fractions import Fraction
@@ -38,7 +41,7 @@ from gkmcobordism.gkm_model import (
 )
 from gkmcobordism.torus_ring import Character, LocalizedElement, RemainderReport, TorusRing
 
-from conftest import divided_by_variable
+from conftest import divided_by_variable, horner_compose, horner_substitute
 
 LC = LazardCoefficient
 TS = TruncatedSeries
@@ -55,7 +58,7 @@ def horner_chern(law, chi, order):
         if c:
             for (k,), coeff in log.terms.items():
                 terms[tuple(k if j == i else 0 for j in range(rank))] = coeff.scale(c)
-    return compose_univariate(law.exp_series(order), TS(rank, order, terms))
+    return horner_compose(law.exp_series(order), TS(rank, order, terms))
 
 
 def fixed_point_phi(ring, chi):
@@ -71,7 +74,7 @@ def fixed_point_phi(ring, chi):
     }
     phi = TS(ring.rank, ring.order, linear)
     for _ in range(ring.order - 1):
-        phi = phi + u.substitute(pivot, phi).scale(scale)
+        phi = phi + horner_substitute(u, pivot, phi).scale(scale)
     return pivot, phi
 
 
@@ -79,9 +82,9 @@ def shear_reduce_mod(ring, f, chi, power):
     """(pivot, components, certified order) of f modulo chern(chi)^power:
     f and, for power 2, its pivot derivative, with t_j -> phi substituted."""
     pivot, phi = fixed_point_phi(ring, Character(chi))
-    components = [f.substitute(pivot, phi)]
+    components = [horner_substitute(f, pivot, phi)]
     if power == 2:
-        components.append(f.partial(pivot).substitute(pivot, phi))
+        components.append(horner_substitute(f.partial(pivot), pivot, phi))
     return pivot, components, min(f.order, ring.order) - power
 
 
@@ -97,7 +100,7 @@ def shear_divide(ring, f, chi):
     """
     pivot, phi = fixed_point_phi(ring, Character(chi))
     shear = TS.variable(pivot, ring.rank, f.order) + phi.truncated(f.order)
-    sheared = f.substitute(pivot, shear)
+    sheared = horner_substitute(f, pivot, shear)
     order = sheared.order
     stuck = TS(ring.rank, order, {k: c for k, c in sheared.terms.items() if not k[pivot]})
     if not stuck.is_zero_through(order - 1):
@@ -107,10 +110,11 @@ def shear_divide(ring, f, chi):
     if not stuck.is_zero():
         return shear_divide(ring, f.truncated(order - 1), chi)
     h = divided_by_variable(sheared, pivot)
-    unit = ring.chern(chi).substitute(pivot, TS.variable(pivot, ring.rank, ring.order) + phi)
+    shift = TS.variable(pivot, ring.rank, ring.order) + phi
+    unit = horner_substitute(ring.chern(chi), pivot, shift)
     quotient = h * series_inverse(divided_by_variable(unit, pivot))
     unshear = TS.variable(pivot, ring.rank, quotient.order) - phi.truncated(quotient.order)
-    return quotient.substitute(pivot, unshear)
+    return horner_substitute(quotient, pivot, unshear)
 
 
 def shear_clear(ring, f, chars):
@@ -134,7 +138,7 @@ def degreewise_inverse(f):
     inv = {1: LC.rational(1 / c1)}
     for n in range(2, f.order + 1):
         partial = TS(1, n, {(k,): c for k, c in inv.items() if k <= n})
-        defect = compose_univariate(partial, f.truncated(n)).coefficient((n,))
+        defect = horner_compose(partial, f.truncated(n)).coefficient((n,))
         if not defect.is_zero():
             inv[n] = defect.scale(-(QQ(1) / c1**n))
     return TS(1, f.order, {(k,): c for k, c in inv.items()})
@@ -263,8 +267,8 @@ def test_log_powers_and_pair_table_match_direct_composition():
     for a, row in enumerate(law.log_powers()):
         assert row == log**a
     u, v = TS.variable(0, 2, 7), TS.variable(1, 2, 7)
-    lu, lv = compose_univariate(log, u), compose_univariate(log, v)
-    assert law.pair_table() == compose_univariate(law.exp_series(), lu + lv)
+    lu, lv = horner_compose(log, u), horner_compose(log, v)
+    assert law.pair_table() == horner_compose(law.exp_series(), lu + lv)
 
 
 def test_universal_chern_is_a_homomorphism_at_rank_3():
@@ -294,6 +298,20 @@ def series(draw, rank, order):
     return TS(rank, order, {k: c for k, c in drawn.items() if sum(k) <= order and not c.is_zero()})
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 6), st.booleans(), st.data())
+def test_substitute_and_compose_match_schoolbook_horner(rank, order, constant, data):
+    f = data.draw(series(rank, order))
+    replacement = data.draw(series(rank, data.draw(st.integers(0, 6))))
+    if not constant:
+        replacement = replacement - replacement.constant_term()
+    index = data.draw(st.integers(0, rank - 1))
+    assert f.substitute(index, replacement) == horner_substitute(f, index, replacement)
+    outer = data.draw(series(1, order))
+    inner = replacement - replacement.constant_term()
+    assert compose_univariate(outer, inner) == horner_compose(outer, inner)
+
+
 @settings(max_examples=50, deadline=None)
 @given(law_and_character(), st.data())
 def test_log_coordinates_round_trip(case, data):
@@ -307,7 +325,7 @@ def test_log_coordinates_round_trip(case, data):
     linear = TS(ring.rank, law.order, {
         tuple(int(i == j) for j in range(ring.rank)): LC.rational(c) for i, c in enumerate(chi) if c
     })  # fmt: skip
-    assert ring.to_log(ring.chern(chi)) == compose_univariate(law.exp_series(), linear)
+    assert ring.to_log(ring.chern(chi)) == horner_compose(law.exp_series(), linear)
 
 
 def assert_reports_agree(report, reference):
