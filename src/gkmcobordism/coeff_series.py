@@ -3,32 +3,37 @@
 Coefficients live in Q[m1, m2, ...] where mk is the degree-(-k) logarithm
 generator.  Series live in Q[m.][[t1, ..., tr]] and are truncated at a fixed
 total degree in the t-variables only; the m-parts are exact polynomials.
-All arithmetic is exact: rationals are fractions.Fraction, and the kernels
-below work on integers; no floating point anywhere.
+All arithmetic is exact and runs on integers; no floating point anywhere.
 
-Products of series and of coefficients go through one integer kernel
-(`_product`).  Each operand is written once as integer numerators over one
-common denominator, the lcm of its coefficient denominators; the kernel
-sums int * int products into one bucket per (t-monomial, m-monomial), with
-the t-monomials packed into integers so that multiplying monomials is an
-integer addition, and the m-monomials interned as small integer ids so that
-multiplying them is a lookup in a table row (filled on first use); each
-output coefficient is built once as QQ(numerator, den_a * den_b), with its
-m-monomial ids decoded back to tuples, and zero sums are dropped at the end.
-So a product makes no rational and no tuple per multiply-add and takes no
-gcd inside its loop.
+A TruncatedSeries stores one form: integer numerators over one positive
+denominator `den`.  `rows` maps each t-monomial, packed into an integer, to
+its coefficient {m-monomial id: numerator}.  With b = _bits(order) bits per
+exponent, t^e packs to sum_i e_i << b*i plus the total degree sum_i e_i at
+bit b*rank; below the order no exponent overflows its field, so adding keys
+multiplies monomials, and sorting keys sorts by degree first.  The
+m-monomials are interned as small integer ids, and multiplying two is a
+lookup in a table row (filled on first use).  The form is canonical: no zero
+numerator, no empty row, keys ascending, and gcd(den, numerators) = 1, so den
+is the lcm of the reduced coefficient denominators and == compares the
+stored form.
+
+Every product runs through one integer kernel (`_product`), which sums
+int * int products into one bucket per (t-monomial, m-monomial) and takes no
+gcd inside its loop; the gcd is divided out once per result.
 sum_of_products runs several products, with rational scalars, into the same
-buckets, so a linear combination of products also builds each output
-coefficient once.
+buckets, so a linear combination of products is one kernel pass.
 
-Every change of variables is Numerators.substitute: for f = sum_k t^k C_k,
-C_k free of the variable t, it forms sum_k C_k u_k in one kernel pass from a
-table of series u_k.  With u_k = u^k it substitutes t -> u (so also
-f(g) = compose_univariate); for a linear form y free of t, u_k = y^k
-restricts to the hyperplane t = y, k y^(k-1) gives the t-derivative there
-and (t^k - y^k)/(t - y) divides by t - y.  Chains of these maps and their
-combinations run on that integer form (Numerators) and build rationals only
-at their end.
+Every change of variables is TruncatedSeries.substitute: for
+f = sum_k t^k C_k, C_k free of the variable t, it forms sum_k C_k u_k in one
+kernel pass from a table of series u_k.  With u_k = u^k it substitutes
+t -> u (so also f(g) = compose_univariate); for a linear form y free of t,
+u_k = y^k restricts to the hyperplane t = y, k y^(k-1) gives the
+t-derivative there and (t^k - y^k)/(t - y) divides by t - y.
+
+Fractions and LazardCoefficient values are built only at the boundary of a
+series: the dict constructor reads them, and the `terms` view,
+coefficient/constant_term, to_json_obj/from_json_obj, render and specialize
+build them.
 
 Multiplicative inverses use Newton iteration; compositional inverses a
 triangular solve against the powers of the series.
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction as QQ
-from math import lcm
+from math import gcd, lcm
 
 # A monomial in the m-generators: sorted tuple of (k, exponent), k >= 1.
 MKey = tuple
@@ -65,11 +70,11 @@ def m_degree(mkey: MKey) -> int:
     return -sum(k * e for k, e in mkey)
 
 
-# The intern table of m-monomials, which the kernel and Numerators key their
-# coefficients by: _MKEYS[i] is the MKey with id i, _MIDS maps it back, and
-# _TIMES[i] is the product row of id i, {id j: id of mkey i * mkey j}.  The
-# table grows by one entry per distinct monomial and per distinct multiplied
-# pair, and is never cleared: ids stay valid for the life of the process.
+# The intern table of m-monomials, which series key their coefficients by:
+# _MKEYS[i] is the MKey with id i, _MIDS maps it back, and _TIMES[i] is the
+# product row of id i, {id j: id of mkey i * mkey j}.  The table grows by one
+# entry per distinct monomial and per distinct multiplied pair, and is never
+# cleared: ids stay valid for the life of the process.
 _MKEYS: list = []
 _MIDS: dict = {}
 _TIMES: list = []
@@ -101,29 +106,42 @@ def _mid(mkey: MKey) -> int:
     return i
 
 
-def _numerators(coeffs) -> tuple:
-    """(den, rows): each m-monomial dict as a list of (mkey id, int) over one den."""
-    den = lcm(*(q.denominator for c in coeffs for q in c.values()))
-    rows = [[(_mid(m), q.numerator * (den // q.denominator)) for m, q in c.items()] for c in coeffs]
-    return den, rows
+def _bits(order: int) -> int:
+    """Bits per exponent in the packed t-monomials of a series of this order:
+    more than any exponent reaches, and at least 4, so that nearby orders
+    share one packing."""
+    return max(order.bit_length(), 4)
 
 
-def _product(a: list, b: list, order: int, buckets: dict | None = None) -> dict:
+def _pack(exponents: TKey, bits: int) -> int:
+    key = sum(exponents) << bits * len(exponents)
+    for i, e in enumerate(exponents):
+        key |= e << bits * i
+    return key
+
+
+def _unpack(key: int, rank: int, bits: int) -> TKey:
+    mask = (1 << bits) - 1
+    return tuple(key >> bits * i & mask for i in range(rank))
+
+
+def _product(a, b, shift: int, order: int, buckets: dict) -> dict:
     """The integer kernel behind every product.
 
-    a and b are lists of (t-degree, packed t-key, [(mkey id, int), ...])
-    sorted by t-degree, each with its numerators over one denominator.  Adds
-    the numerators of a * b through total degree `order`, over the product
-    of the two denominators, into `buckets` ({packed t-key: {mkey id: int}},
-    a new dict by default) and returns it; a sum may be zero.
+    a and b iterate over (packed t-key, {mkey id: int}) in ascending key
+    order, packed alike with the degree at bit `shift`.  Adds the products of
+    their numerators through total degree `order` into `buckets`
+    ({packed t-key: {mkey id: int}}) and returns it; a sum may be zero.
     """
-    if buckets is None:
-        buckets = {}
     times = _TIMES
-    for da, pa, ca in a:
-        room = order - da
-        for db, pb, cb in b:
-            if db > room:
+    top = order + 1 << shift
+    for pa, ca in a:
+        limit = top - (pa >> shift << shift)  # b's keys of degree <= order - deg(pa)
+        if limit <= 0:
+            break
+        ca = ca.items()
+        for pb, cb in b:
+            if pb >= limit:
                 break
             key = pa + pb
             bucket = buckets.get(key)
@@ -131,28 +149,29 @@ def _product(a: list, b: list, order: int, buckets: dict | None = None) -> dict:
                 bucket = buckets[key] = {}
             for ma, na in ca:
                 row = times[ma]
-                for mb, nb in cb:
+                for mb, nb in cb.items():
                     m = row[mb]
                     bucket[m] = bucket.get(m, 0) + na * nb
     return buckets
 
 
-def _rationals(bucket: dict, den: int) -> dict:
-    """{mkey: QQ(num, den)} for the nonzero sums of a kernel bucket."""
+def _coefficient(row: dict, den: int) -> "LazardCoefficient":
+    """The LazardCoefficient of a stored row over den."""
     mkeys = _MKEYS
-    return {mkeys[m]: QQ(n, den) for m, n in bucket.items() if n}
+    return LazardCoefficient({mkeys[m]: QQ(n, den) for m, n in row.items()})
 
 
 class LazardCoefficient:
     """A sparse polynomial in the logarithm generators m1, m2, ... over Q.
 
-    Zero coefficients are never stored; all rationals are kept exact.
+    Zero coefficients are never stored (the constructor drops them); all
+    rationals are kept exact.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = terms or {}
+        self.terms = {m: q for m, q in terms.items() if q} if terms else {}
 
     @classmethod
     def zero(cls) -> "LazardCoefficient":
@@ -231,10 +250,8 @@ class LazardCoefficient:
     def __mul__(self, other) -> "LazardCoefficient":
         if not isinstance(other, LazardCoefficient):
             return self.scale(other)
-        den_a, (ca,) = _numerators([self.terms])
-        den_b, (cb,) = _numerators([other.terms])
-        buckets = _product([(0, 0, ca)], [(0, 0, cb)], 0)
-        return LazardCoefficient(_rationals(buckets.get(0, {}), den_a * den_b))
+        product = TruncatedSeries.constant(self, 1, 0) * TruncatedSeries.constant(other, 1, 0)
+        return product.constant_term()
 
     def __rmul__(self, other) -> "LazardCoefficient":
         return self.scale(other)
@@ -288,19 +305,6 @@ class LazardCoefficient:
 
     def to_json_terms(self) -> list:
         return [[[list(ke) for ke in m], str(c)] for m, c in self.sorted_terms()]
-
-
-def _clean_insert(out: dict, key, coeff: LazardCoefficient):
-    cur = out.get(key)
-    if cur is None:
-        if not coeff.is_zero():
-            out[key] = coeff
-    else:
-        cur = cur + coeff
-        if cur.is_zero():
-            del out[key]
-        else:
-            out[key] = cur
 
 
 # -- JSON boundary checks, shared by every reader of a JSON input ----------
@@ -368,19 +372,49 @@ def _checked(obj, key: str, what: str, check, default=None):
 class TruncatedSeries:
     """A power series in t1..tr over Q[m.], truncated at total t-degree `order`.
 
-    Immutable by convention: no method mutates `terms` after construction.
+    Stored as integer numerators over one denominator (see the module
+    docstring); immutable by convention: no method mutates `den` or `rows`
+    after construction, so results may share row dicts.
     """
 
-    __slots__ = ("rank", "order", "terms")
+    __slots__ = ("rank", "order", "den", "rows")
 
     def __init__(self, rank: int, order: int, terms: dict | None = None):
+        """The series sum_k c_k t^k of terms {k: c_k}, k an exponent tuple
+        and c_k a LazardCoefficient.  Zero coefficients are dropped; a key of
+        the wrong length, a negative exponent or a degree above the order
+        raises ValueError."""
         if rank < 1:
             raise ValueError("variable count must be >= 1")
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        self.rank = rank
-        self.order = order
-        self.terms = terms or {}
+        bits = _bits(order)
+        coeffs = {}
+        for k, c in (terms or {}).items():
+            k = tuple(k)
+            if len(k) != rank:
+                raise ValueError("t-exponent length does not match the variable count")
+            if any(e < 0 for e in k):
+                raise ValueError("t-exponents must be non-negative")
+            if sum(k) > order:
+                raise ValueError("a stored t-monomial exceeds the truncation order")
+            if c.terms:
+                coeffs[_pack(k, bits)] = c.terms
+        # over the lcm of the reduced denominators the numerators have no
+        # common factor with it, so the form is canonical as built
+        den = lcm(*(q.denominator for c in coeffs.values() for q in c.values()))
+        self.rank, self.order, self.den = rank, order, den
+        self.rows = {
+            key: {_mid(m): q.numerator * (den // q.denominator) for m, q in coeffs[key].items()}
+            for key in sorted(coeffs)
+        }
+
+    @classmethod
+    def _of(cls, rank: int, order: int, den: int, rows: dict) -> "TruncatedSeries":
+        """A series from its canonical stored form, packed for `order`."""
+        out = object.__new__(cls)
+        out.rank, out.order, out.den, out.rows = rank, order, den, rows
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -392,8 +426,6 @@ class TruncatedSeries:
     def constant(cls, coeff, rank: int, order: int) -> "TruncatedSeries":
         if not isinstance(coeff, LazardCoefficient):
             coeff = LazardCoefficient.rational(coeff)
-        if coeff.is_zero():
-            return cls(rank, order)
         return cls(rank, order, {(0,) * rank: coeff})
 
     @classmethod
@@ -417,36 +449,49 @@ class TruncatedSeries:
             raise ValueError("exponent tuple length must equal the variable count")
         if not isinstance(coeff, LazardCoefficient):
             coeff = LazardCoefficient.rational(coeff)
-        if coeff.is_zero() or sum(exponents) > order:
+        if sum(exponents) > order:
             return cls(rank, order)
         return cls(rank, order, {exponents: coeff})
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{t-exponent tuple: LazardCoefficient}: a read view, built on each call."""
+        rank, bits, den = self.rank, _bits(self.order), self.den
+        return {_unpack(key, rank, bits): _coefficient(row, den) for key, row in self.rows.items()}
+
     def coefficient(self, exponents) -> LazardCoefficient:
-        return self.terms.get(tuple(exponents), LazardCoefficient.zero())
+        exponents = tuple(exponents)
+        if len(exponents) != self.rank or min(exponents) < 0 or sum(exponents) > self.order:
+            return LazardCoefficient.zero()
+        row = self.rows.get(_pack(exponents, _bits(self.order)))
+        return LazardCoefficient.zero() if row is None else _coefficient(row, self.den)
 
     def constant_term(self) -> LazardCoefficient:
-        return self.coefficient((0,) * self.rank)
+        row = self.rows.get(0)
+        return LazardCoefficient.zero() if row is None else _coefficient(row, self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def is_zero_through(self, order: int) -> bool:
-        return all(sum(k) > order for k in self.terms)
+        t_order = self.t_order()
+        return t_order is None or t_order > order
 
     def t_order(self):
         """Minimal total t-degree of a stored term, or None for the zero series."""
-        if not self.terms:
+        if not self.rows:
             return None
-        return min(sum(k) for k in self.terms)
+        return next(iter(self.rows)) >> _bits(self.order) * self.rank
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
             return (
                 self.rank == other.rank
                 and self.order == other.order
-                and self.terms == other.terms
+                and self.den == other.den
+                and self.rows == other.rows
             )
         return NotImplemented
 
@@ -466,37 +511,56 @@ class TruncatedSeries:
             )
 
     def truncated(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return TruncatedSeries(self.rank, min(order, self.order), dict(self.terms))
-        return TruncatedSeries(
-            self.rank, order, {k: c for k, c in self.terms.items() if sum(k) <= order}
-        )
+        return self if order >= self.order else self.at_order(order)
 
     def at_order(self, order: int) -> "TruncatedSeries":
-        """Re-declare the truncation order.
+        """Re-declare the truncation order, dropping the terms above it.
 
         Raising the order asserts that the dropped tail is genuinely zero;
         that is the caller's responsibility (e.g. for exact polynomials).
         """
-        if order <= self.order:
-            return self.truncated(order)
-        return TruncatedSeries(self.rank, order, dict(self.terms))
+        if order == self.order:
+            return self
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        rank, bits, new = self.rank, _bits(self.order), _bits(order)
+        rows = self.rows
+        limit = order + 1 << bits * rank
+        dropped = order < self.order and next(reversed(rows), -1) >= limit
+        if dropped:
+            rows = {k: row for k, row in rows.items() if k < limit}
+        if new != bits:
+            rows = {_pack(_unpack(k, rank, bits), new): row for k, row in rows.items()}
+        if dropped:
+            return _reduced(rank, order, self.den, rows)
+        return TruncatedSeries._of(rank, order, self.den, rows)
+
+    def _packed_for(self, order: int) -> "TruncatedSeries":
+        """self, or self re-declared at `order` when that changes the
+        packing; terms above `order` may remain (the kernel skips them)."""
+        return self if _bits(self.order) == _bits(order) else self.at_order(order)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.rank, self.order, {k: -c for k, c in self.terms.items()}
-        )
+        rows = {k: {m: -n for m, n in row.items()} for k, row in self.rows.items()}
+        return TruncatedSeries._of(self.rank, self.order, self.den, rows)
 
     def __add__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(other, self.rank, self.order)
         self._check_rank(other)
         order = min(self.order, other.order)
-        out = {k: c for k, c in self.terms.items() if sum(k) <= order}
-        for k, c in other.terms.items():
-            if sum(k) <= order:
-                _clean_insert(out, k, c)
-        return TruncatedSeries(self.rank, order, out)
+        a, b = self.at_order(order), other.at_order(order)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        out = {k: {m: n * fa for m, n in row.items()} for k, row in a.rows.items()}
+        for k, row in b.rows.items():
+            into = out.get(k)
+            if into is None:
+                out[k] = {m: n * fb for m, n in row.items()}
+            else:
+                for m, n in row.items():
+                    into[m] = into.get(m, 0) + n * fb
+        return _canonical(self.rank, order, den, out)
 
     __radd__ = __add__
 
@@ -518,14 +582,16 @@ class TruncatedSeries:
         return self.scale(other)
 
     def scale(self, coeff) -> "TruncatedSeries":
-        if not isinstance(coeff, LazardCoefficient):
-            coeff = LazardCoefficient.rational(coeff)
-        if coeff.is_zero():
-            return TruncatedSeries(self.rank, self.order)
-        out = {}
-        for k, c in self.terms.items():
-            _clean_insert(out, k, c * coeff)
-        return TruncatedSeries(self.rank, self.order, out)
+        if isinstance(coeff, LazardCoefficient):
+            if not coeff.is_rational():
+                return self * TruncatedSeries.constant(coeff, self.rank, self.order)
+            coeff = coeff.rational_value()
+        q = as_rational(coeff)
+        if not q:
+            return TruncatedSeries.zero(self.rank, self.order)
+        p = q.numerator
+        rows = {k: {m: n * p for m, n in row.items()} for k, row in self.rows.items()}
+        return _reduced(self.rank, self.order, self.den * q.denominator, rows)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
@@ -541,30 +607,81 @@ class TruncatedSeries:
 
     # -- calculus and substitution ------------------------------------------
 
+    def _variable_step(self, index: int) -> tuple:
+        """(bits, packed key of t_{index+1}) in this series' packing."""
+        bits = _bits(self.order)
+        return bits, (1 << bits * self.rank) | (1 << bits * index)
+
     def partial(self, index: int) -> "TruncatedSeries":
         """Partial derivative in t_{index+1}; exact through order-1."""
-        out = {}
-        for k, c in self.terms.items():
-            e = k[index]
-            if e == 0:
-                continue
-            key = k[:index] + (e - 1,) + k[index + 1 :]
-            _clean_insert(out, key, c.scale(e))
-        return TruncatedSeries(self.rank, max(self.order - 1, 0), out)
+        bits, step = self._variable_step(index)
+        mask = (1 << bits) - 1
+        rows = {}
+        for k, row in self.rows.items():
+            e = k >> bits * index & mask
+            if e:
+                rows[k - step] = {m: n * e for m, n in row.items()}
+        derivative = _reduced(self.rank, self.order, self.den, rows)
+        return derivative.at_order(max(self.order - 1, 0))
 
-    def substitute(self, index: int, replacement: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute t_{index+1} -> replacement, through the smaller order."""
-        self._check_rank(replacement)
-        order = min(self.order, replacement.order)
-        table = pack_table(series_powers(replacement.truncated(order)), order + 1, order)
-        return Numerators.of(self, order + 1, order).substitute(index, table).series()
+    def divided_by_variable(self, index: int) -> "TruncatedSeries":
+        """self / t_{index+1}, known one order lower; every stored term must
+        contain t_{index+1}."""
+        bits, step = self._variable_step(index)
+        if any(not k >> bits * index & (1 << bits) - 1 for k in self.rows):
+            raise ValueError(f"the series is not divisible by t{index + 1}")
+        rows = {k - step: row for k, row in self.rows.items()}
+        quotient = TruncatedSeries._of(self.rank, self.order, self.den, rows)
+        return quotient.at_order(max(self.order - 1, 0))
+
+    def substitute(self, index: int, replacement, order: int | None = None) -> "TruncatedSeries":
+        """sum_k C_k u_k through `order`, where self = sum_k t^k C_k with
+        t = t_{index+1} and C_k free of t: the one change of variables.
+
+        replacement is a series u, for u_k = u^k: t -> u, through the
+        smaller order of self and u.  Or it is the table [u_0, u_1, ...]
+        itself, each u_k known through `order` (default self.order): for a
+        linear form y free of t, u_k = y^k restricts to the hyperplane
+        t = y, u_k = k y^(k-1) (one order lower) gives the t-derivative
+        there, and u_k = (t^k - y^k) / (t - y) divides by t - y after
+        subtracting the restriction.
+
+        One kernel pass of outer products into shared buckets; each table
+        row is the left operand, so the inner loop runs over the series'
+        m-monomials.
+        """
+        f = self
+        if isinstance(replacement, TruncatedSeries):
+            self._check_rank(replacement)
+            order = min(self.order, replacement.order)
+            f, table = self.truncated(order), series_powers(replacement.truncated(order))
+        else:
+            table = replacement
+            order = self.order if order is None else order
+        # a quotient table lowers degrees, so every stored term takes part,
+        # in a packing that holds both the terms and the result
+        work = max(f.order, order)
+        f = f.at_order(work)
+        bits, step = f._variable_step(index)
+        shift, place, mask = bits * self.rank, bits * index, (1 << bits) - 1
+        parts: dict = {}
+        for key, row in f.rows.items():
+            k = key >> place & mask
+            parts.setdefault(k, []).append((key - k * step, row))
+        us = [table[k]._packed_for(work) for k in parts]
+        den = lcm(*(u.den for u in us))
+        buckets: dict = {}
+        for part, u in zip(parts.values(), us):
+            factor = den // u.den
+            if factor != 1:
+                part = [(key, {m: n * factor for m, n in row.items()}) for key, row in part]
+            _product(u.rows.items(), part, shift, order, buckets)
+        return _canonical(self.rank, work, f.den * den, buckets).at_order(order)
 
     def specialize(self, assignment) -> "TruncatedSeries":
         """Evaluate every mk at a rational; keeps the t-structure."""
-        out = {}
-        for k, c in self.terms.items():
-            _clean_insert(out, k, c.specialize(assignment))
-        return TruncatedSeries(self.rank, self.order, out)
+        terms = {k: c.specialize(assignment) for k, c in self.terms.items()}
+        return TruncatedSeries(self.rank, self.order, terms)
 
     # -- serialization and rendering ------------------------------------------
 
@@ -591,26 +708,20 @@ class TruncatedSeries:
         ValueError."""
         _check_keys(obj, "series", ("vars", "order", "terms"))
         rank, order = _checked(obj, "vars", "series", _INT), _checked(obj, "order", "series", _INT)
-        out = {}
+        coeffs: dict = {}
         for term in _checked(obj, "terms", "series", _LIST):
             _check_keys(term, "series term", ("t_exponents", "m_exponents", "coeff"))
             key = tuple(_checked(term, "t_exponents", "series term", _INTS))
-            if len(key) != rank:
-                raise ValueError("t-exponent length does not match the variable count")
-            if any(e < 0 for e in key):
-                raise ValueError("t-exponents must be non-negative")
-            if sum(key) > order:
-                raise ValueError("a stored t-monomial exceeds the truncation order")
             m = tuple(sorted(map(tuple, _checked(term, "m_exponents", "series term", _M_PAIRS))))
             if any(k < 1 or e < 1 for k, e in m) or len(dict(m)) != len(m):
                 raise ValueError("malformed m-monomial")
             q = as_rational(_checked(term, "coeff", "series term", _RATIONAL))
-            if q:
-                _clean_insert(out, key, LazardCoefficient({m: q}))
-        return cls(rank, order, out)
+            c = coeffs.setdefault(key, {})
+            c[m] = c.get(m, 0) + q
+        return cls(rank, order, {k: LazardCoefficient(c) for k, c in coeffs.items()})
 
     def render(self, names=None) -> str:
-        if not self.terms:
+        if not self.rows:
             return "0"
         if names is None:
             names = ("u",) if self.rank == 1 else tuple(f"t{i+1}" for i in range(self.rank))
@@ -641,176 +752,70 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.render()} + O(deg {self.order + 1}))"
 
 
+def _canonical(rank: int, order: int, den: int, buckets: dict) -> TruncatedSeries:
+    """The series of {packed t-key: {mkey id: int}} over den, packed for
+    `order`: zero numerators and empty rows are dropped, keys sorted and the
+    gcd of den and every numerator divided out.  Takes over the dicts."""
+    rows = {}
+    for key in sorted(buckets):
+        row = buckets[key]
+        if 0 in row.values():
+            row = {m: n for m, n in row.items() if n}
+        if row:
+            rows[key] = row
+    return _reduced(rank, order, den, rows)
+
+
+def _reduced(rank: int, order: int, den: int, rows: dict) -> TruncatedSeries:
+    """The series of clean, sorted rows over den, with the gcd of den and
+    every numerator divided out."""
+    g = den
+    for row in rows.values():
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    if g != 1:
+        den //= g
+        rows = {k: {m: n // g for m, n in row.items()} for k, row in rows.items()}
+    return TruncatedSeries._of(rank, order, den, rows)
+
+
 def sum_of_products(pairs: list, rank: int, order: int, scalars: list | None = None) -> TruncatedSeries:
     """sum(s * a * b for (a, b), s in zip(pairs, scalars)) through `order`
     in one pass of the kernel; the rational scalars default to 1.
 
-    All left factors share one denominator and all right factors another, so
-    every product lands in the same buckets and each output coefficient is
-    built once.  A scalar p/q enters as the integer factor p * (lcm / q) on
-    its left factor's numerators, with the lcm of the q in the denominator.
+    Every product lands in the same buckets over the lcm D of the
+    denominators den_a * den_b * q of the pairs (q that of the scalar p/q),
+    so each pair's smaller factor enters scaled by the integer
+    p * D / (den_a * den_b * q).
     """
-    # A t-key packs into sum(e_i * base**i); below the order no exponent
-    # reaches the base, so adding packed keys multiplies the monomials.
-    base = order + 1
-    den_a, rows_a = pack_table([a for a, _ in pairs], base, order)
-    den_b, rows_b = pack_table([b for _, b in pairs], base, order)
-    if scalars is not None:
-        q = lcm(*(s.denominator for s in scalars))
-        den_a *= q
-        rows_a = [
-            [(d, key, [(m, n * factor) for m, n in row]) for d, key, row in rows]
-            for rows, factor in zip(rows_a, (s.numerator * (q // s.denominator) for s in scalars))
-        ]
+    shift = _bits(order) * rank
+    operands = []
+    for i, (a, b) in enumerate(pairs):
+        a, b = a._packed_for(order), b._packed_for(order)
+        if len(a.rows) > len(b.rows):
+            a, b = b, a
+        p, q = (1, 1) if scalars is None else (scalars[i].numerator, scalars[i].denominator)
+        operands.append((a, b, p, q * a.den * b.den))
+    den = lcm(*(d for _, _, _, d in operands))
     buckets: dict = {}
-    for a, b in zip(rows_a, rows_b):
-        _product(a, b, order, buckets)
-    return _unpacked(buckets, den_a * den_b, rank, order, base)
-
-
-def _unpacked(buckets: dict, den: int, rank: int, order: int, base: int) -> TruncatedSeries:
-    """The series of kernel buckets {packed t-key: {mkey id: int}} over den,
-    t-keys packed as sum(e_i * base**i); zero sums are dropped."""
-    out = {}
-    places = range(rank)
-    for packed, bucket in buckets.items():
-        coeff = _rationals(bucket, den)
-        if coeff:
-            key = []
-            for _ in places:
-                packed, e = divmod(packed, base)
-                key.append(e)
-            out[tuple(key)] = LazardCoefficient(coeff)
-    return TruncatedSeries(rank, order, out)
+    for a, b, p, d in operands:
+        factor = p * (den // d)
+        rows = a.rows.items()
+        if factor != 1:
+            rows = [(k, {m: n * factor for m, n in row.items()}) for k, row in rows]
+        _product(rows, b.rows.items(), shift, order, buckets)
+    return _canonical(rank, order, den, buckets)
 
 
 def embed(f: TruncatedSeries, index: int, rank: int) -> TruncatedSeries:
     """The univariate series f as a series in t_{index+1} of `rank` variables."""
     if rank == 1:
         return f
-    return TruncatedSeries(
-        rank,
-        f.order,
-        {tuple(k if j == index else 0 for j in range(rank)): c for (k,), c in f.terms.items()},
-    )
-
-
-def _degree(packed: int, base: int) -> int:
-    """Total degree of a packed t-key: the sum of its base-`base` digits."""
-    d = 0
-    while packed:
-        packed, e = divmod(packed, base)
-        d += e
-    return d
-
-
-def pack_table(series: list, base: int, order: int) -> tuple:
-    """(den, [rows, ...]): the terms of each series (all of one rank) through
-    `order` as _product rows, all numerators over one den, t-keys packed as
-    sum(e_i * base**i); base must exceed order."""
-    powers = [base**i for i in range(series[0].rank if series else 0)]
-    kept = [
-        sorted((sum(k), k, c.terms) for k, c in f.terms.items() if sum(k) <= order)
-        for f in series
-    ]
-    den = lcm(*(q.denominator for f_rows in kept for _, _, c in f_rows for q in c.values()))
-    rows = [
-        [
-            (
-                d,
-                sum(e * p for e, p in zip(k, powers)),
-                [(_mid(m), q.numerator * (den // q.denominator)) for m, q in c.items()],
-            )
-            for d, k, c in f_rows
-        ]
-        for f_rows in kept
-    ]
-    return den, rows
-
-
-class Numerators:
-    """The working form of the linear maps on series: integer numerators
-    over one denominator, t-monomials packed in a fixed base.
-
-    rows lists (t-degree, packed t-key, [(mkey id, int), ...]) sorted by
-    degree, with no zero numerator, as _product takes them; the ids are those
-    of the m-monomial intern table.  Changes of variables and combinations
-    run on the integers and carry the ids unchanged; rationals
-    and m-monomial tuples are built only when a result is turned back into a
-    series.
-    """
-
-    __slots__ = ("rank", "order", "base", "den", "rows")
-
-    def __init__(self, rank: int, order: int, base: int, den: int, rows: list):
-        self.rank, self.order, self.base, self.den, self.rows = rank, order, base, den, rows
-
-    @classmethod
-    def of(cls, f: TruncatedSeries, base: int, order: int | None = None) -> "Numerators":
-        """f through min(f.order, order), packed in `base` (greater than that order)."""
-        order = f.order if order is None else min(order, f.order)
-        den, (rows,) = pack_table([f], base, order)
-        return cls(f.rank, order, base, den, rows)
-
-    @classmethod
-    def _of_buckets(cls, buckets: dict, like: "Numerators", order: int, den: int) -> "Numerators":
-        rows = []
-        for packed, bucket in buckets.items():
-            row = [(m, n) for m, n in bucket.items() if n]
-            if row:
-                rows.append((_degree(packed, like.base), packed, row))
-        rows.sort(key=lambda r: r[0])
-        return cls(like.rank, order, like.base, den, rows)
-
-    def series(self) -> TruncatedSeries:
-        buckets = {packed: dict(row) for _, packed, row in self.rows}
-        return _unpacked(buckets, self.den, self.rank, self.order, self.base)
-
-    def is_zero_through(self, order: int) -> bool:
-        return not self.rows or self.rows[0][0] > order
-
-    def substitute(self, index: int, table: tuple, order: int | None = None) -> "Numerators":
-        """sum_k C_k u_k through `order` (default self.order), where the
-        series is sum_k t^k C_k with t = t_{index+1} and C_k free of t, and
-        table = (den, [rows of u_0, u_1, ...]) as pack_table gives them in
-        this base, each u_k known through that order.  This is the one change of
-        variables: u_k = u^k substitutes t -> u; for a linear form y free of
-        t, u_k = y^k restricts to the hyperplane t = y, u_k = k y^(k-1) (one
-        order lower) gives the t-derivative there, and u_k = (t^k - y^k) /
-        (t - y) divides by t - y after subtracting the restriction.
-
-        One kernel pass of outer products into shared buckets; each table
-        row is the left operand, so the inner loop runs over the series'
-        m-monomials.
-        """
-        den_u, rows = table
-        weight = self.base**index
-        parts: dict = {}
-        for d, packed, row in self.rows:
-            k = packed // weight % self.base
-            parts.setdefault(k, []).append((d - k, packed - k * weight, row))
-        order = self.order if order is None else order
-        buckets: dict = {}
-        for k, part in parts.items():
-            _product(rows[k], part, order, buckets)
-        return Numerators._of_buckets(buckets, self, order, self.den * den_u)
-
-    @staticmethod
-    def combine(parts: list, order: int) -> "Numerators":
-        """sum(c * x for c, x in parts) through `order`, for coefficients c
-        (LazardCoefficient or rational) and Numerators x of one rank and base."""
-        scaled = []
-        for c, x in parts:
-            if not isinstance(c, LazardCoefficient):
-                c = LazardCoefficient.rational(c)
-            den_c, (row,) = _numerators([c.terms])
-            scaled.append((den_c * x.den, row, x))
-        den = lcm(*(d for d, _, _ in scaled))
-        buckets: dict = {}
-        for d, row, x in scaled:
-            factor = den // d
-            _product([(0, 0, [(m, n * factor) for m, n in row])], x.rows, order, buckets)
-        return Numerators._of_buckets(buckets, parts[0][1], order, den)
+    bits = _bits(f.order)
+    # a univariate key is (e << bits) | e
+    rows = {(k >> bits << bits * rank) | (k >> bits << bits * index): row for k, row in f.rows.items()}
+    return TruncatedSeries._of(rank, f.order, f.den, rows)
 
 
 def compose_univariate(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -836,27 +841,29 @@ def compositional_inverse(f: TruncatedSeries, powers: list | None = None) -> Tru
     Requires f = c1*u + O(u^2) with c1 a nonzero rational.  Writing
     u = sum_a e_a f^a and reading off u^p, where [f^a]_p = 0 for a > p and
     [f^p]_p = c1^p, gives the triangular solve
-    e_p = (delta_{p,1} - sum_{a<p} e_a [f^a]_p) / c1^p.  `powers` may hand in
-    series_powers(f) when the caller has it.
+    e_p = (delta_{p,1} - [sum_{a<p} e_a f^a]_p) / c1^p; the partial sum is
+    kept as a series.  `powers` may hand in series_powers(f) when the caller
+    has it.
     """
     if f.rank != 1:
         raise ValueError("compositional inverse is defined for univariate series")
     if not f.constant_term().is_zero():
         raise ValueError("series must have zero constant term")
     c1 = f.coefficient((1,))
-    if c1.is_zero() or not c1.is_rational():
+    if f.order and (c1.is_zero() or not c1.is_rational()):
         raise ValueError("series must have an invertible rational linear term")
     c1 = c1.rational_value()
     if powers is None:
         powers = series_powers(f)
+    partial = TruncatedSeries.zero(1, f.order)
     inv_coeffs: dict = {}
     for p in range(1, f.order + 1):
         acc = LazardCoefficient.one() if p == 1 else LazardCoefficient.zero()
-        for a, e_a in inv_coeffs.items():
-            acc = acc - e_a * powers[a].coefficient((p,))
+        acc = acc - partial.coefficient((p,))
         if not acc.is_zero():
-            inv_coeffs[p] = acc.scale(QQ(1) / c1**p)
-    return TruncatedSeries(1, f.order, {(k,): c for k, c in inv_coeffs.items()})
+            inv_coeffs[(p,)] = acc = acc.scale(QQ(1) / c1**p)
+            partial = partial + powers[p].scale(acc)
+    return TruncatedSeries(1, f.order, inv_coeffs)
 
 
 def series_inverse(w: TruncatedSeries) -> TruncatedSeries:

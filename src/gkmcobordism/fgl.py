@@ -121,7 +121,7 @@ class FormalGroupLaw:
         order = self.order if order is None else order
         cached = self._logs.get(order)
         if cached is None:
-            terms = {(1,): LazardCoefficient.one()}
+            terms = {(1,): LazardCoefficient.one()} if order else {}
             for k in range(1, order):
                 c = self._m(k)
                 if not c.is_zero():
@@ -179,9 +179,8 @@ class FormalGroupLaw:
         if h is None:
             # e(q y) is divisible by y; dividing one order up keeps the
             # quotient exact through `order`.
-            q = QQ(n, m)
-            exp = self.exp_series(order + 1).terms
-            top = TruncatedSeries(1, order, {(k - 1,): c.scale(q**k) for (k,), c in exp.items()})
+            qy = TruncatedSeries.monomial((1,), QQ(n, m), 1, order + 1)
+            top = self.exp_series(order + 1).substitute(0, qy).divided_by_variable(0)
             h = top * self._y_over_exp(order)
             self._univariate[key] = h
         return self._of_log_form(h, chi, order)
@@ -198,8 +197,7 @@ class FormalGroupLaw:
         key = ("y/e", order)
         cached = self._univariate.get(key)
         if cached is None:
-            exp = self.exp_series(order + 1).terms
-            bottom = TruncatedSeries(1, order, {(k - 1,): c for (k,), c in exp.items()})
+            bottom = self.exp_series(order + 1).divided_by_variable(0)
             cached = self._univariate[key] = series_inverse(bottom)
         return cached
 
@@ -325,11 +323,6 @@ class FormalGroupLaw:
         if u.t_order() != 1:
             raise ValueError("rho requires an input of t-order exactly 1")
         return compose_univariate(self.rho_series(n, m, u.order), u)
-
-    def divisor_combination(self, z0: TruncatedSeries, zinf: TruncatedSeries) -> TruncatedSeries:
-        """F(z0, [-1]zinf): the class attached to a section's zeros and poles."""
-        self._require_no_constant(z0, zinf)
-        return self.sum(z0, self.inverse(zinf))
 
     def __repr__(self) -> str:
         return f"FormalGroupLaw(order={self.order}, law={self.label})"

@@ -48,10 +48,16 @@ class TangentData:
         self.validate()
 
     def validate(self):
+        rank = None
         for point, chars in self.weights.items():
             for ch in chars:
                 if ch.is_zero():
                     raise ValueError(f"degenerate fixed point {point}: zero weight present")
+                rank = ch.rank if rank is None else rank
+                if ch.rank != rank:
+                    raise ValueError(
+                        f"point {point} carries a weight of length {ch.rank}, expected {rank}"
+                    )
             if self.dimension is not None and len(chars) != self.dimension:
                 raise ValueError(
                     f"point {point} carries {len(chars)} weights, expected {self.dimension}"
@@ -78,13 +84,19 @@ class TangentData:
     def from_json_obj(cls, obj) -> "TangentData":
         _check_keys(obj, "weight file", ("weights",), ("kind", "dimension", "singular_point", "note"))
         weights = _checked(obj, "weights", "weight file", _WEIGHT_LISTS)
-        return cls(
-            weights={
-                p: tuple(Character.from_json_obj(c) for c in chars) for p, chars in weights.items()
-            },
-            tag=_checked(obj, "kind", "weight file", _STR, default="tangent"),
-            dimension=_checked(obj, "dimension", "weight file", _DIMENSION),
-        )
+        tag = _checked(obj, "kind", "weight file", _STR, default="tangent")
+        dimension = _checked(obj, "dimension", "weight file", _DIMENSION)
+        try:
+            return cls(
+                weights={
+                    p: tuple(Character.from_json_obj(c) for c in chars)
+                    for p, chars in weights.items()
+                },
+                tag=tag,
+                dimension=dimension,
+            )
+        except ValueError as exc:
+            raise ValueError(f"weight file: {exc}") from None
 
 
 def smooth_multiplicity(ring: TorusRing, weights) -> LocalizedElement:

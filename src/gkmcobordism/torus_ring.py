@@ -22,9 +22,9 @@ Division by chern(chi) is division by the linear form s_j - y and by the
 unit; clearing the denominators of a LocalizedElement converts its numerator
 once, divides by every factor in s and converts back once.  Conversion,
 restriction, the s_j-derivative on the hyperplane and division by s_j - y
-are all Numerators.substitute, with the tables e^k or l^k, y^k, k y^(k-1) and
-(s_j^k - y^k)/(s_j - y); each hyperplane table is built from series_powers
-of y on first use.
+are all TruncatedSeries.substitute, with the tables e^k or l^k, y^k,
+k y^(k-1) and (s_j^k - y^k)/(s_j - y); each table is a list of series, built
+on first use and kept, and every step runs on the stored integer form.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ from .coeff_series import (
     QQ,
     LazardCoefficient,
     TruncatedSeries,
-    Numerators,
     as_rational,
     embed,
-    pack_table,
     series_inverse,
     series_powers,
+    sum_of_products,
 )
 from .fgl import FormalGroupLaw
 from .root_flag import direction
@@ -101,14 +100,6 @@ class Character:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def pair(covector, character: Character) -> QQ:
-    """Euclidean pairing of a rational covector with a character."""
-    return sum(
-        (as_rational(a) * b for a, b in zip(covector, character.coords)),
-        start=QQ(0),
-    )
-
-
 @dataclass
 class RemainderReport:
     """Outcome of reducing a series modulo a Chern class power.
@@ -167,13 +158,6 @@ class LocalizedElement:
             "num": self.numerator.to_json_obj(),
             "den": [ch.to_json_obj() for ch in self.denominator],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "LocalizedElement":
-        return cls(
-            TruncatedSeries.from_json_obj(obj["num"]),
-            tuple(Character.from_json_obj(ch) for ch in obj["den"]),
-        )
 
 
 @dataclass
@@ -266,31 +250,20 @@ class TorusRing:
             self._rho[key] = cached
         return cached
 
-    def augment(self, f: TruncatedSeries) -> LazardCoefficient:
-        """Base change to the coefficient ring: set every t_i to zero."""
-        return f.constant_term()
-
     # -- logarithmic coordinates ------------------------------------------------
 
-    @property
-    def _base(self) -> int:
-        """Packing base of the working forms: values are converted through
-        at most the ring order + 1."""
-        return self.order + 2
-
-    def _power_table(self, kind: str, order: int, index: int) -> tuple:
-        """pack_table of [u^0, ..., u^order] in variable `index`, for u = e
-        ("exp") or l ("log")."""
+    def _power_table(self, kind: str, order: int, index: int) -> list:
+        """[u^0, ..., u^order] in variable `index`, for u = e ("exp") or l
+        ("log")."""
         key = (kind, order, index)
         cached = self._tables.get(key)
         if cached is None:
             powers = self.law.exp_powers(order) if kind == "exp" else self.law.log_powers(order)
-            rows = [embed(row, index, self.rank) for row in powers]
-            cached = self._tables[key] = pack_table(rows, self._base, order)
+            cached = self._tables[key] = [embed(row, index, self.rank) for row in powers]
         return cached
 
-    def _convert(self, f: TruncatedSeries, kind: str, order: int) -> Numerators:
-        out = Numerators.of(f, self._base, order)
+    def _convert(self, f: TruncatedSeries, kind: str, order: int) -> TruncatedSeries:
+        out = f.truncated(order)
         for i in range(self.rank):
             out = out.substitute(i, self._power_table(kind, out.order, i))
         return out
@@ -298,24 +271,21 @@ class TorusRing:
     def to_log(self, f: TruncatedSeries) -> TruncatedSeries:
         """f(e(s_1), ..., e(s_r)), f in the coordinates s_i = l(t_i), through
         min(f.order, ring order)."""
-        return self._convert(f, "exp", min(f.order, self.order)).series()
+        return self._convert(f, "exp", min(f.order, self.order))
 
     def from_log(self, g: TruncatedSeries) -> TruncatedSeries:
         """g(l(t_1), ..., l(t_r)): a series in logarithmic coordinates back in t."""
-        return self._convert(g, "log", g.order).series()
+        return self._convert(g, "log", g.order)
 
     # -- the zero locus of a Chern class -------------------------------------
 
-    def _hyperplane(self, line: tuple, kind: str) -> tuple:
-        """The pack_table for Numerators.substitute in s_j, j = _pivot(line),
-        on the line's hyperplane s_j = y, y = -sum_{i != j} (line_i/line_j)
-        s_i: u_k = y^k gives the value there ("value"), u_k = k y^(k-1) the
-        s_j-derivative ("slope"), u_k = (s_j^k - y^k)/(s_j - y) the division
-        by s_j - y ("quotient"); k runs through order + 1.  Built on first use.
-
-        The powers of y come from series_powers; the other two tables are
-        read off its rows over the same denominator: q_k = s_j q_(k-1) +
-        y^(k-1), where multiplying by s_j adds s_j's packed key."""
+    def _hyperplane(self, line: tuple, kind: str) -> list:
+        """The table for TruncatedSeries.substitute in s_j, j =
+        _pivot(line), on the line's hyperplane s_j = y, y = -sum_{i != j}
+        (line_i/line_j) s_i: u_k = y^k gives the value there ("value"),
+        u_k = k y^(k-1) the s_j-derivative ("slope"), u_k = (s_j^k - y^k) /
+        (s_j - y) = s_j u_(k-1) + y^(k-1) the division by s_j - y
+        ("quotient"); k runs through order + 1.  Built on first use."""
         key = (line, kind)
         cached = self._hyperplanes.get(key)
         if cached is None:
@@ -327,18 +297,16 @@ class TorusRing:
                     for i, c in enumerate(line)
                     if c and i != pivot
                 }
-                ys = series_powers(TruncatedSeries(self.rank, top, terms))
-                cached = pack_table(ys, self._base, top)
+                cached = series_powers(TruncatedSeries(self.rank, top, terms))
             else:
-                den, ys = self._hyperplane(line, "value")
-                s_j = self._base**pivot  # the packed key of s_j
-                rows = [[]]
+                ys = self._hyperplane(line, "value")
+                s_j = TruncatedSeries.variable(pivot, self.rank, top)
+                cached = [TruncatedSeries.zero(self.rank, top)]
                 for k in range(1, top + 1):
                     if kind == "slope":
-                        rows.append([(d, p, [(m, k * n) for m, n in row]) for d, p, row in ys[k - 1]])
+                        cached.append(ys[k - 1].scale(k))
                     else:
-                        rows.append([(d + 1, p + s_j, row) for d, p, row in rows[-1]] + ys[k - 1])
-                cached = (den, rows)
+                        cached.append(s_j * cached[-1] + ys[k - 1])
             self._hyperplanes[key] = cached
         return cached
 
@@ -350,18 +318,16 @@ class TorusRing:
         if cached is None:
             unit = series_inverse(self.law.exp_series(order + 1).partial(0))
             pivot = _pivot(line)
-            packed = Numerators.of(embed(unit, pivot, self.rank), self._base)
             table = self._hyperplane(line, "value")
-            cached = self._slope_units[key] = packed.substitute(pivot, table).series()
+            cached = self._slope_units[key] = embed(unit, pivot, self.rank).substitute(pivot, table)
         return cached
 
     def _restricted(
         self, cache: dict, point, f: TruncatedSeries, line: tuple, order: int, kind: str
-    ) -> Numerators:
+    ) -> TruncatedSeries:
         """g on the line's hyperplane ("value"), or dg/ds_j there ("slope",
         one order lower), for g = f in logarithmic coordinates through
-        `order`, as Numerators; the conversion and the restrictions are kept
-        in `cache`."""
+        `order`; the conversion and the restrictions are kept in `cache`."""
         key = (point, order)
         g = cache.get(key)
         if g is None:
@@ -414,26 +380,32 @@ class TorusRing:
         # derivative one order below the combination's.
         orders = [min(order, self.order), min(max(order - 1, 0), self.order)]
         certified = orders[0] - power
-        value_parts, slope_parts = [], []
+        one = TruncatedSeries.one(self.rank, 0)
+        # each component is a sum_of_products: (coefficient, restriction)
+        # pairs with rational scalars
+        pairs, scalars = [[], []], [[], []]
         for point, sign, rho in weights:
             f = values[point]
             # the derivative through the ring order needs the value one order up
             args = (cache, point, f, line, min(f.order, self.order + power - 1))
             value = self._restricted(*args, "value")
-            q = QQ(sign) if rho is None else sign * QQ(*rho)
-            value_parts.append((q, value))
+            q = sign if rho is None else sign * QQ(*rho)
+            pairs[0].append((one, value))
+            scalars[0].append(q)
             if power == 2:
-                slope_parts.append((q, self._restricted(*args, "slope")))
+                pairs[1].append((one, self._restricted(*args, "slope")))
+                scalars[1].append(q)
                 if rho is not None:
                     dh = self.law.rho_slope(*rho).scale(sign * chi.coords[pivot])
-                    slope_parts.append((dh, value))
-        components = [Numerators.combine(value_parts, orders[0])]
-        if power == 2:
-            components.append(Numerators.combine(slope_parts, orders[1]))
+                    pairs[1].append((TruncatedSeries.constant(dh, self.rank, 0), value))
+                    scalars[1].append(1)
+        components = [
+            sum_of_products(pairs[i], self.rank, orders[i], scalars[i]) for i in range(power)
+        ]
         if all(c.is_zero_through(certified) for c in components):
             series = [TruncatedSeries.zero(self.rank, max(certified, 0))] * power
         else:
-            series = [c.series() for c in components]
+            series = components
             if power == 2:
                 series[1] = series[1] * self._slope_unit(line, orders[1])
             series = [self.from_log(c) for c in series]
@@ -522,17 +494,13 @@ class TorusRing:
         series = self._from_log_times(g, units)
         return ClearResult(series, series.order)
 
-    def _from_log_times(self, g: Numerators, units: list) -> TruncatedSeries:
+    def _from_log_times(self, g: TruncatedSeries, units: list) -> TruncatedSeries:
         """g times each unit, back in t."""
-        out = g.series()
         for unit in units:
-            out = out * unit
-        return self.from_log(out)
+            g = g * unit
+        return self.from_log(g)
 
     # -- localized arithmetic ---------------------------------------------------
-
-    def loc_mul(self, a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
-        return LocalizedElement(a.numerator * b.numerator, a.denominator + b.denominator)
 
     def loc_add(self, a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
         da, db = _den_multiset(a.denominator), _den_multiset(b.denominator)
@@ -564,24 +532,3 @@ class TorusRing:
         left = a.numerator * self.chern_product(b.denominator)
         right = b.numerator * self.chern_product(a.denominator)
         return (left - right).is_zero()
-
-    # -- lattice rescaling ---------------------------------------------------
-
-    def rescale_characters(self, f: TruncatedSeries, factors, inverse: bool = False) -> TruncatedSeries:
-        """Substitute t_i -> [a_i] t_i (or [1/a_i] t_i with inverse=True)."""
-        factors = list(factors)
-        if len(factors) != self.rank:
-            raise ValueError("need one positive factor per variable")
-        base = f.order + 1
-        out = Numerators.of(f, base)
-        for i, a in enumerate(factors):
-            a = as_rational(a)
-            if a <= 0:
-                raise ValueError("rescaling factors must be positive")
-            if inverse:
-                a = 1 / a
-            if a != 1:
-                powers = series_powers(self.law.exp_linear((a,), f.order))
-                table = pack_table([embed(row, i, self.rank) for row in powers], base, f.order)
-                out = out.substitute(i, table)
-        return out.series()

@@ -323,6 +323,10 @@ def test_weight_file_keys_are_checked(tmp_path, capsys):
     for edit, message in (
         (lambda obj: obj.__setitem__("dimesion", obj.pop("dimension")), "unknown key(s) 'dimesion'"),
         (lambda obj: obj.pop("weights"), "missing the key(s) 'weights'"),
+        (
+            lambda obj: obj["weights"].update(b=[[1, 0, 0], [-1], [1, 0], [0, 1], [1, 1]]),
+            "point b carries a weight of length 3, expected 2",
+        ),
     ):
         obj = json.loads(json.dumps(tangent))
         edit(obj)

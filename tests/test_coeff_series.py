@@ -411,3 +411,22 @@ def test_specialize_series():
     s = TS.monomial((1,), LC.generator(1), 1, 4) + TS.monomial((2,), LC.generator(2), 1, 4)
     sp = s.specialize({1: QQ(1, 2), 2: QQ(0)})
     assert sp == TS.monomial((1,), QQ(1, 2), 1, 4)
+
+
+def test_zero_coefficients_are_not_stored():
+    assert LazardCoefficient({(): 0}).is_zero()
+    assert LazardCoefficient({((1, 1),): QQ(0), (): QQ(2)}) == LazardCoefficient.rational(2)
+    for coeff in (LazardCoefficient.zero(), LazardCoefficient({((2, 1),): 0})):
+        series = TruncatedSeries(1, 2, {(0,): coeff})
+        assert series.is_zero()
+        assert series == TruncatedSeries(1, 2)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [((0, 0), "length"), ((-1,), "non-negative"), ((5,), "exceeds the truncation order")],
+    ids=("wrong-length", "negative", "above-order"),
+)
+def test_dict_constructor_rejects_bad_keys(key, message):
+    with pytest.raises(ValueError, match=message):
+        TruncatedSeries(1, 2, {key: LazardCoefficient.one()})

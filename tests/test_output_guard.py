@@ -10,7 +10,8 @@ by Horner), and the quotients of the dense-pivot divisions from the shear
 division (t_j -> t_j + phi and back).  The engine now runs every one of
 these changes of variables (composition, substitution, restriction to the
 pivot's hyperplane and division by a linear form) through
-`Numerators.substitute`, against power tables; the digests are unchanged.
+`TruncatedSeries.substitute`, against power tables, on series stored as
+integer numerators over one denominator; the digests are unchanged.
 The `flag curves` outputs were recorded from curve enumeration with rational
 weight arithmetic (labels, coroots and endpoint differences computed on
 epsilon-coordinate vectors).

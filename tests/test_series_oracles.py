@@ -312,6 +312,27 @@ def test_substitute_and_compose_match_schoolbook_horner(rank, order, constant, d
     assert compose_univariate(outer, inner) == horner_compose(outer, inner)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_the_stored_form_is_canonical(rank, data):
+    """A series built along two paths is stored alike: ==, the terms view and
+    the JSON form agree on each pair.  Orders up to 20 cross a change of
+    the t-monomial packing."""
+    a, b, c = (data.draw(series(rank, data.draw(st.integers(0, 20)))) for _ in range(3))
+    q = data.draw(st.builds(QQ, st.integers(-9, 9).filter(bool), st.integers(1, 4)))
+    pairs = [
+        ((a * b) * c, a * (b * c)),
+        ((a + b) - b, a.truncated(b.order)),
+        (a.scale(q).scale(1 / q), a),
+        (TS.from_json_obj(a.to_json_obj()), a),
+        (a.at_order(a.order + 17).at_order(a.order), a),
+    ]
+    for left, right in pairs:
+        assert left == right
+        assert left.terms == right.terms
+        assert left.to_json_obj() == right.to_json_obj()
+
+
 @settings(max_examples=50, deadline=None)
 @given(law_and_character(), st.data())
 def test_log_coordinates_round_trip(case, data):
