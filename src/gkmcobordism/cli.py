@@ -253,7 +253,7 @@ def cmd_mult(args) -> int:
     law = make_law(args.law, args.order)
     if args.mult_op == "point-class":
         data = _load_tangent(args.weights)
-        ring = TorusRing(law, next(iter(data.weights.values()))[0].rank)
+        ring = TorusRing(law, data.rank)
         points = [args.point] if args.point else data.points()
         out = {}
         for point in points:
@@ -264,12 +264,12 @@ def cmd_mult(args) -> int:
         return EXIT_OK
     if args.mult_op == "subvariety":
         data = _load_tangent(args.weights)
-        ring = TorusRing(law, next(iter(data.weights.values()))[0].rank)
+        ring = TorusRing(law, data.rank)
         values = mult.subvariety_class(ring, data)
         _write_or_print(args, _tuple_payload(values))
         return EXIT_OK
     fiber = _load_tangent(args.weights)
-    ring = TorusRing(law, next(iter(fiber.weights.values()))[0].rank)
+    ring = TorusRing(law, fiber.rank)
     if args.ambient and args.point:
         ambient = _load_tangent(args.ambient)
         result = mult.singular_class_pullback(ring, args.point, ambient, fiber)

@@ -14,11 +14,13 @@ surface for family 5); family 4 finds a surface whose Hirzebruch index has
 no established rule and therefore needs an explicit override.
 
 The builder keeps every weight as an integer vector: labels, and the
-epsilon-coordinate numerators of WeylGroup.numerators.  Edge keys are
-directions of numerators, and the ordering covector is chosen and applied
-by integer inner products of numerators.  Rationals are built only for what
-the datum emits: the edge and surface characters and the covector lambda;
-the surface scan and chi work on the rational root-system constants.
+epsilon-coordinate numerators of RootSystem.numerators.  The surface scan
+finds the root along chi in the system's positive-root table by chi's
+labels, and reads its pairings from that root's integer coroot row.  Edge
+keys are directions of numerators, and the ordering covector is chosen and
+applied by integer inner products of numerators.  Rationals are built only
+for what is emitted: the edge and surface characters, the covector lambda,
+and chi and its root in the scan report.
 """
 
 from __future__ import annotations
@@ -27,21 +29,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent
-from .root_flag import (
-    RootSystem,
-    WeylGroup,
-    direction,
-    enumerate_curves,
-    inner,
-    pairing,
-    root_system,
-    vsub,
-)
+from .root_flag import RootSystem, WeylGroup, direction, enumerate_curves, inner, root_system
 from .torus_ring import Character
 
 
 class UnresolvedSurfaceKindError(ValueError):
     """A surface component exists but its kind is not determined by the family."""
+
+
+# The parameters each family of the classification takes.
+_PARAMETERS = {1: ("n",), 2: (), 3: ("n", "m"), 4: (), 5: ()}
 
 
 @dataclass(frozen=True)
@@ -53,18 +50,17 @@ class PasquierTriple:
     m: int | None = None
 
     def validate(self):
+        if self.family not in _PARAMETERS:
+            raise ValueError(f"unknown family {self.family}")
+        for name in ("n", "m"):
+            if getattr(self, name) is not None and name not in _PARAMETERS[self.family]:
+                raise ValueError(f"family {self.family} takes no parameter {name}")
         if self.family == 1:
             if self.n is None or self.n < 3:
                 raise ValueError("family 1 requires n >= 3")
-        elif self.family == 2:
-            pass
         elif self.family == 3:
             if self.n is None or self.m is None or self.n < 2 or not 2 <= self.m <= self.n:
                 raise ValueError("family 3 requires n >= 2 and 2 <= m <= n")
-        elif self.family in (4, 5):
-            pass
-        else:
-            raise ValueError(f"unknown family {self.family}")
 
     def group(self) -> RootSystem:
         self.validate()
@@ -97,11 +93,15 @@ class PasquierTriple:
         return f"({rs.label}, P(omega_{iy}), P(omega_{iz}))"
 
 
+def _chi_labels(triple: PasquierTriple) -> tuple:
+    """The labels of chi = omega_Y - omega_Z: e_iY - e_iZ."""
+    iy, iz = triple.weight_indices()
+    return tuple(int(j == iy) - int(j == iz) for j in range(1, triple.group().rank + 1))
+
+
 def chi(triple: PasquierTriple) -> Character:
     """The difference omega_Y - omega_Z in epsilon-coordinates."""
-    rs = triple.group()
-    iy, iz = triple.weight_indices()
-    return Character(vsub(rs.fundamental_weight(iy), rs.fundamental_weight(iz)))
+    return Character(triple.group().vector(_chi_labels(triple)))
 
 
 # Surface kinds established by the classification; families 2 and 4 are not
@@ -119,11 +119,12 @@ class SurfaceScan:
 
     chi: Character
     root: Character | None
-    pairings: tuple | None
+    pairings: tuple | None  # <omega_Y, root^vee>, <omega_Z, root^vee>
     fixed_points: int | None
     kind: str  # "none" | "P2" | "Fn" | "unresolved"
     n: int | None = None
     model: str | None = None
+    root_index: int | None = None  # position of the root in the system's roots
 
     def to_json_obj(self) -> dict:
         return {
@@ -141,24 +142,27 @@ def surface_scan(triple: PasquierTriple) -> SurfaceScan:
     """Scan the positive roots for a rational multiple of chi."""
     rs = triple.group()
     iy, iz = triple.weight_indices()
-    difference = chi(triple)
-    root = rs.positive_root_in_direction(difference.coords)
-    if root is None:
+    labels = _chi_labels(triple)
+    difference = Character(rs.vector(labels))
+    d = direction(rs.numerators(labels))
+    k = next((k for k, root in enumerate(rs.roots) if root.direction == d), None)
+    if k is None:
         return SurfaceScan(chi=difference, root=None, pairings=None, fixed_points=None, kind="none")
-    a = pairing(root, rs.fundamental_weight(iy))
-    b = pairing(root, rs.fundamental_weight(iz))
+    root = rs.roots[k]
+    a, b = root.coroot[iy - 1], root.coroot[iz - 1]
     count = (2 if a else 1) + (2 if b else 1)
     kind, model, n = "unresolved", None, None
     if triple.family in _KIND_TABLE:
         kind, model, n = _KIND_TABLE[triple.family]
     return SurfaceScan(
         chi=difference,
-        root=Character(root),
+        root=Character(root.vector),
         pairings=(a, b),
         fixed_points=count,
         kind=kind,
         n=n,
         model=model,
+        root_index=k,
     )
 
 
@@ -258,10 +262,10 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     parabolic_y, parabolic_z, y_names, z_names, cosets = _point_tables(triple, rs, group)
     # Weights as integer numerators: every sign, order and direction below is
     # that of the rational weight, which is a positive multiple.
-    numerators = {name: group.numerators(c.labels) for name, c in cosets.items()}
+    numerators = {name: rs.numerators(c.labels) for name, c in cosets.items()}
 
     # One Character per positive root, shared by the edges and surfaces along it.
-    root_characters = [Character(root.vector) for root in group.roots]
+    root_characters = [Character(root.vector) for root in rs.roots]
 
     # Surface components, one per Weyl translate of the root along chi: the
     # orbit of (omega_Y, s omega_Y, omega_Z, s omega_Z, root) with s the
@@ -278,9 +282,9 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
                 f"{tuple(str(p) for p in scan.pairings)}, but no established rule gives its "
                 "Hirzebruch index; pass an explicit kind override to emit it"
             )
-        positive = {root.labels: k for k, root in enumerate(group.roots)}
-        root0 = next(r.labels for r in group.roots if r.vector == scan.root.coords)
-        a, b = (int(p) for p in scan.pairings)
+        positive = {root.labels: k for k, root in enumerate(rs.roots)}
+        root0 = rs.roots[scan.root_index].labels
+        a, b = scan.pairings
         seed = (
             omega_y,
             tuple(x - a * r for x, r in zip(omega_y, root0)),
@@ -305,11 +309,11 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
         (y_names[ya], z_names[za], tuple(x - y for x, y in zip(ya, za)))
         for _, (ya, za) in group.orbit((omega_y, omega_z))
     ]
-    line_numerators = [group.numerators(w) for _, _, w in lines]
+    line_numerators = [rs.numerators(w) for _, _, w in lines]
 
     for base in range(1, _COVECTOR_BASES + 1):
         lam = tuple(base**k for k in range(rs.rank))
-        lam_numerators = group.numerators(lam)
+        lam_numerators = rs.numerators(lam)
         if all(inner(lam_numerators, w) for w in line_numerators) and all(
             len({inner(lam_numerators, numerators[p]) for p in key}) == len(key)
             for key in components
@@ -339,7 +343,7 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     # surface's chains): those joining two of its points with a weight
     # proportional to its alpha.
     absorbed = {
-        (a, b, group.roots[k].direction)
+        (a, b, rs.roots[k].direction)
         for key, k in components.items()
         for a, b in combinations(sorted(key), 2)
     }
@@ -357,21 +361,21 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
             add_edge(
                 names[curve.u.labels],
                 names[curve.v.labels],
-                group.roots[k].direction,
+                rs.roots[k].direction,
                 root_characters[k],
             )
 
     for (y, z, weight), numer in zip(lines, line_numerators):
         if inner(lam_numerators, numer) < 0:
             weight = tuple(-x for x in weight)
-        add_edge(y, z, direction(numer), Character(group.vector(weight)))
+        add_edge(y, z, direction(numer), Character(rs.vector(weight)))
 
     datum = GkmDatum(
         rank=rs.dim,
         points=tuple(sorted(cosets)),
         edges=tuple(edges[k] for k in sorted(edges)),
         surfaces=tuple(surfaces),
-        ordering=group.vector(lam),
+        ordering=rs.vector(lam),
     )
     datum.validate()
     return datum

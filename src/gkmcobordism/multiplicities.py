@@ -63,6 +63,14 @@ class TangentData:
                     f"point {point} carries {len(chars)} weights, expected {self.dimension}"
                 )
 
+    @property
+    def rank(self) -> int:
+        """The length of every weight; a file holding no character has none."""
+        for chars in self.weights.values():
+            for ch in chars:
+                return ch.rank
+        raise ValueError("the weight file holds no character, so it has no rank")
+
     def points(self):
         return sorted(self.weights)
 

@@ -9,19 +9,23 @@ cosets swapped by a reflection and are found as the neighbours s_gamma u of
 each coset u; each curve carries the reflection root, the weight difference
 of its endpoints, and its degree over the one-dimensional Schubert classes.
 
-Weights stay integer vectors: labels, and epsilon-coordinate numerators
-over one common denominator per group (WeylGroup.numerators).  Each group
-tabulates its positive roots once as integers (WeylGroup.roots), so curve
-enumeration does no rational arithmetic.  Rationals remain where they are
-emitted or solved for: the root-system constants (roots, fundamental
-weights), coset anchors and FlagCurve roots, weights and degrees, and
+Each root system is built once per label from its simple roots, the only
+hand-written root data.  Its integer Cartan matrix is computed once, and the
+positive roots are derived from it: in simple-root coordinates they are the
+closure of the simple roots under the simple reflections.  Each is tabulated
+with its integer labels, coroot row and direction (RootSystem.roots), so
+curve enumeration does no rational arithmetic.  Weights stay integer
+vectors: labels, and epsilon-coordinate numerators over one common
+denominator per system (RootSystem.numerators).  Rationals remain where
+they are emitted or solved for: the simple roots and fundamental weights,
+root vectors, coset anchors and FlagCurve weights and degrees, and
 solve_linear.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
@@ -124,6 +128,8 @@ def solve_linear(matrix, rhs):
 def _simple_roots(letter: str, rank: int):
     e = lambda i, dim: tuple(QQ(1) if j == i else QQ(0) for j in range(dim))
     if letter == "A":
+        if rank < 1:
+            raise ValueError("type A needs rank >= 1")
         dim = rank + 1
         return [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank)], dim
     if letter == "B":
@@ -155,69 +161,84 @@ def _simple_roots(letter: str, rank: int):
     raise ValueError(f"unsupported Cartan type {letter!r}")
 
 
-def _positive_roots(letter: str, rank: int, dim: int):
-    e = lambda i: tuple(QQ(1) if j == i else QQ(0) for j in range(dim))
-    out = []
-    if letter == "A":
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                out.append(vsub(e(i), e(j)))
-    elif letter in ("B", "C"):
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                out.append(vsub(e(i), e(j)))
-                out.append(vadd(e(i), e(j)))
-        for i in range(rank):
-            out.append(e(i) if letter == "B" else vscale(2, e(i)))
-    elif letter == "F":
-        for i in range(4):
-            out.append(e(i))
-            for j in range(i + 1, 4):
-                out.append(vsub(e(i), e(j)))
-                out.append(vadd(e(i), e(j)))
-        h = QQ(1, 2)
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    out.append((h, s2 * h, s3 * h, s4 * h))
-    elif letter == "G":
-        a1, a2 = vec((1, -1, 0)), vec((-2, 1, 1))
-        out = [
-            a1,
-            a2,
-            vadd(a1, a2),
-            vadd(vscale(2, a1), a2),
-            vadd(vscale(3, a1), a2),
-            vadd(vscale(3, a1), vscale(2, a2)),
-        ]
-    else:
-        raise ValueError(f"unsupported Cartan type {letter!r}")
-    return out
+def _positive_coordinates(cartan) -> dict:
+    """The positive roots in simple-root coordinates, mapped to their labels.
+
+    s_i sends c to c - <c, alpha_i^vee> e_i and permutes the positive roots
+    other than alpha_i, so the positive roots are the closure of the simple
+    roots under the simple reflections.  Sorted by height, then with the
+    lower simple roots first.
+    """
+    rank = len(cartan)
+    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    found = dict(zip(simple, cartan))
+    queue = deque(simple)
+    while queue:
+        coords = queue.popleft()
+        labels = found[coords]
+        for i, p in enumerate(labels):
+            if p and coords != simple[i]:
+                image = coords[:i] + (coords[i] - p,) + coords[i + 1 :]
+                if image not in found:
+                    found[image] = tuple(x - p * r for x, r in zip(labels, cartan[i]))
+                    queue.append(image)
+    order = sorted(found, key=lambda c: (sum(c), tuple(-x for x in c)))
+    return {coords: found[coords] for coords in order}
+
+
+class PositiveRoot(NamedTuple):
+    """A positive root gamma with its integer data, tabulated once per system."""
+
+    vector: Vector  # gamma in epsilon-coordinates
+    labels: tuple  # <gamma, alpha_j^vee>, j = 1..rank
+    coroot: tuple  # <omega_j, gamma^vee>, so <v, gamma^vee> = coroot . labels(v)
+    direction: tuple  # direction(gamma), from its integer numerators
 
 
 @dataclass(frozen=True)
 class RootSystem:
+    """A root system, with its integer Cartan matrix and positive-root table.
+
+    Weights are written by their labels <v, alpha_j^vee>; their
+    epsilon-coordinates are integer numerators over the common denominator
+    den of the fundamental weights (numerators), and rational vectors are
+    built only for results (vector).
+    """
+
     letter: str
     rank: int
     dim: int
     simple_roots: tuple
-    positive_roots: tuple
     fundamental_weights: tuple
+    cartan: tuple  # row i holds the labels of alpha_i: <alpha_i, alpha_j^vee>
+    den: int
+    columns: tuple  # column k holds the k-th coordinates of the omega_j, times den
+    roots: tuple = field(init=False)  # the PositiveRoot table
+
+    def __post_init__(self):
+        # <omega_j, gamma^vee> = c_j |alpha_j|^2 / |gamma|^2 for gamma = sum c_i alpha_i,
+        # and 2 |gamma|^2 = sum_i c_i <gamma, alpha_i^vee> |alpha_i|^2; every
+        # supported type has integer |alpha_i|^2.
+        norms = [int(inner(a, a)) for a in self.simple_roots]
+        table = []
+        for coords, labels in _positive_coordinates(self.cartan).items():
+            twice = sum(c * x * n for c, x, n in zip(coords, labels, norms))
+            coroot = tuple(2 * c * n // twice for c, n in zip(coords, norms))
+            numerators = self.numerators(labels)
+            vector = tuple(QQ(x, self.den) for x in numerators)
+            table.append(PositiveRoot(vector, labels, coroot, direction(numerators)))
+        object.__setattr__(self, "roots", tuple(table))
 
     @property
     def label(self) -> str:
         return f"{self.letter}{self.rank}"
 
-    def cartan_matrix(self):
-        return [
-            [pairing(a, b) for b in self.simple_roots] for a in self.simple_roots
-        ]
+    @property
+    def positive_roots(self) -> tuple:
+        return tuple(root.vector for root in self.roots)
 
     def weyl_vector(self) -> Vector:
-        out = self.fundamental_weights[0]
-        for w in self.fundamental_weights[1:]:
-            out = vadd(out, w)
-        return out
+        return self.vector((1,) * self.rank)
 
     def simple_root(self, i: int) -> Vector:
         """Bourbaki-numbered simple root, i in 1..rank."""
@@ -230,10 +251,23 @@ class RootSystem:
             raise ValueError(f"fundamental weight index {i} out of range for {self.label}")
         return self.fundamental_weights[i - 1]
 
+    def numerators(self, labels) -> tuple:
+        """The epsilon-coordinates of sum_j labels_j omega_j, times den.
+
+        Integers, proportional to the weight by a positive factor: signs of
+        pairings, their order and directions are those of the weight.
+        """
+        return tuple(sum(x * c for x, c in zip(labels, column)) for column in self.columns)
+
+    def vector(self, labels) -> Vector:
+        """The weight sum_j labels_j omega_j in epsilon-coordinates."""
+        den = self.den
+        return tuple(QQ(n, den) for n in self.numerators(labels))
+
     def positive_root_in_direction(self, v: Vector):
         """The positive root proportional to v, or None."""
         d = direction(v)
-        return next((r for r in self.positive_roots if direction(r) == d), None)
+        return next((r.vector for r in self.roots if r.direction == d), None)
 
     def decompose_in_simple_roots(self, root: Vector):
         """Coefficients n_i with root = sum n_i alpha_i."""
@@ -247,35 +281,36 @@ class RootSystem:
 def root_system(label: str) -> RootSystem:
     """The root system of a label like "G2", "C2", "B3", "F4", "A3".
 
-    Built once per label: RootSystem is immutable, so every caller shares it.
+    Built once per label from its simple roots: RootSystem is immutable, so
+    every caller shares it.
     """
-    letter = label[0].upper()
+    letter = label[:1].upper()
     try:
         rank = int(label[1:])
     except ValueError as exc:
         raise ValueError(f"cannot parse Cartan type {label!r}") from exc
     simple, dim = _simple_roots(letter, rank)
-    positive = _positive_roots(letter, rank, dim)
+    cartan = tuple(tuple(int(pairing(b, a)) for b in simple) for a in simple)
     # Fundamental weights inside the root span: omega_i = sum_k c_k alpha_k with
-    # pairing(alpha_j, omega_i) = delta_ij; the Cartan-type matrix is invertible.
-    matrix = [
-        [pairing(simple[j], simple[k]) for k in range(rank)] for j in range(rank)
-    ]
+    # <omega_i, alpha_j^vee> = sum_k c_k cartan[k][j] = delta_ij.
+    matrix = [[QQ(x) for x in column] for column in zip(*cartan)]
     weights = []
     for i in range(rank):
-        rhs = [QQ(1) if j == i else QQ(0) for j in range(rank)]
-        coeffs = solve_linear(matrix, rhs)
+        coeffs = solve_linear(matrix, [QQ(int(j == i)) for j in range(rank)])
         w = (QQ(0),) * dim
         for c, a in zip(coeffs, simple):
             w = vadd(w, vscale(c, a))
         weights.append(w)
+    den = lcm(*(int(c.denominator) for w in weights for c in w))
     return RootSystem(
         letter=letter,
         rank=rank,
         dim=dim,
         simple_roots=tuple(simple),
-        positive_roots=tuple(positive),
         fundamental_weights=tuple(weights),
+        cartan=cartan,
+        den=den,
+        columns=tuple(tuple(int(w[k] * den) for w in weights) for k in range(dim)),
     )
 
 
@@ -295,50 +330,20 @@ class Coset:
         return f"{prefix}({''.join(str(i) for i in self.word)})"
 
 
-class PositiveRoot(NamedTuple):
-    """A positive root gamma with its integer data, tabulated once per group."""
-
-    vector: Vector  # gamma in epsilon-coordinates
-    labels: tuple  # <gamma, alpha_j^vee>, j = 1..rank
-    coroot: tuple  # <omega_j, gamma^vee>, so <v, gamma^vee> = coroot . labels(v)
-    direction: tuple  # direction(gamma), from its integer numerators
-
-
 class WeylGroup:
     """The Weyl group of a root system, acting on weights by their labels.
 
     A weight v is written by its labels l_j = <v, alpha_j^vee>.  The simple
     reflection s_i acts as l_j <- l_j - l_i <alpha_i, alpha_j^vee>, so on
     integral weights the group acts by integer arithmetic through the Cartan
-    matrix.  Its epsilon-coordinates are integer numerators over the common
-    denominator of the fundamental weights (numerators); rational vectors are
-    built only for the results (vector).  Orbits, cosets and the full group
-    are enumerated on demand.
+    matrix of the system.  Orbits, cosets and the full group are enumerated
+    on demand.
     """
 
     def __init__(self, system: RootSystem):
         self.system = system
-        simple = system.simple_roots
-        # Row i holds the labels of alpha_i: <alpha_i, alpha_j^vee>.
-        self._rows = tuple(tuple(int(pairing(b, a)) for b in simple) for a in simple)
-        den = 1
-        for w in system.fundamental_weights:
-            for c in w:
-                den = lcm(den, int(c.denominator))
-        self._den = den
-        # Column k holds the k-th coordinates of the omega_j, times den.
-        self._columns = tuple(
-            tuple(int(w[k] * den) for w in system.fundamental_weights)
-            for k in range(system.dim)
-        )
-        self.roots = tuple(self._positive_root(gamma) for gamma in system.positive_roots)
         self._cosets = {}
         self._elements = None
-
-    def _positive_root(self, gamma: Vector) -> PositiveRoot:
-        labels = self.labels(gamma)
-        coroot = tuple(int(pairing(gamma, w)) for w in self.system.fundamental_weights)
-        return PositiveRoot(gamma, labels, coroot, direction(self.numerators(labels)))
 
     @property
     def order(self) -> int:
@@ -349,39 +354,16 @@ class WeylGroup:
         if self._elements is None:
             rho = (1,) * self.system.rank
             self._elements = [
-                Coset(word, self.vector(image[0]), image[0])
+                Coset(word, self.system.vector(image[0]), image[0])
                 for word, image in self.orbit((rho,))
             ]
         return list(self._elements)
-
-    def labels(self, v: Vector) -> tuple:
-        """The integer labels <v, alpha_j^vee> of an integral weight v."""
-        out = []
-        for a in self.system.simple_roots:
-            x = pairing(a, v)
-            if x.denominator != 1:
-                raise ValueError(f"{v} is not an integral weight")
-            out.append(int(x))
-        return tuple(out)
-
-    def numerators(self, labels) -> tuple:
-        """The epsilon-coordinates of sum_j labels_j omega_j, times _den.
-
-        Integers, proportional to the weight by a positive factor: signs of
-        pairings, their order and directions are those of the weight.
-        """
-        return tuple(sum(x * c for x, c in zip(labels, column)) for column in self._columns)
-
-    def vector(self, labels) -> Vector:
-        """The weight sum_j labels_j omega_j in epsilon-coordinates."""
-        den = self._den
-        return tuple(QQ(n, den) for n in self.numerators(labels))
 
     def _reflect(self, labels: tuple, i: int) -> tuple:
         c = labels[i]
         if not c:
             return labels
-        return tuple(x - c * r for x, r in zip(labels, self._rows[i]))
+        return tuple(x - c * r for x, r in zip(labels, self.system.cartan[i]))
 
     def apply_word(self, word, v: Vector) -> Vector:
         """The word applied to any rational vector v, exactly.
@@ -450,7 +432,7 @@ class WeylGroup:
             cosets, images = [], []
             for word, image in self.orbit(seed):
                 labels = tuple(map(sum, zip(*image)))
-                cosets.append(Coset(word, self.vector(labels), labels))
+                cosets.append(Coset(word, self.system.vector(labels), labels))
                 images.append(image)
             cached = cosets, images
         self._cosets[parabolic] = cached
@@ -466,7 +448,7 @@ class FlagCurve:
     root: Vector  # positive root of the connecting reflection
     weight: Vector  # difference of the endpoint weights; a multiple of root
     degree: dict  # Schubert-class coefficients, keyed by simple index
-    root_index: int  # position of root in system.positive_roots and WeylGroup.roots
+    root_index: int  # position of root in system.roots
 
     @property
     def total_degree(self) -> QQ:
@@ -520,7 +502,7 @@ def enumerate_curves(system: RootSystem, parabolic, group: WeylGroup | None = No
     out = []
     for a, (u, omegas) in enumerate(zip(cosets, images)):
         found = []
-        for k, root in enumerate(group.roots):
+        for k, root in enumerate(system.roots):
             # <v, gamma^vee> = sum_j c_j <v, alpha_j^vee> with c_j = <omega_j, gamma^vee>.
             coroot = root.coroot
             parts = [sum(c * x for c, x in zip(coroot, labels)) for labels in omegas]

@@ -382,3 +382,51 @@ def test_gkm_datum_with_a_duplicate_edge_is_rejected(tmp_path, capsys):
     assert code == 2
     a, b = sorted((edge["a"], edge["b"]))
     assert f"duplicate edge between {a} and {b}" in captured.err
+
+
+@pytest.mark.parametrize("weights", [{}, {"a": []}], ids=("no-point", "no-weight"))
+@pytest.mark.parametrize("op", ("point-class", "subvariety", "fiber-sum"))
+def test_weight_file_without_a_character_is_rejected(tmp_path, capsys, weights, op):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"weights": weights}))
+    code = main(["mult", op, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "holds no character" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("", "cannot parse Cartan type ''"),
+        ("A0", "type A needs rank >= 1"),
+        ("A-1", "type A needs rank >= 1"),
+    ],
+    ids=("empty", "A0", "A-1"),
+)
+def test_flag_curves_rejects_a_bad_cartan_label(capsys, label, message):
+    code = main(["flag", "curves", "--type", label])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("op", ("build", "scan"))
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (("--family", "2", "--n", "5"), "family 2 takes no parameter n"),
+        (("--family", "1", "--n", "3", "--m", "9"), "family 1 takes no parameter m"),
+        (("--family", "5", "--m", "2"), "family 5 takes no parameter m"),
+        (("--family", "4", "--n", "4"), "family 4 takes no parameter n"),
+    ],
+    ids=("family2-n", "family1-m", "family5-m", "family4-n"),
+)
+def test_horo_rejects_a_parameter_the_family_does_not_take(capsys, op, params, message):
+    code = main(["horo", op, *params])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err

@@ -12,9 +12,12 @@ these changes of variables (composition, substitution, restriction to the
 pivot's hyperplane and division by a linear form) through
 `TruncatedSeries.substitute`, against power tables, on series stored as
 integer numerators over one denominator; the digests are unchanged.
-The `flag curves` outputs were recorded from curve enumeration with rational
-weight arithmetic (labels, coroots and endpoint differences computed on
-epsilon-coordinate vectors).
+The `flag curves` outputs for F4, C4 and B4 were recorded from curve
+enumeration with rational weight arithmetic (labels, coroots and endpoint
+differences computed on epsilon-coordinate vectors).  Those for A4, G2 and
+C3, and the `horo scan` reports, were recorded from a hand-typed table of
+positive roots; the engine now derives the positive roots from the simple
+roots, in another order, and the digests are unchanged.
 Every series the engine builds is the
 unique exact truncation of a closed-form object, so a kernel rewrite must
 reproduce these bytes.
@@ -68,6 +71,27 @@ COMMANDS = {
     "flag-curves-F4-124": ("flag", "curves", "--type", "F4", "--parabolic", "1,2,4", "--format", "json"),
     "flag-curves-C4-123": ("flag", "curves", "--type", "C4", "--parabolic", "1,2,3", "--format", "json"),
     "flag-curves-B4-123": ("flag", "curves", "--type", "B4", "--parabolic", "1,2,3", "--format", "json"),
+    "flag-curves-A4-2": ("flag", "curves", "--type", "A4", "--parabolic", "2", "--format", "json"),
+    "flag-curves-G2-1": ("flag", "curves", "--type", "G2", "--parabolic", "1", "--format", "json"),
+    "flag-curves-C3-": ("flag", "curves", "--type", "C3", "--format", "json"),
+    # The surface scan of every triple in the datum sweep of test_horospherical.
+    **{
+        f"horo-scan-{name}": ("horo", "scan", *args, "--format", "json")
+        for name, args in (
+            ("b3-spinor", ("--family", "1", "--n", "3")),
+            ("b4-spinor", ("--family", "1", "--n", "4")),
+            ("b5-spinor", ("--family", "1", "--n", "5")),
+            ("b3-quadric", ("--family", "2")),
+            ("c2-m2", ("--family", "3", "--n", "2", "--m", "2")),
+            ("c3-m2", ("--family", "3", "--n", "3", "--m", "2")),
+            ("c3-m3", ("--family", "3", "--n", "3", "--m", "3")),
+            ("c4-m2", ("--family", "3", "--n", "4", "--m", "2")),
+            ("c4-m3", ("--family", "3", "--n", "4", "--m", "3")),
+            ("c4-m4", ("--family", "3", "--n", "4", "--m", "4")),
+            ("g2", ("--family", "5")),
+            ("f4", ("--family", "4")),
+        )
+    },
 }
 
 DIGESTS = {
@@ -84,6 +108,21 @@ DIGESTS = {
     "flag-curves-F4-124": "7a12d2c7561ca1d0c418988a3fcfa825bf8bf09964e5d0f45a173b020cb1cdb0",
     "flag-curves-C4-123": "dff53ccf9ba94c718667c78c241917b7f85c114e41812547e22ea553ad73a3f6",
     "flag-curves-B4-123": "0f3999d172d056fb33e3dba85fc55d18e8c184418abef6db420e7d69c7dec034",
+    "flag-curves-A4-2": "08008f147deccc4ab9220a854d0d6bae38dca237efa9d1f55cf5b73868f7d7ca",
+    "flag-curves-G2-1": "8fd2f8b1c5bcdc7e72164557ca478223763f531b3748ad1ae25b54c6c9916106",
+    "flag-curves-C3-": "eab42b3818af911a4d9fc350ed325b2af8f74ebf4295046e3c5776ac11564785",
+    "horo-scan-b3-spinor": "9893a58114342bdbfb1f37b94dadbfd09676cce29d896787d5cfd74f545b85f6",
+    "horo-scan-b4-spinor": "b22a6ed18c50c6f32cd4ffeabc06e1468409e48ec5a73f15e113341bc2a441be",
+    "horo-scan-b5-spinor": "375e5b48bcbac1ce8fb9a10d08189831291e9ef5a0ec37df25d396939ec3de7e",
+    "horo-scan-b3-quadric": "d04eaf14ec0090430c2147094ab77149204ba92dbb8ed41f67e3fb5c82c137f2",
+    "horo-scan-c2-m2": "0067e37eb73b62ad2e661a586b080e3200403a526a4e2616110d3a3cd08d5d91",
+    "horo-scan-c3-m2": "d97b2a3a8d52d418268fd17105c6a1683ef190c01cc46c35400053655a447c12",
+    "horo-scan-c3-m3": "43a7b352c89013334d9ac645960939b397978cfcd83814874a48a88776252258",
+    "horo-scan-c4-m2": "10aa71777edb995b8f0728030978bf2dba5bc2db338badd53ae431923bebe930",
+    "horo-scan-c4-m3": "efdb1f1f9e4205617ebcc2374f60ef7a0c60410d0af9c4e4c62528412e5dd180",
+    "horo-scan-c4-m4": "e74adc07c1c53da7c9183f4cc5eabf23bfc6c5215b835b216838a88fd67c0883",
+    "horo-scan-g2": "67bffe5437bd204e3bcd637f4e0098e925824e64d43216b8762447cabefdb05d",
+    "horo-scan-f4": "b41dbc1a92e8cfbb164a7fdd29c90aa9d38514315fe84064ec510196567fc53a",
     "ig25-hyperplane-tuple": "4eb78234bac7a9052d68709762aa5fd026d952db252cfc2ad8a31a5b6f6f2b65",
     "ig25-gkm-check": "e1ab0cef06fb9d0c134c74af1084e9137e3bde227a79e2e910b21899784f16ed",
     "ig25-corrupted-universal-json": "1f584cae10369d45bb5aaf5e6221db61028a2c10334536bf096cd0186e425edd",

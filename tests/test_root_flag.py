@@ -18,6 +18,7 @@ from gkmcobordism.root_flag import (
     pairing,
     reflect,
     root_system,
+    vadd,
     vec,
     vscale,
     vsub,
@@ -43,9 +44,11 @@ WEYL_ORDERS = {"A2": 6, "B2": 8, "B3": 48, "C2": 8, "C3": 48, "G2": 12, "F4": 11
 @pytest.mark.parametrize("label", sorted(STANDARD_CARTAN))
 def test_cartan_matrices(label):
     system = root_system(label)
-    assert system.cartan_matrix() == [
-        [QQ(x) for x in row] for row in STANDARD_CARTAN[label]
-    ]
+    # system.cartan[j][i] = <alpha_j, alpha_i^vee> = 2(a_i, a_j)/(a_i, a_i)
+    assert [list(column) for column in zip(*system.cartan)] == STANDARD_CARTAN[label]
+    assert system.cartan == tuple(
+        tuple(pairing(b, a) for b in system.simple_roots) for a in system.simple_roots
+    )
 
 
 @pytest.mark.parametrize("label", sorted(POSITIVE_COUNTS))
@@ -108,7 +111,8 @@ def test_curve_degree_simple_root():
 def test_curve_degree_weyl_invariance():
     g2 = root_system("G2")
     parabolic = {1}
-    alpha = g2.positive_roots[2]
+    alpha = vec((-1, 0, 1))  # alpha_1 + alpha_2
+    assert alpha in g2.positive_roots
     for i in parabolic:
         image = reflect(g2.simple_root(i), alpha)
         if image in g2.positive_roots:
@@ -283,12 +287,12 @@ def test_integer_weight_path_matches_rationals(case):
     group = INTEGER_PATH_GROUPS[label]
     system = group.system
     for labels in (covector, *weights):
-        numerators = group.numerators(labels)
+        numerators = system.numerators(labels)
         assert all(type(n) is int for n in numerators)
-        # numerators over _den are the weight, and vector() is that quotient
+        # numerators over den are the weight, and vector() is that quotient
         reference = rational_weight(system, labels)
-        assert tuple(QQ(n, group._den) for n in numerators) == reference
-        assert group.vector(labels) == reference
+        assert tuple(QQ(n, system.den) for n in numerators) == reference
+        assert system.vector(labels) == reference
         if any(labels):
             d = direction(numerators)
             assert d == direction(reference)
@@ -299,8 +303,8 @@ def test_integer_weight_path_matches_rationals(case):
                 for i, j in combinations(range(system.dim), 2)
             )
     # integer covector pairings: the signs and the order of the rational ones
-    lam = group.numerators(covector)
-    integer = [inner(lam, group.numerators(w)) for w in weights]
+    lam = system.numerators(covector)
+    integer = [inner(lam, system.numerators(w)) for w in weights]
     rational = [
         rational_inner(rational_weight(system, covector), rational_weight(system, w))
         for w in weights
@@ -312,12 +316,49 @@ def test_integer_weight_path_matches_rationals(case):
 
 @pytest.mark.parametrize("label", sorted(INTEGER_PATH_GROUPS))
 def test_root_table_matches_rational_pairings(label):
-    group = INTEGER_PATH_GROUPS[label]
-    system = group.system
-    assert [root.vector for root in group.roots] == list(system.positive_roots)
-    for root in group.roots:
+    system = INTEGER_PATH_GROUPS[label].system
+    for root in system.roots:
         gamma = root.vector
         assert root.labels == tuple(pairing(a, gamma) for a in system.simple_roots)
         assert root.coroot == tuple(pairing(gamma, w) for w in system.fundamental_weights)
         assert root.direction == direction(gamma)
-        assert group.numerators(root.labels) == tuple(x * group._den for x in gamma)
+        assert system.numerators(root.labels) == tuple(x * system.den for x in gamma)
+
+
+# -- the positive roots, derived from the simple roots ---------------------------
+
+
+def unit(i, dim):
+    return tuple(QQ(int(j == i)) for j in range(dim))
+
+
+def classical_positive_roots(letter, n):
+    """Bourbaki's closed forms: e_i - e_j for A_n; e_i -+ e_j and e_i for B_n;
+    e_i -+ e_j and 2 e_i for C_n."""
+    if letter == "A":
+        dim = n + 1
+        return {vsub(unit(i, dim), unit(j, dim)) for i in range(dim) for j in range(i + 1, dim)}
+    pairs = {
+        op(unit(i, n), unit(j, n)) for i in range(n) for j in range(i + 1, n) for op in (vsub, vadd)
+    }
+    return pairs | {vscale(1 if letter == "B" else 2, unit(i, n)) for i in range(n)}
+
+
+CLASSICAL_LABELS = [f"{letter}{n}" for letter in "ABC" for n in range(1 if letter == "A" else 2, 8)]
+
+
+@pytest.mark.parametrize("label", CLASSICAL_LABELS)
+def test_positive_roots_match_closed_forms(label):
+    system = root_system(label)
+    assert len(set(system.positive_roots)) == len(system.positive_roots)
+    assert set(system.positive_roots) == classical_positive_roots(label[0], system.rank)
+
+
+@pytest.mark.parametrize("label", CLASSICAL_LABELS + ["F4", "G2"])
+def test_simple_reflections_permute_the_other_positive_roots(label):
+    system = root_system(label)
+    positive = set(system.positive_roots)
+    assert len(positive) == len(system.positive_roots)
+    for alpha in system.simple_roots:
+        others = positive - {alpha}
+        assert {reflect(alpha, gamma) for gamma in others} == others
