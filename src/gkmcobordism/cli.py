@@ -169,8 +169,12 @@ def _parse_parabolic(text: str) -> frozenset:
         return frozenset()
     out = set()
     for piece in text.split(","):
-        piece = piece.strip().lower().lstrip("a")
-        out.add(int(piece))
+        try:
+            out.add(int(piece.strip().lower().lstrip("a")))
+        except ValueError:
+            raise ValueError(
+                f"cannot parse parabolic label {piece!r}; use simple-root labels like a1,a3"
+            ) from None
     return frozenset(out)
 
 
@@ -268,10 +272,17 @@ def cmd_mult(args) -> int:
         values = mult.subvariety_class(ring, data)
         _write_or_print(args, _tuple_payload(values))
         return EXIT_OK
+    if bool(args.ambient) != bool(args.point):
+        given, missing = ("--ambient", "--point") if args.ambient else ("--point", "--ambient")
+        raise ValueError(f"{given} needs {missing}: the pullback takes both")
     fiber = _load_tangent(args.weights)
     ring = TorusRing(law, fiber.rank)
-    if args.ambient and args.point:
+    if args.ambient:
         ambient = _load_tangent(args.ambient)
+        if ambient.rank != fiber.rank:
+            raise ValueError(
+                f"the ambient weights have length {ambient.rank}, the fiber weights {fiber.rank}"
+            )
         result = mult.singular_class_pullback(ring, args.point, ambient, fiber)
         obj = {
             "terms": [t.to_json_obj() for t in result.terms],

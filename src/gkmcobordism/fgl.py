@@ -10,10 +10,11 @@ counterpart [e^0, ..., e^N] (exp_powers) takes series to the logarithmic
 coordinates s_i = l(t_i), where every Chern class is e of a linear form.  The
 exponential is solved from u = sum_a e_a l^a by a triangular solve, one
 degree at a time.  Every series of the form g(sum_i chi_i l(t_i)) (Chern
-classes, [n]x, [1/m]x, the pair table F(u, v), rho of a Chern class) is
-a linear combination of rows of P in one variable and a sum of outer products
-of such combinations in several (exp_linear), with no composition into a
-multivariate series; rho_series is rho_linear of the character (1,).
+classes, [n]x, [1/m]x, the pair table F(u, v), rho of a Chern class) is g at
+the linear form sum_i chi_i s_i, one TruncatedSeries.substitute of the first
+s_j with chi_j != 0, then converted s_i -> l(t_i) for each such s_i (convert,
+the one loop between the coordinates s and t, with the embedded rows of P);
+rho_series is rho_linear of the character (1,).
 Composition (compose_univariate, a substitution against the powers of the
 inner series) remains for arguments that are not such linear forms: sum,
 inverse, multiple, divide and rho of a series.
@@ -25,8 +26,6 @@ F(u, v) to u + v - b*u*v.
 
 from __future__ import annotations
 
-from math import comb
-
 from .coeff_series import (
     QQ,
     LazardCoefficient,
@@ -37,7 +36,6 @@ from .coeff_series import (
     embed,
     series_inverse,
     series_powers,
-    sum_of_products,
 )
 
 
@@ -67,6 +65,7 @@ class FormalGroupLaw:
         self._exp_powers: dict = {}
         self._univariate: dict = {}
         self._pair_tables: dict = {}
+        self._tables: dict = {}
 
     # -- factories ----------------------------------------------------------
 
@@ -156,20 +155,33 @@ class FormalGroupLaw:
             self._exp_powers[order] = cached
         return cached
 
+    def convert(self, f: TruncatedSeries, kind: str, variables=None) -> TruncatedSeries:
+        """f with t_i -> e(t_i) ("exp", from t to s_i = l(t_i)) or t_i ->
+        l(t_i) ("log", from s back to t) for each i in `variables` (default
+        all), through f's order: one substitute per variable against the
+        embedded power table, built on first use and kept."""
+        for i in range(f.rank) if variables is None else variables:
+            key = (kind, f.order, i, f.rank)
+            table = self._tables.get(key)
+            if table is None:
+                powers = self.exp_powers(f.order) if kind == "exp" else self.log_powers(f.order)
+                table = self._tables[key] = [embed(row, i, f.rank) for row in powers]
+            f = f.substitute(i, table)
+        return f
+
     # -- univariate building blocks -------------------------------------------
 
     def exp_linear(self, chi, order: int | None = None) -> TruncatedSeries:
         """e(sum_i chi_i l(t_i)) in len(chi) variables, for rational chi_i;
         variables with chi_i = 0 are skipped."""
         order = self.order if order is None else order
-        return self._of_log_form(self.exp_series(order), chi, order)
+        return self._of_log_form(self.exp_series(order), chi)
 
     def rho_linear(self, n: int, m: int, chi, order: int | None = None) -> TruncatedSeries:
         """rho_{n/m} applied to e(sum_i chi_i l(t_i)), for a nonzero chi.
 
         rho_{n/m}(e(y)) = e((n/m) y) / e(y) is a univariate series h(y), so
-        this is h of the same linear form as exp_linear, with no composition
-        into a multivariate series.
+        this is h of the same linear form as exp_linear.
         """
         if not any(chi):
             raise ValueError("rho requires an input of t-order exactly 1")
@@ -179,18 +191,16 @@ class FormalGroupLaw:
         if h is None:
             # e(q y) is divisible by y; dividing one order up keeps the
             # quotient exact through `order`.
-            qy = TruncatedSeries.monomial((1,), QQ(n, m), 1, order + 1)
-            top = self.exp_series(order + 1).substitute(0, qy).divided_by_variable(0)
-            h = top * self._y_over_exp(order)
+            top = _at_linear_form(self.exp_series(order + 1), (QQ(n, m),))
+            h = top.divided_by_variable(0) * self._y_over_exp(order)
             self._univariate[key] = h
-        return self._of_log_form(h, chi, order)
+        return self._of_log_form(h, chi)
 
     def unit_of_linear_form(self, chi, order: int | None = None) -> TruncatedSeries:
         """L / e(L) for the linear form L = sum_i chi_i t_i, chi nonzero: in
         the coordinates t_i = l(u_i), the unit taking a Chern class to L."""
         order = self.order if order is None else order
-        identity = [TruncatedSeries.monomial((a,), 1, 1, order) for a in range(order + 1)]
-        return self._of_log_form(self._y_over_exp(order), chi, order, identity)
+        return _at_linear_form(self._y_over_exp(order), chi)
 
     def _y_over_exp(self, order: int) -> TruncatedSeries:
         """y / e(y) through `order`, from e one order up (e(y) is divisible by y)."""
@@ -210,19 +220,10 @@ class FormalGroupLaw:
         q = QQ(n, m)
         return self.exp_series(2).coefficient((2,)).scale(q * (q - 1))
 
-    def _of_log_form(
-        self, g: TruncatedSeries, chi, order: int, table: list | None = None
-    ) -> TruncatedSeries:
-        """g(sum_i chi_i l(t_i)) in len(chi) variables for a univariate g, or
-        g(sum_i chi_i u(t_i)) for table = [u^0, u^1, ...] of another u."""
-        chi = [as_rational(c) for c in chi]
-        coeffs = [(g.coefficient((n,)), QQ(1)) for n in range(order + 1)]
-        if table is None:
-            table = self.log_powers(order)
-        rows = {
-            i: [embed(row, i, len(chi)) for row in table] for i, c in enumerate(chi) if c
-        }
-        return _taylor_outer(coeffs, chi, rows, list(rows), order)
+    def _of_log_form(self, g: TruncatedSeries, chi) -> TruncatedSeries:
+        """g(sum_i chi_i l(t_i)) in len(chi) variables for a univariate g:
+        g at the linear form in s, then s_i -> l(t_i) where chi_i != 0."""
+        return self.convert(_at_linear_form(g, chi), "log", [i for i, c in enumerate(chi) if c])
 
     def multiple_series(self, n: int, order: int | None = None) -> TruncatedSeries:
         """[n]x as a univariate series."""
@@ -328,36 +329,14 @@ class FormalGroupLaw:
         return f"FormalGroupLaw(order={self.order}, law={self.label})"
 
 
-def _taylor_outer(coeffs: list, chi: list, rows: dict, live: list, order: int) -> TruncatedSeries:
-    """g(sum_{i in live} chi_i l(t_i)) through `order`, where
-    g(y) = sum_n q_n g_n y^n for coeffs[n] = (g_n, q_n), a coefficient and a
-    rational, and rows[i][a] = l(t_i)^a.
-
-    Taylor expansion in the first live variable: with y0 = chi_i l(t_i),
-    g(y0 + y') = sum_a y0^a g_a(y'), where g_a = g^(a)/a! has coefficients
-    q_{a+b} g_{a+b} C(a + b, a).  So the result is a sum of outer products of
-    series in disjoint variables; with one live variable left, g_a is the
-    constant q_a g_a and the result is a linear combination of the rows.
-    The rationals ride along as scalars of the kernel, not per m-monomial.
-    """
+def _at_linear_form(g: TruncatedSeries, chi) -> TruncatedSeries:
+    """g(sum_i chi_i t_i) in len(chi) variables through g's order, for a
+    univariate g and rational chi_i: one substitute of the first t_j with
+    chi_j != 0 (t_1 when there is none, giving g's constant term)."""
     rank = len(chi)
-    if not live:
-        g, q = coeffs[0]
-        return TruncatedSeries.constant(g.scale(q), rank, order)
-    i, rest = live[0], live[1:]
-    c = chi[i]
-    pairs, scalars = [], []
-    for a in range(order + 1):
-        if rest:
-            shifted = [(g, q * comb(a + b, a)) for b, (g, q) in enumerate(coeffs[a : order + 1])]
-            inner = _taylor_outer(shifted, chi, rows, rest, order - a)
-            if not inner.is_zero():
-                pairs.append((rows[i][a], inner))
-                scalars.append(c**a)
-        else:
-            g, q = coeffs[a]
-            if not g.is_zero():
-                pairs.append((TruncatedSeries.constant(g, rank, order), rows[i][a]))
-                scalars.append(q * c**a)
-    return sum_of_products(pairs, rank, order, scalars)
-
+    form = TruncatedSeries.zero(rank, g.order)
+    for i, c in enumerate(chi):
+        if c:
+            form = form + TruncatedSeries.variable(i, rank, g.order).scale(c)
+    j = next((i for i, c in enumerate(chi) if c), 0)
+    return embed(g, j, rank).substitute(j, form)

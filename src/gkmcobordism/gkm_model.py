@@ -177,7 +177,10 @@ class GkmDatum:
         obj = {
             "rank": self.rank,
             "points": sorted(self.points),
-            "edges": [e.to_json_obj() for e in _canonical_edges(self.edges)],
+            "edges": sorted(
+                (GkmEdge(*sorted((e.a, e.b)), e.weight).to_json_obj() for e in self.edges),
+                key=lambda o: (o["a"], o["b"], o["weight"]),
+            ),
             "surfaces": [s.to_json_obj() for s in sorted(self.surfaces, key=lambda s: s.points)],
         }
         if self.ordering is not None:
@@ -201,19 +204,6 @@ class GkmDatum:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
-
-
-def _canonical_edges(edges):
-    def key(e):
-        a, b = sorted((e.a, e.b))
-        return (a, b, tuple(str(c) for c in e.weight.coords))
-
-    ordered = []
-    for e in edges:
-        if e.a > e.b:
-            e = GkmEdge(e.b, e.a, e.weight)
-        ordered.append(e)
-    return sorted(ordered, key=key)
 
 
 # -- congruence constraints ----------------------------------------------------

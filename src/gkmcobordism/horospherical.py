@@ -175,7 +175,12 @@ def _parse_force_kind(text: str) -> tuple:
     if text == "f0":
         return "F0", None, None
     if text.startswith("fn:"):
-        n = int(text.split(":", 1)[1])
+        try:
+            n = int(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"cannot parse surface kind {text!r}; fn:<k> takes an integer k >= 1"
+            ) from None
         if n < 1:
             raise ValueError("Hirzebruch index must be >= 1")
         return "Fn", None, n
@@ -254,6 +259,7 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     family does not determine its kind and no override was supplied.
     """
     triple.validate()
+    forced = None if force_kind is None else _parse_force_kind(force_kind)
     rs = triple.group()
     iy, iz = triple.weight_indices()
     group = WeylGroup(rs)
@@ -274,8 +280,8 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     components = {}
     if scan.root is not None:
         kind, model, index_n = scan.kind, scan.model, scan.n
-        if force_kind is not None:
-            kind, model, index_n = _parse_force_kind(force_kind)
+        if forced is not None:
+            kind, model, index_n = forced
         if kind == "unresolved":
             raise UnresolvedSurfaceKindError(
                 f"{triple.describe()} has a surface component with curve degrees "

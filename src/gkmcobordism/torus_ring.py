@@ -2,8 +2,10 @@
 
 A character is a rational vector in the chosen character-lattice basis; its
 equivariant first Chern class is the series e(sum_i chi_i l(t_i)), which makes
-chern an FGL homomorphism from characters into the series ring; it is built
-by FormalGroupLaw.exp_linear from the law's table of logarithm powers.
+chern an FGL homomorphism from characters into the series ring.
+FormalGroupLaw.exp_linear builds it as e at the linear form sum_i chi_i s_i
+in the logarithmic coordinates s_i = l(t_i), converted to t once with the
+powers of l; rho factors and the division units are series at the same form.
 
 Reduction modulo a Chern class (and its square) and exact division run in
 the logarithmic coordinates s_i = l(t_i).  Over Q the logarithm is an
@@ -20,11 +22,12 @@ with s_i = l(t_i).
 
 Division by chern(chi) is division by the linear form s_j - y and by the
 unit; clearing the denominators of a LocalizedElement converts its numerator
-once, divides by every factor in s and converts back once.  Conversion,
-restriction, the s_j-derivative on the hyperplane and division by s_j - y
-are all TruncatedSeries.substitute, with the tables e^k or l^k, y^k,
-k y^(k-1) and (s_j^k - y^k)/(s_j - y); each table is a list of series, built
-on first use and kept, and every step runs on the stored integer form.
+once, divides by every factor in s and converts back once.  Conversion
+(FormalGroupLaw.convert, with the law's tables e^k or l^k), restriction, the
+s_j-derivative on the hyperplane and division by s_j - y are all
+TruncatedSeries.substitute, with the tables y^k, k y^(k-1) and
+(s_j^k - y^k)/(s_j - y); each table is a list of series, built on first use
+and kept, and every step runs on the stored integer form.
 """
 
 from __future__ import annotations
@@ -196,7 +199,6 @@ class TorusRing:
         self._chern: dict = {}
         self._rho: dict = {}
         self._units: dict = {}
-        self._tables: dict = {}
         self._hyperplanes: dict = {}
         self._slope_units: dict = {}
 
@@ -252,30 +254,14 @@ class TorusRing:
 
     # -- logarithmic coordinates ------------------------------------------------
 
-    def _power_table(self, kind: str, order: int, index: int) -> list:
-        """[u^0, ..., u^order] in variable `index`, for u = e ("exp") or l
-        ("log")."""
-        key = (kind, order, index)
-        cached = self._tables.get(key)
-        if cached is None:
-            powers = self.law.exp_powers(order) if kind == "exp" else self.law.log_powers(order)
-            cached = self._tables[key] = [embed(row, index, self.rank) for row in powers]
-        return cached
-
-    def _convert(self, f: TruncatedSeries, kind: str, order: int) -> TruncatedSeries:
-        out = f.truncated(order)
-        for i in range(self.rank):
-            out = out.substitute(i, self._power_table(kind, out.order, i))
-        return out
-
     def to_log(self, f: TruncatedSeries) -> TruncatedSeries:
         """f(e(s_1), ..., e(s_r)), f in the coordinates s_i = l(t_i), through
         min(f.order, ring order)."""
-        return self._convert(f, "exp", min(f.order, self.order))
+        return self.law.convert(f.truncated(min(f.order, self.order)), "exp")
 
     def from_log(self, g: TruncatedSeries) -> TruncatedSeries:
         """g(l(t_1), ..., l(t_r)): a series in logarithmic coordinates back in t."""
-        return self._convert(g, "log", g.order)
+        return self.law.convert(g, "log")
 
     # -- the zero locus of a Chern class -------------------------------------
 
@@ -331,7 +317,7 @@ class TorusRing:
         key = (point, order)
         g = cache.get(key)
         if g is None:
-            g = cache[key] = self._convert(f, "exp", order)
+            g = cache[key] = self.law.convert(f.truncated(order), "exp")
         key = (point, order, line, kind)
         restricted = cache.get(key)
         if restricted is None:
@@ -470,8 +456,8 @@ class TorusRing:
             raise ValueError("series rank does not match the ring rank")
         if not elem.denominator:
             return ClearResult(f, f.order)
-        known = min(f.order, self.order)
-        g = self._convert(f, "exp", known)
+        g = self.to_log(f)
+        known = g.order
         units = []
         for ch in elem.denominator:
             ch = self._char(ch)

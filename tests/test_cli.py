@@ -430,3 +430,41 @@ def test_horo_rejects_a_parameter_the_family_does_not_take(capsys, op, params, m
     assert code == 2
     assert captured.out == ""
     assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--ambient", str(DATA / "ig25_tangent.json")), "--ambient needs --point"),
+        (("--point", "x12"), "--point needs --ambient"),
+        (("--ambient", "AMBIENT3", "--point", "x12"), "have length 3, the fiber weights 2"),
+    ],
+    ids=("ambient-alone", "point-alone", "ambient-rank"),
+)
+def test_mult_fiber_sum_rejects_a_partial_or_mismatched_pullback(tmp_path, capsys, args, message):
+    ambient = tmp_path / "ambient3.json"
+    ambient.write_text(json.dumps({"weights": {"x12": [["1", "0", "0"], ["0", "1", "0"]]}}))
+    args = [str(ambient) if a == "AMBIENT3" else a for a in args]
+    code = main(["mult", "fiber-sum", str(DATA / "ig25_x4tilde.json"), *args, "--order", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("horo", "build", "--family", "4", "--force-kind", "fn:x"), "fn:<k> takes an integer k >= 1"),
+        (("horo", "build", "--family", "1", "--n", "3", "--force-kind", "fn:x"), "fn:<k> takes"),
+        (("flag", "curves", "--type", "A3", "--parabolic", "b1"), "labels like a1,a3"),
+        (("flag", "curves", "--type", "A3", "--parabolic", "a1,"), "parabolic label ''"),
+    ],
+    ids=("force-kind", "force-kind-no-surface", "parabolic", "parabolic-empty"),
+)
+def test_unparsable_kind_and_parabolic_say_what_they_accept(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err and "invalid literal" not in captured.err

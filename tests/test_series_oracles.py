@@ -183,7 +183,7 @@ def characters(draw, rank):
 
 
 @st.composite
-def law_and_character(draw, max_rank=3):
+def law_and_character(draw, max_rank=4):
     rank = draw(st.integers(1, max_rank))
     law = draw(laws(max_order=6 if rank < 3 else 5))
     return law, draw(characters(rank))
@@ -210,6 +210,24 @@ def test_rho_factor_matches_rho_of_the_chern_class(case, ratio):
     n, m = ratio
     expected = law.rho(n, m, horner_chern(law, chi, law.order))
     assert ring.rho_factor(n, m, chi) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(law_and_character())
+@example((FormalGroupLaw.universal(1), (QQ(2), QQ(-1))))
+def test_unit_of_linear_form_matches_horner_composition(case):
+    """L / e(L) for L = sum_i chi_i t_i against y / e(y), a geometric series
+    composed by Horner; through the law's order - 1, as division asks for
+    it, so a ring of order 1 asks for the unit at order 0."""
+    law, chi = case
+    if not any(chi):
+        return
+    order = law.order - 1
+    y_over_e = geometric_inverse(divided_by_variable(law.exp_series(order + 1), 0))
+    linear = TS.zero(len(chi), order)
+    for i, c in enumerate(chi):
+        linear = linear + TS.variable(i, len(chi), order).scale(c)
+    assert law.unit_of_linear_form(chi, order) == horner_compose(y_over_e, linear)
 
 
 @settings(max_examples=40, deadline=None)
