@@ -17,11 +17,13 @@ numerator, no empty row, keys ascending, and gcd(den, numerators) = 1, so den
 is the lcm of the reduced coefficient denominators and == compares the
 stored form.
 
-Every product runs through one integer kernel (`_product`), which sums
-int * int products into one bucket per (t-monomial, m-monomial) and takes no
-gcd inside its loop; the gcd is divided out once per result.
-sum_of_products runs several products, with rational scalars, into the same
-buckets, so a linear combination of products is one kernel pass.
+All arithmetic takes two passes.  Every product runs through one integer
+kernel (`_product`), which sums int * int products into one bucket per
+(t-monomial, m-monomial) and takes no gcd inside its loop; every rational
+linear combination sum q * f (sums, differences, negation, rational scaling)
+runs through `combination`, which adds the scaled numerators into the same
+kind of buckets over one common denominator.  The gcd is divided out once
+per result.
 
 Every change of variables is TruncatedSeries.substitute: for
 f = sum_k t^k C_k, C_k free of the variable t, it forms sum_k C_k u_k in one
@@ -155,6 +157,12 @@ def _product(a, b, shift: int, order: int, buckets: dict) -> dict:
     return buckets
 
 
+def _constant(coeff) -> "TruncatedSeries":
+    """The univariate order-0 series of a coefficient or a rational: the
+    series LazardCoefficient computes with."""
+    return TruncatedSeries.constant(coeff, 1, 0)
+
+
 def _coefficient(row: dict, den: int) -> "LazardCoefficient":
     """The LazardCoefficient of a stored row over den."""
     mkeys = _MKEYS
@@ -165,7 +173,9 @@ class LazardCoefficient:
     """A sparse polynomial in the logarithm generators m1, m2, ... over Q.
 
     Zero coefficients are never stored (the constructor drops them); all
-    rationals are kept exact.
+    rationals are kept exact.  `terms` maps each m-monomial to a Fraction,
+    but the arithmetic (+, -, negation, scale and *) runs on the constant
+    series of the coefficient, so only `evaluate` computes with Fractions.
     """
 
     __slots__ = ("terms",)
@@ -222,45 +232,26 @@ class LazardCoefficient:
     __hash__ = None
 
     def __neg__(self) -> "LazardCoefficient":
-        return LazardCoefficient({m: -c for m, c in self.terms.items()})
+        return (-_constant(self)).constant_term()
 
     def __add__(self, other) -> "LazardCoefficient":
-        if not isinstance(other, LazardCoefficient):
-            other = LazardCoefficient.rational(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return LazardCoefficient(out)
+        return (_constant(self) + _constant(other)).constant_term()
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LazardCoefficient":
-        if not isinstance(other, LazardCoefficient):
-            other = LazardCoefficient.rational(other)
-        return self + (-other)
+        return (_constant(self) - _constant(other)).constant_term()
 
     def __mul__(self, other) -> "LazardCoefficient":
         if not isinstance(other, LazardCoefficient):
             return self.scale(other)
-        product = TruncatedSeries.constant(self, 1, 0) * TruncatedSeries.constant(other, 1, 0)
-        return product.constant_term()
+        return (_constant(self) * _constant(other)).constant_term()
 
     def __rmul__(self, other) -> "LazardCoefficient":
         return self.scale(other)
 
     def scale(self, q) -> "LazardCoefficient":
-        q = as_rational(q)
-        if not q:
-            return LazardCoefficient.zero()
-        return LazardCoefficient({m: c * q for m, c in self.terms.items()})
+        return _constant(self).scale(as_rational(q)).constant_term()
 
     def evaluate(self, assignment) -> QQ:
         """Evaluate with mk -> assignment[k]; assignment maps int k to rationals."""
@@ -541,42 +532,37 @@ class TruncatedSeries:
         return self if _bits(self.order) == _bits(order) else self.at_order(order)
 
     def __neg__(self) -> "TruncatedSeries":
-        rows = {k: {m: -n for m, n in row.items()} for k, row in self.rows.items()}
-        return TruncatedSeries._of(self.rank, self.order, self.den, rows)
+        return combination([(-1, self)], self.rank, self.order)
 
-    def __add__(self, other) -> "TruncatedSeries":
+    def _plus(self, p: int, other) -> "TruncatedSeries":
+        """self + p * other, for p = 1 or -1 and other a series or a
+        coefficient."""
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(other, self.rank, self.order)
         self._check_rank(other)
-        order = min(self.order, other.order)
-        a, b = self.at_order(order), other.at_order(order)
-        den = lcm(a.den, b.den)
-        fa, fb = den // a.den, den // b.den
-        out = {k: {m: n * fa for m, n in row.items()} for k, row in a.rows.items()}
-        for k, row in b.rows.items():
-            into = out.get(k)
-            if into is None:
-                out[k] = {m: n * fb for m, n in row.items()}
-            else:
-                for m, n in row.items():
-                    into[m] = into.get(m, 0) + n * fb
-        return _canonical(self.rank, order, den, out)
+        return combination([(1, self), (p, other)], self.rank, min(self.order, other.order))
+
+    def __add__(self, other) -> "TruncatedSeries":
+        return self._plus(1, other)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.rank, self.order)
-        return self + (-other)
+        return self._plus(-1, other)
 
     def __rsub__(self, other) -> "TruncatedSeries":
-        return (-self) + other
+        return TruncatedSeries.constant(other, self.rank, self.order)._plus(-1, self)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check_rank(other)
-        return sum_of_products([(self, other)], self.rank, min(self.order, other.order))
+        order = min(self.order, other.order)
+        a, b = self._packed_for(order), other._packed_for(order)
+        if len(a.rows) > len(b.rows):
+            a, b = b, a
+        buckets = _product(a.rows.items(), b.rows.items(), _bits(order) * self.rank, order, {})
+        return _canonical(self.rank, order, a.den * b.den, buckets)
 
     def __rmul__(self, other) -> "TruncatedSeries":
         return self.scale(other)
@@ -586,12 +572,7 @@ class TruncatedSeries:
             if not coeff.is_rational():
                 return self * TruncatedSeries.constant(coeff, self.rank, self.order)
             coeff = coeff.rational_value()
-        q = as_rational(coeff)
-        if not q:
-            return TruncatedSeries.zero(self.rank, self.order)
-        p = q.numerator
-        rows = {k: {m: n * p for m, n in row.items()} for k, row in self.rows.items()}
-        return _reduced(self.rank, self.order, self.den * q.denominator, rows)
+        return combination([(as_rational(coeff), self)], self.rank, self.order)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
@@ -780,31 +761,32 @@ def _reduced(rank: int, order: int, den: int, rows: dict) -> TruncatedSeries:
     return TruncatedSeries._of(rank, order, den, rows)
 
 
-def sum_of_products(pairs: list, rank: int, order: int, scalars: list | None = None) -> TruncatedSeries:
-    """sum(s * a * b for (a, b), s in zip(pairs, scalars)) through `order`
-    in one pass of the kernel; the rational scalars default to 1.
+def combination(terms, rank: int, order: int) -> TruncatedSeries:
+    """sum(q * f for q, f in terms) through `order` in one integer pass, for
+    rational q (ints or Fractions) and series f of this rank, each known
+    through `order`.
 
-    Every product lands in the same buckets over the lcm D of the
-    denominators den_a * den_b * q of the pairs (q that of the scalar p/q),
-    so each pair's smaller factor enters scaled by the integer
-    p * D / (den_a * den_b * q).
+    The rows of every f land in shared buckets over the lcm D of the
+    denominators q.den * f.den, each scaled by the integer
+    q.num * D / (q.den * f.den); keys at or above the order limit are
+    skipped, which is a break since keys ascend.
     """
     shift = _bits(order) * rank
-    operands = []
-    for i, (a, b) in enumerate(pairs):
-        a, b = a._packed_for(order), b._packed_for(order)
-        if len(a.rows) > len(b.rows):
-            a, b = b, a
-        p, q = (1, 1) if scalars is None else (scalars[i].numerator, scalars[i].denominator)
-        operands.append((a, b, p, q * a.den * b.den))
-    den = lcm(*(d for _, _, _, d in operands))
+    limit = order + 1 << shift
+    operands = [(q, f._packed_for(order)) for q, f in terms if q]
+    den = lcm(*(q.denominator * f.den for q, f in operands))
     buckets: dict = {}
-    for a, b, p, d in operands:
-        factor = p * (den // d)
-        rows = a.rows.items()
-        if factor != 1:
-            rows = [(k, {m: n * factor for m, n in row.items()}) for k, row in rows]
-        _product(rows, b.rows.items(), shift, order, buckets)
+    for q, f in operands:
+        factor = q.numerator * (den // (q.denominator * f.den))
+        for key, row in f.rows.items():
+            if key >= limit:
+                break
+            into = buckets.get(key)
+            if into is None:
+                buckets[key] = {m: n * factor for m, n in row.items()}
+            else:
+                for m, n in row.items():
+                    into[m] = into.get(m, 0) + n * factor
     return _canonical(rank, order, den, buckets)
 
 

@@ -31,6 +31,7 @@ from .coeff_series import (
     LazardCoefficient,
     TruncatedSeries,
     as_rational,
+    combination,
     compose_univariate,
     compositional_inverse,
     embed,
@@ -334,9 +335,8 @@ def _at_linear_form(g: TruncatedSeries, chi) -> TruncatedSeries:
     univariate g and rational chi_i: one substitute of the first t_j with
     chi_j != 0 (t_1 when there is none, giving g's constant term)."""
     rank = len(chi)
-    form = TruncatedSeries.zero(rank, g.order)
-    for i, c in enumerate(chi):
-        if c:
-            form = form + TruncatedSeries.variable(i, rank, g.order).scale(c)
+    form = combination(
+        [(c, TruncatedSeries.variable(i, rank, g.order)) for i, c in enumerate(chi)], rank, g.order
+    )
     j = next((i for i, c in enumerate(chi) if c), 0)
     return embed(g, j, rank).substitute(j, form)

@@ -256,7 +256,8 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     of the candidates sum_k b^(k-1) omega_k, b = 2, 3, ..., that does.
 
     Raises UnresolvedSurfaceKindError when a surface component exists but the
-    family does not determine its kind and no override was supplied.
+    family does not determine its kind and no override was supplied, and
+    ValueError when an override is supplied for a triple without one.
     """
     triple.validate()
     forced = None if force_kind is None else _parse_force_kind(force_kind)
@@ -277,6 +278,11 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     # orbit of (omega_Y, s omega_Y, omega_Z, s omega_Z, root) with s the
     # reflection in the root.  Each maps its point set to a root index.
     scan = surface_scan(triple)
+    if scan.root is None and forced is not None:
+        raise ValueError(
+            f"{triple.describe()} has no surface component, so the surface kind "
+            f"override {force_kind!r} applies to nothing"
+        )
     components = {}
     if scan.root is not None:
         kind, model, index_n = scan.kind, scan.model, scan.n

@@ -39,10 +39,10 @@ from .coeff_series import (
     LazardCoefficient,
     TruncatedSeries,
     as_rational,
+    combination,
     embed,
     series_inverse,
     series_powers,
-    sum_of_products,
 )
 from .fgl import FormalGroupLaw
 from .root_flag import direction
@@ -366,28 +366,22 @@ class TorusRing:
         # derivative one order below the combination's.
         orders = [min(order, self.order), min(max(order - 1, 0), self.order)]
         certified = orders[0] - power
-        one = TruncatedSeries.one(self.rank, 0)
-        # each component is a sum_of_products: (coefficient, restriction)
-        # pairs with rational scalars
-        pairs, scalars = [[], []], [[], []]
+        # each component is one rational combination of restrictions: a list
+        # of (rational, restriction)
+        terms = [[], []]
         for point, sign, rho in weights:
             f = values[point]
             # the derivative through the ring order needs the value one order up
             args = (cache, point, f, line, min(f.order, self.order + power - 1))
             value = self._restricted(*args, "value")
             q = sign if rho is None else sign * QQ(*rho)
-            pairs[0].append((one, value))
-            scalars[0].append(q)
+            terms[0].append((q, value))
             if power == 2:
-                pairs[1].append((one, self._restricted(*args, "slope")))
-                scalars[1].append(q)
+                terms[1].append((q, self._restricted(*args, "slope")))
                 if rho is not None:
                     dh = self.law.rho_slope(*rho).scale(sign * chi.coords[pivot])
-                    pairs[1].append((TruncatedSeries.constant(dh, self.rank, 0), value))
-                    scalars[1].append(1)
-        components = [
-            sum_of_products(pairs[i], self.rank, orders[i], scalars[i]) for i in range(power)
-        ]
+                    terms[1].append((1, value.scale(dh)))
+        components = [combination(terms[i], self.rank, orders[i]) for i in range(power)]
         if all(c.is_zero_through(certified) for c in components):
             series = [TruncatedSeries.zero(self.rank, max(certified, 0))] * power
         else:

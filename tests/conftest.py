@@ -24,6 +24,29 @@ def random_coefficient(rng, max_gen=3, max_exp=2):
     return base + LazardCoefficient.rational(QQ(rng.randint(-4, 4), rng.randint(1, 3)))
 
 
+def coefficient_sum(x, y):
+    """x + y of two LazardCoefficients by merging their Fraction dicts one
+    m-monomial at a time, with no series arithmetic."""
+    out = dict(x.terms)
+    for m, c in y.terms.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return LazardCoefficient(out)
+
+
+def coefficient_scale(x, q):
+    """q * x of a LazardCoefficient, one Fraction product per m-monomial
+    (the constructor drops the zeros of q = 0)."""
+    return LazardCoefficient({m: c * q for m, c in x.terms.items()})
+
+
 def random_series(rng, rank, order, terms=4, min_degree=0, rational_only=False):
     out = TruncatedSeries.zero(rank, order)
     for _ in range(terms):

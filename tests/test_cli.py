@@ -457,10 +457,25 @@ def test_mult_fiber_sum_rejects_a_partial_or_mismatched_pullback(tmp_path, capsy
     [
         (("horo", "build", "--family", "4", "--force-kind", "fn:x"), "fn:<k> takes an integer k >= 1"),
         (("horo", "build", "--family", "1", "--n", "3", "--force-kind", "fn:x"), "fn:<k> takes"),
+        (
+            ("horo", "build", "--family", "1", "--n", "3", "--force-kind", "fn:2"),
+            "(B3, P(omega_2), P(omega_3)) has no surface component",
+        ),
+        (
+            ("horo", "build", "--family", "2", "--force-kind", "p2:v2"),
+            "has no surface component, so the surface kind override 'p2:v2' applies to nothing",
+        ),
         (("flag", "curves", "--type", "A3", "--parabolic", "b1"), "labels like a1,a3"),
         (("flag", "curves", "--type", "A3", "--parabolic", "a1,"), "parabolic label ''"),
     ],
-    ids=("force-kind", "force-kind-no-surface", "parabolic", "parabolic-empty"),
+    ids=(
+        "force-kind",
+        "force-kind-no-surface",
+        "well-formed-kind-no-surface-family1",
+        "well-formed-kind-no-surface-family2",
+        "parabolic",
+        "parabolic-empty",
+    ),
 )
 def test_unparsable_kind_and_parabolic_say_what_they_accept(capsys, argv, message):
     code = main(list(argv))

@@ -9,6 +9,7 @@ from gkmcobordism.coeff_series import QQ
 from gkmcobordism.coeff_series import (
     LazardCoefficient,
     TruncatedSeries,
+    combination,
     compose_univariate,
     compositional_inverse,
     series_inverse,
@@ -17,7 +18,7 @@ from gkmcobordism.coeff_series import (
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.torus_ring import TorusRing
 
-from conftest import divided_by_variable, random_series
+from conftest import coefficient_scale, coefficient_sum, divided_by_variable, random_series
 
 LC = LazardCoefficient
 TS = TruncatedSeries
@@ -345,6 +346,67 @@ def test_coefficient_product_matches_reference(x, y, cancel):
     expected = reference_product(TS(1, 0, {(0,): x}), TS(1, 0, {(0,): y}))
     assert product.terms == expected.get((0,), {})
     assert all(q for q in product.terms.values())
+
+
+# -- rational combinations against a Fraction reference -----------------------
+
+scalars = st.one_of(st.just(0), st.integers(-3, 3), rationals)
+
+
+def reference_combination(terms, order):
+    """{t-key: {m-key: Fraction}} of sum q * f through `order`, from the
+    `terms` view one Fraction at a time."""
+    out = {}
+    for q, f in terms:
+        for k, c in f.terms.items():
+            if sum(k) > order:
+                continue
+            slot = out.setdefault(k, {})
+            for m, x in c.terms.items():
+                slot[m] = slot.get(m, Fraction(0)) + Fraction(q) * x
+    cleaned = {k: {m: x for m, x in c.items() if x} for k, c in out.items()}
+    return {k: c for k, c in cleaned.items() if c}
+
+
+@st.composite
+def combination_terms(draw):
+    """(rank, order, [(q, f)]): ranks 1-4, each f of its own order (some
+    with terms above `order`), zero scalars among the q, and sometimes
+    every term paired with its negative so that the sum cancels."""
+    rank = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 5))
+    terms = draw(st.lists(st.tuples(scalars, series(rank, draw(st.integers(0, order + 3)))), max_size=5))
+    if draw(st.booleans()):
+        terms += [(-q, f) for q, f in draw(st.permutations(terms))]
+    return rank, order, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(combination_terms())
+def test_combination_matches_fraction_reference(drawn):
+    rank, order, terms = drawn
+    result = combination(terms, rank, order)
+    expected = reference_combination(terms, order)
+    assert (result.rank, result.order) == (rank, order)
+    assert {k: c.terms for k, c in result.terms.items()} == expected
+    # the stored form is canonical: the constructor's form of the same terms
+    assert result == TS(rank, order, {k: LC(c) for k, c in expected.items()})
+    if not expected:
+        assert result.is_zero() and result.den == 1 and result == TS.zero(rank, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficients, coefficients, scalars, st.booleans())
+def test_coefficient_linear_operations_match_merge_oracle(x, y, q, cancel):
+    if cancel:
+        y = coefficient_scale(x, -1)
+    assert (x + y).terms == coefficient_sum(x, y).terms
+    assert (x - y).terms == coefficient_sum(x, coefficient_scale(y, -1)).terms
+    assert (-x).terms == coefficient_scale(x, -1).terms
+    assert x.scale(q).terms == coefficient_scale(x, Fraction(q)).terms
+    assert (q * x).terms == (x * q).terms == coefficient_scale(x, Fraction(q)).terms
+    assert (x + q).terms == (q + x).terms == coefficient_sum(x, LC.rational(q)).terms
+    assert (x - q).terms == coefficient_sum(x, LC.rational(-q)).terms
 
 
 # -- interned m-monomials: large exponents, many generators, any order --------
