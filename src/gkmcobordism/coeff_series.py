@@ -19,11 +19,16 @@ stored form.
 
 All arithmetic takes two passes.  Every product runs through one integer
 kernel (`_product`), which sums int * int products into one bucket per
-(t-monomial, m-monomial) and takes no gcd inside its loop; every rational
-linear combination sum q * f (sums, differences, negation, rational scaling)
-runs through `combination`, which adds the scaled numerators into the same
-kind of buckets over one common denominator.  The gcd is divided out once
-per result.
+(t-monomial, m-monomial) and takes no gcd inside its loop.  The kernel has
+two loops, chosen from the stored form: a series records whether every
+coefficient is a rational (the unit m-monomial alone, as under every law but
+the universal one), and a product of two such series, or a substitution
+whose series and table rows all are, runs a flat loop over
+(t-monomial, int) pairs with no m-monomial lookup; any Q[m] operand takes
+the two-level loop.  Every rational linear combination sum q * f (sums,
+differences, negation, rational scaling) runs through `combination`, which
+adds the scaled numerators into the two-level kind of buckets over one
+common denominator.  The gcd is divided out once per result.
 
 Every change of variables is TruncatedSeries.substitute: for
 f = sum_k t^k C_k, C_k free of the variable t, it forms sum_k C_k u_k in one
@@ -57,14 +62,34 @@ _MONE = ()  # the empty m-monomial (the rational 1)
 
 def as_rational(value) -> QQ:
     """Coerce ints, strings like '3/4' and Fraction-alikes to QQ; floats
-    are refused."""
+    are refused, and a zero denominator raises ValueError."""
     if isinstance(value, QQ):
         return value
-    if isinstance(value, (int, str)):
-        return QQ(value)
-    if hasattr(value, "numerator") and hasattr(value, "denominator"):
-        return QQ(value.numerator, value.denominator)
+    try:
+        if isinstance(value, (int, str)):
+            return QQ(value)
+        if hasattr(value, "numerator") and hasattr(value, "denominator"):
+            return QQ(value.numerator, value.denominator)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def _digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _parse_rational(text: str) -> QQ:
+    """as_rational of a JSON coefficient string: `[+-]digits` and
+    `[+-]digits/digits` are read with int(), any other spelling by
+    Fraction."""
+    num, slash, den = text.partition("/")
+    if _digits(num[1:] if num[:1] in ("+", "-") else num) and (not slash or _digits(den)):
+        if not slash:
+            return QQ(int(num))
+        if int(den):
+            return QQ(int(num), int(den))
+    return as_rational(text)
 
 
 def m_degree(mkey: MKey) -> int:
@@ -108,6 +133,22 @@ def _mid(mkey: MKey) -> int:
     return i
 
 
+_UNIT = _mid(_MONE)  # the id of the rational 1
+
+
+def _unit_rows(rows: dict) -> bool:
+    """Whether every row is a rational: the unit m-monomial alone."""
+    for row in rows.values():
+        if len(row) != 1 or _UNIT not in row:
+            return False
+    return True
+
+
+def _flat(rows: dict) -> list:
+    """The (packed t-key, int) pairs of rational rows."""
+    return [(key, row[_UNIT]) for key, row in rows.items()]
+
+
 def _bits(order: int) -> int:
     """Bits per exponent in the packed t-monomials of a series of this order:
     more than any exponent reaches, and at least 4, so that nearby orders
@@ -127,16 +168,33 @@ def _unpack(key: int, rank: int, bits: int) -> TKey:
     return tuple(key >> bits * i & mask for i in range(rank))
 
 
-def _product(a, b, shift: int, order: int, buckets: dict) -> dict:
+def _product(a, b, shift: int, order: int, buckets: dict, rational: bool = False) -> dict:
     """The integer kernel behind every product.
 
     a and b iterate over (packed t-key, {mkey id: int}) in ascending key
     order, packed alike with the degree at bit `shift`.  Adds the products of
     their numerators through total degree `order` into `buckets`
     ({packed t-key: {mkey id: int}}) and returns it; a sum may be zero.
+
+    With `rational` both operands are rational series, a and b iterate over
+    flat (packed t-key, int) pairs (`_flat`) and the buckets are
+    {packed t-key: int}: one multiply-add per pair of t-monomials, with no
+    m-monomial lookup.  Q[m] operands take the two-level loop.
     """
-    times = _TIMES
     top = order + 1 << shift
+    if rational:
+        get = buckets.get
+        for pa, na in a:
+            limit = top - (pa >> shift << shift)
+            if limit <= 0:
+                break
+            for pb, nb in b:
+                if pb >= limit:
+                    break
+                key = pa + pb
+                buckets[key] = get(key, 0) + na * nb
+        return buckets
+    times = _TIMES
     for pa, ca in a:
         limit = top - (pa >> shift << shift)  # b's keys of degree <= order - deg(pa)
         if limit <= 0:
@@ -365,10 +423,12 @@ class TruncatedSeries:
 
     Stored as integer numerators over one denominator (see the module
     docstring); immutable by convention: no method mutates `den` or `rows`
-    after construction, so results may share row dicts.
+    after construction, so results may share row dicts.  `rational` records
+    whether every stored coefficient is a rational (`_unit_rows`), which
+    selects the kernel's flat loop.
     """
 
-    __slots__ = ("rank", "order", "den", "rows")
+    __slots__ = ("rank", "order", "den", "rows", "rational")
 
     def __init__(self, rank: int, order: int, terms: dict | None = None):
         """The series sum_k c_k t^k of terms {k: c_k}, k an exponent tuple
@@ -399,12 +459,14 @@ class TruncatedSeries:
             key: {_mid(m): q.numerator * (den // q.denominator) for m, q in coeffs[key].items()}
             for key in sorted(coeffs)
         }
+        self.rational = _unit_rows(self.rows)
 
     @classmethod
-    def _of(cls, rank: int, order: int, den: int, rows: dict) -> "TruncatedSeries":
-        """A series from its canonical stored form, packed for `order`."""
+    def _of(cls, rank: int, order: int, den: int, rows: dict, rational: bool) -> "TruncatedSeries":
+        """A series from its canonical stored form, packed for `order`;
+        `rational` is _unit_rows(rows)."""
         out = object.__new__(cls)
-        out.rank, out.order, out.den, out.rows = rank, order, den, rows
+        out.rank, out.order, out.den, out.rows, out.rational = rank, order, den, rows, rational
         return out
 
     # -- constructors -----------------------------------------------------
@@ -524,7 +586,7 @@ class TruncatedSeries:
             rows = {_pack(_unpack(k, rank, bits), new): row for k, row in rows.items()}
         if dropped:
             return _reduced(rank, order, self.den, rows)
-        return TruncatedSeries._of(rank, order, self.den, rows)
+        return TruncatedSeries._of(rank, order, self.den, rows, self.rational)
 
     def _packed_for(self, order: int) -> "TruncatedSeries":
         """self, or self re-declared at `order` when that changes the
@@ -561,7 +623,11 @@ class TruncatedSeries:
         a, b = self._packed_for(order), other._packed_for(order)
         if len(a.rows) > len(b.rows):
             a, b = b, a
-        buckets = _product(a.rows.items(), b.rows.items(), _bits(order) * self.rank, order, {})
+        shift = _bits(order) * self.rank
+        if a.rational and b.rational:
+            buckets = _product(_flat(a.rows), _flat(b.rows), shift, order, {}, True)
+            return _canonical(self.rank, order, a.den * b.den, buckets, True)
+        buckets = _product(a.rows.items(), b.rows.items(), shift, order, {})
         return _canonical(self.rank, order, a.den * b.den, buckets)
 
     def __rmul__(self, other) -> "TruncatedSeries":
@@ -612,7 +678,7 @@ class TruncatedSeries:
         if any(not k >> bits * index & (1 << bits) - 1 for k in self.rows):
             raise ValueError(f"the series is not divisible by t{index + 1}")
         rows = {k - step: row for k, row in self.rows.items()}
-        quotient = TruncatedSeries._of(self.rank, self.order, self.den, rows)
+        quotient = TruncatedSeries._of(self.rank, self.order, self.den, rows, self.rational)
         return quotient.at_order(max(self.order - 1, 0))
 
     def substitute(self, index: int, replacement, order: int | None = None) -> "TruncatedSeries":
@@ -629,7 +695,8 @@ class TruncatedSeries:
 
         One kernel pass of outer products into shared buckets; each table
         row is the left operand, so the inner loop runs over the series'
-        m-monomials.
+        m-monomials.  When the series and every table row it uses are
+        rational, the pass takes the kernel's flat loop.
         """
         f = self
         if isinstance(replacement, TruncatedSeries):
@@ -651,13 +718,18 @@ class TruncatedSeries:
             parts.setdefault(k, []).append((key - k * step, row))
         us = [table[k]._packed_for(work) for k in parts]
         den = lcm(*(u.den for u in us))
+        rational = f.rational and all(u.rational for u in us)
         buckets: dict = {}
         for part, u in zip(parts.values(), us):
             factor = den // u.den
+            if rational:
+                part = [(key, row[_UNIT] * factor) for key, row in part]
+                _product(_flat(u.rows), part, shift, order, buckets, True)
+                continue
             if factor != 1:
                 part = [(key, {m: n * factor for m, n in row.items()}) for key, row in part]
             _product(u.rows.items(), part, shift, order, buckets)
-        return _canonical(self.rank, work, f.den * den, buckets).at_order(order)
+        return _canonical(self.rank, work, f.den * den, buckets, rational).at_order(order)
 
     def specialize(self, assignment) -> "TruncatedSeries":
         """Evaluate every mk at a rational; keeps the t-structure."""
@@ -696,9 +768,10 @@ class TruncatedSeries:
             m = tuple(sorted(map(tuple, _checked(term, "m_exponents", "series term", _M_PAIRS))))
             if any(k < 1 or e < 1 for k, e in m) or len(dict(m)) != len(m):
                 raise ValueError("malformed m-monomial")
-            q = as_rational(_checked(term, "coeff", "series term", _RATIONAL))
+            q = _checked(term, "coeff", "series term", _RATIONAL)
+            q = _parse_rational(q) if _is_str(q) else QQ(q)
             c = coeffs.setdefault(key, {})
-            c[m] = c.get(m, 0) + q
+            c[m] = c[m] + q if m in c else q
         return cls(rank, order, {k: LazardCoefficient(c) for k, c in coeffs.items()})
 
     def render(self, names=None) -> str:
@@ -733,10 +806,16 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.render()} + O(deg {self.order + 1}))"
 
 
-def _canonical(rank: int, order: int, den: int, buckets: dict) -> TruncatedSeries:
+def _canonical(rank: int, order: int, den: int, buckets: dict, rational: bool = False) -> TruncatedSeries:
     """The series of {packed t-key: {mkey id: int}} over den, packed for
     `order`: zero numerators and empty rows are dropped, keys sorted and the
-    gcd of den and every numerator divided out.  Takes over the dicts."""
+    gcd of den and every numerator divided out.  Takes over the dicts.
+    With `rational` the buckets are the flat loop's {packed t-key: int},
+    wrapped here into rows of the unit m-monomial."""
+    if rational:
+        g = gcd(den, *buckets.values())
+        rows = {key: {_UNIT: n // g} for key in sorted(buckets) if (n := buckets[key])}
+        return TruncatedSeries._of(rank, order, den // g, rows, True)
     rows = {}
     for key in sorted(buckets):
         row = buckets[key]
@@ -758,7 +837,7 @@ def _reduced(rank: int, order: int, den: int, rows: dict) -> TruncatedSeries:
     if g != 1:
         den //= g
         rows = {k: {m: n // g for m, n in row.items()} for k, row in rows.items()}
-    return TruncatedSeries._of(rank, order, den, rows)
+    return TruncatedSeries._of(rank, order, den, rows, _unit_rows(rows))
 
 
 def combination(terms, rank: int, order: int) -> TruncatedSeries:
@@ -797,7 +876,7 @@ def embed(f: TruncatedSeries, index: int, rank: int) -> TruncatedSeries:
     bits = _bits(f.order)
     # a univariate key is (e << bits) | e
     rows = {(k >> bits << bits * rank) | (k >> bits << bits * index): row for k, row in f.rows.items()}
-    return TruncatedSeries._of(rank, f.order, f.den, rows)
+    return TruncatedSeries._of(rank, f.order, f.den, rows, f.rational)
 
 
 def compose_univariate(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:

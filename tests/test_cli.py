@@ -63,6 +63,14 @@ def test_unknown_law_is_usage_error(capsys):
     assert code == 2
 
 
+def test_law_with_a_zero_denominator_is_usage_error(capsys):
+    code = main(["fgl", "multiple", "2", "--law", "multiplicative:1/0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'1/0' has a zero denominator" in captured.err and "Traceback" not in captured.err
+
+
 def test_horo_build_and_gkm_check_member(tmp_path, capsys):
     datum_path = tmp_path / "ig25.json"
     code, _ = run(capsys, "horo", "build", "--family", "3", "--n", "2", "--m", "2", "-o", str(datum_path))
@@ -327,6 +335,10 @@ def test_weight_file_keys_are_checked(tmp_path, capsys):
             lambda obj: obj["weights"].update(b=[[1, 0, 0], [-1], [1, 0], [0, 1], [1, 1]]),
             "point b carries a weight of length 3, expected 2",
         ),
+        (
+            lambda obj: obj["weights"]["x12"].__setitem__(0, ["1/0", "1"]),
+            "'1/0' has a zero denominator",
+        ),
     ):
         obj = json.loads(json.dumps(tangent))
         edit(obj)
@@ -335,6 +347,7 @@ def test_weight_file_keys_are_checked(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and "weight file" in captured.err and message in captured.err
+        assert "Traceback" not in captured.err
 
 
 def _check_tuple(tmp_path, capsys, tuple_obj):
@@ -358,8 +371,9 @@ def _constant_series_obj(coeff):
         ({"x12": None}, "tuple file, point 'x12': series must be a JSON object"),
         ([_constant_series_obj("1")], "tuple file must be a JSON object"),
         ({"x12": _constant_series_obj(0.5)}, "series term 'coeff' must be an integer or a string"),
+        ({"x12": _constant_series_obj("1/0")}, "point 'x12': '1/0' has a zero denominator"),
     ],
-    ids=("null-value", "list", "float-coefficient"),
+    ids=("null-value", "list", "float-coefficient", "zero-denominator"),
 )
 def test_gkm_check_malformed_tuple_file_is_rejected(tmp_path, capsys, tuple_obj, message):
     code, captured = _check_tuple(tmp_path, capsys, tuple_obj)

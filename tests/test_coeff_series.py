@@ -18,7 +18,13 @@ from gkmcobordism.coeff_series import (
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.torus_ring import TorusRing
 
-from conftest import coefficient_scale, coefficient_sum, divided_by_variable, random_series
+from conftest import (
+    coefficient_scale,
+    coefficient_sum,
+    divided_by_variable,
+    horner_substitute,
+    random_series,
+)
 
 LC = LazardCoefficient
 TS = TruncatedSeries
@@ -246,6 +252,38 @@ def test_json_rejects_keys_and_types_outside_the_format(obj, message):
     assert message in str(excinfo.value)
 
 
+def _constant_obj(coeff):
+    return {"vars": 1, "order": 0, "terms": [{"t_exponents": [0], "m_exponents": [], "coeff": coeff}]}
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("0.5", QQ(1, 2)), ("1e2", QQ(100)), (" 3/4 ", QQ(3, 4)), ("1_0", QQ(10)), ("-6/4", QQ(-3, 2))],
+)
+def test_json_coefficient_spellings_beyond_digits_still_parse(text, value):
+    assert TS.from_json_obj(_constant_obj(text)).constant_term() == LC.rational(value)
+
+
+@pytest.mark.parametrize("text", ["3 /4", "1/-2", "1/0", "x", "", "+", "1/"])
+def test_json_coefficient_spellings_outside_the_format_are_rejected(text):
+    with pytest.raises(ValueError):
+        TS.from_json_obj(_constant_obj(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+-/ _.e", max_size=6))
+def test_json_coefficient_strings_read_as_fraction_reads_them(text):
+    """The int() reading of plain spellings accepts and rejects exactly
+    what Fraction does, with the same values."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            TS.from_json_obj(_constant_obj(text))
+        return
+    assert TS.from_json_obj(_constant_obj(text)).constant_term() == LC.rational(expected)
+
+
 def test_json_skips_zero_coefficients():
     obj = {
         "vars": 2,
@@ -288,6 +326,13 @@ m_monomials = st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2).
 coefficients = st.dictionaries(m_monomials, rationals, max_size=3).map(
     lambda d: LC({m: q for m, q in d.items() if q})
 )
+rational_coefficients = rationals.map(LC.rational)
+
+
+def assert_rational_flag(f):
+    """The stored flag that selects the flat product loop says exactly
+    whether every coefficient is a rational."""
+    assert f.rational == all(c.is_rational() for c in f.terms.values())
 
 
 @st.composite
@@ -300,10 +345,21 @@ def series(draw, rank, order, coefficients=coefficients):
 
 @st.composite
 def series_pairs(draw):
-    """Two series of one rank and independent orders; some built to cancel."""
+    """Two series of one rank and independent orders up to 24, so that a
+    pair may straddle the packing change at order 16.  Each operand is
+    rational (the flat loop) or over Q[m]; some are rational only after
+    their m-terms cancel, and some pairs are built to cancel."""
     rank = draw(st.integers(1, 3))
-    a = draw(series(rank, draw(st.integers(0, 6))))
-    b = draw(series(rank, draw(st.integers(0, 6))))
+    pair = []
+    for _ in range(2):
+        coeffs = draw(st.sampled_from((coefficients, rational_coefficients)))
+        f = draw(series(rank, draw(st.integers(0, 24)), coeffs))
+        if draw(st.booleans()):
+            g = draw(series(rank, draw(st.integers(0, 24)), coeffs))
+            m1 = TS.constant(LC.generator(1), rank, g.order)
+            f = (f + m1 * g) - m1 * g  # f through the lower order, with Q[m] on the way
+        pair.append(f)
+    a, b = pair
     if draw(st.booleans()):
         a, b = a + b, a - b  # (a + b)(a - b): the cross terms cancel
     return a, b
@@ -316,6 +372,8 @@ def assert_product_invariants(product, a, b):
         assert sum(key) <= order
         assert coeff.terms
         assert all(q for q in coeff.terms.values())
+    for f in (product, a, b):
+        assert_rational_flag(f)
 
 
 @settings(max_examples=150, deadline=None)
@@ -346,6 +404,40 @@ def test_coefficient_product_matches_reference(x, y, cancel):
     expected = reference_product(TS(1, 0, {(0,): x}), TS(1, 0, {(0,): y}))
     assert product.terms == expected.get((0,), {})
     assert all(q for q in product.terms.values())
+
+
+@st.composite
+def linear_forms(draw, rank, index, order, coeffs):
+    """c_0 + sum_j c_j t_j over j != index: a linear form free of t_{index+1}."""
+    terms = {(0,) * rank: draw(coeffs)}
+    if order:
+        for j in range(rank):
+            if j != index:
+                terms[tuple(int(i == j) for i in range(rank))] = draw(coeffs)
+    return TS(rank, order, {k: c for k, c in terms.items() if not c.is_zero()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_substitute_of_a_rational_series_matches_horner(data):
+    """A rational series at a replacement u (the table of powers u^k) and
+    at a linear form y (the hyperplane table y^k), each with rational or
+    Q[m] coefficients, against Horner's rule from products and sums."""
+    rank = data.draw(st.integers(1, 3))
+    index = data.draw(st.integers(0, rank - 1))
+    order = data.draw(st.integers(0, 20))
+    f = data.draw(series(rank, order, rational_coefficients))
+    assert f.rational
+    u_coeffs = data.draw(st.sampled_from((rational_coefficients, coefficients)))
+    u = data.draw(series(rank, data.draw(st.integers(0, 20)), u_coeffs))
+    result = f.substitute(index, u)
+    assert result == horner_substitute(f, index, u)
+    assert_rational_flag(result)
+    y = data.draw(linear_forms(rank, index, order, u_coeffs))
+    table = [y**k for k in range(order + 1)]
+    result = f.substitute(index, table)
+    assert result == horner_substitute(f, index, y)
+    assert_rational_flag(result)
 
 
 # -- rational combinations against a Fraction reference -----------------------
@@ -389,6 +481,7 @@ def test_combination_matches_fraction_reference(drawn):
     expected = reference_combination(terms, order)
     assert (result.rank, result.order) == (rank, order)
     assert {k: c.terms for k, c in result.terms.items()} == expected
+    assert_rational_flag(result)
     # the stored form is canonical: the constructor's form of the same terms
     assert result == TS(rank, order, {k: LC(c) for k, c in expected.items()})
     if not expected:
