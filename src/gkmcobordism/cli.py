@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .coeff_series import TruncatedSeries, as_rational
 from .fgl import FormalGroupLaw
@@ -43,14 +44,17 @@ EXIT_USAGE = 2
 EXIT_UNRESOLVED = 3
 
 
-def make_law(spec: str, order: int) -> FormalGroupLaw:
-    if spec == "universal":
-        return FormalGroupLaw.universal(order)
-    if spec == "additive":
-        return FormalGroupLaw.additive(order)
+def parse_law(spec: str):
+    """The law a --law spec names, as a function of the truncation order."""
+    if spec in ("universal", "additive"):
+        return getattr(FormalGroupLaw, spec)
     if spec.startswith("multiplicative:"):
-        return FormalGroupLaw.multiplicative(as_rational(spec.split(":", 1)[1]), order)
+        return partial(FormalGroupLaw.multiplicative, as_rational(spec.split(":", 1)[1]))
     raise ValueError(f"unknown law {spec!r}; use universal, additive or multiplicative:b")
+
+
+def make_law(spec: str, order: int) -> FormalGroupLaw:
+    return parse_law(spec)(order)
 
 
 def _emit(args, obj, text: str) -> None:
@@ -76,7 +80,7 @@ def _series_out(args, series: TruncatedSeries) -> None:
 
 
 def cmd_fgl(args) -> int:
-    law = make_law(args.law, args.order)
+    law = args.law(args.order)
     u = TruncatedSeries.variable(0, 1, args.order)
     if args.fgl_op == "multiple":
         _series_out(args, law.multiple(args.n, u))
@@ -144,7 +148,7 @@ def cmd_gkm(args) -> int:
             payload = congruence_system_json(constraints)
         _write_or_print(args, payload)
         return EXIT_OK
-    law = make_law(args.law, args.order)
+    law = args.law(args.order)
     ring = TorusRing(law, datum.rank)
     values = _load_tuple(args.tuple, datum.rank, args.order)
     certificate = check_membership(datum, values, ring)
@@ -216,12 +220,8 @@ def cmd_flag(args) -> int:
 # -- horo -----------------------------------------------------------------------
 
 
-def _triple_from_args(args) -> PasquierTriple:
-    return PasquierTriple(family=args.family, n=args.n, m=args.m)
-
-
 def cmd_horo(args) -> int:
-    triple = _triple_from_args(args)
+    triple = PasquierTriple(family=args.family, n=args.n, m=args.m)
     if args.horo_op == "scan":
         scan = surface_scan(triple)
         text = [f"{triple.describe()}: chi = {scan.chi.render()}"]
@@ -254,7 +254,7 @@ def _tuple_payload(values: dict) -> str:
 
 
 def cmd_mult(args) -> int:
-    law = make_law(args.law, args.order)
+    law = args.law(args.order)
     if args.mult_op == "point-class":
         data = _load_tangent(args.weights)
         ring = TorusRing(law, data.rank)
@@ -309,20 +309,10 @@ def cmd_mult(args) -> int:
 
 
 def _add_global_options(parser, default: bool):
-    kw = {} if default else {"default": argparse.SUPPRESS}
-    parser.add_argument(
-        "--order", type=int, help="truncation order (>= 3)", **({"default": 8} if default else kw)
-    )
-    parser.add_argument(
-        "--law",
-        help="universal | additive | multiplicative:b",
-        **({"default": "universal"} if default else kw),
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        **({"default": "text"} if default else kw),
-    )
+    order, law, fmt = (8, "universal", "text") if default else (argparse.SUPPRESS,) * 3
+    parser.add_argument("--order", type=int, default=order, help="truncation order (>= 3)")
+    parser.add_argument("--law", default=law, help="universal | additive | multiplicative:b")
+    parser.add_argument("--format", choices=("text", "json"), default=fmt)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,6 +408,7 @@ def main(argv=None) -> int:
         print("error: --order must be at least 3", file=sys.stderr)
         return EXIT_USAGE
     try:
+        args.law = parse_law(args.law)  # refused for every command, before any work
         return args.func(args)
     except UnresolvedSurfaceKindError as exc:
         print(f"error: {exc}", file=sys.stderr)

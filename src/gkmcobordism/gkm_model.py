@@ -20,6 +20,7 @@ decomposition of any member over those generators.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -81,14 +82,6 @@ class SurfaceComponent:
         if self.kind == "Fn" and (self.n is None or self.n < 1):
             raise GkmValidationError("Fn component needs an index n >= 1")
 
-    def to_json_obj(self) -> dict:
-        obj = {"kind": self.kind, "points": list(self.points), "alpha": self.alpha.to_json_obj()}
-        if self.n is not None:
-            obj["n"] = self.n
-        if self.model is not None:
-            obj["model"] = self.model
-        return obj
-
     @classmethod
     def from_json_obj(cls, obj) -> "SurfaceComponent":
         _check_keys(obj, "surface", ("kind", "points", "alpha"), ("n", "model"))
@@ -106,9 +99,6 @@ class GkmEdge:
     a: str
     b: str
     weight: Character
-
-    def to_json_obj(self) -> dict:
-        return {"a": self.a, "b": self.b, "weight": self.weight.to_json_obj()}
 
     @classmethod
     def from_json_obj(cls, obj) -> "GkmEdge":
@@ -173,20 +163,6 @@ class GkmDatum:
                 if p not in seen:
                     raise GkmValidationError(f"surface point {p} not in the point list")
 
-    def to_json_obj(self) -> dict:
-        obj = {
-            "rank": self.rank,
-            "points": sorted(self.points),
-            "edges": sorted(
-                (GkmEdge(*sorted((e.a, e.b)), e.weight).to_json_obj() for e in self.edges),
-                key=lambda o: (o["a"], o["b"], o["weight"]),
-            ),
-            "surfaces": [s.to_json_obj() for s in sorted(self.surfaces, key=lambda s: s.points)],
-        }
-        if self.ordering is not None:
-            obj["lambda"] = [str(c) for c in self.ordering]
-        return obj
-
     @classmethod
     def from_json_obj(cls, obj) -> "GkmDatum":
         _check_keys(obj, "datum", ("rank", "points", "edges"), ("surfaces", "lambda"))
@@ -203,7 +179,54 @@ class GkmDatum:
         )
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        """The datum file: byte-identical to json.dumps(obj, indent=2,
+        sort_keys=True) + "\\n", where obj lists the points sorted, each edge
+        as {a, b, weight} with a <= b sorted by (a, b, weight strings), the
+        surfaces sorted by their points, and "lambda", "n" and "model" when
+        set.  Its layout is written directly: each distinct string is escaped
+        once, and each weight's block built once per Character object."""
+        quoted = functools.cache(json.dumps)
+        blocks = {}  # id(character) -> (its strings, its array at edge depth)
+        for ch in [e.weight for e in self.edges] + [s.alpha for s in self.surfaces]:
+            if id(ch) not in blocks:
+                strings = [str(c) for c in ch.coords]
+                blocks[id(ch)] = strings, _block([quoted(s) for s in strings], 6)
+        edges = []
+        edge = _object({"a": "%s", "b": "%s", "weight": "%s"}, 4)  # filled in per edge
+        for e in self.edges:
+            a, b = (e.a, e.b) if e.a <= e.b else (e.b, e.a)
+            strings, weight = blocks[id(e.weight)]
+            edges.append(((a, b, strings), edge % (quoted(a), quoted(b), weight)))
+        edges.sort(key=lambda item: item[0])
+        surfaces = []
+        for s in sorted(self.surfaces, key=lambda s: s.points):
+            surface = {"alpha": blocks[id(s.alpha)][1], "kind": quoted(s.kind)}
+            surface["model"] = None if s.model is None else quoted(s.model)
+            surface["n"] = None if s.n is None else json.dumps(s.n)
+            surface["points"] = _block([quoted(p) for p in s.points], 6)
+            surfaces.append(_object(surface, 4))
+        ordering = self.ordering
+        datum = {
+            "edges": _block([text for _, text in edges], 2),
+            "lambda": None if ordering is None else _block([quoted(str(c)) for c in ordering], 2),
+            "points": _block([quoted(p) for p in sorted(self.points)], 2),
+            "rank": json.dumps(self.rank),
+            "surfaces": _block(surfaces, 2),
+        }
+        return _object(datum, 0) + "\n"
+
+
+def _block(items, pad: int, brackets: str = "[]") -> str:
+    """Encoded items in the json.dumps(indent=2) layout of a block at indent pad."""
+    if not items:
+        return brackets
+    indent = "\n" + " " * (pad + 2)
+    return brackets[0] + indent + ("," + indent).join(items) + "\n" + " " * pad + brackets[1]
+
+
+def _object(fields: dict, pad: int) -> str:
+    """An object of encoded values, keys in the (sorted) order given, None values left out."""
+    return _block([f'"{k}": {v}' for k, v in fields.items() if v is not None], pad, "{}")
 
 
 # -- congruence constraints ----------------------------------------------------

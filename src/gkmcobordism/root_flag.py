@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .coeff_series import QQ, as_rational
@@ -54,7 +55,7 @@ def vscale(q, a: Vector) -> Vector:
 
 def inner(a: Vector, b: Vector):
     """The Euclidean inner product: an int for integer vectors, exact always."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def pairing(alpha: Vector, lam: Vector) -> QQ:
@@ -75,23 +76,14 @@ def direction(v: Vector) -> tuple:
     Denominators are cleared, the gcd divided out, and the sign fixed so the
     first nonzero entry is positive.
     """
-    denom = 1
-    for c in v:
-        d = int(c.denominator)
-        denom = denom * d // gcd(denom, d)
+    denom = lcm(*(int(c.denominator) for c in v))
     ints = [int(c * denom) for c in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("the zero vector has no direction")
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def solve_linear(matrix, rhs):
@@ -257,17 +249,12 @@ class RootSystem:
         Integers, proportional to the weight by a positive factor: signs of
         pairings, their order and directions are those of the weight.
         """
-        return tuple(sum(x * c for x, c in zip(labels, column)) for column in self.columns)
+        return tuple([sum(map(mul, labels, column)) for column in self.columns])
 
     def vector(self, labels) -> Vector:
         """The weight sum_j labels_j omega_j in epsilon-coordinates."""
         den = self.den
         return tuple(QQ(n, den) for n in self.numerators(labels))
-
-    def positive_root_in_direction(self, v: Vector):
-        """The positive root proportional to v, or None."""
-        d = direction(v)
-        return next((r.vector for r in self.roots if r.direction == d), None)
 
     def decompose_in_simple_roots(self, root: Vector):
         """Coefficients n_i with root = sum n_i alpha_i."""
@@ -322,10 +309,6 @@ class Coset:
     anchor: Vector  # word applied to the coset's defining dominant weight
     labels: tuple  # the anchor's labels <anchor, alpha_j^vee>, j = 1..rank
 
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
     def name(self, prefix: str) -> str:
         return f"{prefix}({''.join(str(i) for i in self.word)})"
 
@@ -363,7 +346,7 @@ class WeylGroup:
         c = labels[i]
         if not c:
             return labels
-        return tuple(x - c * r for x, r in zip(labels, self.system.cartan[i]))
+        return tuple([x - c * r for x, r in zip(labels, self.system.cartan[i])])
 
     def apply_word(self, word, v: Vector) -> Vector:
         """The word applied to any rational vector v, exactly.
@@ -397,7 +380,7 @@ class WeylGroup:
         while queue:
             word, point = queue.popleft()
             for i in range(self.system.rank):
-                image = tuple(step(labels, i) for labels in point)
+                image = tuple([step(labels, i) for labels in point])
                 if image not in seen:
                     seen.add(image)
                     nxt = ((i + 1,) + word, image)
@@ -487,9 +470,11 @@ def enumerate_curves(system: RootSystem, parabolic, group: WeylGroup | None = No
     nonzero gives the curve to s_gamma u = u - p gamma, whose weight is
     p gamma.  Its degree on sigma(s_i) is |<w.omega_i, gamma^vee>|, which is
     curve_degree(w^-1 gamma) by W-invariance.  The scan over (coset, root)
-    pairs is integer arithmetic on the group's root table; each distinct
-    weight and degree value is built once and shared between curves.  Curves
-    come sorted by the coset indices of (u, v).
+    pairs is integer arithmetic on the group's root table: one dot product
+    over the labels of u per pair, and the per-omega_i pairings only for a
+    curve kept, each once from its lower endpoint.  Each distinct weight and
+    degree value is built once and shared between curves.  Curves come
+    sorted by the coset indices of (u, v).
     """
     group = group or WeylGroup(system)
     cosets, images = group._coset_orbit(parabolic)
@@ -502,20 +487,21 @@ def enumerate_curves(system: RootSystem, parabolic, group: WeylGroup | None = No
     out = []
     for a, (u, omegas) in enumerate(zip(cosets, images)):
         found = []
+        labels = u.labels
         for k, root in enumerate(system.roots):
             # <v, gamma^vee> = sum_j c_j <v, alpha_j^vee> with c_j = <omega_j, gamma^vee>.
             coroot = root.coroot
-            parts = [sum(c * x for c, x in zip(coroot, labels)) for labels in omegas]
-            p = sum(parts)
+            p = sum(map(mul, coroot, labels))
             if not p:
                 continue
-            b = index[tuple(x - p * g for x, g in zip(u.labels, root.labels))]
+            b = index[tuple([x - p * g for x, g in zip(labels, root.labels)])]
             if b > a:
                 weight = weights.get((k, p))
                 if weight is None:
                     weight = weights[k, p] = vscale(p, root.vector)
                 degree = {}
-                for i, q in zip(outside, parts):
+                for i, omega in zip(outside, omegas):
+                    q = sum(map(mul, coroot, omega))
                     if q:
                         q = abs(q)
                         degree[i] = values.get(q) or values.setdefault(q, QQ(q))

@@ -7,6 +7,7 @@ from gkmcobordism.cli import main
 from gkmcobordism.coeff_series import TruncatedSeries
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import GkmDatum
+from gkmcobordism.horospherical import PasquierTriple, build_gkm
 from gkmcobordism.multiplicities import load_ig25_tangent, point_class
 from gkmcobordism.torus_ring import TorusRing
 
@@ -61,6 +62,28 @@ def test_bad_order_is_usage_error(capsys):
 def test_unknown_law_is_usage_error(capsys):
     code, _ = run(capsys, "fgl", "inverse", "--law", "mystery")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gkm", "congruences", "DATUM"),
+        ("flag", "curves", "--type", "G2"),
+        ("horo", "scan", "--family", "5"),
+        ("horo", "build", "--family", "5"),
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+@pytest.mark.parametrize("order", ["3", "8"])
+def test_unknown_law_is_refused_by_every_command(tmp_path, capsys, argv, order):
+    datum = tmp_path / "g2.json"
+    datum.write_text(build_gkm(PasquierTriple(family=5)).dumps())
+    argv = [str(datum) if a == "DATUM" else a for a in argv]
+    code = main([*argv, "--law", "bogus", "--order", order])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown law 'bogus'" in captured.err
 
 
 def test_law_with_a_zero_denominator_is_usage_error(capsys):

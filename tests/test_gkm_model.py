@@ -1,7 +1,10 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from gkmcobordism.coeff_series import QQ
 
 from gkmcobordism.coeff_series import TruncatedSeries
@@ -246,3 +249,74 @@ def test_datum_json_round_trip():
     assert clone.rank == datum.rank
     assert congruence_system(clone) == congruence_system(datum)
     assert clone.dumps() == GkmDatum.from_json_obj(json.loads(clone.dumps())).dumps()
+
+
+def _reference_json_obj(datum: GkmDatum) -> dict:
+    """The datum's JSON object, built field by field: the oracle for dumps."""
+
+    def surface(s):
+        obj = {"kind": s.kind, "points": list(s.points), "alpha": s.alpha.to_json_obj()}
+        if s.n is not None:
+            obj["n"] = s.n
+        if s.model is not None:
+            obj["model"] = s.model
+        return obj
+
+    edges = []
+    for e in datum.edges:
+        a, b = sorted((e.a, e.b))
+        edges.append({"a": a, "b": b, "weight": e.weight.to_json_obj()})
+    obj = {
+        "rank": datum.rank,
+        "points": sorted(datum.points),
+        "edges": sorted(edges, key=lambda o: (o["a"], o["b"], o["weight"])),
+        "surfaces": [surface(s) for s in sorted(datum.surfaces, key=lambda s: s.points)],
+    }
+    if datum.ordering is not None:
+        obj["lambda"] = [str(c) for c in datum.ordering]
+    return obj
+
+
+# names with quotes, backslashes, control and non-ASCII characters
+_NAMES = st.text(max_size=3) | st.sampled_from(
+    ["x12", "x2", "é", "点", 'say "hi"', "back\\slash", "tab\t", ""]
+)
+_RATIONALS = st.sampled_from(["-1/2", "3", "0", "2/4", -1]) | st.fractions(max_denominator=4).map(str)
+
+
+@st.composite
+def _datum_files(draw):
+    """A datum file with arbitrary names and rationals, parsed by
+    from_json_obj; some weights are then shared as one Character object."""
+    rank = draw(st.integers(0, 3))
+    points = draw(st.lists(_NAMES, max_size=5))
+    names = st.sampled_from(points) if points else _NAMES
+    weight = st.lists(_RATIONALS, min_size=rank, max_size=rank)
+    edge = st.fixed_dictionaries({"a": names, "b": names, "weight": weight})
+    kinds = st.sampled_from(["P2", "F0", "Fn"])
+    surface = st.fixed_dictionaries(
+        {"kind": kinds, "points": st.lists(names, max_size=4), "alpha": weight},
+        optional={"n": st.integers(-1, 4), "model": st.sampled_from(["V0V1", "V2"]) | _NAMES},
+    )
+    obj = {"rank": rank, "points": points, "edges": draw(st.lists(edge, max_size=6))}
+    if obj["edges"] and draw(st.booleans()):
+        obj["edges"].append(dict(obj["edges"][0]))  # an equal, distinct Character
+    if draw(st.booleans()):
+        obj["surfaces"] = draw(st.lists(surface, max_size=4))
+    if draw(st.booleans()):
+        obj["lambda"] = draw(weight)
+    datum = GkmDatum.from_json_obj(json.loads(json.dumps(obj)))
+    if datum.edges and draw(st.booleans()):
+        shared = datum.edges[0].weight
+        edges = enumerate(datum.edges)
+        datum.edges = tuple(e if k % 2 else replace(e, weight=shared) for k, e in edges)
+        datum.surfaces = tuple(replace(s, alpha=shared) for s in datum.surfaces)
+    return datum
+
+
+@settings(max_examples=300, deadline=None)
+@given(_datum_files())
+def test_datum_writer_matches_the_json_encoder(datum):
+    text = datum.dumps()
+    assert text == json.dumps(_reference_json_obj(datum), indent=2, sort_keys=True) + "\n"
+    assert GkmDatum.from_json_obj(json.loads(text)).dumps() == text

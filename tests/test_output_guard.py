@@ -17,7 +17,10 @@ enumeration with rational weight arithmetic (labels, coroots and endpoint
 differences computed on epsilon-coordinate vectors).  Those for A4, G2 and
 C3, and the `horo scan` reports, were recorded from a hand-typed table of
 positive roots; the engine now derives the positive roots from the simple
-roots, in another order, and the digests are unchanged.
+roots, in another order, and the digests are unchanged.  Those for the full
+flag variety of F4 and for B5/P_{a1,a3} were recorded from the scan that
+summed the per-omega_i pairings of every (coset, root) pair; the engine now
+takes one dot product per pair.
 Every series the engine builds is the
 unique exact truncation of a closed-form object, so a kernel rewrite must
 reproduce these bytes.
@@ -74,6 +77,8 @@ COMMANDS = {
     "flag-curves-A4-2": ("flag", "curves", "--type", "A4", "--parabolic", "2", "--format", "json"),
     "flag-curves-G2-1": ("flag", "curves", "--type", "G2", "--parabolic", "1", "--format", "json"),
     "flag-curves-C3-": ("flag", "curves", "--type", "C3", "--format", "json"),
+    "flag-curves-F4-": ("flag", "curves", "--type", "F4", "--format", "json"),
+    "flag-curves-B5-13": ("flag", "curves", "--type", "B5", "--parabolic", "1,3", "--format", "json"),
     # The surface scan of every triple in the datum sweep of test_horospherical.
     **{
         f"horo-scan-{name}": ("horo", "scan", *args, "--format", "json")
@@ -111,6 +116,8 @@ DIGESTS = {
     "flag-curves-A4-2": "08008f147deccc4ab9220a854d0d6bae38dca237efa9d1f55cf5b73868f7d7ca",
     "flag-curves-G2-1": "8fd2f8b1c5bcdc7e72164557ca478223763f531b3748ad1ae25b54c6c9916106",
     "flag-curves-C3-": "eab42b3818af911a4d9fc350ed325b2af8f74ebf4295046e3c5776ac11564785",
+    "flag-curves-F4-": "85f3be1ea52cfa89ecedd476e6cad4c935b536816b3b033a400b24919175bdb5",
+    "flag-curves-B5-13": "bf9b888ebdb3920f28d055e7adc971175aa9812e7ee6fdf646880058930ebf36",
     "horo-scan-b3-spinor": "9893a58114342bdbfb1f37b94dadbfd09676cce29d896787d5cfd74f545b85f6",
     "horo-scan-b4-spinor": "b22a6ed18c50c6f32cd4ffeabc06e1468409e48ec5a73f15e113341bc2a441be",
     "horo-scan-b5-spinor": "375e5b48bcbac1ce8fb9a10d08189831291e9ef5a0ec37df25d396939ec3de7e",

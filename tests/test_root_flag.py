@@ -185,7 +185,8 @@ def pair_scan_curves(system, parabolic, group):
     for a, b in combinations(range(len(cosets)), 2):
         u, v = cosets[a], cosets[b]
         delta = vsub(u.anchor, v.anchor)
-        gamma = system.positive_root_in_direction(delta)
+        line = direction(delta)
+        gamma = next((r.vector for r in system.roots if r.direction == line), None)
         if gamma is None or vscale(pairing(gamma, u.anchor), gamma) != delta:
             continue
         base = gamma
