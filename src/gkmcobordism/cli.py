@@ -98,6 +98,10 @@ def cmd_fgl(args) -> int:
             coeff.render(),
         )
     elif args.fgl_op == "table":
+        if not 0 <= args.max_degree <= args.order:
+            raise ValueError(
+                f"--max-degree must lie between 0 and the order {args.order}, got {args.max_degree}"
+            )
         rows = []
         lines = []
         for i in range(args.max_degree + 1):
@@ -115,9 +119,7 @@ def cmd_fgl(args) -> int:
 
 def _load_datum(path: str) -> GkmDatum:
     with open(path) as fh:
-        datum = GkmDatum.from_json_obj(json.load(fh))
-    datum.validate()
-    return datum
+        return GkmDatum.from_json_obj(json.load(fh))
 
 
 def _load_tuple(path: str, rank: int, order: int) -> dict:
@@ -413,7 +415,10 @@ def main(argv=None) -> int:
     except UnresolvedSurfaceKindError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)  # str() would quote the message
+        return EXIT_USAGE
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

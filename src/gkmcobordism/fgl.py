@@ -94,19 +94,6 @@ class FormalGroupLaw:
         and raise ValueError without it."""
         return cls(order, assignment, label="custom")
 
-    def specialize(self, spec) -> "FormalGroupLaw":
-        """Return the law with every mk evaluated at a rational.
-
-        spec is "additive", ("multiplicative", beta), or a full {k: rational}.
-        """
-        if spec == "additive":
-            return FormalGroupLaw.additive(self.order)
-        if isinstance(spec, tuple) and spec and spec[0] == "multiplicative":
-            return FormalGroupLaw.multiplicative(spec[1], self.order)
-        if isinstance(spec, dict):
-            return FormalGroupLaw.with_assignment(self.order, spec)
-        raise ValueError(f"unknown specialization {spec!r}")
-
     # -- log and exp ----------------------------------------------------------
 
     def _m(self, k: int) -> LazardCoefficient:

@@ -7,6 +7,11 @@ generates a congruence system; a tuple of series indexed by the fixed points
 belongs to the image of restriction iff every congruence holds, and the
 checker returns a machine-readable certificate either way.
 
+A datum and each of its surfaces check their rules when they are made, in
+code or from JSON, and are immutable afterwards: every datum that exists is
+valid, so nothing downstream checks one again.  The per-edge rules run in
+the datum's own loop, not in each edge.
+
 Each congruence is a list of per-point weights, +-1 or +-rho_factor, and
 its residual is built from that list.  The checker does not build
 residuals: it converts each point value to logarithmic coordinates once
@@ -55,8 +60,9 @@ class SurfaceComponent:
     """A surface in the fixed locus of a codimension-one subtorus.
 
     kind is "P2" (3 points, needs a model tag), "F0" or "Fn" (4 points,
-    "Fn" needs the index n >= 1).  Points are stored in weight order, top
-    first; alpha is the root attached to the subtorus.
+    "Fn" needs the index n >= 1); a kind takes no other key.  Points are
+    stored in weight order, top first; alpha is the root attached to the
+    subtorus.
     """
 
     kind: str
@@ -65,7 +71,7 @@ class SurfaceComponent:
     n: int | None = None
     model: str | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in ("P2", "F0", "Fn"):
             raise GkmValidationError(f"unknown surface kind {self.kind!r}")
         expected = 3 if self.kind == "P2" else 4
@@ -81,6 +87,9 @@ class SurfaceComponent:
             raise GkmValidationError("P2 component needs a model tag V0V1 or V2")
         if self.kind == "Fn" and (self.n is None or self.n < 1):
             raise GkmValidationError("Fn component needs an index n >= 1")
+        for key, kind in (("n", "Fn"), ("model", "P2")):
+            if getattr(self, key) is not None and self.kind != kind:
+                raise GkmValidationError(f"{self.kind} component takes no key {key!r}")
 
     @classmethod
     def from_json_obj(cls, obj) -> "SurfaceComponent":
@@ -110,7 +119,7 @@ class GkmEdge:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GkmDatum:
     rank: int
     points: tuple
@@ -119,13 +128,11 @@ class GkmDatum:
     ordering: tuple | None = None  # covector used to order surface points
 
     def __post_init__(self):
-        self.points = tuple(self.points)
-        self.edges = tuple(self.edges)
-        self.surfaces = tuple(self.surfaces)
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "surfaces", tuple(self.surfaces))
         if self.ordering is not None:
-            self.ordering = tuple(as_rational(c) for c in self.ordering)
-
-    def validate(self):
+            object.__setattr__(self, "ordering", tuple(as_rational(c) for c in self.ordering))
         seen = set(self.points)
         if len(seen) != len(self.points):
             raise GkmValidationError("duplicate fixed-point names")
@@ -156,7 +163,6 @@ class GkmDatum:
                             f"duplicate edge between {a} and {b}: two weights on the line {line}"
                         )
         for s in self.surfaces:
-            s.validate()
             if s.alpha.rank != self.rank:
                 raise GkmValidationError("surface root rank mismatch")
             for p in s.points:
@@ -348,7 +354,6 @@ def _surface_chain_edges(surface: SurfaceComponent):
 
 def congruence_system(datum: GkmDatum) -> list:
     """All congruences of a datum, canonically ordered and deduplicated."""
-    datum.validate()
     out = []
     for e in datum.edges:
         a, b = sorted((e.a, e.b))
@@ -446,7 +451,6 @@ def check_membership(datum: GkmDatum, values: dict, ring: TorusRing) -> Membersh
 
 def surface_generators(surface: SurfaceComponent, ring: TorusRing) -> list:
     """The generator tuples of one surface, unit first, keyed by point name."""
-    surface.validate()
     alpha = surface.alpha
     one, zero = ring.one(), ring.zero()
     c = ring.chern
@@ -502,7 +506,6 @@ def surface_decompose(surface: SurfaceComponent, values: dict, ring: TorusRing) 
     The closed forms are exact divisions; congruence failure or a division
     remainder raises DecompositionError.
     """
-    surface.validate()
     datum = GkmDatum(
         rank=ring.rank,
         points=surface.points,

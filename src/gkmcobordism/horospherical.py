@@ -13,6 +13,9 @@ The surface kind is known for the families the classification pins down
 surface for family 5); family 4 finds a surface whose Hirzebruch index has
 no established rule and therefore needs an explicit override.
 
+A triple checks its family and parameters when it is made, and the datum
+checks itself when the builder makes it, so neither is checked again.
+
 The builder keeps every weight as an integer vector: labels, and the
 epsilon-coordinate numerators of RootSystem.numerators.  The surface scan
 finds the root along chi in the system's positive-root table by chi's
@@ -49,7 +52,7 @@ class PasquierTriple:
     n: int | None = None
     m: int | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.family not in _PARAMETERS:
             raise ValueError(f"unknown family {self.family}")
         for name in ("n", "m"):
@@ -63,7 +66,6 @@ class PasquierTriple:
                 raise ValueError("family 3 requires n >= 2 and 2 <= m <= n")
 
     def group(self) -> RootSystem:
-        self.validate()
         if self.family == 1:
             return root_system(f"B{self.n}")
         if self.family == 2:
@@ -76,7 +78,6 @@ class PasquierTriple:
 
     def weight_indices(self) -> tuple:
         """Bourbaki indices (iY, iZ) of the defining fundamental weights."""
-        self.validate()
         if self.family == 1:
             return self.n - 1, self.n
         if self.family == 2:
@@ -236,7 +237,6 @@ def point_weights(triple: PasquierTriple) -> dict:
     restriction of the hyperplane class and satisfies every congruence of
     the built datum.
     """
-    triple.validate()
     rs = triple.group()
     group = WeylGroup(rs)
     *_, cosets = _point_tables(triple, rs, group)
@@ -259,7 +259,6 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     family does not determine its kind and no override was supplied, and
     ValueError when an override is supplied for a triple without one.
     """
-    triple.validate()
     forced = None if force_kind is None else _parse_force_kind(force_kind)
     rs = triple.group()
     iy, iz = triple.weight_indices()
@@ -382,12 +381,10 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
             weight = tuple(-x for x in weight)
         add_edge(y, z, direction(numer), Character(rs.vector(weight)))
 
-    datum = GkmDatum(
+    return GkmDatum(
         rank=rs.dim,
         points=tuple(sorted(cosets)),
         edges=tuple(edges[k] for k in sorted(edges)),
         surfaces=tuple(surfaces),
         ordering=rs.vector(lam),
     )
-    datum.validate()
-    return datum

@@ -45,9 +45,6 @@ class TangentData:
             point: tuple(ch if isinstance(ch, Character) else Character(ch) for ch in chars)
             for point, chars in self.weights.items()
         }
-        self.validate()
-
-    def validate(self):
         rank = None
         for point, chars in self.weights.items():
             for ch in chars:

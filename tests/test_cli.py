@@ -520,3 +520,29 @@ def test_unparsable_kind_and_parabolic_say_what_they_accept(capsys, argv, messag
     assert code == 2
     assert captured.out == ""
     assert message in captured.err and "invalid literal" not in captured.err
+
+
+def test_gkm_surface_with_a_key_its_kind_does_not_take_is_rejected(tmp_path, capsys):
+    obj = _ig25_datum_obj(tmp_path, capsys)
+    assert obj["surfaces"][0]["kind"] == "P2"
+    obj["surfaces"][0]["n"] = 7
+    code, err = _congruences_of(tmp_path, capsys, obj)
+    assert code == 2
+    assert err == "error: P2 component takes no key 'n'\n"
+
+
+@pytest.mark.parametrize("degree", ["-1", "9"])
+def test_fgl_table_refuses_a_max_degree_outside_the_order(capsys, degree):
+    code = main(["fgl", "table", "--max-degree", degree, "--order", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --max-degree must lie between 0 and the order 8, got {degree}\n"
+
+
+def test_mult_point_class_names_an_unknown_point_without_quotes(capsys):
+    code = main(["mult", "point-class", str(DATA / "ig25_tangent.json"), "--point", "x99"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: no weight data at point 'x99'\n"

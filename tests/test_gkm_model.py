@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from gkmcobordism.coeff_series import QQ
 
+from gkmcobordism.cli import main
 from gkmcobordism.coeff_series import TruncatedSeries
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import (
@@ -76,27 +77,144 @@ def test_f0_congruence_shape():
 
 def test_datum_validation():
     with pytest.raises(GkmValidationError):
-        congruence_system(
-            GkmDatum(rank=2, points=("a",), edges=(GkmEdge("a", "a", C(1, 0)),))
-        )
+        GkmDatum(rank=2, points=("a",), edges=(GkmEdge("a", "a", C(1, 0)),))
     with pytest.raises(GkmValidationError):
-        congruence_system(
-            GkmDatum(rank=2, points=("a", "b"), edges=(GkmEdge("a", "b", C(0, 0)),))
-        )
+        GkmDatum(rank=2, points=("a", "b"), edges=(GkmEdge("a", "b", C(0, 0)),))
     with pytest.raises(GkmValidationError):
-        SurfaceComponent("P2", ("x", "y", "z"), ALPHA).validate()  # missing model
+        SurfaceComponent("P2", ("x", "y", "z"), ALPHA)  # missing model
     with pytest.raises(GkmValidationError):
-        SurfaceComponent("Fn", ("w", "x", "y", "z"), ALPHA).validate()  # missing n
+        SurfaceComponent("Fn", ("w", "x", "y", "z"), ALPHA)  # missing n
 
 
 def test_duplicate_edges_are_rejected():
     # (1, 0) and (-2, 0) span one line, in either endpoint order
     duplicate = (GkmEdge("a", "b", C(1, 0)), GkmEdge("b", "a", C(-2, 0)))
     with pytest.raises(GkmValidationError, match="duplicate edge between a and b"):
-        GkmDatum(rank=2, points=("a", "b"), edges=duplicate).validate()
+        GkmDatum(rank=2, points=("a", "b"), edges=duplicate)
     # two curves through one pair of points with independent weights are kept
     two_lines = (GkmEdge("a", "b", C(1, 0)), GkmEdge("a", "b", C(1, 1)))
-    GkmDatum(rank=2, points=("a", "b"), edges=two_lines).validate()
+    GkmDatum(rank=2, points=("a", "b"), edges=two_lines)
+
+
+def _valid_datum_obj() -> dict:
+    return {
+        "rank": 2,
+        "points": ["a", "b", "c", "d"],
+        "edges": [{"a": "a", "b": "d", "weight": ["1", "1"]}],
+        "surfaces": [{"kind": "P2", "points": ["a", "b", "c"], "alpha": ["2", "0"], "model": "V0V1"}],
+        "lambda": ["2", "1"],
+    }
+
+
+def _four_point(kind, **keys):
+    return {"kind": kind, "points": ["a", "b", "c", "d"], "alpha": ["1", "0"], **keys}
+
+
+# Each rule of a datum once: the edit that breaks a valid datum, and the refusal's message.
+_INVALID = {
+    "duplicate-point": (lambda o: o["points"].append("a"), "duplicate fixed-point names"),
+    "self-edge": (
+        lambda o: o["edges"].append({"a": "b", "b": "b", "weight": ["1", "0"]}),
+        "edge endpoints must differ (b)",
+    ),
+    "zero-weight": (
+        lambda o: o["edges"][0].update(weight=["0", "0"]),
+        "edge weight must be nonzero",
+    ),
+    "weight-rank": (lambda o: o["edges"][0].update(weight=["1"]), "edge weight rank mismatch"),
+    "edge-endpoint": (
+        lambda o: o["edges"][0].update(b="q"),
+        "edge endpoint not in the point list: a, q",
+    ),
+    "two-edges-one-line": (
+        lambda o: o["edges"].append({"a": "d", "b": "a", "weight": ["-2", "-2"]}),
+        "duplicate edge between a and d",
+    ),
+    "lambda-length": (
+        lambda o: o.update({"lambda": ["1"]}),
+        "'lambda' has length 1, but the datum has rank 2",
+    ),
+    "surface-point": (
+        lambda o: o["surfaces"][0].update(points=["a", "b", "q"]),
+        "surface point q not in the point list",
+    ),
+    "surface-root-rank": (
+        lambda o: o["surfaces"][0].update(alpha=["2"]),
+        "surface root rank mismatch",
+    ),
+    "surface-kind": (lambda o: o["surfaces"][0].update(kind="P3"), "unknown surface kind 'P3'"),
+    "point-count": (
+        lambda o: o["surfaces"][0].update(points=["a", "b"]),
+        "P2 component must list 3 points, got 2",
+    ),
+    "repeated-surface-point": (
+        lambda o: o["surfaces"][0].update(points=["a", "b", "a"]),
+        "surface component points must be distinct",
+    ),
+    "zero-root": (
+        lambda o: o["surfaces"][0].update(alpha=["0", "0"]),
+        "surface root must be nonzero",
+    ),
+    "p2-without-model": (
+        lambda o: o["surfaces"][0].pop("model"),
+        "P2 component needs a model tag V0V1 or V2",
+    ),
+    "fn-without-n": (
+        lambda o: o["surfaces"].append(_four_point("Fn")),
+        "Fn component needs an index n >= 1",
+    ),
+    "fn-n0": (
+        lambda o: o["surfaces"].append(_four_point("Fn", n=0)),
+        "Fn component needs an index n >= 1",
+    ),
+    "p2-n": (lambda o: o["surfaces"][0].update(n=7), "P2 component takes no key 'n'"),
+    "f0-n": (
+        lambda o: o["surfaces"].append(_four_point("F0", n=1)),
+        "F0 component takes no key 'n'",
+    ),
+    "f0-model": (
+        lambda o: o["surfaces"].append(_four_point("F0", model="V2")),
+        "F0 component takes no key 'model'",
+    ),
+    "fn-model": (
+        lambda o: o["surfaces"].append(_four_point("Fn", n=2, model="V2")),
+        "Fn component takes no key 'model'",
+    ),
+}
+
+
+def _construct(obj) -> GkmDatum:
+    """The datum of a file, built by the constructors alone."""
+    surfaces = [
+        SurfaceComponent(**{**s, "points": tuple(s["points"]), "alpha": Character(s["alpha"])})
+        for s in obj["surfaces"]
+    ]
+    edges = [GkmEdge(e["a"], e["b"], Character(e["weight"])) for e in obj["edges"]]
+    return GkmDatum(obj["rank"], obj["points"], edges, surfaces, obj["lambda"])
+
+
+@pytest.mark.parametrize("edit, message", list(_INVALID.values()), ids=list(_INVALID))
+def test_an_invalid_datum_is_refused_everywhere(tmp_path, capsys, edit, message):
+    obj = _valid_datum_obj()
+    edit(obj)
+    with pytest.raises(GkmValidationError) as built:
+        _construct(obj)
+    with pytest.raises(GkmValidationError) as read:
+        GkmDatum.from_json_obj(obj)
+    assert message in str(built.value) and str(read.value) == str(built.value)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    assert main(["gkm", "congruences", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {built.value}\n"
+
+
+def test_the_table_starts_from_a_valid_datum(tmp_path, capsys):
+    obj = _valid_datum_obj()
+    assert congruence_system(_construct(obj)) == congruence_system(GkmDatum.from_json_obj(obj))
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    assert main(["gkm", "congruences", str(path)]) == 0
 
 
 def test_constant_tuples_are_members(ring):
@@ -243,7 +361,6 @@ def test_datum_json_round_trip():
         surfaces=(SurfaceComponent("P2", ("a", "b", "c"), ALPHA, model="V2"),),
         ordering=(QQ(2), QQ(1)),
     )
-    datum.validate()
     clone = GkmDatum.from_json_obj(json.loads(datum.dumps()))
     assert clone.points == tuple(sorted(datum.points))
     assert clone.rank == datum.rank
@@ -284,33 +401,64 @@ _NAMES = st.text(max_size=3) | st.sampled_from(
 _RATIONALS = st.sampled_from(["-1/2", "3", "0", "2/4", -1]) | st.fractions(max_denominator=4).map(str)
 
 
+def _line(a, b, weight) -> tuple:
+    """The curve an edge lies on: its two endpoints and its weight's line."""
+    return frozenset((a, b)), Character(weight).primitive_direction()
+
+
+_SURFACE_SIZES = {"P2": 3, "F0": 4, "Fn": 4}
+
+
 @st.composite
 def _datum_files(draw):
-    """A datum file with arbitrary names and rationals, parsed by
+    """A valid datum file with arbitrary names and rationals, parsed by
     from_json_obj; some weights are then shared as one Character object."""
     rank = draw(st.integers(0, 3))
-    points = draw(st.lists(_NAMES, max_size=5))
-    names = st.sampled_from(points) if points else _NAMES
+    points = draw(st.lists(_NAMES, min_size=draw(st.integers(0, 5)), max_size=5, unique=True))
     weight = st.lists(_RATIONALS, min_size=rank, max_size=rank)
-    edge = st.fixed_dictionaries({"a": names, "b": names, "weight": weight})
-    kinds = st.sampled_from(["P2", "F0", "Fn"])
-    surface = st.fixed_dictionaries(
-        {"kind": kinds, "points": st.lists(names, max_size=4), "alpha": weight},
-        optional={"n": st.integers(-1, 4), "model": st.sampled_from(["V0V1", "V2"]) | _NAMES},
-    )
-    obj = {"rank": rank, "points": points, "edges": draw(st.lists(edge, max_size=6))}
-    if obj["edges"] and draw(st.booleans()):
-        obj["edges"].append(dict(obj["edges"][0]))  # an equal, distinct Character
-    if draw(st.booleans()):
-        obj["surfaces"] = draw(st.lists(surface, max_size=4))
+    nonzero = weight.filter(lambda w: not Character(w).is_zero())
+    edges, surfaces = [], []
+    if rank and len(points) > 1:
+        pairs = st.tuples(st.sampled_from(points), st.sampled_from(points)).filter(
+            lambda pair: pair[0] != pair[1]
+        )
+        lines = set()
+        for a, b in draw(st.lists(pairs, max_size=6)):  # a > b as often as a < b
+            w = draw(nonzero)
+            if _line(a, b, w) not in lines:  # two edges on one curve are one edge
+                lines.add(_line(a, b, w))
+                edges.append({"a": a, "b": b, "weight": w})
+        if edges and draw(st.booleans()):  # an equal, distinct Character on another curve
+            w = edges[0]["weight"]
+            free = [(a, b) for a in points for b in points if a != b and _line(a, b, w) not in lines]
+            if free:
+                a, b = draw(st.sampled_from(free))
+                edges.append({"a": a, "b": b, "weight": list(w)})
+        for kind in draw(st.lists(st.sampled_from(sorted(_SURFACE_SIZES)), max_size=4)):
+            if len(points) >= _SURFACE_SIZES[kind]:
+                surface = {"kind": kind, "alpha": draw(nonzero)}
+                surface["points"] = draw(st.permutations(points))[: _SURFACE_SIZES[kind]]
+                if kind == "P2":
+                    surface["model"] = draw(st.sampled_from(["V0V1", "V2"]))
+                if kind == "Fn":
+                    surface["n"] = draw(st.integers(1, 4))
+                surfaces.append(surface)
+    obj = {"rank": rank, "points": points, "edges": edges}
+    if surfaces or draw(st.booleans()):
+        obj["surfaces"] = surfaces
     if draw(st.booleans()):
         obj["lambda"] = draw(weight)
     datum = GkmDatum.from_json_obj(json.loads(json.dumps(obj)))
     if datum.edges and draw(st.booleans()):
         shared = datum.edges[0].weight
-        edges = enumerate(datum.edges)
-        datum.edges = tuple(e if k % 2 else replace(e, weight=shared) for k, e in edges)
-        datum.surfaces = tuple(replace(s, alpha=shared) for s in datum.surfaces)
+        edges, lines = [], set()
+        for k, e in enumerate(datum.edges):
+            e = e if k % 2 else replace(e, weight=shared)
+            if _line(e.a, e.b, e.weight.coords) not in lines:
+                lines.add(_line(e.a, e.b, e.weight.coords))
+                edges.append(e)
+        surfaces = [replace(s, alpha=shared) for s in datum.surfaces]
+        datum = replace(datum, edges=edges, surfaces=surfaces)
     return datum
 
 

@@ -28,12 +28,12 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def test_triple_validation():
     with pytest.raises(ValueError):
-        PasquierTriple(family=1, n=2).validate()
+        PasquierTriple(family=1, n=2)
     with pytest.raises(ValueError):
-        PasquierTriple(family=3, n=2, m=3).validate()
+        PasquierTriple(family=3, n=2, m=3)
     with pytest.raises(ValueError):
-        PasquierTriple(family=6).validate()
-    PasquierTriple(family=3, n=4, m=2).validate()
+        PasquierTriple(family=6)
+    PasquierTriple(family=3, n=4, m=2)
 
 
 def test_chi_values():
@@ -213,8 +213,7 @@ def test_surface_points_connected_by_proportional_congruences():
 
 
 def test_build_validates():
-    datum = build_gkm(PasquierTriple(family=3, n=3, m=2))
-    datum.validate()
+    datum = build_gkm(PasquierTriple(family=3, n=3, m=2))  # the datum checked itself when built
     assert len(datum.surfaces) == 12
     for s in datum.surfaces:
         assert s.kind == "P2" and len(s.points) == 3

@@ -1,0 +1,79 @@
+"""Leftover checks on the package source, with the standard library alone.
+
+Every module-level import of a module is used in it, and every private
+module-level function, class or constant is referenced somewhere in the
+package: a deletion tends to leave such names behind.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gkmcobordism"
+MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _used_names(tree) -> set:
+    """Names a module reads: loaded names, attribute names and the strings in __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def _imported(tree):
+    """(bound name, line) of each module-level import."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def _private_definitions(tree):
+    """(name, line) of each private module-level function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    used = _used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
+    assert not unused, f"{module} imports but never uses: {', '.join(unused)}"
+
+
+def test_every_private_definition_is_referenced():
+    references = set()
+    for tree in MODULES.values():
+        references |= _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                references.update(alias.name for alias in node.names)
+    unreferenced = [
+        f"{module}:{line} {name}"
+        for module, tree in MODULES.items()
+        for name, line in _private_definitions(tree)
+        if name not in references
+    ]
+    assert not unreferenced, f"private names nothing refers to: {', '.join(unreferenced)}"

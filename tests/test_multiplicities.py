@@ -212,8 +212,7 @@ def test_point_class_membership_survives_specialization(ig25):
     # the congruences are identities in the group law, so members stay members
     # under any specialization of the coefficients
     tangent = load_ig25_tangent()
-    for label in ("additive", ("multiplicative", 1)):
-        law = FormalGroupLaw.universal(6).specialize(label)
+    for law in (FormalGroupLaw.additive(6), FormalGroupLaw.multiplicative(1, 6)):
         ring = TorusRing(law, 2)
         values = point_class(ring, "x45", tangent)
         assert check_membership(ig25, values, ring).is_member
