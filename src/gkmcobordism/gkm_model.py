@@ -21,6 +21,13 @@ congruence costs rational linear maps, not series products.
 
 Surface components also carry explicit generator tuples and a closed-form
 decomposition of any member over those generators.
+
+What a surface kind is, is stated once, in the kind table SURFACE_KINDS:
+each kind's point count, the one key it requires and its invariant curves.
+The surface constructor, the congruence system and parse_surface_kind (the
+spellings --force-kind takes) read it; P2_LINES gives each P2 model's line
+weights to the generators and the decomposition.  No other module spells
+a kind.
 """
 
 from __future__ import annotations
@@ -43,8 +50,19 @@ from .coeff_series import (
 )
 from .torus_ring import Character, RemainderReport, LocalizedElement, TorusRing
 
-P2_MODELS = ("V0V1", "V2")
 QQ_HALF = QQ(1, 2)
+
+# The surface kinds: kind -> (its point count, the one key it requires, its
+# invariant curves as index pairs into its points).  Its congruence kind is
+# the kind in lower case.
+SURFACE_KINDS = {
+    "P2": (3, "model", ((0, 1), (1, 2))),
+    "F0": (4, None, ((0, 1), (0, 2), (1, 3), (2, 3))),
+    "Fn": (4, "n", ((0, 1), (1, 2), (2, 3), (0, 3))),
+}
+
+# Each P2 model's two line weights, as multiples of alpha.
+P2_LINES = {"V0V1": (QQ_HALF, 1), "V2": (1, 2)}
 
 
 class GkmValidationError(ValueError):
@@ -59,10 +77,10 @@ class DecompositionError(ValueError):
 class SurfaceComponent:
     """A surface in the fixed locus of a codimension-one subtorus.
 
-    kind is "P2" (3 points, needs a model tag), "F0" or "Fn" (4 points,
-    "Fn" needs the index n >= 1); a kind takes no other key.  Points are
-    stored in weight order, top first; alpha is the root attached to the
-    subtorus.
+    kind is a key of SURFACE_KINDS: "P2" (3 points, needs a model tag),
+    "F0" or "Fn" (4 points, "Fn" needs the index n >= 1); a kind takes no
+    other key.  Points are stored in weight order, top first; alpha is the
+    root attached to the subtorus.
     """
 
     kind: str
@@ -72,9 +90,9 @@ class SurfaceComponent:
     model: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("P2", "F0", "Fn"):
+        if self.kind not in SURFACE_KINDS:
             raise GkmValidationError(f"unknown surface kind {self.kind!r}")
-        expected = 3 if self.kind == "P2" else 4
+        expected, required, _ = SURFACE_KINDS[self.kind]
         if len(self.points) != expected:
             raise GkmValidationError(
                 f"{self.kind} component must list {expected} points, got {len(self.points)}"
@@ -83,12 +101,14 @@ class SurfaceComponent:
             raise GkmValidationError("surface component points must be distinct")
         if self.alpha.is_zero():
             raise GkmValidationError("surface root must be nonzero")
-        if self.kind == "P2" and self.model not in P2_MODELS:
-            raise GkmValidationError("P2 component needs a model tag V0V1 or V2")
-        if self.kind == "Fn" and (self.n is None or self.n < 1):
-            raise GkmValidationError("Fn component needs an index n >= 1")
-        for key, kind in (("n", "Fn"), ("model", "P2")):
-            if getattr(self, key) is not None and self.kind != kind:
+        if required == "model" and self.model not in P2_LINES:
+            raise GkmValidationError(
+                f"{self.kind} component needs a model tag {' or '.join(P2_LINES)}"
+            )
+        if required == "n" and (self.n is None or self.n < 1):
+            raise GkmValidationError(f"{self.kind} component needs an index n >= 1")
+        for key in ("n", "model"):
+            if getattr(self, key) is not None and key != required:
                 raise GkmValidationError(f"{self.kind} component takes no key {key!r}")
 
     @classmethod
@@ -101,6 +121,32 @@ class SurfaceComponent:
             n=_checked(obj, "n", "surface", _INT),
             model=_checked(obj, "model", "surface", _STR),
         )
+
+
+def parse_surface_kind(text: str) -> tuple:
+    """(kind, model, n) of a surface kind spelled p2:v0v1, p2:v2, f0 or
+    fn:<k> in any case: the kind in lower case, then its required key's value
+    after a colon."""
+    text = text.strip().lower()
+    name, colon, value = text.partition(":")
+    kind = {k.lower(): k for k in SURFACE_KINDS}.get(name)
+    required = kind and SURFACE_KINDS[kind][1]
+    if required == "n" and colon:
+        try:
+            n = int(value)
+        except ValueError:
+            raise ValueError(
+                f"cannot parse surface kind {text!r}; fn:<k> takes an integer k >= 1"
+            ) from None
+        if n < 1:
+            raise ValueError("Hirzebruch index must be >= 1")
+        return kind, None, n
+    models = {m.lower(): m for m in P2_LINES}
+    if required == "model" and value in models:
+        return kind, models[value], None
+    if kind and not required and not colon:
+        return kind, None, None
+    raise ValueError(f"cannot parse surface kind {text!r}; use p2:v0v1, p2:v2, f0 or fn:<k>")
 
 
 @dataclass(frozen=True)
@@ -340,18 +386,6 @@ class CongruenceConstraint:
         )
 
 
-def _surface_chain_edges(surface: SurfaceComponent):
-    """The invariant curves inside a surface, as ordered point pairs."""
-    p = surface.points
-    if surface.kind == "P2":
-        return [(p[0], p[1]), (p[1], p[2])]
-    if surface.kind == "F0":
-        w, x, y, z = p
-        return [(w, x), (w, y), (x, z), (y, z)]
-    w, x, y, z = p
-    return [(w, x), (x, y), (y, z), (w, z)]
-
-
 def congruence_system(datum: GkmDatum) -> list:
     """All congruences of a datum, canonically ordered and deduplicated."""
     out = []
@@ -359,15 +393,10 @@ def congruence_system(datum: GkmDatum) -> list:
         a, b = sorted((e.a, e.b))
         out.append(CongruenceConstraint("edge", (a, b), e.weight, 1))
     for s in datum.surfaces:
-        for a, b in _surface_chain_edges(s):
-            a, b = sorted((a, b))
+        for i, j in SURFACE_KINDS[s.kind][2]:
+            a, b = sorted((s.points[i], s.points[j]))
             out.append(CongruenceConstraint("edge", (a, b), s.alpha, 1))
-        if s.kind == "P2":
-            out.append(CongruenceConstraint("p2", s.points, s.alpha, 2))
-        elif s.kind == "F0":
-            out.append(CongruenceConstraint("f0", s.points, s.alpha, 2))
-        else:
-            out.append(CongruenceConstraint("fn", s.points, s.alpha, 2, n=s.n))
+        out.append(CongruenceConstraint(s.kind.lower(), s.points, s.alpha, 2, n=s.n))
     unique = {c.sort_key(): c for c in out}
     return [unique[k] for k in sorted(unique)]
 
@@ -430,10 +459,11 @@ class MembershipCertificate:
 
 def check_membership(datum: GkmDatum, values: dict, ring: TorusRing) -> MembershipCertificate:
     """Evaluate every congruence of the datum on a tuple of series."""
+    points = set(datum.points)
     missing = [p for p in datum.points if p not in values]
     if missing:
         raise GkmValidationError(f"tuple is missing values at {', '.join(sorted(missing))}")
-    extra = [p for p in values if p not in set(datum.points)]
+    extra = [p for p in values if p not in points]
     if extra:
         raise GkmValidationError(f"tuple has values at unknown points {', '.join(sorted(extra))}")
     results = []
@@ -456,10 +486,7 @@ def surface_generators(surface: SurfaceComponent, ring: TorusRing) -> list:
     c = ring.chern
     if surface.kind == "P2":
         x, y, z = surface.points
-        if surface.model == "V0V1":
-            line_y, line_z = c(alpha.scale(QQ_HALF)), c(alpha)
-        else:
-            line_y, line_z = c(alpha), c(alpha.scale(2))
+        line_y, line_z = (c(alpha.scale(k)) for k in P2_LINES[surface.model])
         return [
             {x: one, y: one, z: one},
             {x: zero, y: line_y, z: line_z},
@@ -523,8 +550,7 @@ def surface_decompose(surface: SurfaceComponent, values: dict, ring: TorusRing) 
     if surface.kind == "P2":
         x, y, z = surface.points
         fx, fy, fz = values[x], values[y], values[z]
-        step = alpha.scale(QQ_HALF) if surface.model == "V0V1" else alpha
-        double = alpha if surface.model == "V0V1" else alpha.scale(2)
+        step, double = (alpha.scale(k) for k in P2_LINES[surface.model])
         coeff1 = fx
         coeff2 = _divide_all(ring, fy - fx, [step])
         numerator = (fx - fy) * c(double) + c(step) * (fz - fx)

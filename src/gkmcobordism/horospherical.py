@@ -13,8 +13,15 @@ The surface kind is known for the families the classification pins down
 surface for family 5); family 4 finds a surface whose Hirzebruch index has
 no established rule and therefore needs an explicit override.
 
+This module knows families, not surface kinds: each family's kind is
+written in the spelling the override takes and read, like the override,
+through gkm_model.parse_surface_kind, and what a kind is belongs to
+gkm_model's kind table.
+
 A triple checks its family and parameters when it is made, and the datum
-checks itself when the builder makes it, so neither is checked again.
+checks itself when the builder makes it, so neither is checked again: the
+surface constructor refuses a forced kind whose point count does not fit
+the triple's surfaces, and the datum a second edge on one curve.
 
 The builder keeps every weight as an integer vector: labels, and the
 epsilon-coordinate numerators of RootSystem.numerators.  The surface scan
@@ -31,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent
+from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent, parse_surface_kind
 from .root_flag import RootSystem, WeylGroup, direction, enumerate_curves, inner, root_system
 from .torus_ring import Character
 
@@ -105,13 +112,10 @@ def chi(triple: PasquierTriple) -> Character:
     return Character(triple.group().vector(_chi_labels(triple)))
 
 
-# Surface kinds established by the classification; families 2 and 4 are not
-# covered (family 2 turns out to have no surface at all, family 4 has one of
-# unknown Hirzebruch index).
-_KIND_TABLE = {
-    3: ("P2", "V0V1", None),
-    5: ("Fn", None, 3),
-}
+# Surface kinds established by the classification, spelled as --force-kind
+# takes them; families 2 and 4 are not covered (family 2 turns out to have no
+# surface at all, family 4 has one of unknown Hirzebruch index).
+_KIND_TABLE = {3: "p2:v0v1", 5: "fn:3"}
 
 
 @dataclass
@@ -122,7 +126,7 @@ class SurfaceScan:
     root: Character | None
     pairings: tuple | None  # <omega_Y, root^vee>, <omega_Z, root^vee>
     fixed_points: int | None
-    kind: str  # "none" | "P2" | "Fn" | "unresolved"
+    kind: str  # "none", "unresolved" or a kind of gkm_model.SURFACE_KINDS
     n: int | None = None
     model: str | None = None
     root_index: int | None = None  # position of the root in the system's roots
@@ -154,7 +158,7 @@ def surface_scan(triple: PasquierTriple) -> SurfaceScan:
     count = (2 if a else 1) + (2 if b else 1)
     kind, model, n = "unresolved", None, None
     if triple.family in _KIND_TABLE:
-        kind, model, n = _KIND_TABLE[triple.family]
+        kind, model, n = parse_surface_kind(_KIND_TABLE[triple.family])
     return SurfaceScan(
         chi=difference,
         root=Character(root.vector),
@@ -165,27 +169,6 @@ def surface_scan(triple: PasquierTriple) -> SurfaceScan:
         model=model,
         root_index=k,
     )
-
-
-def _parse_force_kind(text: str) -> tuple:
-    text = text.strip().lower()
-    if text in ("p2:v0v1", "p2-v0v1"):
-        return "P2", "V0V1", None
-    if text in ("p2:v2", "p2-v2"):
-        return "P2", "V2", None
-    if text == "f0":
-        return "F0", None, None
-    if text.startswith("fn:"):
-        try:
-            n = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(
-                f"cannot parse surface kind {text!r}; fn:<k> takes an integer k >= 1"
-            ) from None
-        if n < 1:
-            raise ValueError("Hirzebruch index must be >= 1")
-        return "Fn", None, n
-    raise ValueError(f"cannot parse surface kind {text!r}; use p2:v0v1, p2:v2, f0 or fn:<k>")
 
 
 def _family3_point_name(anchor, n: int, kernel: bool) -> str:
@@ -256,10 +239,11 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     of the candidates sum_k b^(k-1) omega_k, b = 2, 3, ..., that does.
 
     Raises UnresolvedSurfaceKindError when a surface component exists but the
-    family does not determine its kind and no override was supplied, and
-    ValueError when an override is supplied for a triple without one.
+    family does not determine its kind and no override was supplied,
+    ValueError when an override is supplied for a triple without one, and
+    GkmValidationError when the override's point count does not fit.
     """
-    forced = None if force_kind is None else _parse_force_kind(force_kind)
+    forced = None if force_kind is None else parse_surface_kind(force_kind)
     rs = triple.group()
     iy, iz = triple.weight_indices()
     group = WeylGroup(rs)
@@ -303,15 +287,10 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
             tuple(x - b * r for x, r in zip(omega_z, root0)),
             root0,
         )
-        expected = 3 if kind == "P2" else 4
         for _, (ya, sya, za, sza, root) in group.orbit(seed):
             key = frozenset((y_names[ya], y_names[sya], z_names[za], z_names[sza]))
             if key in components:
                 continue
-            if len(key) != expected:
-                raise GkmValidationError(
-                    f"surface component has {len(key)} points but kind {kind} needs {expected}"
-                )
             k = positive.get(root)
             components[key] = positive[tuple(-x for x in root)] if k is None else k
 
@@ -358,13 +337,13 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
         for key, k in components.items()
         for a, b in combinations(sorted(key), 2)
     }
-    edges = {}
+    edges = []  # (key, edge); a second edge on one key is the datum's to refuse
 
     def add_edge(pa, pb, key_direction, weight: Character):
         a_, b_ = sorted((pa, pb))
         key = (a_, b_, key_direction)
-        if key not in absorbed and key not in edges:
-            edges[key] = GkmEdge(a_, b_, weight)
+        if key not in absorbed:
+            edges.append((key, GkmEdge(a_, b_, weight)))
 
     for parabolic, names in ((parabolic_y, y_names), (parabolic_z, z_names)):
         for curve in enumerate_curves(rs, parabolic, group):
@@ -384,7 +363,7 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     return GkmDatum(
         rank=rs.dim,
         points=tuple(sorted(cosets)),
-        edges=tuple(edges[k] for k in sorted(edges)),
+        edges=tuple(e for _, e in sorted(edges, key=lambda item: item[0])),
         surfaces=tuple(surfaces),
         ordering=rs.vector(lam),
     )

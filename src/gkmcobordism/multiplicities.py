@@ -14,6 +14,7 @@ symplectic Grassmannian IG(2,5) ship with the package.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -107,9 +108,6 @@ class TangentData:
 def smooth_multiplicity(ring: TorusRing, weights) -> LocalizedElement:
     """1 over the product of Chern classes of the negated weights."""
     chars = tuple(ch if isinstance(ch, Character) else Character(ch) for ch in weights)
-    for ch in chars:
-        if ch.is_zero():
-            raise ValueError("smooth multiplicity requires nonzero weights")
     return LocalizedElement(ring.one(), tuple(-ch for ch in chars))
 
 
@@ -167,18 +165,12 @@ def singular_class_pullback(
     the ambient point class and a term's denominator are cancelled exactly,
     which keeps the common denominator small.
     """
-    ambient_chars = [-ch for ch in ambient.at(point)]
+    amb = Counter(-ch for ch in ambient.at(point))
     terms = []
     for fiber_point in fiber.points():
-        den = [-ch for ch in fiber.at(fiber_point)]
-        num = list(ambient_chars)
-        remaining = []
-        for ch in den:
-            try:
-                num.remove(ch)
-            except ValueError:
-                remaining.append(ch)
-        terms.append(LocalizedElement(ring.chern_product(num), tuple(remaining)))
+        den = Counter(-ch for ch in fiber.at(fiber_point))
+        num = ring.chern_product((amb - den).elements())
+        terms.append(LocalizedElement(num, tuple((den - amb).elements())))
     total = terms[0]
     for term in terms[1:]:
         total = ring.loc_add(total, term)

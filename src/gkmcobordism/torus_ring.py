@@ -32,6 +32,7 @@ and kept, and every step runs on the stored integer form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .coeff_series import (
@@ -97,7 +98,7 @@ class Character:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Character":
-        return cls(tuple(as_rational(c) for c in obj))
+        return cls(obj)
 
     def render(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -179,13 +180,6 @@ class ClearResult:
 def _pivot(line: tuple) -> int:
     """The pivot of a line's hyperplane: the index of its first nonzero entry."""
     return next(i for i, c in enumerate(line) if c)
-
-
-def _den_multiset(chars) -> dict:
-    out: dict = {}
-    for ch in chars:
-        out[ch.coords] = out.get(ch.coords, 0) + 1
-    return out
 
 
 class TorusRing:
@@ -483,25 +477,11 @@ class TorusRing:
     # -- localized arithmetic ---------------------------------------------------
 
     def loc_add(self, a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
-        da, db = _den_multiset(a.denominator), _den_multiset(b.denominator)
-        lcm: dict = dict(da)
-        for coords, mult in db.items():
-            if lcm.get(coords, 0) < mult:
-                lcm[coords] = mult
-        def complement(own):
-            out = []
-            for coords, mult in lcm.items():
-                extra = mult - own.get(coords, 0)
-                out.extend([Character(coords)] * extra)
-            return out
-
-        num = a.numerator * self.chern_product(complement(da)) + b.numerator * self.chern_product(
-            complement(db)
-        )
-        den = []
-        for coords, mult in lcm.items():
-            den.extend([Character(coords)] * mult)
-        return LocalizedElement(num, tuple(den))
+        da, db = Counter(a.denominator), Counter(b.denominator)
+        common = da | db  # the lcm of the two denominators
+        num = a.numerator * self.chern_product((common - da).elements())
+        num = num + b.numerator * self.chern_product((common - db).elements())
+        return LocalizedElement(num, tuple(common.elements()))
 
     def loc_eq(self, a: LocalizedElement, b: LocalizedElement) -> bool:
         """Cross-multiplied equality of the stored truncations.

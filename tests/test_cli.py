@@ -522,6 +522,35 @@ def test_unparsable_kind_and_parabolic_say_what_they_accept(capsys, argv, messag
     assert message in captured.err and "invalid literal" not in captured.err
 
 
+IG25_TRIPLE = ("--family", "3", "--n", "2", "--m", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--family", "4", "--force-kind", "p2:v0v1"), "P2 component must list 3 points, got 4"),
+        (("--family", "5", "--force-kind", "p2:v2"), "P2 component must list 3 points, got 4"),
+        ((*IG25_TRIPLE, "--force-kind", "f0"), "F0 component must list 4 points, got 3"),
+        ((*IG25_TRIPLE, "--force-kind", "fn:2"), "Fn component must list 4 points, got 3"),
+        (
+            (*IG25_TRIPLE, "--force-kind", "p2-v0v1"),
+            "cannot parse surface kind 'p2-v0v1'; use p2:v0v1, p2:v2, f0 or fn:<k>",
+        ),
+        (
+            (*IG25_TRIPLE, "--force-kind", "p2-v2"),
+            "cannot parse surface kind 'p2-v2'; use p2:v0v1, p2:v2, f0 or fn:<k>",
+        ),
+    ],
+    ids=("f4-p2", "g2-p2", "ig25-f0", "ig25-fn", "hyphen-v0v1", "hyphen-v2"),
+)
+def test_horo_build_refuses_a_forced_kind_the_surface_cannot_take(capsys, argv, message):
+    code = main(["horo", "build", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_gkm_surface_with_a_key_its_kind_does_not_take_is_rejected(tmp_path, capsys):
     obj = _ig25_datum_obj(tmp_path, capsys)
     assert obj["surfaces"][0]["kind"] == "P2"

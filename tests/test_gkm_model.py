@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from gkmcobordism.gkm_model import (
     SurfaceComponent,
     check_membership,
     congruence_system,
+    parse_surface_kind,
     reconstruct,
     surface_decompose,
     surface_generators,
@@ -73,6 +75,39 @@ def test_f0_congruence_shape():
     assert kinds.count("f0") == 1
     f0 = next(c for c in system if c.kind == "f0")
     assert f0.points == ("w", "x", "y", "z") and f0.power == 2
+
+
+@pytest.mark.parametrize(
+    "text, parsed",
+    [
+        ("p2:v0v1", ("P2", "V0V1", None)),
+        ("P2:V2", ("P2", "V2", None)),
+        (" f0 ", ("F0", None, None)),
+        ("fn:3", ("Fn", None, 3)),
+        ("FN:1", ("Fn", None, 1)),
+    ],
+)
+def test_surface_kind_spellings(text, parsed):
+    assert parse_surface_kind(text) == parsed
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p2", "use p2:v0v1, p2:v2, f0 or fn:<k>"),
+        ("p2:v1", "use p2:v0v1, p2:v2, f0 or fn:<k>"),
+        ("p2-v0v1", "use p2:v0v1, p2:v2, f0 or fn:<k>"),
+        ("p2-v2", "use p2:v0v1, p2:v2, f0 or fn:<k>"),
+        ("f0:1", "use p2:v0v1, p2:v2, f0 or fn:<k>"),
+        ("fn", "use p2:v0v1, p2:v2, f0 or fn:<k>"),
+        ("f1", "use p2:v0v1, p2:v2, f0 or fn:<k>"),
+        ("fn:x", "fn:<k> takes an integer k >= 1"),
+        ("fn:0", "Hirzebruch index must be >= 1"),
+    ],
+)
+def test_surface_kind_misspellings_are_refused(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_surface_kind(text)
 
 
 def test_datum_validation():

@@ -1,8 +1,10 @@
-"""Leftover checks on the package source, with the standard library alone.
+"""Leftover and ownership checks on the package source, with the standard
+library alone.
 
 Every module-level import of a module is used in it, and every private
 module-level function, class or constant is referenced somewhere in the
-package: a deletion tends to leave such names behind.
+package: a deletion tends to leave such names behind.  The surface kinds and
+P2 models are spelled in gkm_model alone, which owns their table.
 """
 
 import ast
@@ -12,6 +14,10 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gkmcobordism"
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+# The names of the surface kinds and P2 models, and the module that owns them.
+KIND_VOCABULARY = {"P2", "F0", "Fn", "V0V1", "V2"}
+KIND_OWNER = "gkm_model.py"
 
 
 def _used_names(tree) -> set:
@@ -77,3 +83,30 @@ def test_every_private_definition_is_referenced():
         if name not in references
     ]
     assert not unreferenced, f"private names nothing refers to: {', '.join(unreferenced)}"
+
+
+def _docstrings(tree) -> set:
+    """The ids of the docstring constants of a module and its classes and functions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                out.add(id(first.value))
+    return out
+
+
+def test_surface_kinds_are_spelled_in_their_owner_only():
+    spelled = []
+    for module, tree in MODULES.items():
+        if module == KIND_OWNER:
+            continue
+        docstrings = _docstrings(tree)
+        spelled += [
+            f"{module}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and node.value in KIND_VOCABULARY
+            and id(node) not in docstrings
+        ]
+    assert not spelled, f"surface kinds spelled outside {KIND_OWNER}: {', '.join(spelled)}"

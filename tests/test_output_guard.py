@@ -21,6 +21,9 @@ roots, in another order, and the digests are unchanged.  Those for the full
 flag variety of F4 and for B5/P_{a1,a3} were recorded from the scan that
 summed the per-omega_i pairings of every (coset, root) pair; the engine now
 takes one dot product per pair.
+The congruence systems of one datum per surface kind (F0, Fn, and P2 in
+both models) were recorded when each kind's curves and congruence were
+spelled in branches of `congruence_system`.
 Every series the engine builds is the
 unique exact truncation of a closed-form object, so a kernel rewrite must
 reproduce these bytes.
@@ -39,7 +42,8 @@ import pytest
 
 from gkmcobordism.cli import main, make_law
 from gkmcobordism.fgl import FormalGroupLaw
-from gkmcobordism.horospherical import PasquierTriple, point_weights
+from gkmcobordism.gkm_model import congruence_system, congruence_system_json
+from gkmcobordism.horospherical import PasquierTriple, build_gkm, point_weights
 from gkmcobordism.coeff_series import LazardCoefficient, TruncatedSeries
 from gkmcobordism.torus_ring import Character, LocalizedElement, TorusRing
 
@@ -139,6 +143,15 @@ DIGESTS = {
     "divide-exact-(1, 2)": "5e777a2d609036b4c12feb3e513d30575efda8e5417c7e629dd9b58f56182835",
     "divide-exact-(1, 1)": "d8d675d91b190a11a6afa9818caf1c749ef7e45d3d384733ec10ab5e3d4d7d8a",
     "clear-denominators-multiplicative:1": "af9eee78b385766b5187e465af36ca973f3a17d08171c62a3009b2a36e21dc1d",
+    # P2's model does not enter its congruences: V0V1 and V2 give the same bytes.
+    "congruences-f4-f0-json": "fe05e0252a8b759ca4b7eaef77b3ac1536747dfc80abbd3b2fc86dc9d5626dee",
+    "congruences-f4-f0-text": "7dae699758cc4914f8cc33fff19e7a5590719a68d17e3bc3dc82005b003ccf62",
+    "congruences-f4-fn2-json": "8097f2c496ae7bb5f1fc32baf67849a23791889e781e411225679f1b96705c6f",
+    "congruences-f4-fn2-text": "8cbb0b6a2c50fe0a4ce02b0730b630ce1bd6c7b709be7ef29482b2fa6a6971d0",
+    "congruences-c3-m2-json": "b71c6960e6e05b74a810f1af29f60f0c4c462a12f44e20aa8a880ed320912290",
+    "congruences-c3-m2-text": "d46713a3a64d94f01b74312736177ff3897bc9db907f7c49df45efdc73ec2636",
+    "congruences-c3-m2-p2v2-json": "b71c6960e6e05b74a810f1af29f60f0c4c462a12f44e20aa8a880ed320912290",
+    "congruences-c3-m2-p2v2-text": "d46713a3a64d94f01b74312736177ff3897bc9db907f7c49df45efdc73ec2636",
 }
 
 
@@ -232,6 +245,27 @@ def _division_outputs() -> dict:
     return out
 
 
+# One datum per surface kind and P2 model: (triple, kind override).
+CONGRUENCE_DATA = {
+    "f4-f0": (dict(family=4), "f0"),
+    "f4-fn2": (dict(family=4), "fn:2"),
+    "c3-m2": (dict(family=3, n=3, m=2), None),  # P2, model V0V1
+    "c3-m2-p2v2": (dict(family=3, n=3, m=2), "p2:v2"),
+}
+
+
+def _congruence_outputs() -> dict:
+    """The congruence system of each datum in CONGRUENCE_DATA, as JSON and as
+    the describe() text of its congruences, one per line."""
+    out = {}
+    for name, (args, kind) in CONGRUENCE_DATA.items():
+        constraints = congruence_system(build_gkm(PasquierTriple(**args), force_kind=kind))
+        out[f"congruences-{name}-json"] = congruence_system_json(constraints).encode()
+        text = "".join(c.describe() + "\n" for c in constraints)
+        out[f"congruences-{name}-text"] = text.encode()
+    return out
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -256,11 +290,17 @@ def test_dense_pivot_divisions_are_byte_identical():
         assert _digest(data) == DIGESTS[name], name
 
 
+def test_surface_congruences_of_every_kind_are_byte_identical():
+    for name, data in _congruence_outputs().items():
+        assert _digest(data) == DIGESTS[name], name
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {name: _stdout(argv) for name, argv in COMMANDS.items()}
         outputs.update(_ig25_outputs(Path(tmp)))
         outputs.update(_failing_outputs(Path(tmp)))
         outputs.update(_division_outputs())
+        outputs.update(_congruence_outputs())
     for name, data in outputs.items():
         print(f'    "{name}": "{_digest(data)}",')
