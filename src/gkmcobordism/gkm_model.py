@@ -13,11 +13,12 @@ valid, so nothing downstream checks one again.  The per-edge rules run in
 the datum's own loop, not in each edge.
 
 Each congruence is a list of per-point weights, +-1 or +-rho_factor, and
-its residual is built from that list.  The checker does not build
-residuals: it converts each point value to logarithmic coordinates once
-and reduces every congruence as a combination of the values' restrictions
-to the congruence's hyperplane (TorusRing.reduce_combination), so a
-congruence costs rational linear maps, not series products.
+its residual is built from that list (TorusRing.weighted_sum).  The checker
+builds a residual only for a failing congruence: it converts each point
+value to logarithmic coordinates once and reads every verdict from a
+combination of the values' restrictions to the congruence's hyperplane
+(TorusRing.reduce_combination), so a passing congruence costs rational
+linear maps, not series products.
 
 Surface components also carry explicit generator tuples and a closed-form
 decomposition of any member over those generators.
@@ -283,7 +284,14 @@ def _object(fields: dict, pad: int) -> str:
 
 # -- congruence constraints ----------------------------------------------------
 
-_KIND_ORDER = {"edge": 0, "p2": 1, "f0": 2, "fn": 3}
+# Congruence kind -> (its point count, whether it takes the index n): the
+# edge congruence, then each surface kind's in SURFACE_KINDS order, which is
+# also the sort order of a congruence system.
+_CONGRUENCE_KINDS = {
+    "edge": (2, False),
+    **{kind.lower(): (count, key == "n") for kind, (count, key, _) in SURFACE_KINDS.items()},
+}
+_KIND_ORDER = {kind: i for i, kind in enumerate(_CONGRUENCE_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -294,6 +302,10 @@ class CongruenceConstraint:
     kind "p2":   (f_x - f_y) + rho_{1/2} c(alpha) (f_z - f_x) = 0 mod c(alpha)^2.
     kind "f0":   f_w - f_x - f_y + f_z = 0 mod c(alpha)^2.
     kind "fn":   rho_{n/2} c(a)(f_y - f_z) + rho_{-n/2} c(a)(f_w - f_x) = 0 mod c(a)^2.
+
+    A constraint checks these shapes when it is made: the kind, its point
+    count, its power, a nonzero character, and an index n >= 1 exactly for
+    "fn".
     """
 
     kind: str
@@ -301,6 +313,26 @@ class CongruenceConstraint:
     character: Character
     power: int
     n: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in _CONGRUENCE_KINDS:
+            raise GkmValidationError(f"unknown congruence kind {self.kind!r}")
+        count, takes_n = _CONGRUENCE_KINDS[self.kind]
+        if len(self.points) != count:
+            raise GkmValidationError(
+                f"{self.kind} congruence must list {count} points, got {len(self.points)}"
+            )
+        power = 1 if self.kind == "edge" else 2
+        if self.power != power:
+            raise GkmValidationError(f"{self.kind} congruence has power {power}, got {self.power}")
+        if self.character.is_zero():
+            raise GkmValidationError("congruence character must be nonzero")
+        if takes_n and self.n is None:
+            raise GkmValidationError(f"{self.kind} congruence needs an index n")
+        if takes_n and self.n < 1:
+            raise GkmValidationError(f"{self.kind} congruence index n must be >= 1, got {self.n}")
+        if not takes_n and self.n is not None:
+            raise GkmValidationError(f"{self.kind} congruence takes no index n")
 
     def sort_key(self):
         return (
@@ -328,24 +360,13 @@ class CongruenceConstraint:
         if self.kind == "f0":
             w, x, y, z = self.points
             return [(w, 1, None), (x, -1, None), (y, -1, None), (z, 1, None)]
-        if self.kind == "fn":
-            w, x, y, z = self.points
-            up, down = (self.n, 2), (-self.n, 2)
-            return [(y, 1, up), (z, -1, up), (w, 1, down), (x, -1, down)]
-        raise GkmValidationError(f"unknown constraint kind {self.kind!r}")
+        w, x, y, z = self.points
+        up, down = (self.n, 2), (-self.n, 2)
+        return [(y, 1, up), (z, -1, up), (w, 1, down), (x, -1, down)]
 
     def residual(self, values: dict, ring: TorusRing) -> TruncatedSeries:
         """The series whose divisibility by c(character)^power is required."""
-        groups: dict = {}
-        for point, sign, rho in self.weights():
-            f = values[point] if sign > 0 else -values[point]
-            groups[rho] = groups[rho] + f if rho in groups else f
-        total = None
-        for rho, f in groups.items():
-            if rho is not None:
-                f = ring.rho_factor(*rho, self.character) * f
-            total = f if total is None else total + f
-        return total
+        return ring.weighted_sum(values, self.weights(), self.character)
 
     def describe(self) -> str:
         c = f"c(L_{self.character.render()})"
@@ -377,12 +398,14 @@ class CongruenceConstraint:
 
     @classmethod
     def from_json_obj(cls, obj) -> "CongruenceConstraint":
+        what = "congruence"
+        _check_keys(obj, what, ("kind", "points", "character", "power"), ("n",))
         return cls(
-            kind=obj["kind"],
-            points=tuple(obj["points"]),
-            character=Character.from_json_obj(obj["character"]),
-            power=int(obj["power"]),
-            n=obj.get("n"),
+            kind=_checked(obj, "kind", what, _STR),
+            points=tuple(_checked(obj, "points", what, _STRINGS)),
+            character=Character.from_json_obj(_checked(obj, "character", what, _RATIONALS)),
+            power=_checked(obj, "power", what, _INT),
+            n=_checked(obj, "n", what, _INT),
         )
 
 

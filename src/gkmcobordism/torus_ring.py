@@ -7,27 +7,31 @@ FormalGroupLaw.exp_linear builds it as e at the linear form sum_i chi_i s_i
 in the logarithmic coordinates s_i = l(t_i), converted to t once with the
 powers of l; rho factors and the division units are series at the same form.
 
-Reduction modulo a Chern class (and its square) and exact division run in
-the logarithmic coordinates s_i = l(t_i).  Over Q the logarithm is an
+The verdict of a reduction modulo a Chern class (and its square) and exact
+division run in the logarithmic coordinates s_i = l(t_i).  Over Q the logarithm is an
 isomorphism onto the additive law, so there chern(chi) = e(L) for the linear
 form L = sum_i chi_i s_i, and e(L)/L is a unit: a series lies in the ideal of
 chern(chi)^k iff it vanishes to order k along the hyperplane L = 0.
 Restricting to that hyperplane, s_j = y = -sum_{i != j} (chi_i/chi_j) s_i for
 the pivot j, is a linear change of variables with rational coefficients, so
 each value is converted to s once (one pass per variable against the table
-of powers of e) and every congruence through it is a rational combination of
-its restrictions.  Only a failing remainder is converted back, with the
-powers of l; in t it is the series on the zero locus t_j = phi, phi = e(y)
-with s_i = l(t_i).
+of powers of e) and the verdict of every congruence through it is a
+rational combination of its restrictions.  The verdict is certified through
+order - k, so each value is converted only through order - 1, as far as the
+s_j-derivative of the square's verdict needs.  A failing remainder is built
+in t instead: the residual, and for the square its t_j-derivative, on the
+zero locus t_j = phi, phi = e(y) with s_i = l(t_i), one substitution of
+t_j against the powers of phi.
 
 Division by chern(chi) is division by the linear form s_j - y and by the
 unit; clearing the denominators of a LocalizedElement converts its numerator
 once, divides by every factor in s and converts back once.  Conversion
 (FormalGroupLaw.convert, with the law's tables e^k or l^k), restriction, the
-s_j-derivative on the hyperplane and division by s_j - y are all
-TruncatedSeries.substitute, with the tables y^k, k y^(k-1) and
-(s_j^k - y^k)/(s_j - y); each table is a list of series, built on first use
-and kept, and every step runs on the stored integer form.
+s_j-derivative on the hyperplane, division by s_j - y and the value on the
+zero locus are all TruncatedSeries.substitute, with the tables y^k,
+k y^(k-1), (s_j^k - y^k)/(s_j - y) and phi^k; each table is a list of
+series, built on first use and kept, and every step runs on the stored
+integer form.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from .coeff_series import (
     TruncatedSeries,
     as_rational,
     combination,
-    embed,
-    series_inverse,
     series_powers,
 )
 from .fgl import FormalGroupLaw
@@ -194,7 +196,6 @@ class TorusRing:
         self._rho: dict = {}
         self._units: dict = {}
         self._hyperplanes: dict = {}
-        self._slope_units: dict = {}
 
     @property
     def order(self) -> int:
@@ -265,13 +266,18 @@ class TorusRing:
         (line_i/line_j) s_i: u_k = y^k gives the value there ("value"),
         u_k = k y^(k-1) the s_j-derivative ("slope"), u_k = (s_j^k - y^k) /
         (s_j - y) = s_j u_(k-1) + y^(k-1) the division by s_j - y
-        ("quotient"); k runs through order + 1.  Built on first use."""
+        ("quotient"); k runs through order + 1.  In t, u_k = phi^k for phi =
+        e(y) at s_i = l(t_i) gives the value on the zero locus t_j = phi
+        ("locus"; k and phi through the ring order).  Built on first use."""
         key = (line, kind)
         cached = self._hyperplanes.get(key)
         if cached is None:
             pivot, top = _pivot(line), self.order + 1
-            if kind == "value":
-                scale = QQ(-1, line[pivot])
+            scale = QQ(-1, line[pivot])
+            if kind == "locus":
+                form = [0 if i == pivot else scale * c for i, c in enumerate(line)]
+                cached = series_powers(self.law.exp_linear(form, self.order))
+            elif kind == "value":
                 terms = {
                     tuple(int(i == j) for j in range(self.rank)): LazardCoefficient.rational(scale * c)
                     for i, c in enumerate(line)
@@ -288,18 +294,6 @@ class TorusRing:
                     else:
                         cached.append(s_j * cached[-1] + ys[k - 1])
             self._hyperplanes[key] = cached
-        return cached
-
-    def _slope_unit(self, line: tuple, order: int) -> TruncatedSeries:
-        """1/e'(s_j) on the line's hyperplane, through order: the factor that
-        turns an s_j-derivative into a t_j-derivative there."""
-        key = (line, order)
-        cached = self._slope_units.get(key)
-        if cached is None:
-            unit = series_inverse(self.law.exp_series(order + 1).partial(0))
-            pivot = _pivot(line)
-            table = self._hyperplane(line, "value")
-            cached = self._slope_units[key] = embed(unit, pivot, self.rank).substitute(pivot, table)
         return cached
 
     def _restricted(
@@ -320,26 +314,47 @@ class TorusRing:
             restricted = cache[key] = g.substitute(_pivot(line), table, top)
         return restricted
 
+    def weighted_sum(self, values: dict, weights, chi, order: int | None = None) -> TruncatedSeries:
+        """sum_P w_P * values[P] in t, for weights as in reduce_combination:
+        one combination per rho group, times its rho factor.  Through
+        `order` if given, and never above the smallest order of the values
+        and, with a rho weight, of the ring."""
+        groups: dict = {}
+        for point, sign, rho in weights:
+            groups.setdefault(rho, []).append((sign, values[point]))
+        known = min(f.order for group in groups.values() for _, f in group)
+        if any(rho is not None for rho in groups):
+            known = min(known, self.order)
+        order = known if order is None else min(order, known)
+        parts = []
+        for rho, group in groups.items():
+            f = combination(group, self.rank, order)
+            parts.append((1, f if rho is None else self.rho_factor(*rho, chi) * f))
+        return combination(parts, self.rank, order)
+
     def reduce_combination(
         self, values: dict, weights, chi, power: int = 1, cache: dict | None = None
     ) -> RemainderReport:
         """Reduce sum_P w_P * values[P] modulo chern(chi)^power.
 
         weights lists (P, sign, rho): w_P is the integer sign, or sign *
-        rho_factor(n, m, chi) for rho = (n, m).  In the coordinates s_i =
-        l(t_i) the ideal of chern(chi)^power is that of L^power for the
-        linear form L = sum_i chi_i s_i, and a rho weight is h(L) with h(y) =
-        e((n/m) y)/e(y); on the hyperplane L = 0 it is h(0) = n/m, and its
-        s_j-derivative is h'(0) chi_j.  So the value of the combination there,
-        and for power 2 its s_j-derivative there, are combinations of the
-        restrictions of the converted values (kept in `cache`, which calls
-        on the same values may share, so each value is converted once).
-        Vanishing through an order is invariant under s = t + O(t^2) and
-        under a unit factor, so the verdict is read in s; a failing remainder
-        is converted back: the combination on t_j = phi and its
-        t_j-derivative there, (d/ds_j) / e'(s_j), the same series as
-        substituting t_j = phi.  Certified through min(order of the
-        combination, ring order) - power.
+        rho_factor(n, m, chi) for rho = (n, m).  Certified through
+        min(order of the combination, ring order) - power.
+
+        The verdict runs in the coordinates s_i = l(t_i), where the ideal of
+        chern(chi)^power is that of L^power for the linear form L = sum_i
+        chi_i s_i, and a rho weight is h(L) with h(y) = e((n/m) y)/e(y); on
+        the hyperplane L = 0 it is h(0) = n/m, and its s_j-derivative is
+        h'(0) chi_j.  So the value of the combination there, and for power 2
+        its s_j-derivative there, are combinations of the restrictions of
+        the values converted through certified + power - 1 (kept in `cache`,
+        which calls on the same values may share, so each value is converted
+        once per order).  Vanishing through an order is invariant under s =
+        t + O(t^2) and under a unit factor, so the verdict is read in s.
+
+        Only a failing remainder is computed in t: weighted_sum on the zero
+        locus t_j = phi, through min(order of the combination, ring order),
+        and for power 2 its t_j-derivative there, one order lower.
         """
         chi = self._char(chi)
         if chi.is_zero():
@@ -360,13 +375,12 @@ class TorusRing:
         # derivative one order below the combination's.
         orders = [min(order, self.order), min(max(order - 1, 0), self.order)]
         certified = orders[0] - power
-        # each component is one rational combination of restrictions: a list
-        # of (rational, restriction)
+        # each verdict component is one rational combination of restrictions,
+        # a list of (rational, restriction), read through `certified`; below
+        # order 0 there is nothing to certify
         terms = [[], []]
-        for point, sign, rho in weights:
-            f = values[point]
-            # the derivative through the ring order needs the value one order up
-            args = (cache, point, f, line, min(f.order, self.order + power - 1))
+        for point, sign, rho in weights if certified >= 0 else ():
+            args = (cache, point, values[point], line, certified + power - 1)
             value = self._restricted(*args, "value")
             q = sign if rho is None else sign * QQ(*rho)
             terms[0].append((q, value))
@@ -375,14 +389,18 @@ class TorusRing:
                 if rho is not None:
                     dh = self.law.rho_slope(*rho).scale(sign * chi.coords[pivot])
                     terms[1].append((1, value.scale(dh)))
-        components = [combination(terms[i], self.rank, orders[i]) for i in range(power)]
-        if all(c.is_zero_through(certified) for c in components):
+        verdicts = (combination(t, self.rank, certified) for t in terms[:power])
+        if certified < 0 or all(v.is_zero() for v in verdicts):
             series = [TruncatedSeries.zero(self.rank, max(certified, 0))] * power
         else:
-            series = components
+            # the powers of phi run through the ring order, so the residual
+            # is cut one order above the derivative's and at the value's
+            table = self._hyperplane(line, "locus")
+            top = orders[0] if power == 1 else orders[1] + 1
+            residual = self.weighted_sum(values, weights, chi, top)
+            series = [residual.truncated(orders[0]).substitute(pivot, table)]
             if power == 2:
-                series[1] = series[1] * self._slope_unit(line, orders[1])
-            series = [self.from_log(c) for c in series]
+                series.append(residual.partial(pivot).substitute(pivot, table))
         return RemainderReport(
             character=chi,
             power=power,

@@ -4,6 +4,7 @@ import pytest
 from gkmcobordism.coeff_series import QQ
 
 from gkmcobordism.coeff_series import LazardCoefficient, TruncatedSeries
+from gkmcobordism.horospherical import point_weights
 from gkmcobordism.torus_ring import Character
 
 
@@ -104,3 +105,19 @@ def random_character(rng, rank, max_denominator=2):
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+def corrupted_hyperplane_tuple(triple, ring, seed: int) -> dict:
+    """The hyperplane tuple p -> chern(point weight) with one seeded point
+    changed by a linear and a quadratic term, so the congruences through it
+    fail with nonzero value and derivative components."""
+    rng = random.Random(seed)
+    weights = point_weights(triple)
+    values = {p: ring.chern(w) for p, w in weights.items()}
+    point = rng.choice(sorted(values))
+    ts = [ring.variable(i) for i in range(ring.rank)]
+    bump = ts[0] * ts[-1].scale(QQ(rng.randint(1, 5), 2))
+    for t in ts:
+        bump = bump + t.scale(rng.randint(1, 3))
+    values[point] = values[point] + bump
+    return values

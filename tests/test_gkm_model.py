@@ -388,6 +388,77 @@ def test_certificate_json_round_trip(ring):
     assert reparsed == congruence_system(datum)
 
 
+def _congruence_obj(**keys) -> dict:
+    return {"kind": "p2", "points": ["x", "y", "z"], "character": ["2", "0"], "power": 2, **keys}
+
+
+# Each rule of a congruence once: the bad object and its refusal's message.
+_INVALID_CONGRUENCES = {
+    # the rule that `describe` read as an fn congruence before it was checked
+    "unknown-kind": (
+        _congruence_obj(kind="bogus", points=["w", "x", "y", "z"]),
+        "unknown congruence kind 'bogus'",
+    ),
+    "edge-points": (
+        _congruence_obj(kind="edge", power=1),
+        "edge congruence must list 2 points, got 3",
+    ),
+    "fn-points": (_congruence_obj(kind="fn", n=2), "fn congruence must list 4 points, got 3"),
+    "edge-power": (
+        _congruence_obj(kind="edge", points=["x", "y"]),
+        "edge congruence has power 1, got 2",
+    ),
+    "p2-power": (_congruence_obj(power=1), "p2 congruence has power 2, got 1"),
+    "zero-character": (
+        _congruence_obj(character=["0", "0"]),
+        "congruence character must be nonzero",
+    ),
+    "fn-without-n": (
+        _congruence_obj(kind="fn", points=["w", "x", "y", "z"]),
+        "fn congruence needs an index n",
+    ),
+    "fn-n0": (
+        _congruence_obj(kind="fn", points=["w", "x", "y", "z"], n=0),
+        "fn congruence index n must be >= 1, got 0",
+    ),
+    "p2-n": (_congruence_obj(n=1), "p2 congruence takes no index n"),
+    "missing-key": (
+        {"kind": "p2", "points": ["x", "y", "z"], "power": 2},
+        "congruence is missing the key(s) 'character'",
+    ),
+    "unknown-key": (_congruence_obj(model="V2"), "congruence has unknown key(s) 'model'"),
+    "power-string": (_congruence_obj(power="2"), "congruence 'power' must be an integer"),
+    "kind-type": (_congruence_obj(kind=2), "congruence 'kind' must be a string"),
+    "points-type": (
+        _congruence_obj(points=["x", "y", 3]),
+        "congruence 'points' must be a list of strings",
+    ),
+    "character-type": (
+        _congruence_obj(character=[0.5, 1]),
+        "congruence 'character' must be a list of rationals",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "obj, message", list(_INVALID_CONGRUENCES.values()), ids=list(_INVALID_CONGRUENCES)
+)
+def test_an_invalid_congruence_is_refused(obj, message):
+    with pytest.raises(ValueError) as refused:
+        CongruenceConstraint.from_json_obj(obj)
+    assert str(refused.value).startswith(message)
+
+
+def test_each_congruence_rule_has_its_own_message():
+    messages = [message for _, message in _INVALID_CONGRUENCES.values()]
+    assert len(set(messages)) == len(messages)
+    for kind, points, power, n in (("edge", 2, 1, None), ("p2", 3, 2, None), ("f0", 4, 2, None), ("fn", 4, 2, 3)):
+        obj = _congruence_obj(kind=kind, points=["w", "x", "y", "z"][:points], power=power)
+        if n is not None:
+            obj["n"] = n
+        assert CongruenceConstraint.from_json_obj(obj).to_json_obj() == obj
+
+
 def test_datum_json_round_trip():
     datum = GkmDatum(
         rank=2,

@@ -267,7 +267,8 @@ SWEEP_SHA256 = {
 }
 
 
-# Larger triples, checked for bytes only: their membership checks would add
+# Larger triples, checked for bytes and for hyperplane membership under the
+# additive law at order 4 only: checks under other laws would add tens of
 # seconds to the suite.
 LARGE_SWEEP = {
     "b7-spinor": (dict(family=1, n=7), None),  # 576 points, 10080 edges
@@ -297,6 +298,18 @@ def test_large_sweep_datum_bytes(name):
     args, kind = LARGE_SWEEP[name]
     datum = build_gkm(PasquierTriple(**args), force_kind=kind)
     assert hashlib.sha256(datum.dumps().encode()).hexdigest() == LARGE_SWEEP_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SWEEP))
+def test_large_sweep_hyperplane_tuple_is_member(name):
+    args, kind = LARGE_SWEEP[name]
+    triple = PasquierTriple(**args)
+    datum = build_gkm(triple, force_kind=kind)
+    weights = point_weights(triple)
+    assert set(weights) == set(datum.points)
+    ring = TorusRing(FormalGroupLaw.additive(4), datum.rank)
+    values = {p: ring.chern(weights[p]) for p in datum.points}
+    assert check_membership(datum, values, ring).is_member
 
 
 def test_sweep_hyperplane_tuple_is_member(swept):

@@ -21,6 +21,9 @@ roots, in another order, and the digests are unchanged.  Those for the full
 flag variety of F4 and for B5/P_{a1,a3} were recorded from the scan that
 summed the per-omega_i pairings of every (coset, root) pair; the engine now
 takes one dot product per pair.
+The failing certificates of the corrupted hyperplane tuples of FAILING_DATA
+were recorded when each value was converted to logarithmic coordinates
+through the ring order and every remainder was converted back from there.
 The congruence systems of one datum per surface kind (F0, Fn, and P2 in
 both models) were recorded when each kind's curves and congruence were
 spelled in branches of `congruence_system`.
@@ -42,10 +45,12 @@ import pytest
 
 from gkmcobordism.cli import main, make_law
 from gkmcobordism.fgl import FormalGroupLaw
-from gkmcobordism.gkm_model import congruence_system, congruence_system_json
+from gkmcobordism.gkm_model import check_membership, congruence_system, congruence_system_json
 from gkmcobordism.horospherical import PasquierTriple, build_gkm, point_weights
 from gkmcobordism.coeff_series import LazardCoefficient, TruncatedSeries
 from gkmcobordism.torus_ring import Character, LocalizedElement, TorusRing
+
+from conftest import corrupted_hyperplane_tuple
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gkmcobordism" / "data"
 IG25_ORDER = 8
@@ -139,6 +144,10 @@ DIGESTS = {
     "ig25-corrupted-universal-json": "1f584cae10369d45bb5aaf5e6221db61028a2c10334536bf096cd0186e425edd",
     "ig25-corrupted-universal-text": "645b820b27fe6753b9d0f1630e82b085e9fe21e7b707c840d02c0016a6433195",
     "ig25-corrupted-multiplicative:1-json": "ac4e25838c922318164a4dfd8c496cc62bee9dd14240b9da8333ecb8684fad04",
+    "failing-c3-m2-universal-8": "72c0ad1e555f5f691c9bd2ba840f197fd44f98f6a6ae11b643ec6a6542be4af2",
+    "failing-f4-f0-multiplicative:1-5": "11e6e0e517373a65861518fe2563c4d4014c089536ea2c51b9ab0105382d3f0b",
+    "failing-f4-fn2-additive-5": "8a52e56bfdc2c0bd6d41e36235935b91c915d12c9dc770db10c4f1926ae2803c",
+    "failing-g2-universal-7": "4d470d24ac1a60597429bfbfc3dac63d10b786c41a2dc9a89d09dbc249bab420",
     "divide-exact-remainder": "ee799aa04b6f6ff87553ac1eb8985bedabc44979f072975ef9b01b1d63b5fb5e",
     "divide-exact-(1, 2)": "5e777a2d609036b4c12feb3e513d30575efda8e5417c7e629dd9b58f56182835",
     "divide-exact-(1, 1)": "d8d675d91b190a11a6afa9818caf1c749ef7e45d3d384733ec10ab5e3d4d7d8a",
@@ -254,6 +263,31 @@ CONGRUENCE_DATA = {
 }
 
 
+# Triples with power-2 congruences, with rho factors (P2 on c3-m2, Fn on
+# G2 and F4 fn:2) and without (F0), one law and order each: (triple, kind
+# override, law, order).
+FAILING_DATA = {
+    "c3-m2-universal-8": (dict(family=3, n=3, m=2), None, "universal", 8),
+    "f4-fn2-additive-5": (dict(family=4), "fn:2", "additive", 5),
+    "f4-f0-multiplicative:1-5": (dict(family=4), "f0", "multiplicative:1", 5),
+    "g2-universal-7": (dict(family=5), None, "universal", 7),
+}
+
+
+def _failing_hyperplane_outputs() -> dict:
+    """The certificate of check_membership on the corrupted hyperplane tuple
+    of each datum in FAILING_DATA."""
+    out = {}
+    for seed, (name, (args, kind, law, order)) in enumerate(sorted(FAILING_DATA.items())):
+        triple = PasquierTriple(**args)
+        datum = build_gkm(triple, force_kind=kind)
+        ring = TorusRing(make_law(law, order), datum.rank)
+        certificate = check_membership(datum, corrupted_hyperplane_tuple(triple, ring, seed), ring)
+        assert not certificate.is_member
+        out[f"failing-{name}"] = certificate.dumps().encode()
+    return out
+
+
 def _congruence_outputs() -> dict:
     """The congruence system of each datum in CONGRUENCE_DATA, as JSON and as
     the describe() text of its congruences, one per line."""
@@ -285,6 +319,11 @@ def test_failing_certificates_are_byte_identical(tmp_path):
         assert _digest(data) == DIGESTS[name], name
 
 
+def test_failing_hyperplane_certificates_are_byte_identical():
+    for name, data in _failing_hyperplane_outputs().items():
+        assert _digest(data) == DIGESTS[name], name
+
+
 def test_dense_pivot_divisions_are_byte_identical():
     for name, data in _division_outputs().items():
         assert _digest(data) == DIGESTS[name], name
@@ -300,6 +339,7 @@ if __name__ == "__main__":
         outputs = {name: _stdout(argv) for name, argv in COMMANDS.items()}
         outputs.update(_ig25_outputs(Path(tmp)))
         outputs.update(_failing_outputs(Path(tmp)))
+        outputs.update(_failing_hyperplane_outputs())
         outputs.update(_division_outputs())
         outputs.update(_congruence_outputs())
     for name, data in outputs.items():

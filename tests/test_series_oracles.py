@@ -10,8 +10,11 @@ reference copies of the loops the engine used before its closed forms:
 Chern classes composed by Horner, pivots solved by fixed-point sweeps, the
 exponential solved one composition per degree, inverses by geometric series,
 reduction by substituting the pivot solution into the residual and its
-pivot derivative (the shear reduction), and exact division by the shear
-t_j -> t_j + phi, which splits off the quotient.  The references compose and
+pivot derivative (the shear reduction), exact division by the shear
+t_j -> t_j + phi, which splits off the quotient, and the membership check's
+full-order route through the logarithmic coordinates (s_route_reduce), which
+read every verdict from values converted through the ring order and
+converted every failing remainder back.  The references compose and
 substitute by a schoolbook Horner rule made of series products and sums
 (conftest.horner_substitute), not by the engine's change-of-variables
 routine, which a property test checks against that rule.
@@ -28,9 +31,12 @@ from gkmcobordism.coeff_series import (
     QQ,
     LazardCoefficient,
     TruncatedSeries,
+    combination,
     compose_univariate,
     compositional_inverse,
+    embed,
     series_inverse,
+    series_powers,
 )
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import (
@@ -39,9 +45,21 @@ from gkmcobordism.gkm_model import (
     check_membership,
     surface_generators,
 )
+from gkmcobordism.horospherical import PasquierTriple, build_gkm, point_weights
+from gkmcobordism.multiplicities import (
+    load_ig25_subvarieties,
+    load_ig25_tangent,
+    point_class,
+    subvariety_class,
+)
 from gkmcobordism.torus_ring import Character, LocalizedElement, RemainderReport, TorusRing
 
-from conftest import divided_by_variable, horner_compose, horner_substitute
+from conftest import (
+    corrupted_hyperplane_tuple,
+    divided_by_variable,
+    horner_compose,
+    horner_substitute,
+)
 
 LC = LazardCoefficient
 TS = TruncatedSeries
@@ -129,6 +147,51 @@ def shear_clear(ring, f, chars):
             return None, report.to_json_obj()
         f = quotient
     return f, None
+
+
+def s_route_reduce(ring, values, weights, chi, power):
+    """(pivot, components, certified order) of sum_P w_P values[P] modulo
+    chern(chi)^power, for weights as in TorusRing.reduce_combination, by
+    the full-order route: each value converted to s_i = l(t_i) through
+    min(its order, ring order + power - 1), restricted to the hyperplane s_j
+    = y and, for power 2, differentiated there; a failing remainder's
+    derivative is divided by e'(s_j) on the hyperplane and both components
+    are converted back to t."""
+    chi = Character(chi)
+    line = chi.primitive_direction()
+    pivot = next(i for i, c in enumerate(line) if c)
+    rank, law = ring.rank, ring.law
+    order = min(values[p].order for p, _, _ in weights)
+    if any(rho is not None for _, _, rho in weights):
+        order = min(order, ring.order)
+    orders = [min(order, ring.order), min(max(order - 1, 0), ring.order)]
+    certified = orders[0] - power
+    top = ring.order + 1
+    y = TS(rank, top, {
+        tuple(int(i == j) for j in range(rank)): LC.rational(QQ(-c, line[pivot]))
+        for i, c in enumerate(line) if c and i != pivot
+    })  # fmt: skip
+    ys = series_powers(y)
+    slopes = [TS.zero(rank, top)] + [ys[k - 1].scale(k) for k in range(1, top + 1)]
+    terms = [[], []]
+    for point, sign, rho in weights:
+        f = values[point]
+        g = law.convert(f.truncated(min(f.order, ring.order + power - 1)), "exp")
+        value = g.substitute(pivot, ys, g.order)
+        q = sign if rho is None else sign * QQ(*rho)
+        terms[0].append((q, value))
+        if power == 2:
+            terms[1].append((q, g.substitute(pivot, slopes, max(g.order - 1, 0))))
+            if rho is not None:
+                slope = law.rho_slope(*rho).scale(sign * chi.coords[pivot])
+                terms[1].append((1, value.scale(slope)))
+    components = [combination(terms[i], rank, orders[i]) for i in range(power)]
+    if all(c.is_zero_through(certified) for c in components):
+        return pivot, [TS.zero(rank, max(certified, 0))] * power, certified
+    if power == 2:
+        unit = series_inverse(law.exp_series(orders[1] + 1).partial(0))
+        components[1] = components[1] * embed(unit, pivot, rank).substitute(pivot, ys)
+    return pivot, [law.convert(c, "log") for c in components], certified
 
 
 def degreewise_inverse(f):
@@ -515,6 +578,108 @@ def test_surface_congruences_match_their_residuals(law, kind, data):
     assert one_point.is_zero == report.is_zero
     if not report.is_zero:
         assert one_point.components == report.components
+
+
+def assert_check_matches_the_s_route(datum, values, ring):
+    """Every congruence of the datum: the verdict, the certified order and the
+    remainder components of check_membership equal s_route_reduce's."""
+    for result in check_membership(datum, values, ring).results:
+        c, report = result.constraint, result.report
+        pivot, components, certified = s_route_reduce(
+            ring, values, c.weights(), c.character.coords, c.power
+        )
+        passed = all(part.is_zero_through(certified) for part in components)
+        assert (report.pivot, report.certified_order, report.is_zero) == (pivot, certified, passed)
+        assert report.components == components, c.constraint_id
+
+
+def ig25_members(ring):
+    """The 13 known members of IG(2,5): the hyperplane tuple, the eight point
+    classes and the classes of X0, X1, X2 and X2'."""
+    tangent = load_ig25_tangent()
+    weights = point_weights(PasquierTriple(3, n=2, m=2))
+    members = [{p: ring.chern(w) for p, w in weights.items()}]
+    members += [point_class(ring, p, tangent) for p in tangent.points()]
+    members += [
+        subvariety_class(ring, normal, tangent.points())
+        for normal in load_ig25_subvarieties().values()
+    ]
+    return members
+
+
+IG25_DATUM = build_gkm(PasquierTriple(3, n=2, m=2))
+ORACLE_LAWS = {
+    "universal": FormalGroupLaw.universal,
+    "additive": FormalGroupLaw.additive,
+    "multiplicative:-2/3": lambda order: FormalGroupLaw.multiplicative(QQ(-2, 3), order),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_LAWS)), st.integers(3, 6), st.data())
+def test_ig25_combinations_match_the_s_route(law, order, data):
+    """S(T)-combinations of the 13 members, one value corrupted and one
+    truncated: a member keeps passing, and every congruence through the
+    changed points reads the same verdict and remainder as the s-route."""
+    ring = TorusRing(ORACLE_LAWS[law](order), 2)
+    points = sorted(IG25_DATUM.points)
+    values = {p: ring.zero() for p in points}
+    for member in ig25_members(ring):
+        coeff = data.draw(series(2, data.draw(st.integers(0, 1))))
+        values = {p: values[p] + coeff.at_order(order) * member[p] for p in points}
+    assert_check_matches_the_s_route(IG25_DATUM, values, ring)
+    bad = data.draw(st.sampled_from(points))
+    values[bad] = values[bad] + data.draw(series(2, order))
+    cut = data.draw(st.sampled_from(points))
+    values[cut] = values[cut].truncated(data.draw(st.integers(0, order)))
+    assert_check_matches_the_s_route(IG25_DATUM, values, ring)
+
+
+@pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
+@pytest.mark.parametrize(
+    "args, kind, order",
+    [(dict(family=5), None, 4), (dict(family=3, n=3, m=2), None, 4), (dict(family=5), None, 2)],
+    ids=("g2", "c3-m2", "g2-low"),
+)
+def test_small_data_match_the_s_route(law, args, kind, order):
+    """The corrupted hyperplane tuples of G2 and of c3-m2 (P2 surfaces):
+    power-2 congruences with rho factors fail with both components."""
+    triple = PasquierTriple(**args)
+    datum = build_gkm(triple, force_kind=kind)
+    ring = TorusRing(ORACLE_LAWS[law](order), datum.rank)
+    assert_check_matches_the_s_route(datum, corrupted_hyperplane_tuple(triple, ring, 3), ring)
+
+
+@pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
+def test_values_above_the_ring_order_match_the_s_route(law):
+    """1 + u^2 known through order 2 on a ring of order 1, and values known
+    one and two orders above the ring on rank 2, with and without rho
+    weights: a failing remainder is read through the ring order only."""
+    ring = TorusRing(ORACLE_LAWS[law](1), 1)
+    u = TS.variable(0, 1, 2)
+    f = TS.one(1, 2) + u * u
+    for power in (1, 2):
+        reference = s_route_reduce(ring, {0: f}, [(0, 1, None)], (1,), power)
+        assert_reports_agree(ring.reduce_mod(f, (1,), power), reference)
+    ring = TorusRing(ORACLE_LAWS[law](3), 2)
+    t = [TS.variable(i, 2, 5) for i in range(2)]
+    values = {
+        "x": TS.one(2, 5) + t[0] * t[1] * t[1] * t[1] + t[1] * t[1],
+        "y": (t[0] + t[1] * t[1] * t[0]).at_order(4),
+        "z": ring.chern((1, 1)).at_order(5),
+    }
+    weights = [
+        [("x", 1, None), ("y", -1, None)],
+        [("x", 1, None), ("y", -1, None), ("z", 1, (1, 2)), ("x", -1, (1, 2))],
+        [("y", 1, (3, 2)), ("z", -1, (3, 2)), ("x", 1, (-3, 2)), ("y", -1, (-3, 2))],
+    ]
+    for chi in ((1, 0), (0, 1), (1, -2)):
+        for ws in weights:
+            # a residual is never claimed above what its values determine
+            assert ring.weighted_sum(values, ws, chi, 9) == ring.weighted_sum(values, ws, chi)
+            for power in (1, 2):
+                reference = s_route_reduce(ring, values, ws, chi, power)
+                assert_reports_agree(ring.reduce_combination(values, ws, chi, power), reference)
 
 
 # -- sympy closed forms --------------------------------------------------------------
