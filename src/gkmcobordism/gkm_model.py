@@ -20,15 +20,16 @@ combination of the values' restrictions to the congruence's hyperplane
 (TorusRing.reduce_combination), so a passing congruence costs rational
 linear maps, not series products.
 
-Surface components also carry explicit generator tuples and a closed-form
-decomposition of any member over those generators.
+Surface components carry generator tuples, and a member decomposes over
+them by a triangular solve.
 
-What a surface kind is, is stated once, in the kind table SURFACE_KINDS:
-each kind's point count, the one key it requires and its invariant curves.
-The surface constructor, the congruence system and parse_surface_kind (the
-spellings --force-kind takes) read it; P2_LINES gives each P2 model's line
-weights to the generators and the decomposition.  No other module spells
-a kind.
+A surface kind is stated once, in two tables: SURFACE_KINDS (its point
+count, its one required key and its invariant curves), read by the surface
+constructor, the congruence system and parse_surface_kind (the spellings
+--force-kind takes); and SURFACE_GENERATORS (each generator's Chern factors
+and pivot), read by surface_generators and surface_decompose.  A
+congruence's formula is stated once, in CongruenceConstraint.weights().
+No other module spells a kind.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ from .coeff_series import (
 )
 from .torus_ring import Character, RemainderReport, LocalizedElement, TorusRing
 
-QQ_HALF = QQ(1, 2)
-
 # The surface kinds: kind -> (its point count, the one key it requires, its
 # invariant curves as index pairs into its points).  Its congruence kind is
 # the kind in lower case.
@@ -62,8 +61,32 @@ SURFACE_KINDS = {
     "Fn": (4, "n", ((0, 1), (1, 2), (2, 3), (0, 3))),
 }
 
-# Each P2 model's two line weights, as multiples of alpha.
-P2_LINES = {"V0V1": (QQ_HALF, 1), "V2": (1, 2)}
+# Each P2 model's step: its lines have weights step * alpha and 2 step * alpha.
+P2_STEPS = {"V0V1": QQ(1, 2), "V2": 1}
+
+# Each kind's generators, unit first, given the surface's step u (its P2
+# model's, or n/2): per generator its pivot point and, at each point where it
+# is nonzero, its Chern factors as multiples of alpha; points by index.  The
+# generators nonzero at a pivot can be solved without that pivot's generator.
+SURFACE_GENERATORS = {
+    "P2": lambda u: (
+        (0, {0: (), 1: (), 2: ()}),
+        (1, {1: (u,), 2: (2 * u,)}),
+        (2, {2: (u, 2 * u)}),
+    ),
+    "F0": lambda u: (
+        (3, {0: (), 1: (), 2: (), 3: ()}),
+        (1, {0: (-1,), 1: (-1,)}),
+        (2, {0: (-1,), 2: (-1,)}),
+        (0, {0: (-1, -1)}),
+    ),
+    "Fn": lambda u: (
+        (3, {0: (), 1: (), 2: (), 3: ()}),
+        (1, {0: (-1,), 1: (-1,)}),
+        (2, {1: (u,), 2: (-u,)}),
+        (0, {0: (-1, -u)}),
+    ),
+}
 
 
 class GkmValidationError(ValueError):
@@ -102,9 +125,9 @@ class SurfaceComponent:
             raise GkmValidationError("surface component points must be distinct")
         if self.alpha.is_zero():
             raise GkmValidationError("surface root must be nonzero")
-        if required == "model" and self.model not in P2_LINES:
+        if required == "model" and self.model not in P2_STEPS:
             raise GkmValidationError(
-                f"{self.kind} component needs a model tag {' or '.join(P2_LINES)}"
+                f"{self.kind} component needs a model tag {' or '.join(P2_STEPS)}"
             )
         if required == "n" and (self.n is None or self.n < 1):
             raise GkmValidationError(f"{self.kind} component needs an index n >= 1")
@@ -142,7 +165,7 @@ def parse_surface_kind(text: str) -> tuple:
         if n < 1:
             raise ValueError("Hirzebruch index must be >= 1")
         return kind, None, n
-    models = {m.lower(): m for m in P2_LINES}
+    models = {m.lower(): m for m in P2_STEPS}
     if required == "model" and value in models:
         return kind, models[value], None
     if kind and not required and not colon:
@@ -369,21 +392,21 @@ class CongruenceConstraint:
         return ring.weighted_sum(values, self.weights(), self.character)
 
     def describe(self) -> str:
+        """The congruence as text, read from weights(): per rho group its
+        signed values, in parentheses beside another group, after rho_(n/m)c*."""
         c = f"c(L_{self.character.render()})"
         if self.kind == "edge":
             a, b = self.points
             return f"f[{a}] = f[{b}] mod {c}"
-        if self.kind == "p2":
-            x, y, z = self.points
-            return f"(f[{x}]-f[{y}]) + rho_(1/2){c}*(f[{z}]-f[{x}]) = 0 mod {c}^2"
-        if self.kind == "f0":
-            w, x, y, z = self.points
-            return f"f[{w}]-f[{x}]-f[{y}]+f[{z}] = 0 mod {c}^2"
-        w, x, y, z = self.points
-        return (
-            f"rho_({self.n}/2){c}*(f[{y}]-f[{z}])"
-            f" + rho_(-{self.n}/2){c}*(f[{w}]-f[{x}]) = 0 mod {c}^2"
-        )
+        groups: dict = {}
+        for point, sign, rho in self.weights():
+            groups.setdefault(rho, []).append(f"{'-' if sign < 0 else '+'}f[{point}]")
+        parts = []
+        for rho, terms in groups.items():
+            text = "".join(terms).removeprefix("+")
+            text = text if len(groups) == 1 else f"({text})"
+            parts.append(text if rho is None else f"rho_({rho[0]}/{rho[1]}){c}*{text}")
+        return " + ".join(parts) + f" = 0 mod {c}^{self.power}"
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -502,35 +525,23 @@ def check_membership(datum: GkmDatum, values: dict, ring: TorusRing) -> Membersh
 # -- surface generators and decomposition ------------------------------------------
 
 
-def surface_generators(surface: SurfaceComponent, ring: TorusRing) -> list:
-    """The generator tuples of one surface, unit first, keyed by point name."""
-    alpha = surface.alpha
-    one, zero = ring.one(), ring.zero()
-    c = ring.chern
-    if surface.kind == "P2":
-        x, y, z = surface.points
-        line_y, line_z = (c(alpha.scale(k)) for k in P2_LINES[surface.model])
-        return [
-            {x: one, y: one, z: one},
-            {x: zero, y: line_y, z: line_z},
-            {x: zero, y: zero, z: line_y * line_z},
-        ]
-    w, x, y, z = surface.points
-    if surface.kind == "F0":
-        cm = c(-alpha)
-        return [
-            {w: one, x: one, y: one, z: one},
-            {w: cm, x: cm, y: zero, z: zero},
-            {w: cm, x: zero, y: cm, z: zero},
-            {w: cm * cm, x: zero, y: zero, z: zero},
-        ]
-    half = alpha.scale(QQ_HALF * surface.n)
-    cm, cp, cn = c(-alpha), c(half), c(-half)
+def _generator_table(surface: SurfaceComponent) -> list:
+    """The surface's rows of SURFACE_GENERATORS, in its point names and
+    characters: (pivot, {point: Chern factors}) per generator."""
+    step = P2_STEPS[surface.model] if surface.model else QQ(surface.n or 0, 2)
+    points, alpha = surface.points, surface.alpha
     return [
-        {w: one, x: one, y: one, z: one},
-        {w: cm, x: cm, y: zero, z: zero},
-        {w: zero, x: cp, y: cn, z: zero},
-        {w: cm * cn, x: zero, y: zero, z: zero},
+        (points[pivot], {points[k]: tuple(alpha.scale(q) for q in qs) for k, qs in factors.items()})
+        for pivot, factors in SURFACE_GENERATORS[surface.kind](step)
+    ]
+
+
+def surface_generators(surface: SurfaceComponent, ring: TorusRing) -> list:
+    """The generator tuples of one surface, unit first, keyed by point name:
+    each generator's Chern products where it is nonzero, zero elsewhere."""
+    return [
+        {p: ring.chern_product(factors[p]) if p in factors else ring.zero() for p in surface.points}
+        for _, factors in _generator_table(surface)
     ]
 
 
@@ -540,68 +551,46 @@ class Decomposition:
     certified_order: int
 
 
-def _divide_all(ring: TorusRing, numerator: TruncatedSeries, chars) -> TruncatedSeries:
-    result = ring.clear_denominators(LocalizedElement(numerator, tuple(chars)))
-    if not result.ok:
-        ch, _ = result.obstruction
-        raise DecompositionError(
-            f"tuple is not decomposable: numerator not divisible by c(L_{ch.render()})"
-        )
-    return result.series
-
-
 def surface_decompose(surface: SurfaceComponent, values: dict, ring: TorusRing) -> Decomposition:
     """Coefficients of a member tuple over the surface generators.
 
-    The closed forms are exact divisions; congruence failure or a division
-    remainder raises DecompositionError.
+    A triangular solve over the generator table: at a generator's pivot its
+    coefficient is the value there, less the other generators' terms, over
+    its own Chern factors there; each is a LocalizedElement, cleared once.
+    Congruence failure or a division remainder raises DecompositionError.
     """
-    datum = GkmDatum(
-        rank=ring.rank,
-        points=surface.points,
-        edges=(),
-        surfaces=(surface,),
-    )
+    datum = GkmDatum(ring.rank, surface.points, (), (surface,))
     certificate = check_membership(datum, values, ring)
     if not certificate.is_member:
         failed = certificate.failures()[0]
         raise DecompositionError(
             f"tuple violates the surface congruences: {failed.constraint.describe()}"
         )
-    alpha = surface.alpha
-    c = ring.chern
-    if surface.kind == "P2":
-        x, y, z = surface.points
-        fx, fy, fz = values[x], values[y], values[z]
-        step, double = (alpha.scale(k) for k in P2_LINES[surface.model])
-        coeff1 = fx
-        coeff2 = _divide_all(ring, fy - fx, [step])
-        numerator = (fx - fy) * c(double) + c(step) * (fz - fx)
-        coeff3 = _divide_all(ring, numerator, [step, step, double])
-        coeffs = [coeff1, coeff2, coeff3]
-    elif surface.kind == "F0":
-        w, x, y, z = surface.points
-        fw, fx, fy, fz = values[w], values[x], values[y], values[z]
-        coeffs = [
-            fz,
-            _divide_all(ring, fx - fz, [-alpha]),
-            _divide_all(ring, fy - fz, [-alpha]),
-            _divide_all(ring, fw - fx - fy + fz, [-alpha, -alpha]),
-        ]
-    else:
-        w, x, y, z = surface.points
-        fw, fx, fy, fz = values[w], values[x], values[y], values[z]
-        half = alpha.scale(QQ_HALF * surface.n)
-        coeff2_num = (fz - fy) * c(half) + (fx - fz) * c(-half)
-        coeff4_num = (fy - fz) * c(half) + c(-half) * (fw - fx)
-        coeffs = [
-            fz,
-            _divide_all(ring, coeff2_num, [-half, -alpha]),
-            _divide_all(ring, fy - fz, [-half]),
-            _divide_all(ring, coeff4_num, [-half, -half, -alpha]),
-        ]
-    certified = min(cf.order for cf in coeffs)
-    return Decomposition(coeffs, certified)
+    table = _generator_table(surface)
+    fractions: dict = {}
+
+    # solved on demand: a generator nonzero at a pivot may come later in the
+    # table (Fn's third generator is nonzero at its second one's pivot)
+    def solve(i: int) -> LocalizedElement:
+        if i not in fractions:
+            pivot, factors = table[i]
+            rest = LocalizedElement(values[pivot])
+            for j, (_, other) in enumerate(table):
+                if j != i and pivot in other:
+                    rest = ring.loc_add(rest, -ring.loc_times(solve(j), other[pivot]))
+            fractions[i] = LocalizedElement(rest.numerator, rest.denominator + factors[pivot])
+        return fractions[i]
+
+    coefficients = []
+    for i in range(len(table)):
+        result = ring.clear_denominators(solve(i))
+        if not result.ok:
+            raise DecompositionError(
+                "tuple is not decomposable: numerator not divisible by "
+                f"c(L_{result.obstruction.character.render()})"
+            )
+        coefficients.append(result.series)
+    return Decomposition(coefficients, min(c.order for c in coefficients))
 
 
 def reconstruct(surface: SurfaceComponent, coefficients, ring: TorusRing) -> dict:

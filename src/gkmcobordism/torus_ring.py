@@ -36,6 +36,7 @@ integer form.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -172,7 +173,7 @@ class ClearResult:
 
     series: TruncatedSeries | None
     certified_order: int
-    obstruction: tuple | None = None  # (Character, RemainderReport)
+    obstruction: RemainderReport | None = None  # its character is the obstructing factor
 
     @property
     def ok(self) -> bool:
@@ -232,10 +233,9 @@ class TorusRing:
         return cached
 
     def chern_product(self, chars) -> TruncatedSeries:
-        acc = self.one()
-        for ch in chars:
-            acc = acc * self.chern(ch)
-        return acc
+        """The product of the Chern classes of chars, from the first on; one() for none."""
+        classes = [self.chern(ch) for ch in chars]
+        return math.prod(classes[1:], start=classes[0]) if classes else self.one()
 
     def rho_factor(self, n: int, m: int, chi) -> TruncatedSeries:
         """rho_{n/m} applied to the Chern class of a character (cached)."""
@@ -432,7 +432,7 @@ class TorusRing:
         result = self.clear_denominators(LocalizedElement(f, (self._char(chi),)))
         if result.ok:
             return result.series, None
-        return None, result.obstruction[1]
+        return None, result.obstruction
 
     def _division_unit(self, chi: Character) -> TruncatedSeries:
         """(L / e(L)) / chi_j in s, for L = sum_i chi_i s_i and the pivot j,
@@ -474,7 +474,7 @@ class TorusRing:
                 if units:
                     f = self._from_log_times(g, units)
                 report = self.reduce_mod(f, ch, 1)
-                return ClearResult(None, report.certified_order, obstruction=(ch, report))
+                return ClearResult(None, report.certified_order, obstruction=report)
             top = g.order if rest.is_zero_through(g.order) else g.order - 1
             if top < 1:
                 raise ValueError(
@@ -494,12 +494,21 @@ class TorusRing:
 
     # -- localized arithmetic ---------------------------------------------------
 
+    def _times(self, f: TruncatedSeries, chars: Counter) -> TruncatedSeries:
+        """f times the Chern classes of chars; f itself, untruncated, for none."""
+        return f * self.chern_product(chars.elements()) if chars else f
+
     def loc_add(self, a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
+        """a + b over the lcm of the denominators; a side lacking no factor is not multiplied."""
         da, db = Counter(a.denominator), Counter(b.denominator)
-        common = da | db  # the lcm of the two denominators
-        num = a.numerator * self.chern_product((common - da).elements())
-        num = num + b.numerator * self.chern_product((common - db).elements())
+        common = da | db
+        num = self._times(a.numerator, common - da) + self._times(b.numerator, common - db)
         return LocalizedElement(num, tuple(common.elements()))
+
+    def loc_times(self, a: LocalizedElement, chars) -> LocalizedElement:
+        """a times the Chern classes of chars, factors shared with a's denominator cancelled."""
+        den, extra = Counter(a.denominator), Counter(chars)
+        return LocalizedElement(self._times(a.numerator, extra - den), tuple((den - extra).elements()))
 
     def loc_eq(self, a: LocalizedElement, b: LocalizedElement) -> bool:
         """Cross-multiplied equality of the stored truncations.

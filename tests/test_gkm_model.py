@@ -352,6 +352,47 @@ def test_membership_invariant_under_global_multiplication(ring, rng):
     assert check_membership(datum, scaled, ring).is_member
 
 
+INVARIANCE_LAWS = {
+    "universal": FormalGroupLaw.universal,
+    "additive": FormalGroupLaw.additive,
+    "multiplicative:-2/3": lambda order: FormalGroupLaw.multiplicative(QQ(-2, 3), order),
+}
+
+
+@pytest.mark.parametrize("law", sorted(INVARIANCE_LAWS))
+@pytest.mark.parametrize("kinds", [KINDS[:2], KINDS[2:]], ids=["p2-models", "f0-fn"])
+def test_membership_is_kind_invariant(law, kinds):
+    """Members built from one kind's generators, and copies of them
+    corrupted at one point by a series or by c(alpha) times a series, get
+    the same verdict under every kind on the same points.  The surface's
+    edge congruences make its points congruent mod c(alpha), and
+    rho_{n/m}(c(alpha)) = n/m mod c(alpha), so the power-2 congruences of
+    F0 and of every Fn agree, and P2's does not read its model."""
+    kinds = [replace(kind, alpha=C(1, -2)) for kind in kinds]
+    ring = TorusRing(INVARIANCE_LAWS[law](5), 2)
+    rng = random.Random(len(kinds))
+    rational = law != "universal"
+    seen = []
+    for source in kinds:
+        gens = surface_generators(source, ring)
+        for _ in range(4):
+            coeffs = [random_series(rng, 2, 5, terms=2, rational_only=rational) for _ in gens]
+            member = reconstruct(source, coeffs, ring)
+            bump = random_series(rng, 2, 5, terms=2, rational_only=rational) + ring.one()
+            for change in (None, bump, ring.chern(source.alpha) * bump):
+                values = dict(member)
+                if change is not None:
+                    point = rng.choice(source.points)
+                    values[point] = values[point] + change
+                verdicts = {
+                    check_membership(surface_datum(kind), values, ring).is_member for kind in kinds
+                }
+                assert len(verdicts) == 1, (source, change is not None)
+                seen.append((change is None, verdicts.pop()))
+    assert all(verdict for is_member, verdict in seen if is_member)
+    assert not any(verdict for is_member, verdict in seen if not is_member)
+
+
 def test_additive_reduction_of_surface_conditions():
     """Under the additive law the correction factors are the constants
     1/2 and +-n/2, so the surface conditions become linear congruences."""

@@ -27,6 +27,11 @@ through the ring order and every remainder was converted back from there.
 The congruence systems of one datum per surface kind (F0, Fn, and P2 in
 both models) were recorded when each kind's curves and congruence were
 spelled in branches of `congruence_system`.
+The generator tuples and decompositions of one surface per kind and model
+(P2 in both models, F0, and Fn with n = 1-4, under three laws) were
+recorded when each kind's generators and their inverse were written out by
+hand: generators in `surface_generators`, closed-form coefficients in
+branches of `surface_decompose`.
 Every series the engine builds is the
 unique exact truncation of a closed-form object, so a kernel rewrite must
 reproduce these bytes.
@@ -36,6 +41,7 @@ reproduce these bytes.
 import hashlib
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -45,12 +51,20 @@ import pytest
 
 from gkmcobordism.cli import main, make_law
 from gkmcobordism.fgl import FormalGroupLaw
-from gkmcobordism.gkm_model import check_membership, congruence_system, congruence_system_json
+from gkmcobordism.gkm_model import (
+    SurfaceComponent,
+    check_membership,
+    congruence_system,
+    congruence_system_json,
+    reconstruct,
+    surface_decompose,
+    surface_generators,
+)
 from gkmcobordism.horospherical import PasquierTriple, build_gkm, point_weights
 from gkmcobordism.coeff_series import LazardCoefficient, TruncatedSeries
 from gkmcobordism.torus_ring import Character, LocalizedElement, TorusRing
 
-from conftest import corrupted_hyperplane_tuple
+from conftest import corrupted_hyperplane_tuple, random_series
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gkmcobordism" / "data"
 IG25_ORDER = 8
@@ -161,6 +175,20 @@ DIGESTS = {
     "congruences-c3-m2-text": "d46713a3a64d94f01b74312736177ff3897bc9db907f7c49df45efdc73ec2636",
     "congruences-c3-m2-p2v2-json": "b71c6960e6e05b74a810f1af29f60f0c4c462a12f44e20aa8a880ed320912290",
     "congruences-c3-m2-p2v2-text": "d46713a3a64d94f01b74312736177ff3897bc9db907f7c49df45efdc73ec2636",
+    "generators-p2v0v1": "90faae92b6d68f7299f5ab430e7d6c3403fd24ded888234df46bf3ebbef4304b",
+    "decompose-p2v0v1": "88d6ed09f6b22b699b4f4ce49d422fea876a5a0b10f2f7a0a68a608aa5a43dd1",
+    "generators-p2v2": "410cd1c394af6c549db3c4ceed9127ef97bbccf075d1c8e4c54618b948e8f776",
+    "decompose-p2v2": "55930a795fa7b5db25c916b75c10b5973bd99b6d01afdf0d0e492601c47bbb66",
+    "generators-f0": "40aaefb98f8ef684a059813dbaece8b529817410bd3cdd1d2e0180dc19945494",
+    "decompose-f0": "66049ef7b7183117611c468c90e93e9ec18584ccd17231b02e72a5b2e23279a7",
+    "generators-fn1": "81dbfb0c9de1baadc3255d5dd4de7fa6a50d1ca0f69eb62f195381b4bb3e00ff",
+    "decompose-fn1": "6377649a52f7d09d987292bf524553914e892d3803fab29579f8400956051bcc",
+    "generators-fn2": "fd7521bd9c4fee2e0055b6304cc9cf17305322ba11496b98f4dfabda4ba85bd2",
+    "decompose-fn2": "cca732016961420bf76683f7dfe2ac0011788eac97e4a9a482f32799f3017242",
+    "generators-fn3": "edef9574692398a05584fc15e996740142c25b53f5693768f0dac6ba6bfaafed",
+    "decompose-fn3": "763b07b5e666b93904dc19f4903c7552a03bb7c8b7af235fdf1a95bdf7a01d6f",
+    "generators-fn4": "347a44b3d2bba69cd1128f7d40bc0ed2e08836719f7457613e67079646cdee4f",
+    "decompose-fn4": "6f22bd4834e8c27dbdec5a68310a738fc4f51d4ae9892c83b37bc693dbadb476",
 }
 
 
@@ -300,6 +328,73 @@ def _congruence_outputs() -> dict:
     return out
 
 
+# One surface per kind and model, (kind, model, n), on the points w, x, y, z
+# (P2 on the last three); each is decomposed under every law of
+# DECOMPOSITION_LAWS, each law with its own root.
+DECOMPOSITION_SURFACES = {
+    "p2v0v1": ("P2", "V0V1", None),
+    "p2v2": ("P2", "V2", None),
+    "f0": ("F0", None, None),
+    **{f"fn{n}": ("Fn", None, n) for n in (1, 2, 3, 4)},
+}
+DECOMPOSITION_LAWS = {
+    "universal": (2, -1),
+    "additive": (0, 1),
+    "multiplicative:-2/3": (Fraction(1, 2), 1),
+}
+DECOMPOSITION_ORDER = 6
+
+
+def _decomposition(surface, values, ring) -> dict:
+    """surface_decompose of a tuple: its coefficients and certified order, or
+    the message of its refusal."""
+    try:
+        decomposition = surface_decompose(surface, values, ring)
+    except ValueError as exc:  # DecompositionError, or a quotient known through no degree
+        return {"refused": f"{type(exc).__name__}: {exc}"}
+    return {
+        "coefficients": [c.to_json_obj() for c in decomposition.coefficients],
+        "certified_order": decomposition.certified_order,
+    }
+
+
+def _decomposition_outputs() -> dict:
+    """Per surface of DECOMPOSITION_SURFACES, under each law: its generator
+    tuples, and the decompositions of two seeded members, of a member with
+    one value truncated to order 4 and to order 2, and of two copies of a
+    member with one value corrupted: coefficients or refusal messages."""
+    out = {}
+    for seed, (name, (kind, model, n)) in enumerate(DECOMPOSITION_SURFACES.items()):
+        points = ("x", "y", "z") if kind == "P2" else ("w", "x", "y", "z")
+        generators, decompositions = [], []
+        for law, alpha in DECOMPOSITION_LAWS.items():
+            surface = SurfaceComponent(kind, points, Character(alpha), n=n, model=model)
+            ring = TorusRing(make_law(law, DECOMPOSITION_ORDER), 2)
+            rng = random.Random(seed)
+            gens = surface_generators(surface, ring)
+            generators.append([{p: v.to_json_obj() for p, v in g.items()} for g in gens])
+            members = []
+            for _ in range(3):
+                coeffs = [
+                    random_series(rng, 2, DECOMPOSITION_ORDER, 3, rational_only=law != "universal")
+                    for _ in gens
+                ]
+                members.append(reconstruct(surface, coeffs, ring))
+            cut = rng.choice(points)
+            members.append({**members[1], cut: members[1][cut].truncated(2)})
+            members[1][cut] = members[1][cut].truncated(DECOMPOSITION_ORDER - 2)
+            # a linear term fails edge congruences; c(alpha) t1 passes them
+            # and fails the surface's own congruence
+            t1 = ring.variable(0)
+            for bump in (t1, ring.chern(surface.alpha) * t1):
+                bad = rng.choice(points)
+                members.append({**members[2], bad: members[2][bad] + bump})
+            decompositions += [_decomposition(surface, m, ring) for m in members]
+        out[f"generators-{name}"] = json.dumps(generators, sort_keys=True).encode()
+        out[f"decompose-{name}"] = json.dumps(decompositions, sort_keys=True).encode()
+    return out
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -334,6 +429,11 @@ def test_surface_congruences_of_every_kind_are_byte_identical():
         assert _digest(data) == DIGESTS[name], name
 
 
+def test_surface_decompositions_of_every_kind_are_byte_identical():
+    for name, data in _decomposition_outputs().items():
+        assert _digest(data) == DIGESTS[name], name
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {name: _stdout(argv) for name, argv in COMMANDS.items()}
@@ -342,5 +442,6 @@ if __name__ == "__main__":
         outputs.update(_failing_hyperplane_outputs())
         outputs.update(_division_outputs())
         outputs.update(_congruence_outputs())
+        outputs.update(_decomposition_outputs())
     for name, data in outputs.items():
         print(f'    "{name}": "{_digest(data)}",')
