@@ -19,6 +19,9 @@ Composition (compose_univariate, a substitution against the powers of the
 inner series) remains for arguments that are not such linear forms: sum,
 inverse, multiple, divide and rho of a series.
 
+A law keeps every derived series and table in its one dict `_cache`, under
+keys tagged by what they hold; `_memo` builds each on first use.
+
 Specializations assign rationals to the mk: the additive law sets all mk = 0,
 the multiplicative law with parameter b sets mk = b^k/(k+1), which collapses
 F(u, v) to u + v - b*u*v.
@@ -60,13 +63,7 @@ class FormalGroupLaw:
                     f"incomplete assignment: m{missing[0]} is undefined below the truncation order"
                 )
         self.assignment = assignment
-        self._logs: dict = {}
-        self._log_powers: dict = {}
-        self._exps: dict = {}
-        self._exp_powers: dict = {}
-        self._univariate: dict = {}
-        self._pair_tables: dict = {}
-        self._tables: dict = {}
+        self._cache: dict = {}  # every derived series and table, by a tagged key
 
     # -- factories ----------------------------------------------------------
 
@@ -106,54 +103,41 @@ class FormalGroupLaw:
     def log_series(self, order: int | None = None) -> TruncatedSeries:
         """l(u) = u + m1 u^2 + m2 u^3 + ... truncated at the requested order."""
         order = self.order if order is None else order
-        cached = self._logs.get(order)
-        if cached is None:
-            terms = {(1,): LazardCoefficient.one()} if order else {}
-            for k in range(1, order):
-                c = self._m(k)
-                if not c.is_zero():
-                    terms[(k + 1,)] = c
-            cached = TruncatedSeries(1, order, terms)
-            self._logs[order] = cached
-        return cached
+
+        def build():
+            terms = {(k + 1,): self._m(k) if k else LazardCoefficient.one() for k in range(order)}
+            return TruncatedSeries(1, order, terms)
+
+        return _memo(self._cache, ("log", order), build)
 
     def log_powers(self, order: int | None = None) -> list:
         """The power table [l^0, l^1, ..., l^order] of the logarithm."""
         order = self.order if order is None else order
-        cached = self._log_powers.get(order)
-        if cached is None:
-            cached = series_powers(self.log_series(order))
-            self._log_powers[order] = cached
-        return cached
+        return _memo(self._cache, ("log^k", order), lambda: series_powers(self.log_series(order)))
 
     def exp_series(self, order: int | None = None) -> TruncatedSeries:
         order = self.order if order is None else order
-        cached = self._exps.get(order)
-        if cached is None:
-            cached = compositional_inverse(self.log_series(order), self.log_powers(order))
-            self._exps[order] = cached
-        return cached
+        return _memo(
+            self._cache,
+            ("exp", order),
+            lambda: compositional_inverse(self.log_series(order), self.log_powers(order)),
+        )
 
     def exp_powers(self, order: int | None = None) -> list:
         """The power table [e^0, e^1, ..., e^order] of the exponential."""
         order = self.order if order is None else order
-        cached = self._exp_powers.get(order)
-        if cached is None:
-            cached = series_powers(self.exp_series(order))
-            self._exp_powers[order] = cached
-        return cached
+        return _memo(self._cache, ("exp^k", order), lambda: series_powers(self.exp_series(order)))
 
     def convert(self, f: TruncatedSeries, kind: str, variables=None) -> TruncatedSeries:
         """f with t_i -> e(t_i) ("exp", from t to s_i = l(t_i)) or t_i ->
         l(t_i) ("log", from s back to t) for each i in `variables` (default
         all), through f's order: one substitute per variable against the
         embedded power table, built on first use and kept."""
-        for i in range(f.rank) if variables is None else variables:
-            key = (kind, f.order, i, f.rank)
-            table = self._tables.get(key)
-            if table is None:
-                powers = self.exp_powers(f.order) if kind == "exp" else self.log_powers(f.order)
-                table = self._tables[key] = [embed(row, i, f.rank) for row in powers]
+        order, rank = f.order, f.rank
+        powers = self.exp_powers if kind == "exp" else self.log_powers
+        for i in range(rank) if variables is None else variables:
+            key = ("convert", kind, order, i, rank)
+            table = _memo(self._cache, key, lambda: [embed(r, i, rank) for r in powers(order)])
             f = f.substitute(i, table)
         return f
 
@@ -174,15 +158,14 @@ class FormalGroupLaw:
         if not any(chi):
             raise ValueError("rho requires an input of t-order exactly 1")
         order = self.order if order is None else order
-        key = ("rho-exp", n, m, order)
-        h = self._univariate.get(key)
-        if h is None:
+
+        def build():
             # e(q y) is divisible by y; dividing one order up keeps the
             # quotient exact through `order`.
             top = _at_linear_form(self.exp_series(order + 1), (QQ(n, m),))
-            h = top.divided_by_variable(0) * self._y_over_exp(order)
-            self._univariate[key] = h
-        return self._of_log_form(h, chi)
+            return top.divided_by_variable(0) * self._y_over_exp(order)
+
+        return self._of_log_form(_memo(self._cache, ("rho", n, m, order), build), chi)
 
     def unit_of_linear_form(self, chi, order: int | None = None) -> TruncatedSeries:
         """L / e(L) for the linear form L = sum_i chi_i t_i, chi nonzero: in
@@ -192,12 +175,11 @@ class FormalGroupLaw:
 
     def _y_over_exp(self, order: int) -> TruncatedSeries:
         """y / e(y) through `order`, from e one order up (e(y) is divisible by y)."""
-        key = ("y/e", order)
-        cached = self._univariate.get(key)
-        if cached is None:
-            bottom = self.exp_series(order + 1).divided_by_variable(0)
-            cached = self._univariate[key] = series_inverse(bottom)
-        return cached
+        return _memo(
+            self._cache,
+            ("y/e", order),
+            lambda: series_inverse(self.exp_series(order + 1).divided_by_variable(0)),
+        )
 
     def rho_slope(self, n: int, m: int) -> LazardCoefficient:
         """h'(0) for h(y) = e(q y)/e(y), q = n/m, the univariate series behind
@@ -213,30 +195,18 @@ class FormalGroupLaw:
         g at the linear form in s, then s_i -> l(t_i) where chi_i != 0."""
         return self.convert(_at_linear_form(g, chi), "log", [i for i, c in enumerate(chi) if c])
 
-    def multiple_series(self, n: int, order: int | None = None) -> TruncatedSeries:
-        """[n]x as a univariate series."""
+    def multiple_series(self, n, order: int | None = None) -> TruncatedSeries:
+        """[n]x = e(n l(x)) as a univariate series, for a rational n; [1/m]x
+        is the same series at n = 1/m."""
         order = self.order if order is None else order
-        key = ("multiple", n, order)
-        cached = self._univariate.get(key)
-        if cached is None:
-            if n == 0:
-                cached = TruncatedSeries.zero(1, order)
-            else:
-                cached = self.exp_linear((n,), order)
-            self._univariate[key] = cached
-        return cached
+        n = as_rational(n)
+        return _memo(self._cache, ("multiple", n, order), lambda: self.exp_linear((n,), order))
 
     def divide_series(self, m: int, order: int | None = None) -> TruncatedSeries:
         """[1/m]x as a univariate series."""
         if m < 1:
             raise ValueError("division index must be a positive integer")
-        order = self.order if order is None else order
-        key = ("divide", m, order)
-        cached = self._univariate.get(key)
-        if cached is None:
-            cached = self.exp_linear((QQ(1, m),), order)
-            self._univariate[key] = cached
-        return cached
+        return self.multiple_series(QQ(1, m), order)
 
     def rho_series(self, n: int, m: int, order: int | None = None) -> TruncatedSeries:
         """rho_{n/m} x = [n]([1/m]x)/x as a univariate series of degree zero:
@@ -258,11 +228,7 @@ class FormalGroupLaw:
     def pair_table(self, order: int | None = None) -> TruncatedSeries:
         """F(u, v) expanded on two fresh variables."""
         order = self.order if order is None else order
-        cached = self._pair_tables.get(order)
-        if cached is None:
-            cached = self.exp_linear((1, 1), order)
-            self._pair_tables[order] = cached
-        return cached
+        return _memo(self._cache, ("pair", order), lambda: self.exp_linear((1, 1), order))
 
     def a_coefficient(self, i: int, j: int) -> LazardCoefficient:
         """The coefficient of u^i v^j in F(u, v)."""
@@ -315,6 +281,15 @@ class FormalGroupLaw:
 
     def __repr__(self) -> str:
         return f"FormalGroupLaw(order={self.order}, law={self.label})"
+
+
+def _memo(cache: dict, key, build):
+    """cache[key], built by build() and stored on first use; a built value is
+    never None."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+    return value
 
 
 def _at_linear_form(g: TruncatedSeries, chi) -> TruncatedSeries:

@@ -557,7 +557,8 @@ def surface_decompose(surface: SurfaceComponent, values: dict, ring: TorusRing) 
     A triangular solve over the generator table: at a generator's pivot its
     coefficient is the value there, less the other generators' terms, over
     its own Chern factors there; each is a LocalizedElement, cleared once.
-    Congruence failure or a division remainder raises DecompositionError.
+    Congruence failure, a division remainder or a coefficient known through
+    no degree raises DecompositionError.
     """
     datum = GkmDatum(ring.rank, surface.points, (), (surface,))
     certificate = check_membership(datum, values, ring)
@@ -583,7 +584,11 @@ def surface_decompose(surface: SurfaceComponent, values: dict, ring: TorusRing) 
 
     coefficients = []
     for i in range(len(table)):
-        result = ring.clear_denominators(solve(i))
+        fraction = solve(i)
+        try:
+            result = ring.clear_denominators(fraction)
+        except ValueError as exc:  # the quotient would be known through no degree
+            raise DecompositionError(str(exc)) from None
         if not result.ok:
             raise DecompositionError(
                 "tuple is not decomposable: numerator not divisible by "

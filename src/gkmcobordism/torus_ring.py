@@ -32,6 +32,10 @@ zero locus are all TruncatedSeries.substitute, with the tables y^k,
 k y^(k-1), (s_j^k - y^k)/(s_j - y) and phi^k; each table is a list of
 series, built on first use and kept, and every step runs on the stored
 integer form.
+
+A ring keeps its Chern classes in `_chern`, by character coords, and its rho
+factors, division units and hyperplane tables in `_cache`, by tagged keys;
+fgl._memo fills both, and the per-check cache of reduce_combination.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .coeff_series import (
     combination,
     series_powers,
 )
-from .fgl import FormalGroupLaw
+from .fgl import FormalGroupLaw, _memo
 from .root_flag import direction
 
 
@@ -193,10 +197,8 @@ class TorusRing:
             raise ValueError("torus rank must be >= 1")
         self.law = law
         self.rank = rank
-        self._chern: dict = {}
-        self._rho: dict = {}
-        self._units: dict = {}
-        self._hyperplanes: dict = {}
+        self._chern: dict = {}  # its own dict: bench/spans.py counts its entries
+        self._cache: dict = {}
 
     @property
     def order(self) -> int:
@@ -225,12 +227,8 @@ class TorusRing:
 
     def chern(self, chi) -> TruncatedSeries:
         """The equivariant first Chern class of a character: e(sum chi_i l(t_i))."""
-        chi = self._char(chi)
-        cached = self._chern.get(chi.coords)
-        if cached is None:
-            cached = self.law.exp_linear(chi.coords, self.order)
-            self._chern[chi.coords] = cached
-        return cached
+        coords = self._char(chi).coords
+        return _memo(self._chern, coords, lambda: self.law.exp_linear(coords, self.order))
 
     def chern_product(self, chars) -> TruncatedSeries:
         """The product of the Chern classes of chars, from the first on; one() for none."""
@@ -239,13 +237,12 @@ class TorusRing:
 
     def rho_factor(self, n: int, m: int, chi) -> TruncatedSeries:
         """rho_{n/m} applied to the Chern class of a character (cached)."""
-        chi = self._char(chi)
-        key = (n, m, chi.coords)
-        cached = self._rho.get(key)
-        if cached is None:
-            cached = self.law.rho_linear(n, m, chi.coords, self.order)
-            self._rho[key] = cached
-        return cached
+        coords = self._char(chi).coords
+        return _memo(
+            self._cache,
+            ("rho", n, m, coords),
+            lambda: self.law.rho_linear(n, m, coords, self.order),
+        )
 
     # -- logarithmic coordinates ------------------------------------------------
 
@@ -269,32 +266,28 @@ class TorusRing:
         ("quotient"); k runs through order + 1.  In t, u_k = phi^k for phi =
         e(y) at s_i = l(t_i) gives the value on the zero locus t_j = phi
         ("locus"; k and phi through the ring order).  Built on first use."""
-        key = (line, kind)
-        cached = self._hyperplanes.get(key)
-        if cached is None:
+
+        def build():
             pivot, top = _pivot(line), self.order + 1
             scale = QQ(-1, line[pivot])
             if kind == "locus":
                 form = [0 if i == pivot else scale * c for i, c in enumerate(line)]
-                cached = series_powers(self.law.exp_linear(form, self.order))
-            elif kind == "value":
+                return series_powers(self.law.exp_linear(form, self.order))
+            if kind == "value":
                 terms = {
                     tuple(int(i == j) for j in range(self.rank)): LazardCoefficient.rational(scale * c)
                     for i, c in enumerate(line)
                     if c and i != pivot
                 }
-                cached = series_powers(TruncatedSeries(self.rank, top, terms))
-            else:
-                ys = self._hyperplane(line, "value")
-                s_j = TruncatedSeries.variable(pivot, self.rank, top)
-                cached = [TruncatedSeries.zero(self.rank, top)]
-                for k in range(1, top + 1):
-                    if kind == "slope":
-                        cached.append(ys[k - 1].scale(k))
-                    else:
-                        cached.append(s_j * cached[-1] + ys[k - 1])
-            self._hyperplanes[key] = cached
-        return cached
+                return series_powers(TruncatedSeries(self.rank, top, terms))
+            ys = self._hyperplane(line, "value")
+            s_j = TruncatedSeries.variable(pivot, self.rank, top)
+            table = [TruncatedSeries.zero(self.rank, top)]
+            for k in range(1, top + 1):
+                table.append(ys[k - 1].scale(k) if kind == "slope" else s_j * table[-1] + ys[k - 1])
+            return table
+
+        return _memo(self._cache, (kind, line), build)
 
     def _restricted(
         self, cache: dict, point, f: TruncatedSeries, line: tuple, order: int, kind: str
@@ -302,17 +295,13 @@ class TorusRing:
         """g on the line's hyperplane ("value"), or dg/ds_j there ("slope",
         one order lower), for g = f in logarithmic coordinates through
         `order`; the conversion and the restrictions are kept in `cache`."""
-        key = (point, order)
-        g = cache.get(key)
-        if g is None:
-            g = cache[key] = self.law.convert(f.truncated(order), "exp")
-        key = (point, order, line, kind)
-        restricted = cache.get(key)
-        if restricted is None:
-            top = g.order if kind == "value" else max(g.order - 1, 0)
-            table = self._hyperplane(line, kind)
-            restricted = cache[key] = g.substitute(_pivot(line), table, top)
-        return restricted
+        g = _memo(cache, (point, order), lambda: self.law.convert(f.truncated(order), "exp"))
+        top = g.order if kind == "value" else max(g.order - 1, 0)
+        return _memo(
+            cache,
+            (point, order, line, kind),
+            lambda: g.substitute(_pivot(line), self._hyperplane(line, kind), top),
+        )
 
     def weighted_sum(self, values: dict, weights, chi, order: int | None = None) -> TruncatedSeries:
         """sum_P w_P * values[P] in t, for weights as in reduce_combination:
@@ -437,12 +426,12 @@ class TorusRing:
     def _division_unit(self, chi: Character) -> TruncatedSeries:
         """(L / e(L)) / chi_j in s, for L = sum_i chi_i s_i and the pivot j,
         through the ring order - 1 (as far as quotients go), cached."""
-        cached = self._units.get(chi.coords)
-        if cached is None:
-            pivot = _pivot(chi.primitive_direction())
+
+        def build():
             unit = self.law.unit_of_linear_form(chi.coords, self.order - 1)
-            cached = self._units[chi.coords] = unit.scale(1 / chi.coords[pivot])
-        return cached
+            return unit.scale(1 / chi.coords[_pivot(chi.coords)])
+
+        return _memo(self._cache, ("unit", chi.coords), build)
 
     def clear_denominators(self, elem: LocalizedElement) -> ClearResult:
         """Iterated exact division of the numerator by the denominator factors.

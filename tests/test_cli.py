@@ -8,7 +8,12 @@ from gkmcobordism.coeff_series import TruncatedSeries
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import GkmDatum
 from gkmcobordism.horospherical import PasquierTriple, build_gkm
-from gkmcobordism.multiplicities import load_ig25_tangent, point_class
+from gkmcobordism.multiplicities import (
+    fiber_multiplicity,
+    load_ig25_resolution,
+    load_ig25_tangent,
+    point_class,
+)
 from gkmcobordism.torus_ring import TorusRing
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gkmcobordism" / "data"
@@ -238,6 +243,22 @@ def test_mult_fiber_sum_cli(capsys):
     assert code == 0
     obj = json.loads(out)
     assert len(obj["terms"]) == 4
+
+
+def test_mult_fiber_sum_without_ambient_prints_the_fiber_multiplicity(capsys):
+    # order 8: the x4tilde numerator vanishes below degree 7, so order 4 prints (0)
+    total = fiber_multiplicity(
+        TorusRing(FormalGroupLaw.universal(8), 2), load_ig25_resolution("x4tilde")[1]
+    )
+    argv = ("mult", "fiber-sum", str(DATA / "ig25_x4tilde.json"), "--order", "8")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    factors = " ".join("c" + ch.render() for ch in total.denominator)
+    assert out == f"1/({factors}) * ({total.numerator.render()})\n"
+    assert total.numerator.render() != "0"
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == total.to_json_obj()
 
 
 def test_mult_subvariety_cli(tmp_path, capsys):

@@ -206,3 +206,14 @@ def test_arguments_must_kill_constant_term(law):
         law.sum(TS.one(1, 8), u())
     with pytest.raises(ValueError):
         law.inverse(TS.one(1, 8))
+
+
+def test_derived_series_are_built_once_and_shared():
+    law = FormalGroupLaw.universal(6)
+    for build in (law.exp_series, law.exp_powers, law.pair_table):
+        assert build() is build()
+        assert build(4) is build(4) and build(4) is not build()
+    # [n]x and [1/m]x are one series e(q l(x)), cached by the rational q
+    assert law.multiple_series(1) is law.divide_series(1)
+    assert law.multiple_series(QQ(1, 3)) is law.divide_series(3)
+    assert law.multiple_series(0) == TS.zero(1, 6)

@@ -306,6 +306,20 @@ def test_known_non_member(ring):
         surface_decompose(surface, values, ring)
 
 
+@pytest.mark.parametrize(
+    "surface", [KINDS[0], KINDS[1], KINDS[3], KINDS[6]], ids=["P2V0V1", "P2V2", "Fn1", "Fn4"]
+)
+def test_member_known_through_too_few_degrees_is_refused(surface):
+    """One value known only through order 2 on an order-6 ring: a P2 or Fn
+    coefficient over three Chern factors would be known through no degree,
+    which is a DecompositionError, not a bare ValueError."""
+    ring = TorusRing(FormalGroupLaw.universal(6), 2)
+    member = reconstruct(surface, [ring.one()] * len(surface_generators(surface, ring)), ring)
+    for p in surface.points:
+        with pytest.raises(DecompositionError, match="determines no degree of the quotient"):
+            surface_decompose(surface, {**member, p: member[p].truncated(2)}, ring)
+
+
 def test_generator_decomposes_to_unit_vector(ring):
     for surface in (KINDS[1], KINDS[2], KINDS[4]):
         gens = surface_generators(surface, ring)

@@ -1,9 +1,12 @@
+from fractions import Fraction
+from math import comb, factorial, prod
+
 import pytest
 from gkmcobordism.coeff_series import QQ
 
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import check_membership
-from gkmcobordism.horospherical import PasquierTriple, build_gkm
+from gkmcobordism.horospherical import PasquierTriple, build_gkm, point_weights
 from gkmcobordism.multiplicities import (
     TangentData,
     fiber_multiplicity,
@@ -270,3 +273,82 @@ def test_invariant_plane_class_from_normal_weights(ring, ig25):
     add_values = subvariety_class(additive, normal, all_points=ig25.points)
     t1, t2 = additive.variable(0), additive.variable(1)
     assert add_values["x14"] == (t1 - t2) * (t2 + t2) * t2
+
+
+# -- Oracle A: the Hilbert function of IG(2,5) by localization -----------------------
+#
+# With no engine code: the bundled tangent weights a_i(p) and the point
+# weights chi_p pair with a generic covector lam, and by Atiyah-Bott
+# chi(X, O(k)) is the constant term in s of
+#     sum_p e^(k <chi_p, lam> s) prod_i 1 / (1 - e^(-a_i s)),
+# taken from the Todd series x / (1 - e^(-x)) = sum_n B_n^+ x^n / n!.  At -k
+# it must equal sum_{i+j=k} dim V(i omega_1 + j omega_2) of C2, by the Weyl
+# dimension formula over the coroots of RootSystem.roots.
+
+IG25_DIM = 5
+IG25_HILBERT = [1, 9, 40, 125, 315, 686, 1344]  # k = 0..6
+
+
+def _todd(degree: int) -> list:
+    """The coefficients of x / (1 - e^(-x)) through x^degree, from the
+    Bernoulli numbers with B_1 = +1/2."""
+    bernoulli = [Fraction(1)]
+    for m in range(1, degree + 1):
+        bernoulli.append(-sum(comb(m + 1, k) * bernoulli[k] for k in range(m)) / (m + 1))
+    bernoulli[1] = Fraction(1, 2)  # the recursion gives B_1 = -1/2
+    return [b / factorial(n) for n, b in enumerate(bernoulli)]
+
+
+def _localized_euler_characteristic(k: int, covector, chis: dict, tangent: dict) -> Fraction:
+    d = IG25_DIM
+    todd = _todd(d)
+    total = Fraction(0)
+    for point, weights in tangent.items():
+        a = [sum(x * y for x, y in zip(w.coords, covector)) for w in weights]
+        c = k * sum(x * y for x, y in zip(chis[point].coords, covector))
+        series = [Fraction(c**n, factorial(n)) for n in range(d + 1)]  # e^(c s)
+        for ai in a:
+            factor = [t * ai**n for n, t in enumerate(todd)]  # Todd(ai s)
+            series = [sum(series[j] * factor[n - j] for j in range(n + 1)) for n in range(d + 1)]
+        total += series[d] / prod(a)
+    return total
+
+
+def _weyl_dimensions(rs, degree: int) -> Fraction:
+    """sum_{i+j=degree} dim V(i omega_1 + j omega_2), with <omega_j, gamma^vee> =
+    coroot_j and <rho, gamma^vee> = sum(coroot)."""
+    total = 0
+    for i in range(degree + 1):
+        dim = Fraction(1)
+        for root in rs.roots:
+            c = root.coroot
+            dim *= Fraction(i * c[0] + (degree - i) * c[1] + sum(c), sum(c))
+        total += dim
+    return total
+
+
+@pytest.mark.parametrize("covector", [(1, 3), (2, 5)])
+def test_ig25_localization_gives_the_weyl_dimension_hilbert_function(covector):
+    triple = PasquierTriple(family=3, n=2, m=2)
+    chis, tangent = point_weights(triple), load_ig25_tangent().weights
+    assert len(tangent) == 8 and all(len(ws) == IG25_DIM for ws in tangent.values())
+    weyl = [_weyl_dimensions(triple.group(), k) for k in range(len(IG25_HILBERT))]
+    assert weyl == IG25_HILBERT
+    euler = [
+        _localized_euler_characteristic(-k, covector, chis, tangent)
+        for k in range(len(IG25_HILBERT))
+    ]
+    assert euler == IG25_HILBERT
+    # the fifth difference of a degree-5 Hilbert polynomial is deg X
+    for _ in range(IG25_DIM):
+        euler = [b - a for a, b in zip(euler, euler[1:])]
+    assert euler == [5, 5]
+
+
+def test_ig25_localization_sees_one_flipped_tangent_weight():
+    chis = point_weights(PasquierTriple(family=3, n=2, m=2))
+    tangent = dict(load_ig25_tangent().weights)
+    first, *rest = tangent["x12"]
+    tangent["x12"] = (-first, *rest)
+    euler = [_localized_euler_characteristic(-k, (1, 3), chis, tangent) for k in range(7)]
+    assert euler != IG25_HILBERT

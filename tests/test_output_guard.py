@@ -52,6 +52,7 @@ import pytest
 from gkmcobordism.cli import main, make_law
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import (
+    DecompositionError,
     SurfaceComponent,
     check_membership,
     congruence_system,
@@ -176,19 +177,19 @@ DIGESTS = {
     "congruences-c3-m2-p2v2-json": "b71c6960e6e05b74a810f1af29f60f0c4c462a12f44e20aa8a880ed320912290",
     "congruences-c3-m2-p2v2-text": "d46713a3a64d94f01b74312736177ff3897bc9db907f7c49df45efdc73ec2636",
     "generators-p2v0v1": "90faae92b6d68f7299f5ab430e7d6c3403fd24ded888234df46bf3ebbef4304b",
-    "decompose-p2v0v1": "88d6ed09f6b22b699b4f4ce49d422fea876a5a0b10f2f7a0a68a608aa5a43dd1",
+    "decompose-p2v0v1": "15c334ab837b250b17f64e988eb508ba4ec87a5ad9a2152d3c40e5e0d8b120b1",
     "generators-p2v2": "410cd1c394af6c549db3c4ceed9127ef97bbccf075d1c8e4c54618b948e8f776",
-    "decompose-p2v2": "55930a795fa7b5db25c916b75c10b5973bd99b6d01afdf0d0e492601c47bbb66",
+    "decompose-p2v2": "4a8eab839a9cf67a9d44c1bfa8bcbaeecaa865b74f65b428ccdea1576286920f",
     "generators-f0": "40aaefb98f8ef684a059813dbaece8b529817410bd3cdd1d2e0180dc19945494",
     "decompose-f0": "66049ef7b7183117611c468c90e93e9ec18584ccd17231b02e72a5b2e23279a7",
     "generators-fn1": "81dbfb0c9de1baadc3255d5dd4de7fa6a50d1ca0f69eb62f195381b4bb3e00ff",
-    "decompose-fn1": "6377649a52f7d09d987292bf524553914e892d3803fab29579f8400956051bcc",
+    "decompose-fn1": "1cb96ce21da223c15da19c8c43a0cd3b78da6e021726ea53281f117e846127c9",
     "generators-fn2": "fd7521bd9c4fee2e0055b6304cc9cf17305322ba11496b98f4dfabda4ba85bd2",
-    "decompose-fn2": "cca732016961420bf76683f7dfe2ac0011788eac97e4a9a482f32799f3017242",
+    "decompose-fn2": "aaf849e816ca0b1b608d287193c1a79a21605751410322acaf5712f9cf5d79ac",
     "generators-fn3": "edef9574692398a05584fc15e996740142c25b53f5693768f0dac6ba6bfaafed",
-    "decompose-fn3": "763b07b5e666b93904dc19f4903c7552a03bb7c8b7af235fdf1a95bdf7a01d6f",
+    "decompose-fn3": "8535589cef5c8daf3120c42eb25bfbb03226afe2bd5712ebaee846d09e729614",
     "generators-fn4": "347a44b3d2bba69cd1128f7d40bc0ed2e08836719f7457613e67079646cdee4f",
-    "decompose-fn4": "6f22bd4834e8c27dbdec5a68310a738fc4f51d4ae9892c83b37bc693dbadb476",
+    "decompose-fn4": "987f1affead28e8f8f919bf7cd0291064f36a9adca05dc1324f187f38bdd788e",
 }
 
 
@@ -350,7 +351,7 @@ def _decomposition(surface, values, ring) -> dict:
     the message of its refusal."""
     try:
         decomposition = surface_decompose(surface, values, ring)
-    except ValueError as exc:  # DecompositionError, or a quotient known through no degree
+    except DecompositionError as exc:
         return {"refused": f"{type(exc).__name__}: {exc}"}
     return {
         "coefficients": [c.to_json_obj() for c in decomposition.coefficients],

@@ -182,3 +182,14 @@ def test_loc_eq_is_equivalence(ring):
     # transitivity on the sample chain
     if ring.loc_eq(samples[0], samples[1]) and ring.loc_eq(samples[1], samples[2]):
         assert ring.loc_eq(samples[0], samples[2])
+
+
+def test_chern_cache_grows_once_per_new_character():
+    # bench/spans.py tells a computed Chern class from a hit by len(ring._chern)
+    ring = TorusRing(FormalGroupLaw.universal(5), 2)
+    before = len(ring._chern)
+    first = ring.chern(C(3, -2))
+    assert len(ring._chern) == before + 1
+    assert ring.chern(C(3, -2)) is first
+    assert ring.chern((3, -2)) is first
+    assert len(ring._chern) == before + 1
