@@ -1,69 +1,3 @@
 """Exact rational equivariant cobordism of GKM data with surface corrections."""
 
-from .coeff_series import (
-    LazardCoefficient,
-    TruncatedSeries,
-    as_rational,
-    compose_univariate,
-    compositional_inverse,
-    series_inverse,
-)
-from .fgl import FormalGroupLaw
-from .torus_ring import Character, LocalizedElement, TorusRing
-from .gkm_model import (
-    CongruenceConstraint,
-    GkmDatum,
-    GkmEdge,
-    SurfaceComponent,
-    check_membership,
-    congruence_system,
-    surface_decompose,
-    surface_generators,
-)
-from .horospherical import PasquierTriple, build_gkm, point_weights, surface_scan
-from .multiplicities import (
-    TangentData,
-    fiber_multiplicity,
-    point_class,
-    singular_class_pullback,
-    smooth_multiplicity,
-    subvariety_class,
-)
-from .root_flag import WeylGroup, enumerate_curves, enumerate_fixed_points, root_system
-
-__all__ = [
-    "LazardCoefficient",
-    "TruncatedSeries",
-    "as_rational",
-    "compose_univariate",
-    "compositional_inverse",
-    "series_inverse",
-    "FormalGroupLaw",
-    "Character",
-    "LocalizedElement",
-    "TorusRing",
-    "CongruenceConstraint",
-    "GkmDatum",
-    "GkmEdge",
-    "SurfaceComponent",
-    "check_membership",
-    "congruence_system",
-    "surface_decompose",
-    "surface_generators",
-    "PasquierTriple",
-    "build_gkm",
-    "point_weights",
-    "surface_scan",
-    "TangentData",
-    "fiber_multiplicity",
-    "point_class",
-    "singular_class_pullback",
-    "smooth_multiplicity",
-    "subvariety_class",
-    "WeylGroup",
-    "enumerate_curves",
-    "enumerate_fixed_points",
-    "root_system",
-]
-
 __version__ = "0.1.0"

@@ -75,6 +75,22 @@ def as_rational(value) -> QQ:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
+def direction(v: tuple) -> tuple:
+    """Canonical primitive integer direction of a nonzero rational vector.
+
+    Denominators are cleared, the gcd divided out, and the sign fixed so the
+    first nonzero entry is positive.
+    """
+    denom = lcm(*(int(c.denominator) for c in v))
+    ints = [int(c * denom) for c in v]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("the zero vector has no direction")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
 def _digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 

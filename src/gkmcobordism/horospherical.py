@@ -37,9 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, NamedTuple
 
+from .coeff_series import direction
 from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent, parse_surface_kind
-from .root_flag import RootSystem, WeylGroup, direction, enumerate_curves, inner, root_system
+from .root_flag import RootSystem, WeylGroup, enumerate_curves, inner, root_system
 from .torus_ring import Character
 
 
@@ -47,8 +49,30 @@ class UnresolvedSurfaceKindError(ValueError):
     """A surface component exists but its kind is not determined by the family."""
 
 
-# The parameters each family of the classification takes.
-_PARAMETERS = {1: ("n",), 2: (), 3: ("n", "m"), 4: (), 5: ()}
+class _Family(NamedTuple):
+    parameters: tuple  # the parameters it takes; each is required
+    rule: Callable | None  # (n, m) -> whether the given parameters are valid
+    refusal: str | None  # the refusal of a triple whose parameters are not
+    group: str  # the root-system label, formatted with n
+    weights: Callable  # (n, m) -> Bourbaki indices (iY, iZ) of the defining weights
+    kind: str | None = None  # the established surface kind, as --force-kind spells it
+
+
+# Families 1 and 2 have no surface, and family 4 one of unknown Hirzebruch index.
+_FAMILIES = {
+    1: _Family(("n",), lambda n, m: n >= 3, "requires n >= 3", "B{n}", lambda n, m: (n - 1, n)),
+    2: _Family((), None, None, "B3", lambda n, m: (1, 3)),
+    3: _Family(
+        ("n", "m"),
+        lambda n, m: n >= 2 and 2 <= m <= n,
+        "requires n >= 2 and 2 <= m <= n",
+        "C{n}",
+        lambda n, m: (m, m - 1),
+        "p2:v0v1",
+    ),
+    4: _Family((), None, None, "F4", lambda n, m: (2, 3)),
+    5: _Family((), None, None, "G2", lambda n, m: (1, 2), "fn:3"),
+}
 
 
 @dataclass(frozen=True)
@@ -60,40 +84,22 @@ class PasquierTriple:
     m: int | None = None
 
     def __post_init__(self):
-        if self.family not in _PARAMETERS:
+        spec = _FAMILIES.get(self.family)
+        if spec is None:
             raise ValueError(f"unknown family {self.family}")
         for name in ("n", "m"):
-            if getattr(self, name) is not None and name not in _PARAMETERS[self.family]:
+            if getattr(self, name) is not None and name not in spec.parameters:
                 raise ValueError(f"family {self.family} takes no parameter {name}")
-        if self.family == 1:
-            if self.n is None or self.n < 3:
-                raise ValueError("family 1 requires n >= 3")
-        elif self.family == 3:
-            if self.n is None or self.m is None or self.n < 2 or not 2 <= self.m <= self.n:
-                raise ValueError("family 3 requires n >= 2 and 2 <= m <= n")
+        given = [getattr(self, name) for name in spec.parameters]
+        if spec.rule and (None in given or not spec.rule(self.n, self.m)):
+            raise ValueError(f"family {self.family} {spec.refusal}")
 
     def group(self) -> RootSystem:
-        if self.family == 1:
-            return root_system(f"B{self.n}")
-        if self.family == 2:
-            return root_system("B3")
-        if self.family == 3:
-            return root_system(f"C{self.n}")
-        if self.family == 4:
-            return root_system("F4")
-        return root_system("G2")
+        return root_system(_FAMILIES[self.family].group.format(n=self.n))
 
     def weight_indices(self) -> tuple:
         """Bourbaki indices (iY, iZ) of the defining fundamental weights."""
-        if self.family == 1:
-            return self.n - 1, self.n
-        if self.family == 2:
-            return 1, 3
-        if self.family == 3:
-            return self.m, self.m - 1
-        if self.family == 4:
-            return 2, 3
-        return 1, 2
+        return _FAMILIES[self.family].weights(self.n, self.m)
 
     def describe(self) -> str:
         rs = self.group()
@@ -110,12 +116,6 @@ def _chi_labels(triple: PasquierTriple) -> tuple:
 def chi(triple: PasquierTriple) -> Character:
     """The difference omega_Y - omega_Z in epsilon-coordinates."""
     return Character(triple.group().vector(_chi_labels(triple)))
-
-
-# Surface kinds established by the classification, spelled as --force-kind
-# takes them; families 2 and 4 are not covered (family 2 turns out to have no
-# surface at all, family 4 has one of unknown Hirzebruch index).
-_KIND_TABLE = {3: "p2:v0v1", 5: "fn:3"}
 
 
 @dataclass
@@ -156,9 +156,8 @@ def surface_scan(triple: PasquierTriple) -> SurfaceScan:
     root = rs.roots[k]
     a, b = root.coroot[iy - 1], root.coroot[iz - 1]
     count = (2 if a else 1) + (2 if b else 1)
-    kind, model, n = "unresolved", None, None
-    if triple.family in _KIND_TABLE:
-        kind, model, n = parse_surface_kind(_KIND_TABLE[triple.family])
+    known = _FAMILIES[triple.family].kind
+    kind, model, n = parse_surface_kind(known) if known else ("unresolved", None, None)
     return SurfaceScan(
         chi=difference,
         root=Character(root.vector),

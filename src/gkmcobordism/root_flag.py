@@ -27,11 +27,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .coeff_series import QQ, as_rational
+from .coeff_series import QQ, as_rational, direction
 
 Vector = tuple
 
@@ -68,22 +68,6 @@ def pairing(alpha: Vector, lam: Vector) -> QQ:
 
 def reflect(alpha: Vector, v: Vector) -> Vector:
     return vsub(v, vscale(pairing(alpha, v), alpha))
-
-
-def direction(v: Vector) -> tuple:
-    """Canonical primitive integer direction of a nonzero rational vector.
-
-    Denominators are cleared, the gcd divided out, and the sign fixed so the
-    first nonzero entry is positive.
-    """
-    denom = lcm(*(int(c.denominator) for c in v))
-    ints = [int(c * denom) for c in v]
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("the zero vector has no direction")
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(x // g for x in ints)
 
 
 def solve_linear(matrix, rhs):

@@ -50,10 +50,10 @@ from .coeff_series import (
     TruncatedSeries,
     as_rational,
     combination,
+    direction,
     series_powers,
 )
 from .fgl import FormalGroupLaw, _memo
-from .root_flag import direction
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class Character:
     def primitive_direction(self) -> tuple:
         """Canonical integer direction of the line through the character.
 
-        See root_flag.direction; zero characters are rejected.
+        See coeff_series.direction; zero characters are rejected.
         """
         if self.is_zero():
             raise ValueError("the zero character has no direction")

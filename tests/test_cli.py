@@ -426,6 +426,30 @@ def test_gkm_check_malformed_tuple_file_is_rejected(tmp_path, capsys, tuple_obj,
     assert message in captured.err and "Traceback" not in captured.err
 
 
+def _ig25_tuple(**values):
+    """A constant tuple on every IG(2,5) point, with some values replaced or added."""
+    points = ("x12", "x13", "x14", "x23", "x25", "x34", "x35", "x45")
+    return {**{p: _constant_series_obj("1") for p in points}, **values}
+
+
+@pytest.mark.parametrize(
+    "tuple_obj, message",
+    [
+        (_ig25_tuple(x99=_constant_series_obj("1")), "tuple has values at unknown points x99"),
+        (
+            _ig25_tuple(x12=TruncatedSeries.constant(1, 3, 4).to_json_obj()),
+            "tuple rank does not match the datum rank",
+        ),
+    ],
+    ids=("unknown-point", "rank-3-value"),
+)
+def test_gkm_check_refuses_a_tuple_that_does_not_fit_the_datum(tmp_path, capsys, tuple_obj, message):
+    code, captured = _check_tuple(tmp_path, capsys, tuple_obj)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_gkm_datum_with_a_duplicate_edge_is_rejected(tmp_path, capsys):
     obj = _ig25_datum_obj(tmp_path, capsys)
     edge = obj["edges"][0]
@@ -541,6 +565,14 @@ def test_unparsable_kind_and_parabolic_say_what_they_accept(capsys, argv, messag
     assert code == 2
     assert captured.out == ""
     assert message in captured.err and "invalid literal" not in captured.err
+
+
+def test_flag_curves_refuses_a_parabolic_index_beyond_the_rank(capsys):
+    code = main(["flag", "curves", "--type", "G2", "--parabolic", "a5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: parabolic index 5 out of range\n"
 
 
 IG25_TRIPLE = ("--family", "3", "--n", "2", "--m", "2")

@@ -1,13 +1,16 @@
-"""Leftover and ownership checks on the package source, with the standard
-library alone.
+"""Leftover, ownership and layering checks on the package source, with the
+standard library alone.
 
 Every module-level import of a module is used in it, and every private
 module-level function, class or constant is referenced somewhere in the
 package: a deletion tends to leave such names behind.  The surface kinds and
-P2 models are spelled in gkm_model alone, which owns their table.
+P2 models are spelled in gkm_model alone, which owns their table.  Importing
+a module loads only the layers below it, and the package root loads none.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,17 +24,13 @@ KIND_OWNER = "gkm_model.py"
 
 
 def _used_names(tree) -> set:
-    """Names a module reads: loaded names, attribute names and the strings in __all__."""
+    """Names a module reads: loaded names and attribute names."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     return used
 
 
@@ -110,3 +109,31 @@ def test_surface_kinds_are_spelled_in_their_owner_only():
             and id(node) not in docstrings
         ]
     assert not spelled, f"surface kinds spelled outside {KIND_OWNER}: {', '.join(spelled)}"
+
+
+# The package modules each module loads when it is imported alone, in the
+# layer order coeff_series; fgl, root_flag; torus_ring; gkm_model,
+# multiplicities; horospherical; cli.
+_RING = ("coeff_series", "fgl", "torus_ring")
+_BUILDER = (*_RING, "gkm_model", "root_flag", "horospherical")
+IMPORT_CLOSURES = {
+    "gkmcobordism": (),
+    "gkmcobordism.coeff_series": ("coeff_series",),
+    "gkmcobordism.fgl": ("coeff_series", "fgl"),
+    "gkmcobordism.root_flag": ("coeff_series", "root_flag"),
+    "gkmcobordism.torus_ring": _RING,
+    "gkmcobordism.gkm_model": (*_RING, "gkm_model"),
+    "gkmcobordism.multiplicities": (*_RING, "multiplicities"),
+    "gkmcobordism.horospherical": _BUILDER,
+    "gkmcobordism.cli": (*_BUILDER, "multiplicities", "cli"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(IMPORT_CLOSURES))
+def test_importing_a_module_loads_only_the_layers_it_uses(module):
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import {module}; "
+        "print(*sorted(m for m in sys.modules if m.startswith('gkmcobordism.')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.split() == sorted(f"gkmcobordism.{m}" for m in IMPORT_CLOSURES[module])

@@ -110,6 +110,11 @@ def test_subvariety_classes_match_and_are_members(ring, ig25):
         assert check_membership(ig25, values, ring).is_member
 
 
+def test_only_the_bundled_resolutions_load():
+    with pytest.raises(ValueError, match="^available resolutions: x4tilde, x4tilde_star$"):
+        load_ig25_resolution("x5")
+
+
 def test_full_space_class_is_unit(ring):
     data = TangentData({"x12": (), "x13": ()}, tag="normal")
     values = subvariety_class(ring, data)

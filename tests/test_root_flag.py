@@ -5,13 +5,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from gkmcobordism.coeff_series import QQ
+from gkmcobordism.coeff_series import QQ, direction
 
 from gkmcobordism.root_flag import (
     FlagCurve,
     WeylGroup,
     curve_degree,
-    direction,
     enumerate_curves,
     enumerate_fixed_points,
     inner,

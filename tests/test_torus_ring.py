@@ -36,6 +36,16 @@ def test_character_basics():
         C(0, 0).primitive_direction()
 
 
+def test_values_of_another_rank_are_refused(ring):
+    with pytest.raises(ValueError, match="^character rank does not match the ring rank$"):
+        ring.chern((1, 2, 3))
+    rank3 = TS.variable(0, 3, 8)
+    with pytest.raises(ValueError, match="^series rank does not match the ring rank$"):
+        ring.reduce_mod(rank3, C(1, 0))
+    with pytest.raises(ValueError, match="^series rank does not match the ring rank$"):
+        ring.clear_denominators(LocalizedElement(rank3, (C(1, 0),)))
+
+
 def test_chern_basis_and_zero(ring):
     assert ring.chern(C(0, 0)).is_zero()
     assert ring.chern(C(1, 0)) == ring.variable(0)
