@@ -10,6 +10,9 @@ Subcommands:
 Global options: --order D (default 8, minimum 3), --law universal|additive|
 multiplicative:b, --format text|json.  Exit codes: 0 success or member,
 1 non-member, 2 usage error, 3 unresolved surface kind.
+
+Each command imports the layers it runs when it runs, so a command loads
+only those and the series and law layers every command needs.
 """
 
 from __future__ import annotations
@@ -21,22 +24,6 @@ from functools import partial
 
 from .coeff_series import TruncatedSeries, as_rational
 from .fgl import FormalGroupLaw
-from .torus_ring import TorusRing
-from .gkm_model import (
-    GkmDatum,
-    GkmValidationError,
-    check_membership,
-    congruence_system,
-    congruence_system_json,
-)
-from .root_flag import WeylGroup, enumerate_curves, root_system
-from .horospherical import (
-    PasquierTriple,
-    UnresolvedSurfaceKindError,
-    build_gkm,
-    surface_scan,
-)
-from . import multiplicities as mult
 
 EXIT_OK = 0
 EXIT_NON_MEMBER = 1
@@ -117,13 +104,17 @@ def cmd_fgl(args) -> int:
 # -- gkm ------------------------------------------------------------------------
 
 
-def _load_datum(path: str) -> GkmDatum:
+def _load_datum(path: str):
+    from .gkm_model import GkmDatum
+
     with open(path) as fh:
         return GkmDatum.from_json_obj(json.load(fh))
 
 
 def _load_tuple(path: str, rank: int, order: int) -> dict:
     """A tuple file is a flat mapping from point names to series objects."""
+    from .gkm_model import GkmValidationError
+
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -141,6 +132,9 @@ def _load_tuple(path: str, rank: int, order: int) -> dict:
 
 
 def cmd_gkm(args) -> int:
+    from .gkm_model import check_membership, congruence_system, congruence_system_json
+    from .torus_ring import TorusRing
+
     datum = _load_datum(args.datum)
     if args.gkm_op == "congruences":
         constraints = congruence_system(datum)
@@ -185,6 +179,8 @@ def _parse_parabolic(text: str) -> frozenset:
 
 
 def cmd_flag(args) -> int:
+    from .root_flag import WeylGroup, enumerate_curves, root_system
+
     system = root_system(args.type)
     parabolic = _parse_parabolic(args.parabolic)
     group = WeylGroup(system)
@@ -223,6 +219,8 @@ def cmd_flag(args) -> int:
 
 
 def cmd_horo(args) -> int:
+    from .horospherical import PasquierTriple, UnresolvedSurfaceKindError, build_gkm, surface_scan
+
     triple = PasquierTriple(family=args.family, n=args.n, m=args.m)
     if args.horo_op == "scan":
         scan = surface_scan(triple)
@@ -237,7 +235,11 @@ def cmd_horo(args) -> int:
             )
         _emit(args, scan.to_json_obj(), "\n".join(text))
         return EXIT_OK
-    datum = build_gkm(triple, force_kind=args.force_kind)
+    try:
+        datum = build_gkm(triple, force_kind=args.force_kind)
+    except UnresolvedSurfaceKindError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNRESOLVED
     _write_or_print(args, datum.dumps())
     return EXIT_OK
 
@@ -245,9 +247,11 @@ def cmd_horo(args) -> int:
 # -- mult -----------------------------------------------------------------------
 
 
-def _load_tangent(path: str) -> mult.TangentData:
+def _load_tangent(path: str):
+    from .multiplicities import TangentData
+
     with open(path) as fh:
-        return mult.TangentData.from_json_obj(json.load(fh))
+        return TangentData.from_json_obj(json.load(fh))
 
 
 def _tuple_payload(values: dict) -> str:
@@ -256,6 +260,9 @@ def _tuple_payload(values: dict) -> str:
 
 
 def cmd_mult(args) -> int:
+    from . import multiplicities as mult
+    from .torus_ring import TorusRing
+
     law = args.law(args.order)
     if args.mult_op == "point-class":
         data = _load_tangent(args.weights)
@@ -412,9 +419,6 @@ def main(argv=None) -> int:
     try:
         args.law = parse_law(args.law)  # refused for every command, before any work
         return args.func(args)
-    except UnresolvedSurfaceKindError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNRESOLVED
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)  # str() would quote the message
         return EXIT_USAGE

@@ -5,10 +5,12 @@ Every module-level import of a module is used in it, and every private
 module-level function, class or constant is referenced somewhere in the
 package: a deletion tends to leave such names behind.  The surface kinds and
 P2 models are spelled in gkm_model alone, which owns their table.  Importing
-a module loads only the layers below it, and the package root loads none.
+a module loads only the layers below it, and the package root loads none;
+each command of the command line loads only the layers it runs.
 """
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -125,7 +127,7 @@ IMPORT_CLOSURES = {
     "gkmcobordism.gkm_model": (*_RING, "gkm_model"),
     "gkmcobordism.multiplicities": (*_RING, "multiplicities"),
     "gkmcobordism.horospherical": _BUILDER,
-    "gkmcobordism.cli": (*_BUILDER, "multiplicities", "cli"),
+    "gkmcobordism.cli": ("coeff_series", "fgl", "cli"),
 }
 
 
@@ -137,3 +139,62 @@ def test_importing_a_module_loads_only_the_layers_it_uses(module):
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout.split() == sorted(f"gkmcobordism.{m}" for m in IMPORT_CLOSURES[module])
+
+
+# The package modules each command loads, run once in a fresh process.
+# {datum} is the IG(2,5) datum, {tuple} a constant tuple on it and {data}
+# the directory of bundled weight files.
+_COMMAND = ("coeff_series", "fgl", "cli")
+_MULT = (*_COMMAND, "torus_ring", "multiplicities")
+COMMAND_CLOSURES = {
+    ("fgl", "a", "1", "1"): _COMMAND,
+    ("gkm", "congruences", "{datum}"): (*_COMMAND, "torus_ring", "gkm_model"),
+    ("gkm", "check", "{datum}", "{tuple}", "--order", "4"): (*_COMMAND, "torus_ring", "gkm_model"),
+    ("flag", "curves", "--type", "G2"): (*_COMMAND, "root_flag"),
+    ("horo", "scan", "--family", "5"): (*_BUILDER, "cli"),
+    ("horo", "build", "--family", "5"): (*_BUILDER, "cli"),
+    ("mult", "point-class", "{data}/ig25_tangent.json", "--point", "x45", "--order", "4"): _MULT,
+    ("mult", "fiber-sum", "{data}/ig25_x4tilde.json", "--order", "4"): _MULT,
+}
+
+# Runs main(argv) with its stdout dropped, then prints the exit code and the
+# package modules loaded.
+_RUN_COMMAND = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from gkmcobordism.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+print(code, *sorted(m for m in sys.modules if m.startswith("gkmcobordism.")))
+"""
+
+
+def _run_command(argv) -> tuple:
+    """(exit code, package modules loaded) of main(argv) in a fresh process."""
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMAND, str(PACKAGE.parent), *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, *modules = run.stdout.split()
+    return int(code), modules
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("commands")
+    datum = work / "ig25.json"
+    code, _ = _run_command(["horo", "build", "--family", "3", "--n", "2", "--m", "2", "-o", str(datum)])
+    assert code == 0
+    one = {"vars": 2, "order": 4, "terms": [{"t_exponents": [0, 0], "m_exponents": [], "coeff": "1"}]}
+    tuple_path = work / "tuple.json"
+    tuple_path.write_text(json.dumps({p: one for p in json.loads(datum.read_text())["points"]}))
+    return {"datum": datum, "tuple": tuple_path, "data": PACKAGE / "data"}
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_CLOSURES), ids=lambda argv: "-".join(argv[:2]))
+def test_each_command_loads_only_the_layers_it_runs(argv, command_inputs):
+    code, modules = _run_command([a.format(**command_inputs) for a in argv])
+    assert code == 0
+    assert modules == sorted(f"gkmcobordism.{m}" for m in COMMAND_CLOSURES[argv])
