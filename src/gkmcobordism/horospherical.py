@@ -26,11 +26,15 @@ the triple's surfaces, and the datum a second edge on one curve.
 The builder keeps every weight as an integer vector: labels, and the
 epsilon-coordinate numerators of RootSystem.numerators.  The surface scan
 finds the root along chi in the system's positive-root table by chi's
-labels, and reads its pairings from that root's integer coroot row.  Edge
-keys are directions of numerators, and the ordering covector is chosen and
-applied by integer inner products of numerators.  Rationals are built only
-for what is emitted: the edge and surface characters, the covector lambda,
-and chi and its root in the scan report.
+labels, and reads its pairings from that root's integer coroot row.  The
+curves of the two closed orbits are read as integer pairs from
+root_flag.curve_scan, coset and root indices, with no curve weight or
+degree built; those are built only by enumerate_curves, for `flag curves`.
+The surfaces are one orbit of (omega_Y, omega_Z, root), each visited once.
+Edge keys are directions of numerators, and the ordering covector is
+chosen and applied by integer inner products of numerators.  Rationals are
+built only for what is emitted: the edge and surface characters, the
+covector lambda, and chi and its root in the scan report.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Callable, NamedTuple
 
 from .coeff_series import direction
 from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent, parse_surface_kind
-from .root_flag import RootSystem, WeylGroup, enumerate_curves, inner, root_system
+from .root_flag import RootSystem, WeylGroup, curve_scan, inner, root_system
 from .torus_ring import Character
 
 
@@ -189,8 +193,8 @@ def _family3_point_name(anchor, n: int, kernel: bool) -> str:
 
 
 def _point_tables(triple: PasquierTriple, rs: RootSystem, group: WeylGroup):
-    """Both closed orbits' parabolics and name maps labels -> point name, plus
-    the coset of every point."""
+    """Both closed orbits' parabolics and name maps labels -> point name, each
+    in coset order, plus the coset of every point."""
     iy, iz = triple.weight_indices()
     parabolic_y = frozenset(i for i in range(1, rs.rank + 1) if i != iy)
     parabolic_z = frozenset(i for i in range(1, rs.rank + 1) if i != iz)
@@ -257,8 +261,9 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     root_characters = [Character(root.vector) for root in rs.roots]
 
     # Surface components, one per Weyl translate of the root along chi: the
-    # orbit of (omega_Y, s omega_Y, omega_Z, s omega_Z, root) with s the
-    # reflection in the root.  Each maps its point set to a root index.
+    # orbit of (omega_Y, omega_Z, root), the points of its surface being those
+    # and their images s omega_Y, s omega_Z under the reflection s in the
+    # root.  Each maps its point set to a root index.
     scan = surface_scan(triple)
     if scan.root is None and forced is not None:
         raise ValueError(
@@ -277,21 +282,26 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
                 "Hirzebruch index; pass an explicit kind override to emit it"
             )
         positive = {root.labels: k for k, root in enumerate(rs.roots)}
-        root0 = rs.roots[scan.root_index].labels
         a, b = scan.pairings
-        seed = (
-            omega_y,
-            tuple(x - a * r for x, r in zip(omega_y, root0)),
-            omega_z,
-            tuple(x - b * r for x, r in zip(omega_z, root0)),
-            root0,
-        )
-        for _, (ya, sya, za, sza, root) in group.orbit(seed):
+
+        def canonical(item):
+            # (w omega_Y, w omega_Z, w root) and its image under the reflection
+            # in w root name one surface; keep the one whose root is positive.
+            ya, za, root = item
+            if root in positive:
+                return item
+            return (
+                tuple([x - a * r for x, r in zip(ya, root)]),
+                tuple([x - b * r for x, r in zip(za, root)]),
+                tuple([-r for r in root]),
+            )
+
+        seed = (omega_y, omega_z, rs.roots[scan.root_index].labels)
+        for _, (ya, za, root) in group.orbit(seed, canonical):
+            sya = tuple([x - a * r for x, r in zip(ya, root)])
+            sza = tuple([x - b * r for x, r in zip(za, root)])
             key = frozenset((y_names[ya], y_names[sya], z_names[za], z_names[sza]))
-            if key in components:
-                continue
-            k = positive.get(root)
-            components[key] = positive[tuple(-x for x in root)] if k is None else k
+            components[key] = positive[root]
 
     # Joining lines: the orbit of (omega_Y, omega_Z), with weight w.chi.
     lines = [
@@ -345,14 +355,9 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
             edges.append((key, GkmEdge(a_, b_, weight)))
 
     for parabolic, names in ((parabolic_y, y_names), (parabolic_z, z_names)):
-        for curve in enumerate_curves(rs, parabolic, group):
-            k = curve.root_index
-            add_edge(
-                names[curve.u.labels],
-                names[curve.v.labels],
-                rs.roots[k].direction,
-                root_characters[k],
-            )
+        point = list(names.values())  # the names in coset order
+        for a, b, k, _ in curve_scan(rs, parabolic, group):
+            add_edge(point[a], point[b], rs.roots[k].direction, root_characters[k])
 
     for (y, z, weight), numer in zip(lines, line_numerators):
         if inner(lam_numerators, numer) < 0:

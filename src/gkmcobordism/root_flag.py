@@ -5,28 +5,32 @@ written by their labels <v, alpha_j^vee>, by integer arithmetic through the
 Cartan matrix.  Cosets of W/W_I, and any other orbit a caller needs, are
 enumerated exactly by BFS over the simple reflections; the full group is
 built only on request.  Invariant curves in G/P_I connect fixed-point
-cosets swapped by a reflection and are found as the neighbours s_gamma u of
-each coset u; each curve carries the reflection root, the weight difference
-of its endpoints, and its degree over the one-dimensional Schubert classes.
+cosets swapped by a reflection.  One integer scan finds them (curve_scan),
+as the neighbours s_gamma u of each coset u: each curve is two coset
+indices, a root index and the pairing <u, gamma^vee>, and the GKM builder
+reads these integer pairs as they are.  enumerate_curves, for `flag
+curves`, makes FlagCurves of them, each with the reflection root, the weight
+difference of its endpoints, and its degree over the one-dimensional
+Schubert classes.
 
 Each root system is built once per label from its simple roots, the only
 hand-written root data.  Its integer Cartan matrix is computed once, and the
 positive roots are derived from it: in simple-root coordinates they are the
 closure of the simple roots under the simple reflections.  Each is tabulated
 with its integer labels, coroot row and direction (RootSystem.roots), so
-curve enumeration does no rational arithmetic.  Weights stay integer
+the curve scan does no rational arithmetic.  Weights stay integer
 vectors: labels, and epsilon-coordinate numerators over one common
 denominator per system (RootSystem.numerators).  Rationals remain where
 they are emitted or solved for: the simple roots and fundamental weights,
-root vectors, coset anchors and FlagCurve weights and degrees, and
-solve_linear.
+root vectors, coset anchors (built on first use), the weights and degrees
+of enumerate_curves, and solve_linear.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -290,8 +294,15 @@ class Coset:
     """A coset of W/W_I: shortest word and its action on the defining weight."""
 
     word: tuple  # composition of simple reflections, leftmost applied last
-    anchor: Vector  # word applied to the coset's defining dominant weight
     labels: tuple  # the anchor's labels <anchor, alpha_j^vee>, j = 1..rank
+    system: RootSystem = field(compare=False, repr=False)
+
+    @cached_property
+    def anchor(self) -> Vector:
+        """The word applied to the coset's defining dominant weight, in
+        epsilon-coordinates; built on first use, as most callers need only
+        the labels."""
+        return self.system.vector(self.labels)
 
     def name(self, prefix: str) -> str:
         return f"{prefix}({''.join(str(i) for i in self.word)})"
@@ -321,7 +332,7 @@ class WeylGroup:
         if self._elements is None:
             rho = (1,) * self.system.rank
             self._elements = [
-                Coset(word, self.system.vector(image[0]), image[0])
+                Coset(word, image[0], self.system)
                 for word, image in self.orbit((rho,))
             ]
         return list(self._elements)
@@ -349,13 +360,18 @@ class WeylGroup:
                 v = vadd(v, vscale(x - y, omega))
         return v
 
-    def orbit(self, seed: tuple) -> list:
+    def orbit(self, seed: tuple, canonical=None) -> list:
         """The orbit of a tuple of label vectors, as (word, image) pairs.
 
         BFS over the simple reflections, acting on every vector of the tuple
         at once: images come in BFS order, each with a shortest word, built by
-        left action (leftmost letter applied last).
+        left action (leftmost letter applied last).  With canonical, a map
+        from a tuple to one representative of its class under an equivalence
+        the group respects, every image is replaced by its representative,
+        so each class of the orbit is visited once.
         """
+        if canonical is not None:
+            seed = canonical(seed)
         start = ((), seed)
         seen = {seed}
         queue = deque([start])
@@ -365,6 +381,8 @@ class WeylGroup:
             word, point = queue.popleft()
             for i in range(self.system.rank):
                 image = tuple([step(labels, i) for labels in point])
+                if canonical is not None:
+                    image = canonical(image)
                 if image not in seen:
                     seen.add(image)
                     nxt = ((i + 1,) + word, image)
@@ -388,7 +406,7 @@ class WeylGroup:
             if not 1 <= i <= rank:
                 raise ValueError(f"parabolic index {i} out of range")
         if len(parabolic) == rank:
-            cached = [Coset((), self.system.weyl_vector(), (1,) * rank)], [()]
+            cached = [Coset((), (1,) * rank, self.system)], [()]
         else:
             # The tuple (omega_i)_{i not in I} has stabilizer W_I, like their sum.
             seed = tuple(
@@ -399,7 +417,7 @@ class WeylGroup:
             cosets, images = [], []
             for word, image in self.orbit(seed):
                 labels = tuple(map(sum, zip(*image)))
-                cosets.append(Coset(word, self.system.vector(labels), labels))
+                cosets.append(Coset(word, labels, self.system))
                 images.append(image)
             cached = cosets, images
         self._cosets[parabolic] = cached
@@ -447,49 +465,64 @@ def enumerate_fixed_points(system: RootSystem, parabolic) -> list:
     return WeylGroup(system).cosets(parabolic)
 
 
+def curve_scan(system: RootSystem, parabolic, group: WeylGroup | None = None) -> list:
+    """Every invariant curve of G/P_I, as integers: (a, b, k, p).
+
+    a < b are the indices in group.cosets(parabolic) of the cosets the curve
+    joins, k the position of its root gamma in system.roots, and
+    p = <u, gamma^vee> the pairing of the lower coset u = w.lambda, so that
+    the other endpoint is s_gamma u = u - p gamma and the curve's weight is
+    p gamma.  The scan is integer arithmetic on the root table: one dot
+    product over the labels of u per (coset, root) pair.  The cosets come in
+    BFS order, which is the order of their lengths, and s_gamma u is the
+    longer coset exactly when p > 0; so each curve is found once, from its
+    lower endpoint, and only then is its upper endpoint looked up.  Curves
+    come sorted by (a, b).
+    """
+    group = group or WeylGroup(system)
+    cosets = group._coset_orbit(parabolic)[0]
+    if len(cosets) < 2:  # G/P_I is a point
+        return []
+    index = {c.labels: k for k, c in enumerate(cosets)}
+    table = [(k, root.coroot, root.labels) for k, root in enumerate(system.roots)]
+    out = []
+    for a, u in enumerate(cosets):
+        labels = u.labels
+        found = []
+        for k, coroot, gamma in table:
+            # <v, gamma^vee> = sum_j c_j <v, alpha_j^vee> with c_j = <omega_j, gamma^vee>.
+            p = sum(map(mul, coroot, labels))
+            if p > 0:
+                found.append((index[tuple([x - p * g for x, g in zip(labels, gamma)])], k, p))
+        found.sort()
+        out += [(a, b, k, p) for b, k, p in found]
+    return out
+
+
 def enumerate_curves(system: RootSystem, parabolic, group: WeylGroup | None = None) -> list:
     """All invariant curves of G/P_I with roots, weights and degrees.
 
-    From the coset u = w.lambda, a positive root gamma with p = <u, gamma^vee>
-    nonzero gives the curve to s_gamma u = u - p gamma, whose weight is
-    p gamma.  Its degree on sigma(s_i) is |<w.omega_i, gamma^vee>|, which is
-    curve_degree(w^-1 gamma) by W-invariance.  The scan over (coset, root)
-    pairs is integer arithmetic on the group's root table: one dot product
-    over the labels of u per pair, and the per-omega_i pairings only for a
-    curve kept, each once from its lower endpoint.  Each distinct weight and
-    degree value is built once and shared between curves.  Curves come
-    sorted by the coset indices of (u, v).
+    The curves of curve_scan, in its order, as FlagCurves.  The weight of a
+    curve is p gamma, and its degree on sigma(s_i) is |<w.omega_i, gamma^vee>|,
+    which is curve_degree(w^-1 gamma) by W-invariance, read off the images
+    of the omega_i that the coset orbit keeps.  Each distinct weight and
+    degree value is built once and shared between curves.
     """
     group = group or WeylGroup(system)
     cosets, images = group._coset_orbit(parabolic)
     outside = [i for i in range(1, system.rank + 1) if i not in parabolic]
-    if not outside:
-        return []
-    index = {c.labels: k for k, c in enumerate(cosets)}
     weights = {}  # (root index, p) -> p gamma
     values = {}  # |q| -> QQ(|q|)
     out = []
-    for a, (u, omegas) in enumerate(zip(cosets, images)):
-        found = []
-        labels = u.labels
-        for k, root in enumerate(system.roots):
-            # <v, gamma^vee> = sum_j c_j <v, alpha_j^vee> with c_j = <omega_j, gamma^vee>.
-            coroot = root.coroot
-            p = sum(map(mul, coroot, labels))
-            if not p:
-                continue
-            b = index[tuple([x - p * g for x, g in zip(labels, root.labels)])]
-            if b > a:
-                weight = weights.get((k, p))
-                if weight is None:
-                    weight = weights[k, p] = vscale(p, root.vector)
-                degree = {}
-                for i, omega in zip(outside, omegas):
-                    q = sum(map(mul, coroot, omega))
-                    if q:
-                        q = abs(q)
-                        degree[i] = values.get(q) or values.setdefault(q, QQ(q))
-                found.append((b, FlagCurve(u, cosets[b], root.vector, weight, degree, k)))
-        found.sort(key=lambda item: item[0])
-        out.extend(curve for _, curve in found)
+    for a, b, k, p in curve_scan(system, parabolic, group):
+        root = system.roots[k]
+        weight = weights.get((k, p))
+        if weight is None:
+            weight = weights[k, p] = vscale(p, root.vector)
+        degree = {}
+        for i, omega in zip(outside, images[a]):
+            q = abs(sum(map(mul, root.coroot, omega)))
+            if q:
+                degree[i] = values.get(q) or values.setdefault(q, QQ(q))
+        out.append(FlagCurve(cosets[a], cosets[b], root.vector, weight, degree, k))
     return out

@@ -1,5 +1,7 @@
 import hashlib
 import json
+from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from gkmcobordism.horospherical import (
     point_weights,
     surface_scan,
 )
+from gkmcobordism import root_flag
 from gkmcobordism.root_flag import inner
 from gkmcobordism.torus_ring import Character, TorusRing
 
@@ -138,6 +141,17 @@ def test_family4_requires_override():
         build_gkm(PasquierTriple(family=4))
     datum = build_gkm(PasquierTriple(family=4), force_kind="fn:2")
     assert datum.surfaces and all(s.kind == "Fn" and s.n == 2 for s in datum.surfaces)
+
+
+def test_builder_reads_curves_without_flag_curves(monkeypatch):
+    # The builder reads curve_scan's integer pairs; FlagCurves, with their
+    # rational weights and degrees, are for `flag curves` alone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_gkm made a FlagCurve")
+
+    monkeypatch.setattr(root_flag.FlagCurve, "__init__", refuse)
+    for args, kind in (SWEEP["g2"], SWEEP["c3-m2"]):
+        assert build_gkm(PasquierTriple(**args), force_kind=kind).edges
 
 
 def test_surface_edges_absorbed():
@@ -326,3 +340,51 @@ def test_sweep_hyperplane_tuple_is_member(swept):
         ring = TorusRing(law, datum.rank)
         values = {p: ring.chern(weights[p]) for p in datum.points}
         assert check_membership(datum, values, ring).is_member
+
+
+def chi_disagreements(datum, weights) -> list:
+    """Where a datum disagrees with its point weights chi: an edge (a, b, w)
+    whose chi_b - chi_a is not a nonzero rational multiple of w, or two
+    points of a surface whose chi difference is not a nonzero multiple of
+    its alpha.  Proportionality is read off the 2x2 minors, so the check
+    uses no engine helper and none of the builder's curve or surface code."""
+
+    def along(p, q, w):
+        d = [y - x for x, y in zip(weights[p].coords, weights[q].coords)]
+        w = w.coords
+        return any(d) and all(
+            d[i] * w[j] == d[j] * w[i] for i, j in combinations(range(len(d)), 2)
+        )
+
+    out = [("edge", e.a, e.b) for e in datum.edges if not along(e.a, e.b, e.weight)]
+    out += [
+        ("surface", p, q)
+        for s in datum.surfaces
+        for p, q in combinations(s.points, 2)
+        if not along(p, q, s.alpha)
+    ]
+    return out
+
+
+def test_sweep_edges_and_surfaces_follow_point_weights(swept):
+    _, triple, datum = swept
+    assert chi_disagreements(datum, point_weights(triple)) == []
+
+
+def test_point_weight_oracle_rejects_swapped_edge_weights():
+    triple = PasquierTriple(family=3, n=2, m=2)
+    datum = build_gkm(triple)
+    first = datum.edges[0]
+    k, other = next(
+        (k, e)
+        for k, e in enumerate(datum.edges)
+        if e.weight.primitive_direction() != first.weight.primitive_direction()
+    )
+    edges = list(datum.edges)
+    edges[0], edges[k] = replace(first, weight=other.weight), replace(other, weight=first.weight)
+    mutated = replace(datum, edges=tuple(edges))
+    assert chi_disagreements(datum, point_weights(triple)) == []
+    assert chi_disagreements(mutated, point_weights(triple)) == [
+        ("edge", first.a, first.b),
+        ("edge", other.a, other.b),
+    ]

@@ -11,6 +11,7 @@ from gkmcobordism.root_flag import (
     FlagCurve,
     WeylGroup,
     curve_degree,
+    curve_scan,
     enumerate_curves,
     enumerate_fixed_points,
     inner,
@@ -207,7 +208,7 @@ ORACLE_CASES = [
     for label in ("A2", "A3", "B2", "B3", "C2", "C3", "G2")
     for size in range(int(label[1]) + 1)
     for parabolic in combinations(range(1, int(label[1]) + 1), size)
-] + [("F4", frozenset({1, 3, 4}))]
+] + [("F4", frozenset({1, 3, 4})), ("F4", frozenset({1, 2, 4}))]
 
 
 @pytest.mark.parametrize(
@@ -224,6 +225,16 @@ def test_curves_match_pair_scan(label, parabolic):
     curves = enumerate_curves(system, parabolic, group)
     reference = pair_scan_curves(system, parabolic, group)
     assert curves == reference
+    # The integer scan itself: coset indices, root index and pairing.
+    cosets = group.cosets(parabolic)
+    scanned = curve_scan(system, parabolic, group)
+    assert all(a < b and p > 0 for a, b, _, p in scanned)
+    assert [(cosets[a], cosets[b], k) for a, b, k, _ in scanned] == [
+        (c.u, c.v, c.root_index) for c in reference
+    ]
+    assert [vscale(p, system.roots[k].vector) for _, _, k, p in scanned] == [
+        c.weight for c in reference
+    ]
     assert [list(c.degree.items()) for c in curves] == [
         list(c.degree.items()) for c in reference
     ]
