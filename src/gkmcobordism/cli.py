@@ -179,13 +179,12 @@ def _parse_parabolic(text: str) -> frozenset:
 
 
 def cmd_flag(args) -> int:
-    from .root_flag import WeylGroup, enumerate_curves, root_system
+    from .root_flag import enumerate_curves, root_system
 
     system = root_system(args.type)
     parabolic = _parse_parabolic(args.parabolic)
-    group = WeylGroup(system)
-    cosets = group.cosets(parabolic)
-    curves = enumerate_curves(system, parabolic, group)
+    cosets = system.weyl_group.cosets(parabolic)
+    curves = enumerate_curves(system, parabolic)
     obj = {
         "type": system.label,
         "parabolic": sorted(parabolic),

@@ -86,9 +86,14 @@ def direction(v: tuple) -> tuple:
     g = gcd(*ints)
     if g == 0:
         raise ValueError("the zero vector has no direction")
-    if next(x for x in ints if x) < 0:
+    if ints[pivot_index(ints)] < 0:
         g = -g
     return tuple(x // g for x in ints)
+
+
+def pivot_index(v) -> int:
+    """The index of the first nonzero entry of v; 0 for the zero vector."""
+    return next((i for i, c in enumerate(v) if c), 0)
 
 
 def _digits(text: str) -> bool:

@@ -38,6 +38,7 @@ from .coeff_series import (
     compose_univariate,
     compositional_inverse,
     embed,
+    pivot_index,
     series_inverse,
     series_powers,
 )
@@ -46,8 +47,9 @@ from .coeff_series import (
 class FormalGroupLaw:
     """A formal group law truncated at a fixed t-order, optionally specialized.
 
-    Immutable after construction; all caches are filled on demand and never
-    invalidated, so instances are safe to share across threads.
+    Immutable after construction; caches are filled on demand and never
+    invalidated.  The m-monomial intern table of coeff_series is global to
+    the process and not synchronized, so use the engine from one thread.
     """
 
     def __init__(self, order: int, assignment: dict | None = None, label: str = "universal"):
@@ -300,5 +302,5 @@ def _at_linear_form(g: TruncatedSeries, chi) -> TruncatedSeries:
     form = combination(
         [(c, TruncatedSeries.variable(i, rank, g.order)) for i, c in enumerate(chi)], rank, g.order
     )
-    j = next((i for i, c in enumerate(chi) if c), 0)
+    j = pivot_index(chi)
     return embed(g, j, rank).substitute(j, form)

@@ -49,6 +49,7 @@ from .coeff_series import (
     _check_keys,
     _checked,
     as_rational,
+    direction,
 )
 from .torus_ring import Character, RemainderReport, LocalizedElement, TorusRing
 
@@ -198,6 +199,8 @@ class GkmDatum:
     ordering: tuple | None = None  # covector used to order surface points
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise GkmValidationError(f"datum rank must be at least 1, got {self.rank}")
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
@@ -226,7 +229,7 @@ class GkmDatum:
         # span one line; directions are computed only for shared pairs
         for (a, b), weights in by_pair.items():
             if len(weights) > 1:
-                lines = [w.primitive_direction() for w in weights]
+                lines = [direction(w.coords) for w in weights]
                 for line in lines:
                     if lines.count(line) > 1:
                         raise GkmValidationError(

@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 
 from .coeff_series import direction
 from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent, parse_surface_kind
-from .root_flag import RootSystem, WeylGroup, curve_scan, inner, root_system
+from .root_flag import RootSystem, curve_scan, inner, root_system
 from .torus_ring import Character
 
 
@@ -192,14 +192,14 @@ def _family3_point_name(anchor, n: int, kernel: bool) -> str:
     return "x" + "_".join(str(i) for i in indices)
 
 
-def _point_tables(triple: PasquierTriple, rs: RootSystem, group: WeylGroup):
+def _point_tables(triple: PasquierTriple, rs: RootSystem):
     """Both closed orbits' parabolics and name maps labels -> point name, each
     in coset order, plus the coset of every point."""
     iy, iz = triple.weight_indices()
     parabolic_y = frozenset(i for i in range(1, rs.rank + 1) if i != iy)
     parabolic_z = frozenset(i for i in range(1, rs.rank + 1) if i != iz)
-    cosets_y = group.cosets(parabolic_y)
-    cosets_z = group.cosets(parabolic_z)
+    cosets_y = rs.weyl_group.cosets(parabolic_y)
+    cosets_z = rs.weyl_group.cosets(parabolic_z)
 
     def namer(prefix, use_kernel):
         if triple.family == 3:
@@ -224,8 +224,7 @@ def point_weights(triple: PasquierTriple) -> dict:
     the built datum.
     """
     rs = triple.group()
-    group = WeylGroup(rs)
-    *_, cosets = _point_tables(triple, rs, group)
+    *_, cosets = _point_tables(triple, rs)
     return {name: Character(c.anchor) for name, c in cosets.items()}
 
 
@@ -249,10 +248,9 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     forced = None if force_kind is None else parse_surface_kind(force_kind)
     rs = triple.group()
     iy, iz = triple.weight_indices()
-    group = WeylGroup(rs)
     unit = lambda i: tuple(int(j == i) for j in range(1, rs.rank + 1))
     omega_y, omega_z = unit(iy), unit(iz)
-    parabolic_y, parabolic_z, y_names, z_names, cosets = _point_tables(triple, rs, group)
+    parabolic_y, parabolic_z, y_names, z_names, cosets = _point_tables(triple, rs)
     # Weights as integer numerators: every sign, order and direction below is
     # that of the rational weight, which is a positive multiple.
     numerators = {name: rs.numerators(c.labels) for name, c in cosets.items()}
@@ -297,7 +295,7 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
             )
 
         seed = (omega_y, omega_z, rs.roots[scan.root_index].labels)
-        for _, (ya, za, root) in group.orbit(seed, canonical):
+        for _, (ya, za, root) in rs.weyl_group.orbit(seed, canonical):
             sya = tuple([x - a * r for x, r in zip(ya, root)])
             sza = tuple([x - b * r for x, r in zip(za, root)])
             key = frozenset((y_names[ya], y_names[sya], z_names[za], z_names[sza]))
@@ -306,7 +304,7 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     # Joining lines: the orbit of (omega_Y, omega_Z), with weight w.chi.
     lines = [
         (y_names[ya], z_names[za], tuple(x - y for x, y in zip(ya, za)))
-        for _, (ya, za) in group.orbit((omega_y, omega_z))
+        for _, (ya, za) in rs.weyl_group.orbit((omega_y, omega_z))
     ]
     line_numerators = [rs.numerators(w) for _, _, w in lines]
 
@@ -356,7 +354,7 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
 
     for parabolic, names in ((parabolic_y, y_names), (parabolic_z, z_names)):
         point = list(names.values())  # the names in coset order
-        for a, b, k, _ in curve_scan(rs, parabolic, group):
+        for a, b, k, _ in curve_scan(rs, parabolic):
             add_edge(point[a], point[b], rs.roots[k].direction, root_characters[k])
 
     for (y, z, weight), numer in zip(lines, line_numerators):

@@ -5,7 +5,8 @@ the negated tangent weights; the class of a smooth invariant subvariety is
 the product over its normal weights at each of its fixed points.  At a
 singular point, the multiplicity is the sum of the fiber points' smooth
 multiplicities in a resolution, and the pullback of the class is that sum
-times the point class of the ambient space.
+times the point class of the ambient space; both fold the same fiber terms
+(_fiber_sum), and both refuse an empty fiber.
 
 Weight data is supplied declaratively (JSON files); the weights of the odd
 symplectic Grassmannian IG(2,5) ship with the package.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
 
 from .coeff_series import _STR, TruncatedSeries, _check_keys, _checked, _is_int, _is_rational, _list_of
@@ -108,7 +110,7 @@ class TangentData:
 def smooth_multiplicity(ring: TorusRing, weights) -> LocalizedElement:
     """1 over the product of Chern classes of the negated weights."""
     chars = tuple(ch if isinstance(ch, Character) else Character(ch) for ch in weights)
-    return LocalizedElement(ring.one(), tuple(-ch for ch in chars))
+    return _fiber_term(ring, chars, Counter())
 
 
 def point_class(ring: TorusRing, point: str, ambient: TangentData) -> dict:
@@ -133,15 +135,25 @@ def subvariety_class(ring: TorusRing, normal: TangentData, all_points=None) -> d
     return out
 
 
+def _fiber_term(ring: TorusRing, weights, ambient: Counter) -> LocalizedElement:
+    """A fiber point's smooth multiplicity times the Chern classes of the
+    ambient multiset (maybe empty), the factors the two share cancelled."""
+    den = Counter(-ch for ch in weights)
+    num = ring.chern_product((ambient - den).elements())
+    return LocalizedElement(num, tuple((den - ambient).elements()))
+
+
+def _fiber_sum(ring: TorusRing, fiber: TangentData, ambient: Counter) -> tuple:
+    """The terms of the fiber points, in point order, and their sum."""
+    terms = [_fiber_term(ring, fiber.at(point), ambient) for point in fiber.points()]
+    if not terms:
+        raise ValueError("fiber weight data is empty")
+    return terms, reduce(ring.loc_add, terms)
+
+
 def fiber_multiplicity(ring: TorusRing, fiber: TangentData) -> LocalizedElement:
     """Sum of the smooth multiplicities over the fiber points of a resolution."""
-    total = None
-    for point in fiber.points():
-        term = smooth_multiplicity(ring, fiber.at(point))
-        total = term if total is None else ring.loc_add(total, term)
-    if total is None:
-        raise ValueError("fiber weight data is empty")
-    return total
+    return _fiber_sum(ring, fiber, Counter())[1]
 
 
 @dataclass
@@ -165,15 +177,7 @@ def singular_class_pullback(
     the ambient point class and a term's denominator are cancelled exactly,
     which keeps the common denominator small.
     """
-    amb = Counter(-ch for ch in ambient.at(point))
-    terms = []
-    for fiber_point in fiber.points():
-        den = Counter(-ch for ch in fiber.at(fiber_point))
-        num = ring.chern_product((amb - den).elements())
-        terms.append(LocalizedElement(num, tuple((den - amb).elements())))
-    total = terms[0]
-    for term in terms[1:]:
-        total = ring.loc_add(total, term)
+    terms, total = _fiber_sum(ring, fiber, Counter(-ch for ch in ambient.at(point)))
     return PullbackResult(terms, total, ring.clear_denominators(total))
 
 

@@ -2,16 +2,17 @@
 
 Types A, B, C, F4 and G2 are supported.  The Weyl group acts on weights
 written by their labels <v, alpha_j^vee>, by integer arithmetic through the
-Cartan matrix.  Cosets of W/W_I, and any other orbit a caller needs, are
-enumerated exactly by BFS over the simple reflections; the full group is
-built only on request.  Invariant curves in G/P_I connect fixed-point
-cosets swapped by a reflection.  One integer scan finds them (curve_scan),
-as the neighbours s_gamma u of each coset u: each curve is two coset
-indices, a root index and the pairing <u, gamma^vee>, and the GKM builder
-reads these integer pairs as they are.  enumerate_curves, for `flag
-curves`, makes FlagCurves of them, each with the reflection root, the weight
-difference of its endpoints, and its degree over the one-dimensional
-Schubert classes.
+Cartan matrix.  Each root system owns one Weyl group
+(RootSystem.weyl_group), built on first use and shared by every caller, so
+its cosets of W/W_I are enumerated once per parabolic; they, and any other
+orbit a caller needs, are found exactly by BFS over the simple reflections.
+Invariant curves in G/P_I connect fixed-point cosets swapped by a
+reflection.  One integer scan finds them (curve_scan), as the neighbours
+s_gamma u of each coset u: each curve is two coset indices, a root index
+and the pairing <u, gamma^vee>, and the GKM builder reads these integer
+pairs as they are.  enumerate_curves, for `flag curves`, makes FlagCurves
+of them, each with the reflection root, the weight difference of its
+endpoints, and its degree over the one-dimensional Schubert classes.
 
 Each root system is built once per label from its simple roots, the only
 hand-written root data.  Its integer Cartan matrix is computed once, and the
@@ -217,6 +218,11 @@ class RootSystem:
     def positive_roots(self) -> tuple:
         return tuple(root.vector for root in self.roots)
 
+    @cached_property
+    def weyl_group(self) -> "WeylGroup":
+        """The Weyl group of the system, built on first use; one per system."""
+        return WeylGroup(self)
+
     def weyl_vector(self) -> Vector:
         return self.vector((1,) * self.rank)
 
@@ -315,7 +321,7 @@ class WeylGroup:
     reflection s_i acts as l_j <- l_j - l_i <alpha_i, alpha_j^vee>, so on
     integral weights the group acts by integer arithmetic through the Cartan
     matrix of the system.  Orbits, cosets and the full group are enumerated
-    on demand.
+    on demand, the last two kept; each system has one, RootSystem.weyl_group.
     """
 
     def __init__(self, system: RootSystem):
@@ -461,26 +467,21 @@ def curve_degree(system: RootSystem, alpha: Vector, parabolic) -> dict:
     return out
 
 
-def enumerate_fixed_points(system: RootSystem, parabolic) -> list:
-    return WeylGroup(system).cosets(parabolic)
-
-
-def curve_scan(system: RootSystem, parabolic, group: WeylGroup | None = None) -> list:
+def curve_scan(system: RootSystem, parabolic) -> list:
     """Every invariant curve of G/P_I, as integers: (a, b, k, p).
 
-    a < b are the indices in group.cosets(parabolic) of the cosets the curve
-    joins, k the position of its root gamma in system.roots, and
-    p = <u, gamma^vee> the pairing of the lower coset u = w.lambda, so that
-    the other endpoint is s_gamma u = u - p gamma and the curve's weight is
-    p gamma.  The scan is integer arithmetic on the root table: one dot
-    product over the labels of u per (coset, root) pair.  The cosets come in
-    BFS order, which is the order of their lengths, and s_gamma u is the
-    longer coset exactly when p > 0; so each curve is found once, from its
-    lower endpoint, and only then is its upper endpoint looked up.  Curves
-    come sorted by (a, b).
+    a < b are the indices in system.weyl_group.cosets(parabolic) of the
+    cosets the curve joins, k the position of its root gamma in
+    system.roots, and p = <u, gamma^vee> the pairing of the lower coset u =
+    w.lambda, so that the other endpoint is s_gamma u = u - p gamma and the
+    curve's weight is p gamma.  The scan is integer arithmetic on the root
+    table: one dot product over the labels of u per (coset, root) pair.  The
+    cosets come in BFS order, which is the order of their lengths, and
+    s_gamma u is the longer coset exactly when p > 0; so each curve is found
+    once, from its lower endpoint, and only then is its upper endpoint
+    looked up.  Curves come sorted by (a, b).
     """
-    group = group or WeylGroup(system)
-    cosets = group._coset_orbit(parabolic)[0]
+    cosets = system.weyl_group._coset_orbit(parabolic)[0]
     if len(cosets) < 2:  # G/P_I is a point
         return []
     index = {c.labels: k for k, c in enumerate(cosets)}
@@ -499,7 +500,7 @@ def curve_scan(system: RootSystem, parabolic, group: WeylGroup | None = None) ->
     return out
 
 
-def enumerate_curves(system: RootSystem, parabolic, group: WeylGroup | None = None) -> list:
+def enumerate_curves(system: RootSystem, parabolic) -> list:
     """All invariant curves of G/P_I with roots, weights and degrees.
 
     The curves of curve_scan, in its order, as FlagCurves.  The weight of a
@@ -508,13 +509,12 @@ def enumerate_curves(system: RootSystem, parabolic, group: WeylGroup | None = No
     of the omega_i that the coset orbit keeps.  Each distinct weight and
     degree value is built once and shared between curves.
     """
-    group = group or WeylGroup(system)
-    cosets, images = group._coset_orbit(parabolic)
+    cosets, images = system.weyl_group._coset_orbit(parabolic)
     outside = [i for i in range(1, system.rank + 1) if i not in parabolic]
     weights = {}  # (root index, p) -> p gamma
     values = {}  # |q| -> QQ(|q|)
     out = []
-    for a, b, k, p in curve_scan(system, parabolic, group):
+    for a, b, k, p in curve_scan(system, parabolic):
         root = system.roots[k]
         weight = weights.get((k, p))
         if weight is None:

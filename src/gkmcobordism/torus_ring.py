@@ -51,6 +51,7 @@ from .coeff_series import (
     as_rational,
     combination,
     direction,
+    pivot_index,
     series_powers,
 )
 from .fgl import FormalGroupLaw, _memo
@@ -90,15 +91,6 @@ class Character:
     def _check(self, other: "Character"):
         if self.rank != other.rank:
             raise ValueError("character rank mismatch")
-
-    def primitive_direction(self) -> tuple:
-        """Canonical integer direction of the line through the character.
-
-        See coeff_series.direction; zero characters are rejected.
-        """
-        if self.is_zero():
-            raise ValueError("the zero character has no direction")
-        return direction(self.coords)
 
     def to_json_obj(self) -> list:
         return [str(c) for c in self.coords]
@@ -184,11 +176,6 @@ class ClearResult:
         return self.series is not None
 
 
-def _pivot(line: tuple) -> int:
-    """The pivot of a line's hyperplane: the index of its first nonzero entry."""
-    return next(i for i, c in enumerate(line) if c)
-
-
 class TorusRing:
     """S(T)_Q at a fixed rank and truncation order, tied to a group law."""
 
@@ -259,7 +246,7 @@ class TorusRing:
 
     def _hyperplane(self, line: tuple, kind: str) -> list:
         """The table for TruncatedSeries.substitute in s_j, j =
-        _pivot(line), on the line's hyperplane s_j = y, y = -sum_{i != j}
+        pivot_index(line), on the line's hyperplane s_j = y, y = -sum_{i != j}
         (line_i/line_j) s_i: u_k = y^k gives the value there ("value"),
         u_k = k y^(k-1) the s_j-derivative ("slope"), u_k = (s_j^k - y^k) /
         (s_j - y) = s_j u_(k-1) + y^(k-1) the division by s_j - y
@@ -268,7 +255,7 @@ class TorusRing:
         ("locus"; k and phi through the ring order).  Built on first use."""
 
         def build():
-            pivot, top = _pivot(line), self.order + 1
+            pivot, top = pivot_index(line), self.order + 1
             scale = QQ(-1, line[pivot])
             if kind == "locus":
                 form = [0 if i == pivot else scale * c for i, c in enumerate(line)]
@@ -300,7 +287,7 @@ class TorusRing:
         return _memo(
             cache,
             (point, order, line, kind),
-            lambda: g.substitute(_pivot(line), self._hyperplane(line, kind), top),
+            lambda: g.substitute(pivot_index(line), self._hyperplane(line, kind), top),
         )
 
     def weighted_sum(self, values: dict, weights, chi, order: int | None = None) -> TruncatedSeries:
@@ -355,8 +342,8 @@ class TorusRing:
                 raise ValueError("series rank does not match the ring rank")
         if cache is None:
             cache = {}
-        line = chi.primitive_direction()
-        pivot = _pivot(line)
+        line = direction(chi.coords)
+        pivot = pivot_index(line)
         order = min(values[point].order for point, _, _ in weights)
         if any(rho is not None for _, _, rho in weights):
             order = min(order, self.order)  # rho factors are truncated at the ring order
@@ -429,7 +416,7 @@ class TorusRing:
 
         def build():
             unit = self.law.unit_of_linear_form(chi.coords, self.order - 1)
-            return unit.scale(1 / chi.coords[_pivot(chi.coords)])
+            return unit.scale(1 / chi.coords[pivot_index(chi.coords)])
 
         return _memo(self._cache, ("unit", chi.coords), build)
 
@@ -456,8 +443,8 @@ class TorusRing:
         units = []
         for ch in elem.denominator:
             ch = self._char(ch)
-            line = ch.primitive_direction()
-            pivot = _pivot(line)
+            line = direction(ch.coords)
+            pivot = pivot_index(line)
             rest = g.substitute(pivot, self._hyperplane(line, "value"))
             if not rest.is_zero_through(g.order - 1):
                 if units:

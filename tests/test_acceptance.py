@@ -40,7 +40,7 @@ from gkmcobordism.multiplicities import (
     singular_class_pullback,
     subvariety_class,
 )
-from gkmcobordism.root_flag import WeylGroup, enumerate_curves, root_system
+from gkmcobordism.root_flag import enumerate_curves, root_system
 from gkmcobordism.torus_ring import Character, LocalizedElement, TorusRing
 from gkmcobordism import cli
 
@@ -220,9 +220,8 @@ def test_criterion_6_ig25_end_to_end(tmp_path, ig25_datum, capsys):
 
 def test_criterion_7_g2_flag_curves():
     g2 = root_system("G2")
-    group = WeylGroup(g2)
-    points = group.cosets({1})
-    curves = enumerate_curves(g2, {1}, group)
+    points = g2.weyl_group.cosets({1})
+    curves = enumerate_curves(g2, {1})
     assert len(points) == 6
     assert len(curves) == 15
     multiset = Counter(c.total_degree for c in curves)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from gkmcobordism.coeff_series import QQ
+from gkmcobordism.coeff_series import QQ, direction
 
 from gkmcobordism.cli import main
 from gkmcobordism.coeff_series import TruncatedSeries
@@ -147,6 +147,8 @@ def _four_point(kind, **keys):
 
 # Each rule of a datum once: the edit that breaks a valid datum, and the refusal's message.
 _INVALID = {
+    "rank-zero": (lambda o: o.update(rank=0), "datum rank must be at least 1, got 0"),
+    "rank-negative": (lambda o: o.update(rank=-3), "datum rank must be at least 1, got -3"),
     "duplicate-point": (lambda o: o["points"].append("a"), "duplicate fixed-point names"),
     "self-edge": (
         lambda o: o["edges"].append({"a": "b", "b": "b", "weight": ["1", "0"]}),
@@ -564,7 +566,7 @@ _RATIONALS = st.sampled_from(["-1/2", "3", "0", "2/4", -1]) | st.fractions(max_d
 
 def _line(a, b, weight) -> tuple:
     """The curve an edge lies on: its two endpoints and its weight's line."""
-    return frozenset((a, b)), Character(weight).primitive_direction()
+    return frozenset((a, b)), direction(Character(weight).coords)
 
 
 _SURFACE_SIZES = {"P2": 3, "F0": 4, "Fn": 4}
@@ -574,12 +576,12 @@ _SURFACE_SIZES = {"P2": 3, "F0": 4, "Fn": 4}
 def _datum_files(draw):
     """A valid datum file with arbitrary names and rationals, parsed by
     from_json_obj; some weights are then shared as one Character object."""
-    rank = draw(st.integers(0, 3))
+    rank = draw(st.integers(1, 3))
     points = draw(st.lists(_NAMES, min_size=draw(st.integers(0, 5)), max_size=5, unique=True))
     weight = st.lists(_RATIONALS, min_size=rank, max_size=rank)
     nonzero = weight.filter(lambda w: not Character(w).is_zero())
     edges, surfaces = [], []
-    if rank and len(points) > 1:
+    if len(points) > 1:
         pairs = st.tuples(st.sampled_from(points), st.sampled_from(points)).filter(
             lambda pair: pair[0] != pair[1]
         )

@@ -5,7 +5,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from gkmcobordism.coeff_series import QQ
+from gkmcobordism.coeff_series import QQ, direction
 
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import (
@@ -154,6 +154,25 @@ def test_builder_reads_curves_without_flag_curves(monkeypatch):
         assert build_gkm(PasquierTriple(**args), force_kind=kind).edges
 
 
+def test_rebuild_shares_the_systems_cosets(monkeypatch):
+    # The coset tables of both closed orbits belong to the root system's
+    # one Weyl group, so a second build enumerates only its surface orbit
+    # (of (omega_Y, omega_Z, root)) and its joining-line orbit.
+    triple = PasquierTriple(family=4)
+    first = build_gkm(triple, force_kind="fn:2")
+    seeds = []
+    orbit = root_flag.WeylGroup.orbit
+
+    def counted(self, seed, canonical=None):
+        seeds.append(seed)
+        return orbit(self, seed, canonical)
+
+    monkeypatch.setattr(root_flag.WeylGroup, "orbit", counted)
+    second = build_gkm(triple, force_kind="fn:2")
+    assert [len(seed) for seed in seeds] == [3, 2]
+    assert second.dumps() == first.dumps()
+
+
 def test_surface_edges_absorbed():
     # curves inside a surface with weight proportional to its root are not
     # duplicated as explicit edges
@@ -169,7 +188,7 @@ def test_surface_edges_absorbed():
         if pair in surface_pairs:
             for s in datum.surfaces:
                 if set(pair) <= set(s.points):
-                    assert e.weight.primitive_direction() != s.alpha.primitive_direction()
+                    assert direction(e.weight.coords) != direction(s.alpha.coords)
 
 
 @pytest.mark.parametrize(
@@ -209,7 +228,7 @@ def test_surface_points_connected_by_proportional_congruences():
                 for c in system
                 if c.kind == "edge"
                 and set(c.points) <= set(s.points)
-                and c.character.primitive_direction() == s.alpha.primitive_direction()
+                and direction(c.character.coords) == direction(s.alpha.coords)
             ]
             reached = {s.points[0]}
             changed = True
@@ -378,7 +397,7 @@ def test_point_weight_oracle_rejects_swapped_edge_weights():
     k, other = next(
         (k, e)
         for k, e in enumerate(datum.edges)
-        if e.weight.primitive_direction() != first.weight.primitive_direction()
+        if direction(e.weight.coords) != direction(first.weight.coords)
     )
     edges = list(datum.edges)
     edges[0], edges[k] = replace(first, weight=other.weight), replace(other, weight=first.weight)

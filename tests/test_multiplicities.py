@@ -206,6 +206,16 @@ def test_degenerate_fiber_rejected(ring):
         fiber_multiplicity(ring, TangentData({}, tag="fiber"))
 
 
+def test_empty_fiber_refused_alike_by_sum_and_pullback(ring):
+    # Both fold the same fiber terms, so both refuse an empty fiber alike.
+    empty = TangentData({}, tag="fiber")
+    refusal = "^fiber weight data is empty$"
+    with pytest.raises(ValueError, match=refusal):
+        fiber_multiplicity(ring, empty)
+    with pytest.raises(ValueError, match=refusal):
+        singular_class_pullback(ring, "x12", load_ig25_tangent(), empty)
+
+
 def test_member_tuples_close_under_pointwise_product(ring, ig25):
     # the image of restriction is a subring, so pointwise products of member
     # tuples must again satisfy every congruence

@@ -13,7 +13,6 @@ from gkmcobordism.root_flag import (
     curve_degree,
     curve_scan,
     enumerate_curves,
-    enumerate_fixed_points,
     inner,
     pairing,
     reflect,
@@ -63,7 +62,15 @@ def test_positive_root_counts(label):
 
 @pytest.mark.parametrize("label", sorted(WEYL_ORDERS))
 def test_weyl_group_orders(label):
-    assert WeylGroup(root_system(label)).order == WEYL_ORDERS[label]
+    assert root_system(label).weyl_group.order == WEYL_ORDERS[label]
+
+
+def test_each_root_system_owns_one_weyl_group():
+    f4 = root_system("F4")
+    assert f4.weyl_group is root_system("F4").weyl_group
+    assert f4.weyl_group.system is f4
+    assert isinstance(f4.weyl_group, WeylGroup)
+    assert root_system("B4").weyl_group is not f4.weyl_group
 
 
 def test_fundamental_weight_duality():
@@ -121,10 +128,10 @@ def test_curve_degree_weyl_invariance():
 
 def test_fixed_point_counts():
     g2 = root_system("G2")
-    assert len(enumerate_fixed_points(g2, {1})) == 6
+    assert len(g2.weyl_group.cosets({1})) == 6
     c2 = root_system("C2")
-    assert len(enumerate_fixed_points(c2, {1})) == 4
-    assert len(enumerate_fixed_points(c2, {1, 2})) == 1
+    assert len(c2.weyl_group.cosets({1})) == 4
+    assert len(c2.weyl_group.cosets({1, 2})) == 1
 
 
 def test_rank_one_single_curve():
@@ -144,8 +151,7 @@ def test_g2_quadric_curves():
 def test_curve_weights_are_root_multiples():
     for label, parabolic in (("C2", {1}), ("C2", {2}), ("B3", {1, 2}), ("G2", {2})):
         system = root_system(label)
-        group = WeylGroup(system)
-        for curve in enumerate_curves(system, parabolic, group):
+        for curve in enumerate_curves(system, parabolic):
             assert direction(curve.weight) == direction(curve.root)
             # v = s_root u on the defining anchors
             assert reflect(curve.root, curve.u.anchor) == curve.v.anchor
@@ -153,8 +159,7 @@ def test_curve_weights_are_root_multiples():
 
 def test_c2_curve_weight_proportional_to_long_root():
     c2 = root_system("C2")
-    group = WeylGroup(c2)
-    curves = enumerate_curves(c2, {1}, group)
+    curves = enumerate_curves(c2, {1})
     # the curve joining the identity coset and s_{2 eps2} has weight ~ 2 eps2
     omega2 = c2.fundamental_weight(2)
     target = vsub(omega2, reflect(vec((0, 2)), omega2))
@@ -171,16 +176,16 @@ def test_c2_curve_weight_proportional_to_long_root():
 def test_adjacency_complete_for_g2_quadric():
     # every pair of fixed points is joined by a curve there
     g2 = root_system("G2")
-    points = enumerate_fixed_points(g2, {1})
+    points = g2.weyl_group.cosets({1})
     assert len(enumerate_curves(g2, {1})) == len(points) * (len(points) - 1) // 2
 
 
-def pair_scan_curves(system, parabolic, group):
+def pair_scan_curves(system, parabolic):
     """Reference enumeration: scan every pair of cosets for a positive root
     along the anchor difference with v = s_gamma u, and take the degree of
     the root w^-1 gamma, reflected back along the word of u, from
     curve_degree."""
-    cosets = group.cosets(parabolic)
+    cosets = system.weyl_group.cosets(parabolic)
     out = []
     for a, b in combinations(range(len(cosets)), 2):
         u, v = cosets[a], cosets[b]
@@ -218,16 +223,16 @@ ORACLE_CASES = [
 )
 def test_curves_match_pair_scan(label, parabolic):
     system = root_system(label)
-    group = WeylGroup(system)
+    group = system.weyl_group
     # Shortest words of W_I use only letters of I.
     stabilizer = sum(1 for w in group.elements() if set(w.word) <= parabolic)
     assert len(group.cosets(parabolic)) == group.order // stabilizer
-    curves = enumerate_curves(system, parabolic, group)
-    reference = pair_scan_curves(system, parabolic, group)
+    curves = enumerate_curves(system, parabolic)
+    reference = pair_scan_curves(system, parabolic)
     assert curves == reference
     # The integer scan itself: coset indices, root index and pairing.
     cosets = group.cosets(parabolic)
-    scanned = curve_scan(system, parabolic, group)
+    scanned = curve_scan(system, parabolic)
     assert all(a < b and p > 0 for a, b, _, p in scanned)
     assert [(cosets[a], cosets[b], k) for a, b, k, _ in scanned] == [
         (c.u, c.v, c.root_index) for c in reference
@@ -250,7 +255,7 @@ def test_apply_word_matches_reflections():
     )
     for label, v in cases:
         system = root_system(label)
-        group = WeylGroup(system)
+        group = system.weyl_group
         v = vec(v)
         for word in (w.word for w in group.elements()[:40]):
             expected = v
@@ -258,12 +263,14 @@ def test_apply_word_matches_reflections():
                 expected = reflect(system.simple_root(i), expected)
             assert group.apply_word(word, v) == expected
     with pytest.raises(ValueError):
-        WeylGroup(root_system("B2")).apply_word((0,), vec((1, 0)))
+        root_system("B2").weyl_group.apply_word((0,), vec((1, 0)))
 
 
 # -- the integer weight path ------------------------------------------------------
 
-INTEGER_PATH_GROUPS = {label: WeylGroup(root_system(label)) for label in ("A3", "B4", "C4", "F4", "G2")}
+INTEGER_PATH_GROUPS = {
+    label: root_system(label).weyl_group for label in ("A3", "B4", "C4", "F4", "G2")
+}
 
 
 def rational_weight(system, labels):

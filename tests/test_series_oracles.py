@@ -34,6 +34,7 @@ from gkmcobordism.coeff_series import (
     combination,
     compose_univariate,
     compositional_inverse,
+    direction,
     embed,
     series_inverse,
     series_powers,
@@ -81,7 +82,7 @@ def horner_chern(law, chi, order):
 
 def fixed_point_phi(ring, chi):
     """The pivot solution of chern(chi)(t_j = phi) = 0 by order - 1 sweeps."""
-    line = chi.primitive_direction()
+    line = direction(chi.coords)
     pivot = next(i for i, c in enumerate(line) if c)
     u = horner_chern(ring.law, Character(line).coords, ring.order)
     scale = -1 / QQ(line[pivot])
@@ -158,7 +159,7 @@ def s_route_reduce(ring, values, weights, chi, power):
     derivative is divided by e'(s_j) on the hyperplane and both components
     are converted back to t."""
     chi = Character(chi)
-    line = chi.primitive_direction()
+    line = direction(chi.coords)
     pivot = next(i for i, c in enumerate(line) if c)
     rank, law = ring.rank, ring.law
     order = min(values[p].order for p, _, _ in weights)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from gkmcobordism.coeff_series import QQ
+from gkmcobordism.coeff_series import QQ, direction
 
 from gkmcobordism.coeff_series import LazardCoefficient, TruncatedSeries
 from gkmcobordism.fgl import FormalGroupLaw
@@ -28,12 +28,12 @@ def test_character_basics():
     assert C(0, 0).is_zero()
     assert (ch + (-ch)).is_zero()
     assert ch.scale(2) == C(1, -2)
-    assert ch.primitive_direction() == (1, -2)
-    assert C(-2, 4).primitive_direction() == (1, -2)
-    assert C(-1, 2).primitive_direction() == (1, -2)
+    assert direction(ch.coords) == (1, -2)
+    assert direction(C(-2, 4).coords) == (1, -2)
+    assert direction(C(-1, 2).coords) == (1, -2)
     assert Character.from_json_obj(ch.to_json_obj()) == ch
     with pytest.raises(ValueError):
-        C(0, 0).primitive_direction()
+        direction(C(0, 0).coords)
 
 
 def test_values_of_another_rank_are_refused(ring):
