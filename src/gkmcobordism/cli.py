@@ -9,26 +9,32 @@ Subcommands:
 
 Global options: --order D (default 8, minimum 3), --law universal|additive|
 multiplicative:b, --format text|json.  Exit codes: 0 success or member,
-1 non-member, 2 usage error, 3 unresolved surface kind.
+1 non-member, 2 usage error, 3 unresolved surface kind, 141 stdout closed
+by its reader (128 + SIGPIPE, as a shell reports it; nothing is printed).
 
 Each command imports the layers it runs when it runs, so a command loads
-only those and the series and law layers every command needs.
+only those and the series and law layers every command needs.  Every JSON
+document a command prints or writes comes from one writer,
+coeff_series.dumps (the datum file from GkmDatum.dumps, on the same block
+helpers), in the bytes of json.dumps(obj, indent=2, sort_keys=True).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
-from .coeff_series import TruncatedSeries, as_rational
+from .coeff_series import TruncatedSeries, as_rational, dumps
 from .fgl import FormalGroupLaw
 
 EXIT_OK = 0
 EXIT_NON_MEMBER = 1
 EXIT_USAGE = 2
 EXIT_UNRESOLVED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def parse_law(spec: str):
@@ -46,7 +52,7 @@ def make_law(spec: str, order: int) -> FormalGroupLaw:
 
 def _emit(args, obj, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(dumps(obj))
     else:
         print(text)
 
@@ -255,7 +261,7 @@ def _load_tangent(path: str):
 
 def _tuple_payload(values: dict) -> str:
     obj = {p: s.to_json_obj() for p, s in sorted(values.items())}
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return dumps(obj) + "\n"
 
 
 def cmd_mult(args) -> int:
@@ -417,7 +423,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         args.law = parse_law(args.law)  # refused for every command, before any work
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing can reach the reader; stdout goes to devnull, so that the
+        # flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)  # str() would quote the message
         return EXIT_USAGE

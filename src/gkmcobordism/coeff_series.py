@@ -44,13 +44,19 @@ build them.
 
 Multiplicative inverses use Newton iteration; compositional inverses a
 triangular solve against the powers of the series.
+
+Every layer imports this module, so it also holds what they share: the
+checks of a JSON input (_checked, _check_keys), the one indented JSON
+writer (dumps) and the equality of their value classes (_by_value).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction as QQ
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
+from operator import attrgetter
 
 # A monomial in the m-generators: sorted tuple of (k, exponent), k >= 1.
 MKey = tuple
@@ -437,6 +443,82 @@ def _checked(obj, key: str, what: str, check, default=None):
             text = text[:37] + "..."
         raise ValueError(f"{what} {key!r} must be {expected}, got {text}")
     return value
+
+
+# -- the JSON writer of every command ------------------------------------------
+
+
+def dumps(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for plain
+    JSON: dicts with str keys, lists, tuples, str, int, bool and None.
+
+    json.dumps lays out an indented document in pure Python, a few chunks
+    per value; this writer joins each block once.  Strings go through the
+    escaper json.dumps uses.  A value of any other type, a subclass of these
+    included, raises TypeError, as does a key that is not a str."""
+    return _encoded(obj, 0)
+
+
+def _encoded(value, pad: int) -> str:
+    """A value in the dumps layout of a block at indent pad; its type is
+    looked up exactly, most frequent first."""
+    kind = value.__class__
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        return _block([_encoded(v, pad + 2) for v in value], pad)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:  # _quote refuses a key that is not a str
+        return _object({k: _encoded(v, pad + 2) for k, v in sorted(value.items())}, pad)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _block(items, pad: int, brackets: str = "[]") -> str:
+    """Encoded items in the json.dumps(indent=2) layout of a block at indent pad."""
+    if not items:
+        return brackets
+    indent = "\n" + " " * (pad + 2)
+    return brackets[0] + indent + ("," + indent).join(items) + "\n" + " " * pad + brackets[1]
+
+
+def _object(fields: dict, pad: int) -> str:
+    """An object of encoded values, keys in the (sorted) order given, None values left out."""
+    return _block([f"{_quote(k)}: {v}" for k, v in fields.items() if v is not None], pad, "{}")
+
+
+# -- value classes of the other layers -------------------------------------------
+
+
+def _by_value(*names):
+    """A class decorator: __eq__ and __hash__ over the attributes names (by
+    default the class's __slots__), as a frozen dataclass has over its
+    fields.  Instances of one class are equal when those values are, any
+    other class compares as NotImplemented, and the hash is the hash of the
+    tuple of values.  The classes it serves are immutable by convention, as
+    TruncatedSeries is: nothing assigns to their slots after __init__."""
+
+    def decorate(cls):
+        fields = names or cls.__slots__
+        get = attrgetter(*fields)
+        values = get if len(fields) > 1 else lambda self: (get(self),)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return values(self) == values(other)
+
+        def __hash__(self):
+            return hash(values(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+        return cls
+
+    return decorate
 
 
 class TruncatedSeries:

@@ -35,8 +35,6 @@ No other module spells a kind.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass
 
 from .coeff_series import (
     _INT,
@@ -46,10 +44,15 @@ from .coeff_series import (
     _STRINGS,
     QQ,
     TruncatedSeries,
+    _block,
+    _by_value,
     _check_keys,
     _checked,
+    _object,
+    _quote,
     as_rational,
     direction,
+    dumps,
 )
 from .torus_ring import Character, RemainderReport, LocalizedElement, TorusRing
 
@@ -98,7 +101,7 @@ class DecompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@_by_value()
 class SurfaceComponent:
     """A surface in the fixed locus of a codimension-one subtorus.
 
@@ -108,33 +111,35 @@ class SurfaceComponent:
     root attached to the subtorus.
     """
 
-    kind: str
-    points: tuple
-    alpha: Character
-    n: int | None = None
-    model: str | None = None
+    __slots__ = ("kind", "points", "alpha", "n", "model")
 
-    def __post_init__(self):
-        if self.kind not in SURFACE_KINDS:
-            raise GkmValidationError(f"unknown surface kind {self.kind!r}")
-        expected, required, _ = SURFACE_KINDS[self.kind]
-        if len(self.points) != expected:
+    def __init__(
+        self,
+        kind: str,
+        points: tuple,
+        alpha: Character,
+        n: int | None = None,
+        model: str | None = None,
+    ):
+        if kind not in SURFACE_KINDS:
+            raise GkmValidationError(f"unknown surface kind {kind!r}")
+        expected, required, _ = SURFACE_KINDS[kind]
+        if len(points) != expected:
             raise GkmValidationError(
-                f"{self.kind} component must list {expected} points, got {len(self.points)}"
+                f"{kind} component must list {expected} points, got {len(points)}"
             )
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise GkmValidationError("surface component points must be distinct")
-        if self.alpha.is_zero():
+        if alpha.is_zero():
             raise GkmValidationError("surface root must be nonzero")
-        if required == "model" and self.model not in P2_STEPS:
-            raise GkmValidationError(
-                f"{self.kind} component needs a model tag {' or '.join(P2_STEPS)}"
-            )
-        if required == "n" and (self.n is None or self.n < 1):
-            raise GkmValidationError(f"{self.kind} component needs an index n >= 1")
-        for key in ("n", "model"):
-            if getattr(self, key) is not None and key != required:
-                raise GkmValidationError(f"{self.kind} component takes no key {key!r}")
+        if required == "model" and model not in P2_STEPS:
+            raise GkmValidationError(f"{kind} component needs a model tag {' or '.join(P2_STEPS)}")
+        if required == "n" and (n is None or n < 1):
+            raise GkmValidationError(f"{kind} component needs an index n >= 1")
+        for key, value in (("n", n), ("model", model)):
+            if value is not None and key != required:
+                raise GkmValidationError(f"{kind} component takes no key {key!r}")
+        self.kind, self.points, self.alpha, self.n, self.model = kind, points, alpha, n, model
 
     @classmethod
     def from_json_obj(cls, obj) -> "SurfaceComponent":
@@ -174,11 +179,12 @@ def parse_surface_kind(text: str) -> tuple:
     raise ValueError(f"cannot parse surface kind {text!r}; use p2:v0v1, p2:v2, f0 or fn:<k>")
 
 
-@dataclass(frozen=True)
+@_by_value()
 class GkmEdge:
-    a: str
-    b: str
-    weight: Character
+    __slots__ = ("a", "b", "weight")
+
+    def __init__(self, a: str, b: str, weight: Character):
+        self.a, self.b, self.weight = a, b, weight
 
     @classmethod
     def from_json_obj(cls, obj) -> "GkmEdge":
@@ -190,22 +196,25 @@ class GkmEdge:
         )
 
 
-@dataclass(frozen=True)
+@_by_value()
 class GkmDatum:
-    rank: int
-    points: tuple
-    edges: tuple
-    surfaces: tuple = ()
-    ordering: tuple | None = None  # covector used to order surface points
+    __slots__ = ("rank", "points", "edges", "surfaces", "ordering")
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise GkmValidationError(f"datum rank must be at least 1, got {self.rank}")
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "surfaces", tuple(self.surfaces))
-        if self.ordering is not None:
-            object.__setattr__(self, "ordering", tuple(as_rational(c) for c in self.ordering))
+    def __init__(
+        self,
+        rank: int,
+        points: tuple,
+        edges: tuple,
+        surfaces: tuple = (),
+        ordering: tuple | None = None,  # covector used to order surface points
+    ):
+        if rank < 1:
+            raise GkmValidationError(f"datum rank must be at least 1, got {rank}")
+        self.rank = rank
+        self.points = tuple(points)
+        self.edges = tuple(edges)
+        self.surfaces = tuple(surfaces)
+        self.ordering = None if ordering is None else tuple(as_rational(c) for c in ordering)
         seen = set(self.points)
         if len(seen) != len(self.points):
             raise GkmValidationError("duplicate fixed-point names")
@@ -258,13 +267,15 @@ class GkmDatum:
         )
 
     def dumps(self) -> str:
-        """The datum file: byte-identical to json.dumps(obj, indent=2,
-        sort_keys=True) + "\\n", where obj lists the points sorted, each edge
-        as {a, b, weight} with a <= b sorted by (a, b, weight strings), the
-        surfaces sorted by their points, and "lambda", "n" and "model" when
-        set.  Its layout is written directly: each distinct string is escaped
-        once, and each weight's block built once per Character object."""
-        quoted = functools.cache(json.dumps)
+        """The datum file: byte-identical to coeff_series.dumps(obj) + "\\n",
+        that is json.dumps(obj, indent=2, sort_keys=True) + "\\n", where obj
+        lists the points sorted, each edge as {a, b, weight} with a <= b
+        sorted by (a, b, weight strings), the surfaces sorted by their
+        points, and "lambda", "n" and "model" when set.  Its layout is
+        written directly, with the writer's block helpers: each distinct
+        string is escaped once, and each weight's block built once per
+        Character object."""
+        quoted = functools.cache(_quote)
         blocks = {}  # id(character) -> (its strings, its array at edge depth)
         for ch in [e.weight for e in self.edges] + [s.alpha for s in self.surfaces]:
             if id(ch) not in blocks:
@@ -281,7 +292,7 @@ class GkmDatum:
         for s in sorted(self.surfaces, key=lambda s: s.points):
             surface = {"alpha": blocks[id(s.alpha)][1], "kind": quoted(s.kind)}
             surface["model"] = None if s.model is None else quoted(s.model)
-            surface["n"] = None if s.n is None else json.dumps(s.n)
+            surface["n"] = None if s.n is None else dumps(s.n)
             surface["points"] = _block([quoted(p) for p in s.points], 6)
             surfaces.append(_object(surface, 4))
         ordering = self.ordering
@@ -289,23 +300,10 @@ class GkmDatum:
             "edges": _block([text for _, text in edges], 2),
             "lambda": None if ordering is None else _block([quoted(str(c)) for c in ordering], 2),
             "points": _block([quoted(p) for p in sorted(self.points)], 2),
-            "rank": json.dumps(self.rank),
+            "rank": dumps(self.rank),
             "surfaces": _block(surfaces, 2),
         }
         return _object(datum, 0) + "\n"
-
-
-def _block(items, pad: int, brackets: str = "[]") -> str:
-    """Encoded items in the json.dumps(indent=2) layout of a block at indent pad."""
-    if not items:
-        return brackets
-    indent = "\n" + " " * (pad + 2)
-    return brackets[0] + indent + ("," + indent).join(items) + "\n" + " " * pad + brackets[1]
-
-
-def _object(fields: dict, pad: int) -> str:
-    """An object of encoded values, keys in the (sorted) order given, None values left out."""
-    return _block([f'"{k}": {v}' for k, v in fields.items() if v is not None], pad, "{}")
 
 
 # -- congruence constraints ----------------------------------------------------
@@ -320,7 +318,7 @@ _CONGRUENCE_KINDS = {
 _KIND_ORDER = {kind: i for i, kind in enumerate(_CONGRUENCE_KINDS)}
 
 
-@dataclass(frozen=True)
+@_by_value()
 class CongruenceConstraint:
     """One congruence on a tuple of fixed-point values.
 
@@ -334,31 +332,31 @@ class CongruenceConstraint:
     "fn".
     """
 
-    kind: str
-    points: tuple
-    character: Character
-    power: int
-    n: int | None = None
+    __slots__ = ("kind", "points", "character", "power", "n")
 
-    def __post_init__(self):
-        if self.kind not in _CONGRUENCE_KINDS:
-            raise GkmValidationError(f"unknown congruence kind {self.kind!r}")
-        count, takes_n = _CONGRUENCE_KINDS[self.kind]
-        if len(self.points) != count:
+    def __init__(
+        self, kind: str, points: tuple, character: Character, power: int, n: int | None = None
+    ):
+        if kind not in _CONGRUENCE_KINDS:
+            raise GkmValidationError(f"unknown congruence kind {kind!r}")
+        count, takes_n = _CONGRUENCE_KINDS[kind]
+        if len(points) != count:
             raise GkmValidationError(
-                f"{self.kind} congruence must list {count} points, got {len(self.points)}"
+                f"{kind} congruence must list {count} points, got {len(points)}"
             )
-        power = 1 if self.kind == "edge" else 2
-        if self.power != power:
-            raise GkmValidationError(f"{self.kind} congruence has power {power}, got {self.power}")
-        if self.character.is_zero():
+        expected = 1 if kind == "edge" else 2
+        if power != expected:
+            raise GkmValidationError(f"{kind} congruence has power {expected}, got {power}")
+        if character.is_zero():
             raise GkmValidationError("congruence character must be nonzero")
-        if takes_n and self.n is None:
-            raise GkmValidationError(f"{self.kind} congruence needs an index n")
-        if takes_n and self.n < 1:
-            raise GkmValidationError(f"{self.kind} congruence index n must be >= 1, got {self.n}")
-        if not takes_n and self.n is not None:
-            raise GkmValidationError(f"{self.kind} congruence takes no index n")
+        if takes_n and n is None:
+            raise GkmValidationError(f"{kind} congruence needs an index n")
+        if takes_n and n < 1:
+            raise GkmValidationError(f"{kind} congruence index n must be >= 1, got {n}")
+        if not takes_n and n is not None:
+            raise GkmValidationError(f"{kind} congruence takes no index n")
+        self.kind, self.points, self.character = kind, points, character
+        self.power, self.n = power, n
 
     def sort_key(self):
         return (
@@ -451,16 +449,17 @@ def congruence_system(datum: GkmDatum) -> list:
 
 
 def congruence_system_json(constraints) -> str:
-    return json.dumps([c.to_json_obj() for c in constraints], indent=2, sort_keys=True) + "\n"
+    return dumps([c.to_json_obj() for c in constraints]) + "\n"
 
 
 # -- membership certificates -----------------------------------------------------
 
 
-@dataclass
 class ConstraintResult:
-    constraint: CongruenceConstraint
-    report: RemainderReport
+    __slots__ = ("constraint", "report")
+
+    def __init__(self, constraint: CongruenceConstraint, report: RemainderReport):
+        self.constraint, self.report = constraint, report
 
     @property
     def passed(self) -> bool:
@@ -481,11 +480,11 @@ class ConstraintResult:
         return obj
 
 
-@dataclass
 class MembershipCertificate:
-    results: list
-    law_label: str
-    order: int
+    __slots__ = ("results", "law_label", "order")
+
+    def __init__(self, results: list, law_label: str, order: int):
+        self.results, self.law_label, self.order = results, law_label, order
 
     @property
     def is_member(self) -> bool:
@@ -503,7 +502,7 @@ class MembershipCertificate:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        return dumps(self.to_json_obj()) + "\n"
 
 
 def check_membership(datum: GkmDatum, values: dict, ring: TorusRing) -> MembershipCertificate:
@@ -548,10 +547,11 @@ def surface_generators(surface: SurfaceComponent, ring: TorusRing) -> list:
     ]
 
 
-@dataclass
 class Decomposition:
-    coefficients: list
-    certified_order: int
+    __slots__ = ("coefficients", "certified_order")
+
+    def __init__(self, coefficients: list, certified_order: int):
+        self.coefficients, self.certified_order = coefficients, certified_order
 
 
 def surface_decompose(surface: SurfaceComponent, values: dict, ring: TorusRing) -> Decomposition:

@@ -39,11 +39,10 @@ covector lambda, and chi and its root in the scan report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .coeff_series import direction
+from .coeff_series import _by_value, direction
 from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent, parse_surface_kind
 from .root_flag import RootSystem, curve_scan, inner, root_system
 from .torus_ring import Character
@@ -79,24 +78,24 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
+@_by_value()
 class PasquierTriple:
     """One entry of the classification: family number plus its parameters."""
 
-    family: int
-    n: int | None = None
-    m: int | None = None
+    __slots__ = ("family", "n", "m")
 
-    def __post_init__(self):
-        spec = _FAMILIES.get(self.family)
+    def __init__(self, family: int, n: int | None = None, m: int | None = None):
+        spec = _FAMILIES.get(family)
         if spec is None:
-            raise ValueError(f"unknown family {self.family}")
-        for name in ("n", "m"):
-            if getattr(self, name) is not None and name not in spec.parameters:
-                raise ValueError(f"family {self.family} takes no parameter {name}")
-        given = [getattr(self, name) for name in spec.parameters]
-        if spec.rule and (None in given or not spec.rule(self.n, self.m)):
-            raise ValueError(f"family {self.family} {spec.refusal}")
+            raise ValueError(f"unknown family {family}")
+        given = {"n": n, "m": m}
+        for name, value in given.items():
+            if value is not None and name not in spec.parameters:
+                raise ValueError(f"family {family} takes no parameter {name}")
+        missing = any(given[name] is None for name in spec.parameters)
+        if spec.rule and (missing or not spec.rule(n, m)):
+            raise ValueError(f"family {family} {spec.refusal}")
+        self.family, self.n, self.m = family, n, m
 
     def group(self) -> RootSystem:
         return root_system(_FAMILIES[self.family].group.format(n=self.n))
@@ -122,18 +121,24 @@ def chi(triple: PasquierTriple) -> Character:
     return Character(triple.group().vector(_chi_labels(triple)))
 
 
-@dataclass
 class SurfaceScan:
     """What the root scan found: the root along chi, pairings, and the kind."""
 
-    chi: Character
-    root: Character | None
-    pairings: tuple | None  # <omega_Y, root^vee>, <omega_Z, root^vee>
-    fixed_points: int | None
-    kind: str  # "none", "unresolved" or a kind of gkm_model.SURFACE_KINDS
-    n: int | None = None
-    model: str | None = None
-    root_index: int | None = None  # position of the root in the system's roots
+    __slots__ = ("chi", "root", "pairings", "fixed_points", "kind", "n", "model", "root_index")
+
+    def __init__(
+        self,
+        chi: Character,
+        root: Character | None,
+        pairings: tuple | None,  # <omega_Y, root^vee>, <omega_Z, root^vee>
+        fixed_points: int | None,
+        kind: str,  # "none", "unresolved" or a kind of gkm_model.SURFACE_KINDS
+        n: int | None = None,
+        model: str | None = None,
+        root_index: int | None = None,  # position of the root in the system's roots
+    ):
+        self.chi, self.root, self.pairings, self.fixed_points = chi, root, pairings, fixed_points
+        self.kind, self.n, self.model, self.root_index = kind, n, model, root_index
 
     def to_json_obj(self) -> dict:
         return {

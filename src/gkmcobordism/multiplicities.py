@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
 
@@ -33,20 +32,18 @@ _WEIGHT_LISTS = (
 _DIMENSION = (lambda value: value is None or _is_int(value), "an integer or null")
 
 
-@dataclass
 class TangentData:
     """A multiset of characters per point, tagged by what the weights describe."""
 
-    weights: dict
-    tag: str = "tangent"
-    dimension: int | None = None
+    __slots__ = ("weights", "tag", "dimension")
 
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown weight tag {self.tag!r}; expected one of {TAGS}")
+    def __init__(self, weights: dict, tag: str = "tangent", dimension: int | None = None):
+        if tag not in TAGS:
+            raise ValueError(f"unknown weight tag {tag!r}; expected one of {TAGS}")
+        self.tag, self.dimension = tag, dimension
         self.weights = {
             point: tuple(ch if isinstance(ch, Character) else Character(ch) for ch in chars)
-            for point, chars in self.weights.items()
+            for point, chars in weights.items()
         }
         rank = None
         for point, chars in self.weights.items():
@@ -156,11 +153,13 @@ def fiber_multiplicity(ring: TorusRing, fiber: TangentData) -> LocalizedElement:
     return _fiber_sum(ring, fiber, Counter())[1]
 
 
-@dataclass
 class PullbackResult:
-    terms: list  # one cancelled fraction per fiber point
-    localized: LocalizedElement  # the terms over their common denominator
-    cleared: ClearResult
+    __slots__ = ("terms", "localized", "cleared")
+
+    def __init__(self, terms: list, localized: LocalizedElement, cleared: ClearResult):
+        self.terms = terms  # one cancelled fraction per fiber point
+        self.localized = localized  # the terms over their common denominator
+        self.cleared = cleared
 
     @property
     def series(self) -> TruncatedSeries | None:

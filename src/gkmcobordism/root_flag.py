@@ -30,13 +30,12 @@ of enumerate_curves, and solve_linear.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .coeff_series import QQ, as_rational, direction
+from .coeff_series import QQ, _by_value, as_rational, direction
 
 Vector = tuple
 
@@ -176,39 +175,55 @@ class PositiveRoot(NamedTuple):
     direction: tuple  # direction(gamma), from its integer numerators
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """A root system, with its integer Cartan matrix and positive-root table.
 
     Weights are written by their labels <v, alpha_j^vee>; their
     epsilon-coordinates are integer numerators over the common denominator
     den of the fundamental weights (numerators), and rational vectors are
-    built only for results (vector).
+    built only for results (vector).  Built once per label (root_system) and
+    immutable by convention; its __dict__ holds the cached weyl_group.
     """
 
-    letter: str
-    rank: int
-    dim: int
-    simple_roots: tuple
-    fundamental_weights: tuple
-    cartan: tuple  # row i holds the labels of alpha_i: <alpha_i, alpha_j^vee>
-    den: int
-    columns: tuple  # column k holds the k-th coordinates of the omega_j, times den
-    roots: tuple = field(init=False)  # the PositiveRoot table
+    __slots__ = (
+        "letter",
+        "rank",
+        "dim",
+        "simple_roots",
+        "fundamental_weights",
+        "cartan",  # row i holds the labels of alpha_i: <alpha_i, alpha_j^vee>
+        "den",
+        "columns",  # column k holds the k-th coordinates of the omega_j, times den
+        "roots",  # the PositiveRoot table
+        "__dict__",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        letter: str,
+        rank: int,
+        dim: int,
+        simple_roots: tuple,
+        fundamental_weights: tuple,
+        cartan: tuple,
+        den: int,
+        columns: tuple,
+    ):
+        self.letter, self.rank, self.dim = letter, rank, dim
+        self.simple_roots, self.fundamental_weights = simple_roots, fundamental_weights
+        self.cartan, self.den, self.columns = cartan, den, columns
         # <omega_j, gamma^vee> = c_j |alpha_j|^2 / |gamma|^2 for gamma = sum c_i alpha_i,
         # and 2 |gamma|^2 = sum_i c_i <gamma, alpha_i^vee> |alpha_i|^2; every
         # supported type has integer |alpha_i|^2.
-        norms = [int(inner(a, a)) for a in self.simple_roots]
+        norms = [int(inner(a, a)) for a in simple_roots]
         table = []
-        for coords, labels in _positive_coordinates(self.cartan).items():
+        for coords, labels in _positive_coordinates(cartan).items():
             twice = sum(c * x * n for c, x, n in zip(coords, labels, norms))
             coroot = tuple(2 * c * n // twice for c, n in zip(coords, norms))
             numerators = self.numerators(labels)
-            vector = tuple(QQ(x, self.den) for x in numerators)
+            vector = tuple(QQ(x, den) for x in numerators)
             table.append(PositiveRoot(vector, labels, coroot, direction(numerators)))
-        object.__setattr__(self, "roots", tuple(table))
+        self.roots = tuple(table)
 
     @property
     def label(self) -> str:
@@ -295,13 +310,21 @@ def root_system(label: str) -> RootSystem:
     )
 
 
-@dataclass(frozen=True)
+@_by_value("word", "labels")
 class Coset:
-    """A coset of W/W_I: shortest word and its action on the defining weight."""
+    """A coset of W/W_I: shortest word and its action on the defining weight.
 
-    word: tuple  # composition of simple reflections, leftmost applied last
-    labels: tuple  # the anchor's labels <anchor, alpha_j^vee>, j = 1..rank
-    system: RootSystem = field(compare=False, repr=False)
+    Compared by word and labels; its __dict__ holds the cached anchor."""
+
+    __slots__ = (
+        "word",  # composition of simple reflections, leftmost applied last
+        "labels",  # the anchor's labels <anchor, alpha_j^vee>, j = 1..rank
+        "system",
+        "__dict__",
+    )
+
+    def __init__(self, word: tuple, labels: tuple, system: RootSystem):
+        self.word, self.labels, self.system = word, labels, system
 
     @cached_property
     def anchor(self) -> Vector:
@@ -430,16 +453,24 @@ class WeylGroup:
         return cached
 
 
-@dataclass(frozen=True)
+@_by_value()
 class FlagCurve:
     """An invariant curve in G/P_I between the fixed points of two cosets."""
 
-    u: Coset
-    v: Coset
-    root: Vector  # positive root of the connecting reflection
-    weight: Vector  # difference of the endpoint weights; a multiple of root
-    degree: dict  # Schubert-class coefficients, keyed by simple index
-    root_index: int  # position of root in system.roots
+    __slots__ = (
+        "u",
+        "v",
+        "root",  # positive root of the connecting reflection
+        "weight",  # difference of the endpoint weights; a multiple of root
+        "degree",  # Schubert-class coefficients, keyed by simple index
+        "root_index",  # position of root in system.roots
+    )
+
+    def __init__(
+        self, u: Coset, v: Coset, root: Vector, weight: Vector, degree: dict, root_index: int
+    ):
+        self.u, self.v, self.root, self.weight = u, v, root, weight
+        self.degree, self.root_index = degree, root_index
 
     @property
     def total_degree(self) -> QQ:

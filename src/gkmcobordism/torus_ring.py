@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .coeff_series import (
     QQ,
     LazardCoefficient,
     TruncatedSeries,
+    _by_value,
     as_rational,
     combination,
     direction,
@@ -57,14 +57,14 @@ from .coeff_series import (
 from .fgl import FormalGroupLaw, _memo
 
 
-@dataclass(frozen=True)
+@_by_value()
 class Character:
     """A rational vector in the character lattice basis."""
 
-    coords: tuple
+    __slots__ = ("coords",)
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(as_rational(c) for c in coords))
+        self.coords = tuple(as_rational(c) for c in coords)
 
     @property
     def rank(self) -> int:
@@ -103,7 +103,6 @@ class Character:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass
 class RemainderReport:
     """Outcome of reducing a series modulo a Chern class power.
 
@@ -113,11 +112,13 @@ class RemainderReport:
     zero components at that order.
     """
 
-    character: Character
-    power: int
-    pivot: int
-    components: list
-    certified_order: int
+    __slots__ = ("character", "power", "pivot", "components", "certified_order")
+
+    def __init__(
+        self, character: Character, power: int, pivot: int, components: list, certified_order: int
+    ):
+        self.character, self.power, self.pivot = character, power, pivot
+        self.components, self.certified_order = components, certified_order
 
     @property
     def is_zero(self) -> bool:
@@ -134,7 +135,6 @@ class RemainderReport:
         }
 
 
-@dataclass(frozen=True)
 class LocalizedElement:
     """A fraction: series numerator over a product of Chern classes.
 
@@ -142,16 +142,14 @@ class LocalizedElement:
     one Chern-class factor.
     """
 
-    numerator: TruncatedSeries
-    denominator: tuple
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: TruncatedSeries, denominator=()):
         den = tuple(sorted(denominator, key=lambda ch: ch.coords))
         for ch in den:
             if ch.is_zero():
                 raise ValueError("zero character in a localized denominator")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", den)
+        self.numerator, self.denominator = numerator, den
 
     def __neg__(self) -> "LocalizedElement":
         return LocalizedElement(-self.numerator, self.denominator)
@@ -163,13 +161,18 @@ class LocalizedElement:
         }
 
 
-@dataclass
 class ClearResult:
     """Result of clearing denominators: a series, or the obstructing factor."""
 
-    series: TruncatedSeries | None
-    certified_order: int
-    obstruction: RemainderReport | None = None  # its character is the obstructing factor
+    __slots__ = ("series", "certified_order", "obstruction")
+
+    def __init__(
+        self,
+        series: TruncatedSeries | None,
+        certified_order: int,
+        obstruction: RemainderReport | None = None,  # its character is the obstructing factor
+    ):
+        self.series, self.certified_order, self.obstruction = series, certified_order, obstruction
 
     @property
     def ok(self) -> bool:

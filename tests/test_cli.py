@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -632,3 +635,94 @@ def test_mult_point_class_names_an_unknown_point_without_quotes(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: no weight data at point 'x99'\n"
+
+
+# -- one JSON layout for every command -------------------------------------------
+
+_T, _A = str(DATA / "ig25_tangent.json"), str(DATA / "ig25_x4tilde.json")
+
+# Every command that prints or writes JSON, at small orders; {datum} is the
+# IG(2,5) datum, {member} a constant tuple on it, {broken} that tuple with
+# one value bumped, and {normal} the normal weights of X1.
+JSON_COMMANDS = (
+    ("fgl", "a", "1", "2", "--order", "5", "--format", "json"),
+    ("fgl", "table", "--max-degree", "3", "--order", "4", "--format", "json"),
+    ("fgl", "multiple", "3", "--order", "5", "--law", "multiplicative:2", "--format", "json"),
+    ("gkm", "congruences", "{datum}", "--format", "json"),
+    ("gkm", "check", "{datum}", "{member}", "--order", "4", "--format", "json"),
+    ("gkm", "check", "{datum}", "{broken}", "--order", "4", "--format", "json"),
+    ("flag", "curves", "--type", "C3", "--parabolic", "a2", "--format", "json"),
+    ("horo", "scan", "--family", "3", "--n", "3", "--m", "2", "--format", "json"),
+    ("horo", "scan", "--family", "2", "--format", "json"),
+    ("horo", "build", "--family", "5"),
+    ("horo", "build", "--family", "3", "--n", "2", "--m", "2"),
+    ("mult", "point-class", _T, "--order", "4"),
+    ("mult", "point-class", _T, "--point", "x45", "--order", "4"),
+    ("mult", "subvariety", "{normal}", "--order", "4"),
+    ("mult", "fiber-sum", _A, "--order", "8", "--format", "json"),
+    ("mult", "fiber-sum", _A, "--ambient", _T, "--point", "x12", "--order", "7")
+    + ("--format", "json"),
+)
+
+
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("json-commands")
+    datum = build_gkm(PasquierTriple(family=3, n=2, m=2))
+    (work / "ig25.json").write_text(datum.dumps())
+    unit = {"t_exponents": [0, 0], "m_exponents": [], "coeff": "1"}
+    one = {"vars": 2, "order": 4, "terms": [unit]}
+    member = {p: one for p in datum.points}
+    (work / "member.json").write_text(json.dumps(member))
+    bump = {"t_exponents": [1, 0], "m_exponents": [], "coeff": "1/2"}
+    broken = dict(member, x13={**one, "terms": [unit, bump]})
+    (work / "broken.json").write_text(json.dumps(broken))
+    normal = json.loads((DATA / "ig25_subvarieties.json").read_text())["subvarieties"]["X1"]
+    (work / "normal.json").write_text(json.dumps(normal))
+    names = {"datum": "ig25", "member": "member", "broken": "broken", "normal": "normal"}
+    return {key: str(work / f"{name}.json") for key, name in names.items()}
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_every_json_command_prints_the_indented_sorted_layout(argv, json_inputs, capsys):
+    code, out = run(capsys, *(a.format(**json_inputs) for a in argv))
+    assert code == (1 if "{broken}" in argv else 0)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# -- a closed stdout ---------------------------------------------------------------
+
+
+def _with_closed_stdout(argv, unbuffered: bool):
+    """(exit code, stderr) of gkmcob argv in a fresh process whose stdout is
+    a pipe with its read end already closed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(DATA.parent.parent), env.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gkmcobordism.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fgl", "a", "1", "1", "--format", "json"),  # prints
+        ("horo", "build", "--family", "5"),  # writes the datum to stdout
+    ],
+    ids=["prints", "writes"],
+)
+def test_a_closed_stdout_exits_141_in_silence(argv, unbuffered):
+    assert _with_closed_stdout(argv, unbuffered) == (141, b"")

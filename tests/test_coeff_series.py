@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from gkmcobordism.coeff_series import (
     combination,
     compose_univariate,
     compositional_inverse,
+    dumps,
     series_inverse,
 )
 
@@ -585,3 +587,64 @@ def test_zero_coefficients_are_not_stored():
 def test_dict_constructor_rejects_bad_keys(key, message):
     with pytest.raises(ValueError, match=message):
         TruncatedSeries(1, 2, {key: LazardCoefficient.one()})
+
+
+# -- the JSON writer ----------------------------------------------------------------
+
+# Strings with non-ASCII characters, quotes, backslashes and control characters.
+_json_text = st.text(
+    st.sampled_from('aZ0 "\\/\x00\x1f\x7f\n\té€\u2028\U0001f600'), max_size=6
+) | st.text(max_size=4)
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | _json_text
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_json_text, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_trees)
+def test_dumps_matches_the_indented_sorted_json_encoder(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_dumps_writes_empty_containers_and_scalars_inside_blocks():
+    obj = {"": [[], {}, ()], "b": [True, False, None, -0, -(2**70)], "a": {"\\\"": "\x01é"}}
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        1.5,
+        [0.0],
+        Fraction(1, 2),
+        {"q": Fraction(3)},
+        {1, 2},
+        [frozenset()],
+        {1: "a"},
+        {"a": {None: 1}},
+    ],
+    ids=[
+        "float",
+        "nested-float",
+        "fraction",
+        "nested-fraction",
+        "set",
+        "nested-set",
+        "int-key",
+        "none-key",
+    ],
+)
+def test_dumps_refuses_what_is_not_plain_json(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)

@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -10,6 +9,8 @@ from gkmcobordism.coeff_series import QQ, direction
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import (
     CongruenceConstraint,
+    GkmDatum,
+    GkmEdge,
     check_membership,
     congruence_system,
     congruence_system_json,
@@ -400,8 +401,9 @@ def test_point_weight_oracle_rejects_swapped_edge_weights():
         if direction(e.weight.coords) != direction(first.weight.coords)
     )
     edges = list(datum.edges)
-    edges[0], edges[k] = replace(first, weight=other.weight), replace(other, weight=first.weight)
-    mutated = replace(datum, edges=tuple(edges))
+    edges[0] = GkmEdge(first.a, first.b, other.weight)
+    edges[k] = GkmEdge(other.a, other.b, first.weight)
+    mutated = GkmDatum(datum.rank, datum.points, edges, datum.surfaces, datum.ordering)
     assert chi_disagreements(datum, point_weights(triple)) == []
     assert chi_disagreements(mutated, point_weights(triple)) == [
         ("edge", first.a, first.b),
