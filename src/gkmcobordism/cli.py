@@ -117,24 +117,69 @@ def _load_datum(path: str):
         return GkmDatum.from_json_obj(json.load(fh))
 
 
+def _decode_members(text: str, convert) -> dict | None:
+    """{key: convert(key, value)} of a JSON text that is one nonempty object
+    with distinct keys, each value decoded and converted before the next is
+    decoded, so that one value's tree alone is alive; None for any other
+    text.  A decoding error raises, as does convert."""
+    skip = json.decoder.WHITESPACE.match
+    decode = json.JSONDecoder().raw_decode
+    i = skip(text).end()
+    if text[i : i + 1] != "{":
+        return None
+    out = {}
+    delimiter = ","
+    while delimiter == ",":
+        i = skip(text, i + 1).end()
+        if text[i : i + 1] != '"':
+            return None
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = skip(text, i).end()
+        if text[i : i + 1] != ":" or key in out:
+            return None
+        value, i = decode(text, skip(text, i + 1).end())
+        out[key] = convert(key, value)
+        del value  # freed before the next value is decoded
+        i = skip(text, i).end()
+        delimiter = text[i : i + 1]
+    if delimiter != "}" or skip(text, i + 1).end() != len(text):
+        return None
+    return out
+
+
 def _load_tuple(path: str, rank: int, order: int) -> dict:
-    """A tuple file is a flat mapping from point names to series objects."""
+    """A tuple file is a flat mapping from point names to series objects.
+
+    The text is read once and decoded one point at a time, each series
+    converted before the next point is decoded.  Any other text (no object
+    or an empty one, a repeated point name, trailing data), a decoding
+    error or a refused point falls back to json.loads and the same
+    conversion of the whole document, so that every message stays as that
+    gives it: a decoding error anywhere is reported before a refused point,
+    and the last of repeated names wins."""
     from .gkm_model import GkmValidationError
 
-    with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise GkmValidationError("a tuple file must be a JSON object mapping point names to series")
-    values = {}
-    for point, series_obj in obj.items():
+    def value(point, series_obj):
         try:
             series = TruncatedSeries.from_json_obj(series_obj)
         except ValueError as exc:
             raise GkmValidationError(f"tuple file, point {point!r}: {exc}") from None
         if series.rank != rank:
             raise GkmValidationError("tuple rank does not match the datum rank")
-        values[point] = series.truncated(order)
-    return values
+        return series.truncated(order)
+
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        values = _decode_members(text, value)
+    except (ValueError, RecursionError):
+        values = None
+    if values is not None:
+        return values
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise GkmValidationError("a tuple file must be a JSON object mapping point names to series")
+    return {point: value(point, series_obj) for point, series_obj in obj.items()}
 
 
 def cmd_gkm(args) -> int:
@@ -415,13 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    if args.order < 3:
-        print("error: --order must be at least 3", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # after help on stdout or a usage error
+            sys.stdout.flush()
+            return EXIT_USAGE if exc.code else EXIT_OK
+        if args.order < 3:
+            print("error: --order must be at least 3", file=sys.stderr)
+            return EXIT_USAGE
         args.law = parse_law(args.law)  # refused for every command, before any work
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit

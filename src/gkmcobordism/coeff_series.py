@@ -39,8 +39,9 @@ t-derivative there and (t^k - y^k)/(t - y) divides by t - y.
 
 Fractions and LazardCoefficient values are built only at the boundary of a
 series: the dict constructor reads them, and the `terms` view,
-coefficient/constant_term, to_json_obj/from_json_obj, render and specialize
-build them.
+coefficient/constant_term, to_json_obj, render and specialize build them.
+from_json_obj builds neither: it reads each coefficient as an integer pair
+(num, den) straight into the stored form.
 
 Multiplicative inverses use Newton iteration; compositional inverses a
 triangular solve against the powers of the series.
@@ -102,21 +103,21 @@ def pivot_index(v) -> int:
     return next((i for i, c in enumerate(v) if c), 0)
 
 
-def _digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
-
-
-def _parse_rational(text: str) -> QQ:
-    """as_rational of a JSON coefficient string: `[+-]digits` and
-    `[+-]digits/digits` are read with int(), any other spelling by
-    Fraction."""
+def _parse_rational(text: str) -> tuple:
+    """as_rational of a JSON coefficient string as a pair (num, den) in
+    lowest terms, den > 0: `[+-]digits` and `[+-]digits/digits` are read
+    with int(), any other spelling by Fraction."""
     num, slash, den = text.partition("/")
-    if _digits(num[1:] if num[:1] in ("+", "-") else num) and (not slash or _digits(den)):
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if digits.isascii() and digits.isdigit():
         if not slash:
-            return QQ(int(num))
-        if int(den):
-            return QQ(int(num), int(den))
-    return as_rational(text)
+            return int(num), 1
+        if den.isascii() and den.isdigit() and (d := int(den)):
+            n = int(num)
+            g = gcd(n, d)
+            return n // g, d // g
+    q = as_rational(text)
+    return q.numerator, q.denominator
 
 
 def m_degree(mkey: MKey) -> int:
@@ -429,6 +430,42 @@ _M_PAIRS = (
 _RATIONAL = (_is_rational, 'an integer or a string like "3/4"')
 
 
+def _check_shape(rank: int, order: int, keys) -> None:
+    """Reject a rank below 1, an order below 0, and then, in the order of
+    keys, a t-exponent tuple of the wrong length, with a negative exponent
+    or of a degree above the order."""
+    if rank < 1:
+        raise ValueError("variable count must be >= 1")
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    for key in keys:
+        if len(key) != rank:
+            raise ValueError("t-exponent length does not match the variable count")
+        if any(e < 0 for e in key):
+            raise ValueError("t-exponents must be non-negative")
+        if sum(key) > order:
+            raise ValueError("a stored t-monomial exceeds the truncation order")
+
+
+def _plain_term(term):
+    """(t_exponents, m_exponents, coeff) of a series term whose values have
+    exactly the JSON types of the format, with no subclass and no bool for
+    an int; None for any other term, which _check_keys and _checked then
+    judge."""
+    if type(term) is not dict or len(term) != 3:
+        return None
+    t, pairs, q = term.get("t_exponents"), term.get("m_exponents"), term.get("coeff")
+    if type(t) is not list or type(pairs) is not list or type(q) not in (int, str):
+        return None
+    for e in t:
+        if type(e) is not int:
+            return None
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+            return None
+    return t, pairs, q
+
+
 def _checked(obj, key: str, what: str, check, default=None):
     """obj[key] if it has the JSON type of check = (predicate, description);
     default when key is absent.  A value of another type raises
@@ -538,22 +575,10 @@ class TruncatedSeries:
         and c_k a LazardCoefficient.  Zero coefficients are dropped; a key of
         the wrong length, a negative exponent or a degree above the order
         raises ValueError."""
-        if rank < 1:
-            raise ValueError("variable count must be >= 1")
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        terms = {tuple(k): c for k, c in terms.items()} if terms else {}
+        _check_shape(rank, order, terms)
         bits = _bits(order)
-        coeffs = {}
-        for k, c in (terms or {}).items():
-            k = tuple(k)
-            if len(k) != rank:
-                raise ValueError("t-exponent length does not match the variable count")
-            if any(e < 0 for e in k):
-                raise ValueError("t-exponents must be non-negative")
-            if sum(k) > order:
-                raise ValueError("a stored t-monomial exceeds the truncation order")
-            if c.terms:
-                coeffs[_pack(k, bits)] = c.terms
+        coeffs = {_pack(k, bits): c.terms for k, c in terms.items() if c.terms}
         # over the lcm of the reduced denominators the numerators have no
         # common factor with it, so the form is canonical as built
         den = lcm(*(q.denominator for c in coeffs.values() for q in c.values()))
@@ -861,21 +886,61 @@ class TruncatedSeries:
     def from_json_obj(cls, obj) -> "TruncatedSeries":
         """The series of a JSON object as to_json_obj writes it; a missing or
         unknown key, a value of another JSON type or a malformed term raises
-        ValueError."""
+        ValueError.
+
+        One pass reads the terms into the stored form, with no Fraction and
+        no LazardCoefficient: each coefficient becomes a reduced pair
+        (num, den), duplicate terms are summed, and each distinct t-exponent
+        tuple and m-monomial is checked, packed or interned once.  Every
+        term is type-checked in full; a term off the plain JSON shape goes
+        through _check_keys and _checked for their message.  The errors come
+        in the constructor's order: every term's own, then the rank, the
+        order and each t-exponent tuple in first-seen order."""
         _check_keys(obj, "series", ("vars", "order", "terms"))
         rank, order = _checked(obj, "vars", "series", _INT), _checked(obj, "order", "series", _INT)
-        coeffs: dict = {}
+        bits = _bits(order)
+        packed: dict = {}  # t-exponent tuple -> packed key, in first-seen order
+        mids: dict = {}  # m_exponents pairs as given -> m-monomial id
+        coeffs: dict = {}  # packed key -> {m-monomial id: (num, den)}
         for term in _checked(obj, "terms", "series", _LIST):
-            _check_keys(term, "series term", ("t_exponents", "m_exponents", "coeff"))
-            key = tuple(_checked(term, "t_exponents", "series term", _INTS))
-            m = tuple(sorted(map(tuple, _checked(term, "m_exponents", "series term", _M_PAIRS))))
-            if any(k < 1 or e < 1 for k, e in m) or len(dict(m)) != len(m):
-                raise ValueError("malformed m-monomial")
-            q = _checked(term, "coeff", "series term", _RATIONAL)
-            q = _parse_rational(q) if _is_str(q) else QQ(q)
-            c = coeffs.setdefault(key, {})
-            c[m] = c[m] + q if m in c else q
-        return cls(rank, order, {k: LazardCoefficient(c) for k, c in coeffs.items()})
+            plain = _plain_term(term)
+            if plain:
+                t, pairs, q = plain
+            else:
+                _check_keys(term, "series term", ("t_exponents", "m_exponents", "coeff"))
+                t = _checked(term, "t_exponents", "series term", _INTS)
+                pairs = _checked(term, "m_exponents", "series term", _M_PAIRS)
+            mkey = tuple(map(tuple, pairs))
+            m = mids.get(mkey)
+            if m is None:
+                m = tuple(sorted(mkey))
+                if any(k < 1 or e < 1 for k, e in m) or len(dict(m)) != len(m):
+                    raise ValueError("malformed m-monomial")
+                m = mids[mkey] = _mid(m)
+            if not plain:
+                q = _checked(term, "coeff", "series term", _RATIONAL)
+            n, d = (q, 1) if type(q) is int else _parse_rational(q)
+            key = tuple(t)
+            p = packed.get(key)
+            if p is None:
+                p = packed[key] = _pack(key, bits)
+            row = coeffs.setdefault(p, {})
+            if m in row:  # a duplicate term: add the two reduced fractions
+                n0, d0 = row[m]
+                n, d = n0 * d + n * d0, d0 * d
+                g = gcd(n, d)
+                n, d = n // g, d // g
+            row[m] = n, d
+        _check_shape(rank, order, packed)
+        # as in the constructor: over the lcm of the reduced denominators the
+        # form is canonical as built
+        den = lcm(*(d for row in coeffs.values() for n, d in row.values() if n))
+        rows = {}
+        for p in sorted(coeffs):
+            row = {m: n * (den // d) for m, (n, d) in coeffs[p].items() if n}
+            if row:
+                rows[p] = row
+        return cls._of(rank, order, den, rows, _unit_rows(rows))
 
     def render(self, names=None) -> str:
         if not self.rows:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from gkmcobordism.cli import main
+from gkmcobordism.cli import _decode_members, main
 from gkmcobordism.coeff_series import TruncatedSeries
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import GkmDatum
@@ -457,6 +458,113 @@ def test_gkm_check_refuses_a_tuple_that_does_not_fit_the_datum(tmp_path, capsys,
     assert captured.err == f"error: {message}\n"
 
 
+_MEMBER = json.dumps(_ig25_tuple())
+_RANK_3 = json.dumps(TruncatedSeries.zero(3, 4).to_json_obj())
+# sha256 of the 21 lines `gkm check --order 4` prints for the constant tuple
+_MEMBER_OUT = "7d3ba3778df848725ce612199bcada6ee954e52a3041c25ba4a57e712cfb949b"
+
+
+@pytest.mark.parametrize(
+    "text, code, out_sha256, err",
+    [
+        (_MEMBER[:-1] + ', "x12": ' + json.dumps(_constant_series_obj("1")) + "}", 0, _MEMBER_OUT, ""),
+        ('{"x12": {"vars": 2}, ' + _MEMBER[1:], 0, _MEMBER_OUT, ""),
+        (
+            _MEMBER[:-1] + ', "x12": ' + _RANK_3 + "}",
+            2,
+            None,
+            "error: tuple rank does not match the datum rank\n",
+        ),
+        (
+            " \n{ " + _MEMBER[1:-1].replace(": ", " :\t").replace(", ", " ,\r\n ") + " }\n ",
+            0,
+            _MEMBER_OUT,
+            "",
+        ),
+        (_MEMBER + " []", 2, None, "error: Extra data: line 1 column 810 (char 809)\n"),
+        (
+            "\ufeff" + _MEMBER,
+            2,
+            None,
+            "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n",
+        ),
+        (
+            "{}",
+            2,
+            None,
+            "error: tuple is missing values at x12, x13, x14, x23, x25, x34, x35, x45\n",
+        ),
+        (
+            "[" + json.dumps(_constant_series_obj("1")) + "]",
+            2,
+            None,
+            "error: a tuple file must be a JSON object mapping point names to series\n",
+        ),
+        (" \n\t ", 2, None, "error: Expecting value: line 2 column 3 (char 4)\n"),
+        (
+            '{"x12": {"vars": 2}, "x13": [1,,]}',
+            2,
+            None,
+            "error: Expecting value: line 1 column 32 (char 31)\n",
+        ),
+        (
+            '{"x12": ' + _RANK_3 + ', "x13": [1,,]}',
+            2,
+            None,
+            "error: Expecting value: line 1 column 57 (char 56)\n",
+        ),
+    ],
+    ids=(
+        "duplicate-point",
+        "duplicate-point-last-wins",
+        "duplicate-point-last-refused",
+        "whitespace-between-tokens",
+        "trailing-data",
+        "utf8-bom",
+        "empty-object",
+        "top-level-list",
+        "whitespace-only",
+        "refused-point-then-syntax-error",
+        "bad-rank-then-syntax-error",
+    ),
+)
+def test_gkm_check_reads_tuple_text_as_json_loads_does(tmp_path, capsys, text, code, out_sha256, err):
+    """A tuple file is decoded one point at a time; any text that reader
+    does not take goes through json.loads, so the exit code and both
+    streams are those of reading the whole document first: a repeated
+    point name keeps its last value, and a decoding error anywhere comes
+    before a refused point."""
+    datum_path = tmp_path / "ig25.json"
+    datum_path.write_text(build_gkm(PasquierTriple(family=3, n=2, m=2)).dumps())
+    tuple_path = tmp_path / "tuple.json"
+    tuple_path.write_text(text, encoding="utf-8")
+    assert main(["gkm", "check", str(datum_path), str(tuple_path), "--order", "4"]) == code
+    captured = capsys.readouterr()
+    if out_sha256 is None:
+        assert captured.out == ""
+    else:
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha256
+        assert captured.out.endswith("\nmember\n")
+    assert captured.err == err
+
+
+def test_tuple_points_are_decoded_and_converted_one_at_a_time():
+    seen = []
+
+    def convert(key, value):
+        seen.append((key, value))
+        return len(seen)
+
+    assert _decode_members(' \n{"a": [1], "b" :{"c": null}\t} ', convert) == {"a": 1, "b": 2}
+    assert seen == [("a", [1]), ("b", {"c": None})]
+    seen.clear()
+    with pytest.raises(json.JSONDecodeError):
+        _decode_members('{"a": 1, "b": [1,,]}', convert)
+    assert seen == [("a", 1)]  # converted before the next value was decoded
+    for text in ("{}", "[1]", '{"a": 1} x', '{"a": 1, "a": 2}', "\ufeff{}", '{"a": 1,}', " ", ""):
+        assert _decode_members(text, convert) is None
+
+
 def test_gkm_datum_with_a_duplicate_edge_is_rejected(tmp_path, capsys):
     obj = _ig25_datum_obj(tmp_path, capsys)
     edge = obj["edges"][0]
@@ -726,3 +834,10 @@ def _with_closed_stdout(argv, unbuffered: bool):
 )
 def test_a_closed_stdout_exits_141_in_silence(argv, unbuffered):
     assert _with_closed_stdout(argv, unbuffered) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("gkm", "check", "-h")], ids=["top", "command"])
+def test_help_on_a_closed_buffered_stdout_exits_141_in_silence(argv):
+    """argparse prints help into the stdout buffer and exits; the flush that
+    follows meets the closed pipe as a command's output does."""
+    assert _with_closed_stdout(argv, unbuffered=False) == (141, b"")

@@ -8,8 +8,16 @@ from hypothesis import strategies as st
 from gkmcobordism.coeff_series import QQ
 
 from gkmcobordism.coeff_series import (
+    _INT,
+    _INTS,
+    _LIST,
+    _M_PAIRS,
+    _RATIONAL,
     LazardCoefficient,
     TruncatedSeries,
+    _check_keys,
+    _checked,
+    as_rational,
     combination,
     compose_univariate,
     compositional_inverse,
@@ -295,6 +303,229 @@ def test_json_skips_zero_coefficients():
     loaded = TS.from_json_obj(obj)
     assert loaded.is_zero()
     assert loaded == TS.zero(2, 3)
+
+
+# -- the one-pass JSON reader against the Fraction reader it replaced ---------
+
+
+def _reference_rational(text):
+    """A JSON coefficient string as the Fraction reader read it: plain
+    `[+-]digits[/digits]` by int(), any other spelling by Fraction."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        if not slash:
+            return QQ(int(num))
+        if int(den):
+            return QQ(int(num), int(den))
+    return as_rational(text)
+
+
+def reference_from_json_obj(obj):
+    """The series of a JSON object by Fractions and LazardCoefficients
+    through the dict constructor: the reader before the one-pass one."""
+    _check_keys(obj, "series", ("vars", "order", "terms"))
+    rank, order = _checked(obj, "vars", "series", _INT), _checked(obj, "order", "series", _INT)
+    coeffs = {}
+    for term in _checked(obj, "terms", "series", _LIST):
+        _check_keys(term, "series term", ("t_exponents", "m_exponents", "coeff"))
+        key = tuple(_checked(term, "t_exponents", "series term", _INTS))
+        m = tuple(sorted(map(tuple, _checked(term, "m_exponents", "series term", _M_PAIRS))))
+        if any(k < 1 or e < 1 for k, e in m) or len(dict(m)) != len(m):
+            raise ValueError("malformed m-monomial")
+        q = _checked(term, "coeff", "series term", _RATIONAL)
+        q = _reference_rational(q) if isinstance(q, str) else QQ(q)
+        c = coeffs.setdefault(key, {})
+        c[m] = c[m] + q if m in c else q
+    return TS(rank, order, {k: LC(c) for k, c in coeffs.items()})
+
+
+def _stored(s):
+    """Everything a series stores, the order of its rows and their entries included."""
+    return s.rank, s.order, s.den, [(k, list(row.items())) for k, row in s.rows.items()], s.rational
+
+
+def _read(reader, obj):
+    """("ok", stored form) of reader(obj), or the class and message it raises."""
+    try:
+        return "ok", _stored(reader(obj))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _t_exponents(draw, rank, order):
+    out = []
+    for _ in range(rank):
+        out.append(draw(st.integers(0, order - sum(out))))
+    return draw(st.permutations(out))
+
+
+_SPELLINGS = st.one_of(
+    st.integers(-(10**40), 10**40),
+    st.integers(-(10**40), 10**40).map(str),
+    st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 60), st.integers(1, 12)).map(
+        lambda p: f"{p[0]}{p[1]}/{p[2]}"
+    ),
+    st.sampled_from(["-0", "+0", "0", "0/7", "+3", "2/4", "-6/4", "7/1", "0.5", "1e2", " 3/4 ", "1_0"]),
+)
+
+
+@st.composite
+def json_series(draw, min_terms=0):
+    """A valid series object whose terms repeat t-monomials and m-monomials
+    (the latter spelt in any pair order), with zero, unreduced, big and
+    Fraction-only coefficients."""
+    rank, order = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    t_pool = draw(st.lists(_t_exponents(rank, order), min_size=1, max_size=4))
+    monomials = st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=3)
+    m_pool = draw(st.lists(monomials.map(lambda m: [[k, e] for k, e in m.items()]), min_size=1, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(min_terms, 12))):
+        terms.append(
+            {
+                "t_exponents": draw(st.sampled_from(t_pool)),
+                "m_exponents": draw(st.permutations(draw(st.sampled_from(m_pool)))),
+                "coeff": draw(_SPELLINGS),
+            }
+        )
+    return {"vars": rank, "order": order, "terms": terms}
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_series())
+def test_json_reader_stores_what_the_fraction_reader_stores(obj):
+    expected = _stored(reference_from_json_obj(obj))
+    assert _stored(TS.from_json_obj(obj)) == expected
+    assert _stored(TS.from_json_obj(json.loads(json.dumps(obj)))) == expected
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+# Replacement values per field, off the format or only beside it: subclasses
+# of list and dict are JSON values of their base type to the Fraction reader.
+_SERIES_EDITS = {
+    None: [None, [], "x", 3],
+    "vars": ["2", True, 0, -1, None, 2.0],
+    "order": ["3", False, -1, None],
+    "terms": [{}, None, "[]", _List()],
+}
+_TERM_EDITS = {
+    None: [None, [1, 0], "t", 3],
+    "t_exponents": [None, "0", [True, 0], [0, False], [-1, 0], [9, 0], [0], [0, 0, 0, 0], [1.0, 0], _List([0, 0])],
+    "m_exponents": [
+        None, {}, [1], [[1]], [[1, 1, 1]], [[True, 1]], [[1, False]], [[0, 1]], [[1, 0]],
+        [[1, 1], [1, 2]], [["1", 1]], [[1.0, 1]], [_List([1, 1])], _List(),
+    ],
+    "coeff": [
+        0.5, True, None, [1], "1/0", "x", "", "1/-2", "3 /4", "+", "1/", "0/0",
+        "x/" + "1" * 4400, "2/" + "1" * 4400, "1" * 4500 + "/" + "1" * 4400,
+    ],
+}  # fmt: skip
+
+
+@st.composite
+def malformed_json_series(draw):
+    """A valid series object with one to three edits: a field of the series
+    or of a term replaced, deleted or joined by an unknown key, or a term
+    replaced or made a dict subclass."""
+    obj = draw(json_series(min_terms=1))
+    terms = obj["terms"] = [dict(term) for term in obj["terms"]]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(terms) - 1)) if terms and draw(st.booleans()) else None
+        target, edits = (obj, _SERIES_EDITS) if i is None else (terms[i], _TERM_EDITS)
+        if not isinstance(target, dict):
+            continue
+        field = draw(st.sampled_from(sorted(edits, key=str)))
+        action = draw(st.sampled_from(["replace", "delete", "add", "subclass"]))
+        if field is not None:
+            if action == "delete":
+                target.pop(field, None)
+            elif action == "add":
+                target["extra"] = 1
+            else:
+                target[field] = draw(st.sampled_from(edits[field]))
+        elif i is None:
+            if action == "replace":
+                return draw(st.sampled_from(edits[None]))
+        elif action == "replace":
+            terms[i] = draw(st.sampled_from(edits[None]))
+        elif action == "subclass":
+            terms[i] = _Dict(target)
+    return obj
+
+
+@settings(max_examples=600, deadline=None)
+@given(malformed_json_series())
+def test_json_reader_refuses_as_the_fraction_reader_refuses(obj):
+    """The same result, or the same exception class and message: every
+    term's own error in term order, then the rank, the order and each
+    t-monomial in first-seen order."""
+    assert _read(TS.from_json_obj, obj) == _read(reference_from_json_obj, obj)
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 4400, "2/" + "1" * 4400, "1" * 4500 + "/" + "1" * 4400, "x/" + "1" * 4400]
+)
+def test_json_reader_refuses_overlong_digits_as_the_fraction_reader_does(text):
+    """int() refuses more than 4300 digits (where Python limits them); the
+    reader reaches it on the same spellings as the Fraction reader."""
+    obj = _constant_obj(text)
+    assert _read(TS.from_json_obj, obj) == _read(reference_from_json_obj, obj)
+
+
+def _terms_series(*terms, rank=2, order=3):
+    keys = ("t_exponents", "m_exponents", "coeff")
+    return {"vars": rank, "order": order, "terms": [dict(zip(keys, term)) for term in terms]}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (
+            _terms_series(([1, 0], [[1, 1]], 1), ([0, 1], [[True, 1]], 1)),
+            "series term 'm_exponents' must be a list of [generator, exponent] integer pairs, got [[true, 1]]",
+        ),
+        (
+            _terms_series(([1, 0], [], 1), ([True, 0], [], 1)),
+            "series term 't_exponents' must be a list of integers, got [true, 0]",
+        ),
+        (
+            _terms_series(([1, 0], [], 0.5), rank=0),
+            'series term \'coeff\' must be an integer or a string like "3/4", got 0.5',
+        ),
+        (_terms_series(([1, 0, 0], [], 1), rank=0), "variable count must be >= 1"),
+        (_terms_series(([1, 0, 0], [], 1), order=-1), "truncation order must be >= 0"),
+        (
+            _terms_series(([4, 0], [], 1), ([1], [], 1)),
+            "a stored t-monomial exceeds the truncation order",
+        ),
+        (
+            _terms_series(([1], [], 1), ([4, 0], [], 1), ([1], [], -1)),
+            "t-exponent length does not match the variable count",
+        ),
+    ],
+    ids=(
+        "bool-generator-after-int-pair",
+        "bool-exponent-after-int-key",
+        "term-type-before-rank",
+        "rank-before-key",
+        "order-before-key",
+        "keys-in-first-seen-order",
+        "cancelled-key-still-checked",
+    ),
+)
+def test_json_reader_refusal_order(obj, message):
+    with pytest.raises(ValueError) as excinfo:
+        TS.from_json_obj(obj)
+    assert str(excinfo.value) == message
+    assert _read(reference_from_json_obj, obj) == (ValueError, message)
 
 
 # -- the product kernel against a reference product, one Fraction at a time --
