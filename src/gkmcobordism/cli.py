@@ -159,7 +159,7 @@ def _load_tuple(path: str, rank: int, order: int) -> dict:
     and the last of repeated names wins."""
     from .gkm_model import GkmValidationError
 
-    def value(point, series_obj):
+    def convert(point, series_obj):
         try:
             series = TruncatedSeries.from_json_obj(series_obj)
         except ValueError as exc:
@@ -171,7 +171,7 @@ def _load_tuple(path: str, rank: int, order: int) -> dict:
     with open(path) as fh:
         text = fh.read()
     try:
-        values = _decode_members(text, value)
+        values = _decode_members(text, convert)
     except (ValueError, RecursionError):
         values = None
     if values is not None:
@@ -179,7 +179,7 @@ def _load_tuple(path: str, rank: int, order: int) -> dict:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise GkmValidationError("a tuple file must be a JSON object mapping point names to series")
-    return {point: value(point, series_obj) for point, series_obj in obj.items()}
+    return {point: convert(point, series_obj) for point, series_obj in obj.items()}
 
 
 def cmd_gkm(args) -> int:
