@@ -13,10 +13,12 @@ multiplicative:b, --format text|json.  Exit codes: 0 success or member,
 by its reader (128 + SIGPIPE, as a shell reports it; nothing is printed).
 
 Each command imports the layers it runs when it runs, so a command loads
-only those and the series and law layers every command needs.  Every JSON
-document a command prints or writes comes from one writer,
-coeff_series.dumps (the datum file from GkmDatum.dumps, on the same block
-helpers), in the bytes of json.dumps(obj, indent=2, sort_keys=True).
+only those and the bottom layer, common: `horo` and `flag` load no series
+arithmetic, and the law of --law is checked here and built by fgl only when
+a command asks for it.  Every JSON document a command prints or writes
+comes from one writer, common.dumps (the datum file from GkmDatum.dumps,
+on the same block helpers), in the bytes of
+json.dumps(obj, indent=2, sort_keys=True).
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
-from .coeff_series import TruncatedSeries, as_rational, dumps
-from .fgl import FormalGroupLaw
+from .common import as_rational, dumps
 
 EXIT_OK = 0
 EXIT_NON_MEMBER = 1
@@ -38,15 +38,27 @@ EXIT_BROKEN_PIPE = 141
 
 
 def parse_law(spec: str):
-    """The law a --law spec names, as a function of the truncation order."""
+    """The law a --law spec names, as a function of the truncation order.
+
+    The spec and the parameter b are checked here; fgl is imported only when
+    the function builds the law."""
     if spec in ("universal", "additive"):
-        return getattr(FormalGroupLaw, spec)
-    if spec.startswith("multiplicative:"):
-        return partial(FormalGroupLaw.multiplicative, as_rational(spec.split(":", 1)[1]))
-    raise ValueError(f"unknown law {spec!r}; use universal, additive or multiplicative:b")
+        name, args = spec, ()
+    elif spec.startswith("multiplicative:"):
+        name, args = "multiplicative", (as_rational(spec.split(":", 1)[1]),)
+    else:
+        raise ValueError(f"unknown law {spec!r}; use universal, additive or multiplicative:b")
+
+    def law(order: int):
+        from .fgl import FormalGroupLaw
+
+        return getattr(FormalGroupLaw, name)(*args, order)
+
+    return law
 
 
-def make_law(spec: str, order: int) -> FormalGroupLaw:
+def make_law(spec: str, order: int):
+    """The FormalGroupLaw a --law spec names, at this truncation order."""
     return parse_law(spec)(order)
 
 
@@ -65,7 +77,7 @@ def _write_or_print(args, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _series_out(args, series: TruncatedSeries) -> None:
+def _series_out(args, series) -> None:
     _emit(args, series.to_json_obj(), series.render())
 
 
@@ -73,6 +85,8 @@ def _series_out(args, series: TruncatedSeries) -> None:
 
 
 def cmd_fgl(args) -> int:
+    from .coeff_series import TruncatedSeries
+
     law = args.law(args.order)
     u = TruncatedSeries.variable(0, 1, args.order)
     if args.fgl_op == "multiple":
@@ -111,7 +125,7 @@ def cmd_fgl(args) -> int:
 
 
 def _load_datum(path: str):
-    from .gkm_model import GkmDatum
+    from .gkm_datum import GkmDatum
 
     with open(path) as fh:
         return GkmDatum.from_json_obj(json.load(fh))
@@ -157,7 +171,8 @@ def _load_tuple(path: str, rank: int, order: int) -> dict:
     conversion of the whole document, so that every message stays as that
     gives it: a decoding error anywhere is reported before a refused point,
     and the last of repeated names wins."""
-    from .gkm_model import GkmValidationError
+    from .coeff_series import TruncatedSeries
+    from .gkm_datum import GkmValidationError
 
     def convert(point, series_obj):
         try:
@@ -374,8 +389,17 @@ def _add_global_options(parser, default: bool):
     parser.add_argument("--format", choices=("text", "json"), default=fmt)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with help that a closed stdout refuses: argparse
+    drops an OSError of its write, so that an unbuffered stdout would lose
+    the help and exit 0.  Its subparsers are of this class too."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gkmcob",
         description="Exact equivariant cobordism of GKM data with surface corrections.",
     )

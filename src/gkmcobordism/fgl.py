@@ -30,18 +30,16 @@ F(u, v) to u + v - b*u*v.
 from __future__ import annotations
 
 from .coeff_series import (
-    QQ,
     LazardCoefficient,
     TruncatedSeries,
-    as_rational,
     combination,
     compose_univariate,
     compositional_inverse,
     embed,
-    pivot_index,
     series_inverse,
     series_powers,
 )
+from .common import QQ, as_rational, pivot_index
 
 
 class FormalGroupLaw:

@@ -15,8 +15,8 @@ no established rule and therefore needs an explicit override.
 
 This module knows families, not surface kinds: each family's kind is
 written in the spelling the override takes and read, like the override,
-through gkm_model.parse_surface_kind, and what a kind is belongs to
-gkm_model's kind table.
+through gkm_datum.parse_surface_kind, and what a kind is belongs to
+gkm_datum's kind table.
 
 A triple checks its family and parameters when it is made, and the datum
 checks itself when the builder makes it, so neither is checked again: the
@@ -42,10 +42,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .coeff_series import _by_value, direction
-from .gkm_model import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent, parse_surface_kind
+from .common import Character, _by_value, direction
+from .gkm_datum import GkmDatum, GkmEdge, GkmValidationError, SurfaceComponent, parse_surface_kind
 from .root_flag import RootSystem, curve_scan, inner, root_system
-from .torus_ring import Character
 
 
 class UnresolvedSurfaceKindError(ValueError):
@@ -132,7 +131,7 @@ class SurfaceScan:
         root: Character | None,
         pairings: tuple | None,  # <omega_Y, root^vee>, <omega_Z, root^vee>
         fixed_points: int | None,
-        kind: str,  # "none", "unresolved" or a kind of gkm_model.SURFACE_KINDS
+        kind: str,  # "none", "unresolved" or a kind of gkm_datum.SURFACE_KINDS
         n: int | None = None,
         model: str | None = None,
         root_index: int | None = None,  # position of the root in the system's roots

@@ -19,8 +19,9 @@ from collections import Counter
 from functools import reduce
 from importlib import resources
 
-from .coeff_series import _STR, TruncatedSeries, _check_keys, _checked, _is_int, _is_rational, _list_of
-from .torus_ring import Character, ClearResult, LocalizedElement, TorusRing
+from .coeff_series import TruncatedSeries
+from .common import _STR, Character, _check_keys, _checked, _is_int, _is_rational, _list_of
+from .torus_ring import ClearResult, LocalizedElement, TorusRing
 
 TAGS = ("tangent", "normal", "fiber")
 

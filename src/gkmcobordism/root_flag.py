@@ -35,7 +35,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .coeff_series import QQ, _by_value, as_rational, direction
+from .common import QQ, _by_value, as_rational, direction
 
 Vector = tuple
 

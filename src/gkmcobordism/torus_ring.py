@@ -43,64 +43,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .coeff_series import (
-    QQ,
-    LazardCoefficient,
-    TruncatedSeries,
-    _by_value,
-    as_rational,
-    combination,
-    direction,
-    pivot_index,
-    series_powers,
-)
+from .coeff_series import LazardCoefficient, TruncatedSeries, combination, series_powers
+from .common import QQ, Character, direction, pivot_index
 from .fgl import FormalGroupLaw, _memo
-
-
-@_by_value()
-class Character:
-    """A rational vector in the character lattice basis."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(as_rational(c) for c in coords)
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
-
-    def __add__(self, other: "Character") -> "Character":
-        self._check(other)
-        return Character(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Character") -> "Character":
-        self._check(other)
-        return Character(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Character":
-        return Character(tuple(-a for a in self.coords))
-
-    def scale(self, q) -> "Character":
-        q = as_rational(q)
-        return Character(tuple(q * a for a in self.coords))
-
-    def _check(self, other: "Character"):
-        if self.rank != other.rank:
-            raise ValueError("character rank mismatch")
-
-    def to_json_obj(self) -> list:
-        return [str(c) for c in self.coords]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "Character":
-        return cls(obj)
-
-    def render(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
 class RemainderReport:

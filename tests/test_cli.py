@@ -836,8 +836,10 @@ def test_a_closed_stdout_exits_141_in_silence(argv, unbuffered):
     assert _with_closed_stdout(argv, unbuffered) == (141, b"")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [("--help",), ("gkm", "check", "-h")], ids=["top", "command"])
-def test_help_on_a_closed_buffered_stdout_exits_141_in_silence(argv):
-    """argparse prints help into the stdout buffer and exits; the flush that
-    follows meets the closed pipe as a command's output does."""
-    assert _with_closed_stdout(argv, unbuffered=False) == (141, b"")
+def test_help_on_a_closed_stdout_exits_141_in_silence(argv, unbuffered):
+    """Help meets the closed pipe as a command's output does: buffered, at
+    the flush after argparse exits; unbuffered, at the write itself, which
+    argparse's own print_help would swallow and exit 0."""
+    assert _with_closed_stdout(argv, unbuffered) == (141, b"")

@@ -21,9 +21,9 @@ from gkmcobordism.coeff_series import (
     combination,
     compose_univariate,
     compositional_inverse,
-    dumps,
     series_inverse,
 )
+from gkmcobordism.common import dumps
 
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.torus_ring import TorusRing

@@ -5,21 +5,21 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from gkmcobordism.coeff_series import QQ, direction
+from gkmcobordism.coeff_series import QQ
+from gkmcobordism.common import direction
 
 from gkmcobordism.cli import main
-from gkmcobordism.coeff_series import TruncatedSeries
+from gkmcobordism.coeff_series import TruncatedSeries, combination
 from gkmcobordism.fgl import FormalGroupLaw
+from gkmcobordism.gkm_datum import GkmEdge, parse_surface_kind
 from gkmcobordism.gkm_model import (
     CongruenceConstraint,
     DecompositionError,
     GkmDatum,
-    GkmEdge,
     GkmValidationError,
     SurfaceComponent,
     check_membership,
     congruence_system,
-    parse_surface_kind,
     reconstruct,
     surface_decompose,
     surface_generators,
@@ -350,6 +350,35 @@ def test_decompose_round_trip_random(surface, ring, rng):
     for _ in range(5):
         coeffs = [random_series(rng, 2, 8, terms=3) for _ in gens]
         values = reconstruct(surface, coeffs, ring)
+        dec = surface_decompose(surface, values, ring)
+        rebuilt = reconstruct(surface, dec.coefficients, ring)
+        for p in surface.points:
+            assert values[p].agrees_through(rebuilt[p], dec.certified_order)
+
+
+@pytest.mark.parametrize("surface", KINDS, ids=lambda s: f"{s.kind}{s.n or ''}{s.model or ''}")
+def test_every_tuple_the_congruences_admit_decomposes(surface, rng):
+    """A member plus c(alpha) * X_P at each point P, with sum_P w_P X_P = 0
+    for the weights w_P of the surface congruence at c(alpha) = 0, keeps
+    every congruence, without being built from the generators; one value
+    may also be known a degree less.  Each such tuple decomposes: the
+    divisions of surface_decompose ask nothing the congruences do not."""
+    ring = TorusRing(FormalGroupLaw.universal(5), 2)
+    (square,) = [c for c in congruence_system(surface_datum(surface)) if c.power == 2]
+    weight = dict.fromkeys(surface.points, QQ(0))
+    for p, sign, rho in square.weights():
+        weight[p] += sign if rho is None else sign * QQ(*rho)
+    gens = surface_generators(surface, ring)
+    c_alpha = ring.chern(surface.alpha)
+    for _ in range(3):
+        values = reconstruct(surface, [random_series(rng, 2, 5, terms=3) for _ in gens], ring)
+        last = rng.choice([p for p in surface.points if weight[p]])
+        xs = {p: random_series(rng, 2, 5, terms=3) for p in surface.points if p != last}
+        xs[last] = combination([(-weight[p] / weight[last], x) for p, x in xs.items()], 2, 5)
+        values = {p: values[p] + c_alpha * xs[p] for p in surface.points}
+        cut = rng.choice(surface.points)
+        values[cut] = values[cut].truncated(4)
+        assert check_membership(surface_datum(surface), values, ring).is_member
         dec = surface_decompose(surface, values, ring)
         rebuilt = reconstruct(surface, dec.coefficients, ring)
         for p in surface.points:

@@ -4,13 +4,14 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from gkmcobordism.coeff_series import QQ, direction
+from gkmcobordism.coeff_series import QQ
+from gkmcobordism.common import direction
 
 from gkmcobordism.fgl import FormalGroupLaw
+from gkmcobordism.gkm_datum import GkmEdge
 from gkmcobordism.gkm_model import (
     CongruenceConstraint,
     GkmDatum,
-    GkmEdge,
     check_membership,
     congruence_system,
     congruence_system_json,

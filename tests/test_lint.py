@@ -4,11 +4,11 @@ standard library alone.
 Every module-level import of a module is used in it, and every private
 module-level function, class or constant is referenced somewhere in the
 package: a deletion tends to leave such names behind.  The surface kinds and
-P2 models are spelled in gkm_model alone, which owns their table.  Importing
+P2 models are spelled in gkm_datum alone, which owns their table.  Importing
 a module loads only the layers below it, and the package root loads none;
 each command of the command line loads only the layers it runs, and none
 loads `dataclasses` (with `inspect`, `ast` and more, 9-11 ms of a cold
-start).  Indented JSON comes from one writer, coeff_series.dumps.
+start).  Indented JSON comes from one writer, common.dumps.
 """
 
 import ast
@@ -24,7 +24,7 @@ MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glo
 
 # The names of the surface kinds and P2 models, and the module that owns them.
 KIND_VOCABULARY = {"P2", "F0", "Fn", "V0V1", "V2"}
-KIND_OWNER = "gkm_model.py"
+KIND_OWNER = "gkm_datum.py"
 
 
 def _used_names(tree) -> set:
@@ -100,7 +100,7 @@ def test_no_module_imports_dataclasses():
 
 
 def test_indented_json_has_one_writer():
-    """json.dumps with an indent runs the pure-Python encoder; coeff_series.dumps
+    """json.dumps with an indent runs the pure-Python encoder; common.dumps
     writes the same bytes."""
     calls = [
         f"{module}:{node.lineno}"
@@ -142,20 +142,22 @@ def test_surface_kinds_are_spelled_in_their_owner_only():
 
 
 # The package modules each module loads when it is imported alone, in the
-# layer order coeff_series; fgl, root_flag; torus_ring; gkm_model,
-# multiplicities; horospherical; cli.
-_RING = ("coeff_series", "fgl", "torus_ring")
-_BUILDER = (*_RING, "gkm_model", "root_flag", "horospherical")
+# layer order common; coeff_series, root_flag; fgl; torus_ring; gkm_datum;
+# gkm_model, multiplicities; horospherical; cli.
+_RING = ("common", "coeff_series", "fgl", "torus_ring")
+_BUILDER = ("common", "gkm_datum", "root_flag", "horospherical")
 IMPORT_CLOSURES = {
     "gkmcobordism": (),
-    "gkmcobordism.coeff_series": ("coeff_series",),
-    "gkmcobordism.fgl": ("coeff_series", "fgl"),
-    "gkmcobordism.root_flag": ("coeff_series", "root_flag"),
+    "gkmcobordism.common": ("common",),
+    "gkmcobordism.coeff_series": ("common", "coeff_series"),
+    "gkmcobordism.fgl": ("common", "coeff_series", "fgl"),
+    "gkmcobordism.root_flag": ("common", "root_flag"),
     "gkmcobordism.torus_ring": _RING,
-    "gkmcobordism.gkm_model": (*_RING, "gkm_model"),
+    "gkmcobordism.gkm_datum": ("common", "gkm_datum"),
+    "gkmcobordism.gkm_model": (*_RING, "gkm_datum", "gkm_model"),
     "gkmcobordism.multiplicities": (*_RING, "multiplicities"),
     "gkmcobordism.horospherical": _BUILDER,
-    "gkmcobordism.cli": ("coeff_series", "fgl", "cli"),
+    "gkmcobordism.cli": ("common", "cli"),
 }
 
 
@@ -172,13 +174,14 @@ def test_importing_a_module_loads_only_the_layers_it_uses(module):
 # The package modules each command loads, run once in a fresh process.
 # {datum} is the IG(2,5) datum, {tuple} a constant tuple on it and {data}
 # the directory of bundled weight files.
-_COMMAND = ("coeff_series", "fgl", "cli")
+_COMMAND = ("common", "coeff_series", "fgl", "cli")
 _MULT = (*_COMMAND, "torus_ring", "multiplicities")
+_GKM = (*_COMMAND, "torus_ring", "gkm_datum", "gkm_model")
 COMMAND_CLOSURES = {
     ("fgl", "a", "1", "1"): _COMMAND,
-    ("gkm", "congruences", "{datum}"): (*_COMMAND, "torus_ring", "gkm_model"),
-    ("gkm", "check", "{datum}", "{tuple}", "--order", "4"): (*_COMMAND, "torus_ring", "gkm_model"),
-    ("flag", "curves", "--type", "G2"): (*_COMMAND, "root_flag"),
+    ("gkm", "congruences", "{datum}"): _GKM,
+    ("gkm", "check", "{datum}", "{tuple}", "--order", "4"): _GKM,
+    ("flag", "curves", "--type", "G2"): ("common", "root_flag", "cli"),
     ("horo", "scan", "--family", "5"): (*_BUILDER, "cli"),
     ("horo", "build", "--family", "5"): (*_BUILDER, "cli"),
     ("mult", "point-class", "{data}/ig25_tangent.json", "--point", "x45", "--order", "4"): _MULT,

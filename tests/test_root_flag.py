@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from gkmcobordism.coeff_series import QQ, direction
+from gkmcobordism.coeff_series import QQ
+from gkmcobordism.common import direction
 
 from gkmcobordism.root_flag import (
     FlagCurve,

@@ -34,11 +34,11 @@ from gkmcobordism.coeff_series import (
     combination,
     compose_univariate,
     compositional_inverse,
-    direction,
     embed,
     series_inverse,
     series_powers,
 )
+from gkmcobordism.common import direction
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import (
     GkmDatum,

@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from gkmcobordism.coeff_series import QQ, direction
+from gkmcobordism.coeff_series import QQ
+from gkmcobordism.common import direction
 
 from gkmcobordism.coeff_series import LazardCoefficient, TruncatedSeries
 from gkmcobordism.fgl import FormalGroupLaw
