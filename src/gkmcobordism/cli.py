@@ -13,11 +13,11 @@ multiplicative:b, --format text|json.  Exit codes: 0 success or member,
 by its reader (128 + SIGPIPE, as a shell reports it; nothing is printed).
 
 Each command imports the layers it runs when it runs, so a command loads
-only those and the bottom layer, common: `horo` and `flag` load no series
-arithmetic, and the law of --law is checked here and built by fgl only when
-a command asks for it.  Every JSON document a command prints or writes
-comes from one writer, common.dumps (the datum file from GkmDatum.dumps,
-on the same block helpers), in the bytes of
+only those and the bottom layer, common: `horo`, `flag` and `gkm
+congruences` load no series arithmetic, and the law of --law is checked here
+and built by fgl only when a command asks for it.  Every JSON document a
+command prints or writes comes from one writer, common.dumps (the datum
+file from GkmDatum.dumps, on the same block helpers), in the bytes of
 json.dumps(obj, indent=2, sort_keys=True).
 """
 
@@ -198,11 +198,10 @@ def _load_tuple(path: str, rank: int, order: int) -> dict:
 
 
 def cmd_gkm(args) -> int:
-    from .gkm_model import check_membership, congruence_system, congruence_system_json
-    from .torus_ring import TorusRing
-
     datum = _load_datum(args.datum)
     if args.gkm_op == "congruences":
+        from .gkm_datum import congruence_system, congruence_system_json
+
         constraints = congruence_system(datum)
         if args.format == "text":
             payload = "\n".join(c.describe() for c in constraints) + "\n"
@@ -210,6 +209,9 @@ def cmd_gkm(args) -> int:
             payload = congruence_system_json(constraints)
         _write_or_print(args, payload)
         return EXIT_OK
+    from .gkm_model import check_membership
+    from .torus_ring import TorusRing
+
     law = args.law(args.order)
     ring = TorusRing(law, datum.rank)
     values = _load_tuple(args.tuple, datum.rank, args.order)

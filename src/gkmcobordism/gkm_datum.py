@@ -1,11 +1,12 @@
-"""GKM data: fixed points, weighted edges and surface components.
+"""GKM data, their surface kinds and their congruence systems.
 
 A datum records isolated fixed points, weighted edges (one per invariant
 curve), and surface components: projective planes and Hirzebruch surfaces
-sitting inside the fixed locus of a codimension-one subtorus.  gkm_model
-reads the congruence system of a datum and checks tuples against it; this
-module holds the datum alone, on the bottom layer (common), so that the
-builders of data (horospherical) load no series arithmetic.
+sitting inside the fixed locus of a codimension-one subtorus.  This module
+holds the datum and the congruence system it generates, on the bottom layer
+(common) and with no series arithmetic, so that the builders of data
+(horospherical) and `gkm congruences` load none; gkm_model checks tuples
+against the system and decomposes them over the surface generators.
 
 A datum and each of its surfaces check their rules when they are made, in
 code or from JSON, and are immutable afterwards: every datum that exists is
@@ -13,11 +14,12 @@ valid, so nothing downstream checks one again.  The per-edge rules run in
 the datum's own loop, not in each edge.
 
 A surface kind is stated once, in two tables: SURFACE_KINDS (its point
-count, its one required key and its invariant curves), read by the surface
-constructor, the congruence system and parse_surface_kind (the spellings
---force-kind takes); and SURFACE_GENERATORS (each generator's Chern factors
-and pivot), read by gkm_model's surface_generators and surface_decompose.
-No other module spells a kind.
+count, its one required key, its invariant curves and its congruence's
+rows), read by the surface constructor, the congruence kinds, the congruence
+system and parse_surface_kind (the spellings --force-kind takes); and
+SURFACE_GENERATORS (each generator's Chern factors and pivot), read through
+generator_table by gkm_model's surface_generators and surface_decompose.
+No other module spells a kind, a congruence kind or a P2 model.
 """
 
 from __future__ import annotations
@@ -43,13 +45,33 @@ from .common import (
     dumps,
 )
 
+# A congruence row (point index, sign, rho) is the term sign * f[point] of
+# the residual, times rho_factor(*rho(n), character) when rho, a function of
+# the index n, is set.
+_HALF, _UP, _DOWN = (lambda n: (1, 2)), (lambda n: (n, 2)), (lambda n: (-n, 2))
+
 # The surface kinds: kind -> (its point count, the one key it requires, its
-# invariant curves as index pairs into its points).  Its congruence kind is
-# the kind in lower case.
+# invariant curves as index pairs into its points, its congruence's rows).
+# Its congruence kind is the kind in lower case, modulo c(alpha)^2.
 SURFACE_KINDS = {
-    "P2": (3, "model", ((0, 1), (1, 2))),
-    "F0": (4, None, ((0, 1), (0, 2), (1, 3), (2, 3))),
-    "Fn": (4, "n", ((0, 1), (1, 2), (2, 3), (0, 3))),
+    "P2": (
+        3,
+        "model",
+        ((0, 1), (1, 2)),
+        ((0, 1, None), (1, -1, None), (2, 1, _HALF), (0, -1, _HALF)),
+    ),
+    "F0": (
+        4,
+        None,
+        ((0, 1), (0, 2), (1, 3), (2, 3)),
+        ((0, 1, None), (1, -1, None), (2, -1, None), (3, 1, None)),
+    ),
+    "Fn": (
+        4,
+        "n",
+        ((0, 1), (1, 2), (2, 3), (0, 3)),
+        ((2, 1, _UP), (3, -1, _UP), (0, 1, _DOWN), (1, -1, _DOWN)),
+    ),
 }
 
 # Each P2 model's step: its lines have weights step * alpha and 2 step * alpha.
@@ -106,7 +128,7 @@ class SurfaceComponent:
     ):
         if kind not in SURFACE_KINDS:
             raise GkmValidationError(f"unknown surface kind {kind!r}")
-        expected, required, _ = SURFACE_KINDS[kind]
+        expected, required, _, _ = SURFACE_KINDS[kind]
         if len(points) != expected:
             raise GkmValidationError(
                 f"{kind} component must list {expected} points, got {len(points)}"
@@ -287,3 +309,146 @@ class GkmDatum:
             "surfaces": _block(surfaces, 2),
         }
         return _object(datum, 0) + "\n"
+
+
+# -- congruence systems ------------------------------------------------------------
+
+# Congruence kind -> (its point count, its power, whether it takes the index
+# n, its rows): the edge congruence, then each surface kind's in
+# SURFACE_KINDS order, which is also the sort order of a congruence system.
+_CONGRUENCE_KINDS = {"edge": (2, 1, False, ((0, 1, None), (1, -1, None)))} | {
+    kind.lower(): (count, 2, key == "n", rows) for kind, (count, key, _, rows) in SURFACE_KINDS.items()
+}
+_KIND_ORDER = {kind: i for i, kind in enumerate(_CONGRUENCE_KINDS)}
+
+
+@_by_value()
+class CongruenceConstraint:
+    """One congruence on a tuple of fixed-point values.
+
+    kind "edge": f_a - f_b = 0 mod c(chi).
+    kind "p2":   (f_x - f_y) + rho_{1/2} c(alpha) (f_z - f_x) = 0 mod c(alpha)^2.
+    kind "f0":   f_w - f_x - f_y + f_z = 0 mod c(alpha)^2.
+    kind "fn":   rho_{n/2} c(a)(f_y - f_z) + rho_{-n/2} c(a)(f_w - f_x) = 0 mod c(a)^2.
+
+    A constraint checks these shapes when it is made: the kind, its point
+    count, its power, a nonzero character, and an index n >= 1 exactly for
+    "fn".
+    """
+
+    __slots__ = ("kind", "points", "character", "power", "n")
+
+    def __init__(
+        self, kind: str, points: tuple, character: Character, power: int, n: int | None = None
+    ):
+        if kind not in _CONGRUENCE_KINDS:
+            raise GkmValidationError(f"unknown congruence kind {kind!r}")
+        count, expected, takes_n, _ = _CONGRUENCE_KINDS[kind]
+        if len(points) != count:
+            raise GkmValidationError(
+                f"{kind} congruence must list {count} points, got {len(points)}"
+            )
+        if power != expected:
+            raise GkmValidationError(f"{kind} congruence has power {expected}, got {power}")
+        if character.is_zero():
+            raise GkmValidationError("congruence character must be nonzero")
+        if takes_n and n is None:
+            raise GkmValidationError(f"{kind} congruence needs an index n")
+        if takes_n and n < 1:
+            raise GkmValidationError(f"{kind} congruence index n must be >= 1, got {n}")
+        if not takes_n and n is not None:
+            raise GkmValidationError(f"{kind} congruence takes no index n")
+        self.kind, self.points, self.character = kind, points, character
+        self.power, self.n = power, n
+
+    def sort_key(self):
+        coords = tuple(str(c) for c in self.character.coords)
+        return _KIND_ORDER[self.kind], self.points, coords, self.power
+
+    @property
+    def constraint_id(self) -> str:
+        return f"{self.kind}[{','.join(self.points)}]mod{self.character.render()}^{self.power}"
+
+    def weights(self) -> list:
+        """The congruence as (point, sign, rho) triples, its kind's rows in
+        its points: the residual is the sum of sign * f[point], times
+        rho_factor(n, m, character) when rho is (n, m) rather than None."""
+        return [
+            (self.points[i], sign, None if rho is None else rho(self.n))
+            for i, sign, rho in _CONGRUENCE_KINDS[self.kind][3]
+        ]
+
+    def residual(self, values: dict, ring):
+        """The series whose divisibility by c(character)^power is required,
+        from a torus_ring.TorusRing."""
+        return ring.weighted_sum(values, self.weights(), self.character)
+
+    def describe(self) -> str:
+        """The congruence as text, read from weights(): per rho group its
+        signed values, in parentheses beside another group, after rho_(n/m)c*."""
+        c = f"c(L_{self.character.render()})"
+        if self.kind == "edge":
+            a, b = self.points
+            return f"f[{a}] = f[{b}] mod {c}"
+        groups: dict = {}
+        for point, sign, rho in self.weights():
+            groups.setdefault(rho, []).append(f"{'-' if sign < 0 else '+'}f[{point}]")
+        parts = []
+        for rho, terms in groups.items():
+            text = "".join(terms).removeprefix("+")
+            text = text if len(groups) == 1 else f"({text})"
+            parts.append(text if rho is None else f"rho_({rho[0]}/{rho[1]}){c}*{text}")
+        return " + ".join(parts) + f" = 0 mod {c}^{self.power}"
+
+    def to_json_obj(self) -> dict:
+        obj = {
+            "kind": self.kind,
+            "points": list(self.points),
+            "character": self.character.to_json_obj(),
+            "power": self.power,
+        }
+        if self.n is not None:
+            obj["n"] = self.n
+        return obj
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "CongruenceConstraint":
+        what = "congruence"
+        _check_keys(obj, what, ("kind", "points", "character", "power"), ("n",))
+        return cls(
+            kind=_checked(obj, "kind", what, _STR),
+            points=tuple(_checked(obj, "points", what, _STRINGS)),
+            character=Character.from_json_obj(_checked(obj, "character", what, _RATIONALS)),
+            power=_checked(obj, "power", what, _INT),
+            n=_checked(obj, "n", what, _INT),
+        )
+
+
+def congruence_system(datum: GkmDatum) -> list:
+    """All congruences of a datum, canonically ordered and deduplicated."""
+    out = []
+    for e in datum.edges:
+        a, b = sorted((e.a, e.b))
+        out.append(CongruenceConstraint("edge", (a, b), e.weight, 1))
+    for s in datum.surfaces:
+        for i, j in SURFACE_KINDS[s.kind][2]:
+            a, b = sorted((s.points[i], s.points[j]))
+            out.append(CongruenceConstraint("edge", (a, b), s.alpha, 1))
+        out.append(CongruenceConstraint(s.kind.lower(), s.points, s.alpha, 2, n=s.n))
+    unique = {c.sort_key(): c for c in out}
+    return [unique[k] for k in sorted(unique)]
+
+
+def congruence_system_json(constraints) -> str:
+    return dumps([c.to_json_obj() for c in constraints]) + "\n"
+
+
+def generator_table(surface: SurfaceComponent) -> list:
+    """The surface's rows of SURFACE_GENERATORS, in its point names and
+    characters: (pivot, {point: Chern factors}) per generator."""
+    step = P2_STEPS[surface.model] if surface.model else QQ(surface.n or 0, 2)
+    points, alpha = surface.points, surface.alpha
+    return [
+        (points[pivot], {points[k]: tuple(alpha.scale(q) for q in qs) for k, qs in factors.items()})
+        for pivot, factors in SURFACE_GENERATORS[surface.kind](step)
+    ]

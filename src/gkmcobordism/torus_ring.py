@@ -238,6 +238,15 @@ class TorusRing:
             lambda: g.substitute(pivot_index(line), self._hyperplane(line, kind), top),
         )
 
+    def _known_order(self, values: dict, weights) -> int:
+        """The order through which sum_P w_P * values[P] is known: the
+        smallest order of the weighted values, and with a rho weight at most
+        the ring order, where rho factors are truncated."""
+        order = min(values[point].order for point, _, _ in weights)
+        if any(rho is not None for _, _, rho in weights):
+            order = min(order, self.order)
+        return order
+
     def weighted_sum(self, values: dict, weights, chi, order: int | None = None) -> TruncatedSeries:
         """sum_P w_P * values[P] in t, for weights as in reduce_combination:
         one combination per rho group, times its rho factor.  Through
@@ -246,9 +255,7 @@ class TorusRing:
         groups: dict = {}
         for point, sign, rho in weights:
             groups.setdefault(rho, []).append((sign, values[point]))
-        known = min(f.order for group in groups.values() for _, f in group)
-        if any(rho is not None for rho in groups):
-            known = min(known, self.order)
+        known = self._known_order(values, weights)
         order = known if order is None else min(order, known)
         parts = []
         for rho, group in groups.items():
@@ -292,9 +299,7 @@ class TorusRing:
             cache = {}
         line = direction(chi.coords)
         pivot = pivot_index(line)
-        order = min(values[point].order for point, _, _ in weights)
-        if any(rho is not None for _, _, rho in weights):
-            order = min(order, self.order)  # rho factors are truncated at the ring order
+        order = self._known_order(values, weights)
         # The value on the hyperplane is exact through the ring order, the
         # derivative one order below the combination's.
         orders = [min(order, self.order), min(max(order - 1, 0), self.order)]

@@ -20,13 +20,15 @@ from gkmcobordism.coeff_series import (
     compose_univariate,
 )
 from gkmcobordism.fgl import FormalGroupLaw
-from gkmcobordism.gkm_model import (
+from gkmcobordism.gkm_datum import (
     CongruenceConstraint,
-    GkmDatum,
     SurfaceComponent,
-    check_membership,
     congruence_system,
     congruence_system_json,
+)
+from gkmcobordism.gkm_model import (
+    GkmDatum,
+    check_membership,
     reconstruct,
     surface_decompose,
     surface_generators,

@@ -11,15 +11,18 @@ from gkmcobordism.common import direction
 from gkmcobordism.cli import main
 from gkmcobordism.coeff_series import TruncatedSeries, combination
 from gkmcobordism.fgl import FormalGroupLaw
-from gkmcobordism.gkm_datum import GkmEdge, parse_surface_kind
-from gkmcobordism.gkm_model import (
+from gkmcobordism.gkm_datum import (
     CongruenceConstraint,
+    GkmEdge,
+    SurfaceComponent,
+    congruence_system,
+    parse_surface_kind,
+)
+from gkmcobordism.gkm_model import (
     DecompositionError,
     GkmDatum,
     GkmValidationError,
-    SurfaceComponent,
     check_membership,
-    congruence_system,
     reconstruct,
     surface_decompose,
     surface_generators,

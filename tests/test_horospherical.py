@@ -8,14 +8,13 @@ from gkmcobordism.coeff_series import QQ
 from gkmcobordism.common import direction
 
 from gkmcobordism.fgl import FormalGroupLaw
-from gkmcobordism.gkm_datum import GkmEdge
-from gkmcobordism.gkm_model import (
+from gkmcobordism.gkm_datum import (
     CongruenceConstraint,
-    GkmDatum,
-    check_membership,
+    GkmEdge,
     congruence_system,
     congruence_system_json,
 )
+from gkmcobordism.gkm_model import GkmDatum, check_membership
 from gkmcobordism.horospherical import (
     PasquierTriple,
     UnresolvedSurfaceKindError,

@@ -3,12 +3,13 @@ standard library alone.
 
 Every module-level import of a module is used in it, and every private
 module-level function, class or constant is referenced somewhere in the
-package: a deletion tends to leave such names behind.  The surface kinds and
-P2 models are spelled in gkm_datum alone, which owns their table.  Importing
-a module loads only the layers below it, and the package root loads none;
-each command of the command line loads only the layers it runs, and none
-loads `dataclasses` (with `inspect`, `ast` and more, 9-11 ms of a cold
-start).  Indented JSON comes from one writer, common.dumps.
+package: a deletion tends to leave such names behind.  The surface kinds,
+P2 models and congruence kinds are spelled in gkm_datum alone, which owns
+their tables.  Importing a module loads only the layers below it, and the
+package root loads none; each command of the command line loads only the
+layers it runs, and none loads `dataclasses` (with `inspect`, `ast` and
+more, 9-11 ms of a cold start).  Indented JSON comes from one writer,
+common.dumps.
 """
 
 import ast
@@ -22,8 +23,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gkmcobordism"
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
-# The names of the surface kinds and P2 models, and the module that owns them.
-KIND_VOCABULARY = {"P2", "F0", "Fn", "V0V1", "V2"}
+# The names of the surface kinds, P2 models and congruence kinds, and the
+# module that owns them.
+KIND_VOCABULARY = {"P2", "F0", "Fn", "V0V1", "V2", "edge", "p2", "f0", "fn"}
 KIND_OWNER = "gkm_datum.py"
 
 
@@ -179,7 +181,7 @@ _MULT = (*_COMMAND, "torus_ring", "multiplicities")
 _GKM = (*_COMMAND, "torus_ring", "gkm_datum", "gkm_model")
 COMMAND_CLOSURES = {
     ("fgl", "a", "1", "1"): _COMMAND,
-    ("gkm", "congruences", "{datum}"): _GKM,
+    ("gkm", "congruences", "{datum}"): ("common", "gkm_datum", "cli"),
     ("gkm", "check", "{datum}", "{tuple}", "--order", "4"): _GKM,
     ("flag", "curves", "--type", "G2"): ("common", "root_flag", "cli"),
     ("horo", "scan", "--family", "5"): (*_BUILDER, "cli"),

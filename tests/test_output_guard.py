@@ -51,12 +51,10 @@ import pytest
 
 from gkmcobordism.cli import main, make_law
 from gkmcobordism.fgl import FormalGroupLaw
+from gkmcobordism.gkm_datum import SurfaceComponent, congruence_system, congruence_system_json
 from gkmcobordism.gkm_model import (
     DecompositionError,
-    SurfaceComponent,
     check_membership,
-    congruence_system,
-    congruence_system_json,
     reconstruct,
     surface_decompose,
     surface_generators,

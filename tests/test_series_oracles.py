@@ -40,9 +40,9 @@ from gkmcobordism.coeff_series import (
 )
 from gkmcobordism.common import direction
 from gkmcobordism.fgl import FormalGroupLaw
+from gkmcobordism.gkm_datum import SurfaceComponent
 from gkmcobordism.gkm_model import (
     GkmDatum,
-    SurfaceComponent,
     check_membership,
     surface_generators,
 )
