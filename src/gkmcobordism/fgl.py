@@ -10,11 +10,11 @@ counterpart [e^0, ..., e^N] (exp_powers) takes series to the logarithmic
 coordinates s_i = l(t_i), where every Chern class is e of a linear form.  The
 exponential is solved from u = sum_a e_a l^a by a triangular solve, one
 degree at a time.  Every series of the form g(sum_i chi_i l(t_i)) (Chern
-classes, [n]x, [1/m]x, the pair table F(u, v), rho of a Chern class) is g at
-the linear form sum_i chi_i s_i, one TruncatedSeries.substitute of the first
-s_j with chi_j != 0, then converted s_i -> l(t_i) for each such s_i (convert,
-the one loop between the coordinates s and t, with the embedded rows of P);
-rho_series is rho_linear of the character (1,).
+classes, [n]x, [1/m]x, the pair table F(u, v)) is g at the linear form
+sum_i chi_i s_i, one TruncatedSeries.substitute of the first s_j with
+chi_j != 0, then converted s_i -> l(t_i) for each such s_i (convert, the one
+loop between the coordinates s and t, with the embedded rows of P);
+rho_series is [n/m]x / x.
 Composition (compose_univariate, a substitution against the powers of the
 inner series) remains for arguments that are not such linear forms: sum,
 inverse, multiple, divide and rho of a series.
@@ -25,6 +25,10 @@ keys tagged by what they hold; `_memo` builds each on first use.
 Specializations assign rationals to the mk: the additive law sets all mk = 0,
 the multiplicative law with parameter b sets mk = b^k/(k+1), which collapses
 F(u, v) to u + v - b*u*v.
+
+Congruence checks read rho_{n/m}(c) = q + q (q - 1) e_2 c + O(c^2), q = n/m,
+to first order only: they read modulo c^2, which kills the rest, so a law
+enters them through e_2 = -m1 alone and no rho series is built.
 """
 
 from __future__ import annotations
@@ -87,8 +91,9 @@ class FormalGroupLaw:
     @classmethod
     def with_assignment(cls, order: int, assignment: dict) -> "FormalGroupLaw":
         """A law with the given rational mk.  m_1..m_{order-1} are required;
-        series built one order up (rho_series, rho_linear) also need m_order
-        and raise ValueError without it."""
+        rho_series, built one order up, also needs m_order and raises
+        ValueError without it; congruence checks, exact modulo c^2 with rho
+        read to first order in c, need only m_1 of it."""
         return cls(order, assignment, label="custom")
 
     # -- log and exp ----------------------------------------------------------
@@ -144,56 +149,21 @@ class FormalGroupLaw:
     # -- univariate building blocks -------------------------------------------
 
     def exp_linear(self, chi, order: int | None = None) -> TruncatedSeries:
-        """e(sum_i chi_i l(t_i)) in len(chi) variables, for rational chi_i;
-        variables with chi_i = 0 are skipped."""
+        """e(sum_i chi_i l(t_i)) in len(chi) variables, for rational chi_i:
+        e at the linear form in s, then s_i -> l(t_i) where chi_i != 0."""
         order = self.order if order is None else order
-        return self._of_log_form(self.exp_series(order), chi)
-
-    def rho_linear(self, n: int, m: int, chi, order: int | None = None) -> TruncatedSeries:
-        """rho_{n/m} applied to e(sum_i chi_i l(t_i)), for a nonzero chi.
-
-        rho_{n/m}(e(y)) = e((n/m) y) / e(y) is a univariate series h(y), so
-        this is h of the same linear form as exp_linear.
-        """
-        if not any(chi):
-            raise ValueError("rho requires an input of t-order exactly 1")
-        order = self.order if order is None else order
-
-        def build():
-            # e(q y) is divisible by y; dividing one order up keeps the
-            # quotient exact through `order`.
-            top = _at_linear_form(self.exp_series(order + 1), (QQ(n, m),))
-            return top.divided_by_variable(0) * self._y_over_exp(order)
-
-        return self._of_log_form(_memo(self._cache, ("rho", n, m, order), build), chi)
+        g = _at_linear_form(self.exp_series(order), chi)
+        return self.convert(g, "log", [i for i, c in enumerate(chi) if c])
 
     def unit_of_linear_form(self, chi, order: int | None = None) -> TruncatedSeries:
         """L / e(L) for the linear form L = sum_i chi_i t_i, chi nonzero: in
         the coordinates t_i = l(u_i), the unit taking a Chern class to L."""
         order = self.order if order is None else order
-        return _at_linear_form(self._y_over_exp(order), chi)
 
-    def _y_over_exp(self, order: int) -> TruncatedSeries:
-        """y / e(y) through `order`, from e one order up (e(y) is divisible by y)."""
-        return _memo(
-            self._cache,
-            ("y/e", order),
-            lambda: series_inverse(self.exp_series(order + 1).divided_by_variable(0)),
-        )
+        def build():  # y / e(y), from e one order up (e(y) is divisible by y)
+            return series_inverse(self.exp_series(order + 1).divided_by_variable(0))
 
-    def rho_slope(self, n: int, m: int) -> LazardCoefficient:
-        """h'(0) for h(y) = e(q y)/e(y), q = n/m, the univariate series behind
-        rho_linear (and h(0) = q).
-
-        With e(y) = y + e_2 y^2 + O(y^3), h(y) = q + q (q - 1) e_2 y + O(y^2).
-        """
-        q = QQ(n, m)
-        return self.exp_series(2).coefficient((2,)).scale(q * (q - 1))
-
-    def _of_log_form(self, g: TruncatedSeries, chi) -> TruncatedSeries:
-        """g(sum_i chi_i l(t_i)) in len(chi) variables for a univariate g:
-        g at the linear form in s, then s_i -> l(t_i) where chi_i != 0."""
-        return self.convert(_at_linear_form(g, chi), "log", [i for i, c in enumerate(chi) if c])
+        return _at_linear_form(_memo(self._cache, ("y/e", order), build), chi)
 
     def multiple_series(self, n, order: int | None = None) -> TruncatedSeries:
         """[n]x = e(n l(x)) as a univariate series, for a rational n; [1/m]x
@@ -209,13 +179,16 @@ class FormalGroupLaw:
         return self.multiple_series(QQ(1, m), order)
 
     def rho_series(self, n: int, m: int, order: int | None = None) -> TruncatedSeries:
-        """rho_{n/m} x = [n]([1/m]x)/x as a univariate series of degree zero:
-        rho_linear of the character (1,), since x = e(l(x))."""
+        """rho_{n/m} x = [n]([1/m]x)/x = [q]x / x, q = n/m, of degree zero: [q]x
+        one order up, divided by x.  It is q + q (q - 1) e_2 x + O(x^2), as
+        e(q y)/e(y) is for e(y) = y + e_2 y^2 + ..., and modulo x^2 no more of
+        it is needed: torus_ring weighs surface congruences so."""
         if n == 0:
             raise ValueError("rho requires a nonzero numerator")
         if m < 1:
             raise ValueError("rho requires a positive denominator")
-        return self.rho_linear(n, m, (1,), order)
+        order = self.order if order is None else order
+        return self.multiple_series(QQ(n, m), order + 1).divided_by_variable(0)
 
     # -- operations on series ---------------------------------------------------
 

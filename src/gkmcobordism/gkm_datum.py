@@ -46,8 +46,8 @@ from .common import (
 )
 
 # A congruence row (point index, sign, rho) is the term sign * f[point] of
-# the residual, times rho_factor(*rho(n), character) when rho, a function of
-# the index n, is set.
+# the residual, times rho_{a/b}(c) for (a, b) = rho(n), a function of the index
+# n, and c = c(character); read modulo c^2 as q + q (q - 1) e_2 c, q = a/b.
 _HALF, _UP, _DOWN = (lambda n: (1, 2)), (lambda n: (n, 2)), (lambda n: (-n, 2))
 
 # The surface kinds: kind -> (its point count, the one key it requires, its
@@ -372,7 +372,7 @@ class CongruenceConstraint:
     def weights(self) -> list:
         """The congruence as (point, sign, rho) triples, its kind's rows in
         its points: the residual is the sum of sign * f[point], times
-        rho_factor(n, m, character) when rho is (n, m) rather than None."""
+        rho_{n/m}(c) for rho = (n, m), exact to first order in c."""
         return [
             (self.points[i], sign, None if rho is None else rho(self.n))
             for i, sign, rho in _CONGRUENCE_KINDS[self.kind][3]
@@ -380,7 +380,8 @@ class CongruenceConstraint:
 
     def residual(self, values: dict, ring):
         """The series whose divisibility by c(character)^power is required,
-        from a torus_ring.TorusRing."""
+        from a torus_ring.TorusRing, with each rho read to first order in c:
+        the full-rho sum differs by a multiple of c^2."""
         return ring.weighted_sum(values, self.weights(), self.character)
 
     def describe(self) -> str:

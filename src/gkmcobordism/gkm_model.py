@@ -5,7 +5,8 @@ The GKM datum generates a congruence system (gkm_datum.congruence_system);
 a tuple of series indexed by the fixed points belongs to the image of
 restriction iff every congruence holds, and the checker returns a
 machine-readable certificate either way.  Each congruence is a list of
-per-point weights, +-1 or +-rho_factor (CongruenceConstraint.weights()).
+per-point weights, +-1 or +-rho_{n/m}(c) (CongruenceConstraint.weights()),
+each read modulo c^2 to first order, q + b e_2 c, which is exact there.
 The checker builds a residual only for a failing congruence: it converts
 each point value to logarithmic coordinates once and reads every verdict
 from a combination of the values' restrictions to the congruence's

@@ -5,7 +5,15 @@ equivariant first Chern class is the series e(sum_i chi_i l(t_i)), which makes
 chern an FGL homomorphism from characters into the series ring.
 FormalGroupLaw.exp_linear builds it as e at the linear form sum_i chi_i s_i
 in the logarithmic coordinates s_i = l(t_i), converted to t once with the
-powers of l; rho factors and the division units are series at the same form.
+powers of l; the division units are series at the same form.
+
+A congruence row (point, sign, rho) weighs its value by sign, times
+rho_{n/m}(c) for rho = (n, m) and c = chern(chi), and is read modulo c^2.
+There rho_{n/m}(c) = q0 + q0 (q0 - 1) e_2 c for q0 = n/m, so a row is the
+pair (q, b) = (sign q0, sign q0 (q0 - 1)), or (sign, 0) without rho, with
+the weight q + b E, E = e_2 c.  That is exact: a multiple of c^2 vanishes,
+with its first derivatives, on the zero locus of c, where every verdict and
+remainder is read.
 
 The verdict of a reduction modulo a Chern class (and its square) and exact
 division run in the logarithmic coordinates s_i = l(t_i).  Over Q the logarithm is an
@@ -33,8 +41,8 @@ k y^(k-1), (s_j^k - y^k)/(s_j - y) and phi^k; each table is a list of
 series, built on first use and kept, and every step runs on the stored
 integer form.
 
-A ring keeps its Chern classes in `_chern`, by character coords, and its rho
-factors, division units and hyperplane tables in `_cache`, by tagged keys;
+A ring keeps its Chern classes in `_chern`, by character coords, and its
+classes E, division units and hyperplane tables in `_cache`, by tagged keys;
 fgl._memo fills both, and the per-check cache of reduce_combination.
 """
 
@@ -171,13 +179,18 @@ class TorusRing:
         return math.prod(classes[1:], start=classes[0]) if classes else self.one()
 
     def rho_factor(self, n: int, m: int, chi) -> TruncatedSeries:
-        """rho_{n/m} applied to the Chern class of a character (cached)."""
+        """rho_{n/m} of a character's Chern class, at full order (checks read it to first order)."""
+        return self.law.rho(n, m, self.chern(chi))
+
+    def _e2_class(self, chi) -> TruncatedSeries:
+        """E = e_2 chern(chi), cached: rho_{n/m}(chern(chi)) = q0 + q0 (q0 - 1) E
+        modulo chern(chi)^2."""
         coords = self._char(chi).coords
-        return _memo(
-            self._cache,
-            ("rho", n, m, coords),
-            lambda: self.law.rho_linear(n, m, coords, self.order),
-        )
+        return _memo(self._cache, ("E", coords), lambda: self.chern(coords).scale(self._e2()))
+
+    def _e2(self) -> LazardCoefficient:
+        """The y^2 coefficient e_2 of the law's exponential e(y)."""
+        return self.law.exp_series(2).coefficient((2,))
 
     # -- logarithmic coordinates ------------------------------------------------
 
@@ -241,27 +254,27 @@ class TorusRing:
     def _known_order(self, values: dict, weights) -> int:
         """The order through which sum_P w_P * values[P] is known: the
         smallest order of the weighted values, and with a rho weight at most
-        the ring order, where rho factors are truncated."""
+        the ring order, where E and full rho factors alike are truncated; so
+        the first-order rule moves no certified order."""
         order = min(values[point].order for point, _, _ in weights)
         if any(rho is not None for _, _, rho in weights):
             order = min(order, self.order)
         return order
 
     def weighted_sum(self, values: dict, weights, chi, order: int | None = None) -> TruncatedSeries:
-        """sum_P w_P * values[P] in t, for weights as in reduce_combination:
-        one combination per rho group, times its rho factor.  Through
-        `order` if given, and never above the smallest order of the values
-        and, with a rho weight, of the ring."""
-        groups: dict = {}
-        for point, sign, rho in weights:
-            groups.setdefault(rho, []).append((sign, values[point]))
+        """sum_P w_P * values[P] in t modulo chern(chi)^2, for weights as in
+        reduce_combination: combination(q f) + E * combination(b f), which
+        agrees with the full-rho sum, and so does its derivative, on the zero
+        locus.  Through `order` if given, and never above the smallest order
+        of the values and, with a rho weight, of the ring."""
         known = self._known_order(values, weights)
         order = known if order is None else min(order, known)
-        parts = []
-        for rho, group in groups.items():
-            f = combination(group, self.rank, order)
-            parts.append((1, f if rho is None else self.rho_factor(*rho, chi) * f))
-        return combination(parts, self.rank, order)
+        rows = [(_first_order(sign, rho), values[point]) for point, sign, rho in weights]
+        total = combination([(q, f) for (q, _), f in rows], self.rank, order)
+        slope = [(b, f) for (_, b), f in rows if b]
+        if slope:
+            total = total + self._e2_class(chi) * combination(slope, self.rank, order)
+        return total
 
     def reduce_combination(
         self, values: dict, weights, chi, power: int = 1, cache: dict | None = None
@@ -269,15 +282,16 @@ class TorusRing:
         """Reduce sum_P w_P * values[P] modulo chern(chi)^power.
 
         weights lists (P, sign, rho): w_P is the integer sign, or sign *
-        rho_factor(n, m, chi) for rho = (n, m).  Certified through
-        min(order of the combination, ring order) - power.
+        rho_factor(n, m, chi) for rho = (n, m), read to first order as q + b
+        E (see the module docstring).  Certified through min(order of the
+        combination, ring order) - power.
 
         The verdict runs in the coordinates s_i = l(t_i), where the ideal of
         chern(chi)^power is that of L^power for the linear form L = sum_i
-        chi_i s_i, and a rho weight is h(L) with h(y) = e((n/m) y)/e(y); on
-        the hyperplane L = 0 it is h(0) = n/m, and its s_j-derivative is
-        h'(0) chi_j.  So the value of the combination there, and for power 2
-        its s_j-derivative there, are combinations of the restrictions of
+        chi_i s_i, and E = e_2 e(L); on the hyperplane L = 0 a weight is q,
+        and its s_j-derivative is b e_2 chi_j.  So the value of the
+        combination there, and for power 2 its s_j-derivative there, are
+        combinations of the restrictions of
         the values converted through certified + power - 1 (kept in `cache`,
         which calls on the same values may share, so each value is converted
         once per order).  Vanishing through an order is invariant under s =
@@ -311,13 +325,12 @@ class TorusRing:
         for point, sign, rho in weights if certified >= 0 else ():
             args = (cache, point, values[point], line, certified + power - 1)
             value = self._restricted(*args, "value")
-            q = sign if rho is None else sign * QQ(*rho)
+            q, b = _first_order(sign, rho)
             terms[0].append((q, value))
             if power == 2:
                 terms[1].append((q, self._restricted(*args, "slope")))
-                if rho is not None:
-                    dh = self.law.rho_slope(*rho).scale(sign * chi.coords[pivot])
-                    terms[1].append((1, value.scale(dh)))
+                if b:
+                    terms[1].append((b * chi.coords[pivot], value.scale(self._e2())))
         verdicts = (combination(t, self.rank, certified) for t in terms[:power])
         if certified < 0 or all(v.is_zero() for v in verdicts):
             series = [TruncatedSeries.zero(self.rank, max(certified, 0))] * power
@@ -448,3 +461,12 @@ class TorusRing:
         left = a.numerator * self.chern_product(b.denominator)
         right = b.numerator * self.chern_product(a.denominator)
         return (left - right).is_zero()
+
+
+def _first_order(sign: int, rho) -> tuple:
+    """(q, b) with sign * rho_{n/m}(c) = q + b E modulo c^2 for rho = (n, m);
+    (sign, 0) without rho."""
+    if rho is None:
+        return sign, 0
+    q0 = QQ(*rho)
+    return sign * q0, sign * q0 * (q0 - 1)

@@ -172,7 +172,7 @@ def test_series_one_order_up_need_m_order():
     with pytest.raises(ValueError, match="m5"):
         law.rho_series(3, 2)
     with pytest.raises(ValueError, match="m5"):
-        law.rho_linear(1, 2, (1, 1))
+        law.rho(1, 2, law.exp_linear((1, 1)))
     with pytest.raises(ValueError, match="m5"):
         law.rho_series(1, 2)
     # everything at the law's own order still works
@@ -181,7 +181,7 @@ def test_series_one_order_up_need_m_order():
     assert law.exp_linear((2, -1)).coefficient((1, 0)) == LC.rational(2)
     full = FormalGroupLaw.with_assignment(5, {**partial, 5: QQ(7)})
     assert full.rho_series(3, 2).coefficient((0,)) == LC.rational(QQ(3, 2))
-    assert full.rho_linear(1, 2, (1, 1)).order == 5
+    assert full.rho(1, 2, full.exp_linear((1, 1))).order == 5
 
 
 @pytest.mark.parametrize(
@@ -193,12 +193,16 @@ def test_series_one_order_up_need_m_order():
     ],
     ids=("universal", "additive", "multiplicative"),
 )
-def test_rho_slope_is_the_linear_coefficient_of_rho(make):
+def test_rho_series_is_q_plus_e2_q_q_minus_1_to_first_order(make):
+    """rho_{n/m}(x) = q + q (q - 1) e_2 x + O(x^2) for q = n/m: the first
+    order to which congruence checks read rho."""
     law = make(6)
-    for n, m in ((1, 2), (3, 2), (-3, 2), (2, 3)):
-        h = law.rho_linear(n, m, (1,))  # h(l(t)) = h(0) + h'(0) t + O(t^2)
-        assert h.coefficient((0,)) == LC.rational(QQ(n, m))
-        assert h.coefficient((1,)) == law.rho_slope(n, m)
+    e2 = law.exp_series().coefficient((2,))
+    for n, m in ((1, 2), (3, 2), (-3, 2), (2, 3), (2, 2)):
+        q = QQ(n, m)
+        h = law.rho_series(n, m)
+        assert h.coefficient((0,)) == LC.rational(q)
+        assert h.coefficient((1,)) == e2.scale(q * (q - 1))
 
 
 def test_arguments_must_kill_constant_term(law):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gkmcobordism.coeff_series import QQ
 from gkmcobordism.common import direction
 
-from gkmcobordism.cli import main
+from gkmcobordism.cli import main, make_law
 from gkmcobordism.coeff_series import TruncatedSeries, combination
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_datum import (
@@ -27,6 +27,7 @@ from gkmcobordism.gkm_model import (
     surface_decompose,
     surface_generators,
 )
+from gkmcobordism.horospherical import PasquierTriple, build_gkm, point_weights
 from gkmcobordism.torus_ring import Character, TorusRing
 
 from conftest import random_series
@@ -462,6 +463,95 @@ def test_additive_reduction_of_surface_conditions():
             QQ(-n, 2), 2, 8
         ) * (values["w"] - values["x"])
         assert fn.residual(values, ring) == expected
+
+
+def full_rho_sum(ring, constraint, values):
+    """The residual with every rho factor at full order: sum_P sign *
+    rho_factor(n, m, character) * values[P], or sign * values[P] without rho."""
+    total = ring.zero()
+    for point, sign, rho in constraint.weights():
+        f = values[point]
+        if rho is not None:
+            f = ring.rho_factor(*rho, constraint.character) * f
+        total = total + f.scale(sign)
+    return total
+
+
+@pytest.mark.parametrize("law", sorted(INVARIANCE_LAWS))
+def test_first_order_residual_agrees_with_the_full_rho_residual(law):
+    """For every congruence of every kind, the residual read to first order
+    in c(alpha) minus the full-rho residual is a multiple of c(alpha)^2."""
+    ring = TorusRing(INVARIANCE_LAWS[law](6), 2)
+    rng = random.Random(41)
+    for surface in KINDS:
+        values = {p: random_series(rng, 2, 6, terms=3) for p in surface.points}
+        for constraint in congruence_system(surface_datum(surface)):
+            first, full = constraint.residual(values, ring), full_rho_sum(ring, constraint, values)
+            assert first.order == full.order
+            assert ring.reduce_mod(first - full, constraint.character, 2).is_zero
+
+
+def surface_cases():
+    """Every surface of IG(2,5) (P2) with the constant values (1, 0, -1) at
+    its points in order, and of G2 under its own kind, fn:1 and fn:2 with
+    (1, 0, 1, 0).  The full rho factors give these values a residual of
+    order one in c(alpha), so only the first-order term of rho fails them."""
+    for args, kind, constants in (
+        (dict(family=3, n=2, m=2), None, (1, 0, -1)),
+        (dict(family=5), None, (1, 0, 1, 0)),
+        (dict(family=5), "fn:1", (1, 0, 1, 0)),
+        (dict(family=5), "fn:2", (1, 0, 1, 0)),
+    ):
+        datum = build_gkm(PasquierTriple(**args), force_kind=kind)
+        for surface in datum.surfaces:
+            yield datum.rank, surface, dict(zip(surface.points, constants))
+
+
+@pytest.mark.parametrize("law", ["universal", "multiplicative:1", "additive"])
+def test_the_first_order_term_of_rho_decides_surface_congruences(law):
+    """The surface congruence fails on these values under every law with
+    e_2 != 0 and passes under the additive law, where rho is constant; each
+    verdict is that of reducing the full-rho residual modulo c(alpha)^2."""
+    for rank, surface, constants in surface_cases():
+        ring = TorusRing(make_law(law, 4), rank)
+        values = {p: ring.constant(c) for p, c in constants.items()}
+        datum = GkmDatum(rank=rank, points=surface.points, edges=(), surfaces=(surface,))
+        results = check_membership(datum, values, ring).results
+        (result,) = [r for r in results if r.constraint.power == 2]
+        full = full_rho_sum(ring, result.constraint, values)
+        assert result.passed == ring.reduce_mod(full, surface.alpha, 2).is_zero
+        assert result.passed == (law == "additive"), (surface.points, law)
+
+
+def test_checks_build_no_rho_factor(monkeypatch):
+    """check_membership on members and on tuples failing every congruence,
+    with P2, F0 and Fn surfaces, never calls TorusRing.rho_factor or
+    FormalGroupLaw.rho: it reads rho to first order."""
+    calls = []
+    for owner, name in ((TorusRing, "rho_factor"), (FormalGroupLaw, "rho")):
+        method = getattr(owner, name)
+
+        def counted(*args, method=method, name=name, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    cases = [
+        (dict(family=3, n=2, m=2), None),
+        (dict(family=5), "f0"),
+        (dict(family=5), "fn:2"),
+        (dict(family=5), "fn:3"),
+    ]
+    for args, kind in cases:
+        triple = PasquierTriple(**args)
+        datum = build_gkm(triple, force_kind=kind)
+        ring = TorusRing(FormalGroupLaw.universal(5), datum.rank)
+        member = {p: ring.chern(w) for p, w in point_weights(triple).items()}
+        # distinct powers of two: no signed sum of the congruences' shapes cancels
+        failing = {p: ring.constant(2**i) for i, p in enumerate(datum.points)}
+        assert check_membership(datum, member, ring).is_member
+        assert not any(r.passed for r in check_membership(datum, failing, ring).results)
+    assert calls == []
 
 
 def test_certificate_json_round_trip(ring):

@@ -184,7 +184,8 @@ def s_route_reduce(ring, values, weights, chi, power):
         if power == 2:
             terms[1].append((q, g.substitute(pivot, slopes, max(g.order - 1, 0))))
             if rho is not None:
-                slope = law.rho_slope(*rho).scale(sign * chi.coords[pivot])
+                # h'(0) of rho_{n/m}(e(y)) = h(y), from the full rho series
+                slope = law.rho_series(*rho).coefficient((1,)).scale(sign * chi.coords[pivot])
                 terms[1].append((1, value.scale(slope)))
     components = [combination(terms[i], rank, orders[i]) for i in range(power)]
     if all(c.is_zero_through(certified) for c in components):

@@ -112,6 +112,17 @@ def test_rho_identity_in_ring(ring):
         assert lhs == ring.chern(chi.scale(QQ(n, m)))
 
 
+def test_rho_factor_refuses_what_rho_series_refuses(ring):
+    with pytest.raises(ValueError, match="rho requires a positive denominator"):
+        ring.rho_factor(1, 0, C(1, 0))
+    with pytest.raises(ValueError, match="rho requires a nonzero numerator"):
+        ring.rho_factor(0, 2, C(1, 0))
+    with pytest.raises(ValueError, match="rho requires a positive denominator"):
+        ring.law.rho_series(1, 0)
+    with pytest.raises(ValueError, match="rho requires a nonzero numerator"):
+        ring.law.rho_series(0, 2)
+
+
 def test_divide_exact_and_failures(ring):
     t1 = ring.variable(0)
     quotient, remainder = ring.divide_exact(t1 * t1, C(1, 0))
