@@ -62,11 +62,10 @@ def make_law(spec: str, order: int):
     return parse_law(spec)(order)
 
 
-def _emit(args, obj, text: str) -> None:
-    if args.format == "json":
-        print(dumps(obj))
-    else:
-        print(text)
+def _emit(args, obj, text) -> None:
+    """Print dumps(obj()) or text(), as --format asks: only that output is
+    built."""
+    print(dumps(obj()) if args.format == "json" else text())
 
 
 def _write_or_print(args, payload: str) -> None:
@@ -78,7 +77,7 @@ def _write_or_print(args, payload: str) -> None:
 
 
 def _series_out(args, series) -> None:
-    _emit(args, series.to_json_obj(), series.render())
+    _emit(args, series.to_json_obj, series.render)
 
 
 # -- fgl ------------------------------------------------------------------------
@@ -101,23 +100,25 @@ def cmd_fgl(args) -> int:
         coeff = law.a_coefficient(args.i, args.j)
         _emit(
             args,
-            {"i": args.i, "j": args.j, "coefficient": coeff.to_json_terms()},
-            coeff.render(),
+            lambda: {"i": args.i, "j": args.j, "coefficient": coeff.to_json_terms()},
+            coeff.render,
         )
     elif args.fgl_op == "table":
         if not 0 <= args.max_degree <= args.order:
             raise ValueError(
                 f"--max-degree must lie between 0 and the order {args.order}, got {args.max_degree}"
             )
-        rows = []
-        lines = []
-        for i in range(args.max_degree + 1):
-            for j in range(args.max_degree + 1 - i):
-                coeff = law.a_coefficient(i, j)
-                if not coeff.is_zero():
-                    rows.append({"i": i, "j": j, "coefficient": coeff.to_json_terms()})
-                    lines.append(f"a[{i},{j}] = {coeff.render()}")
-        _emit(args, rows, "\n".join(lines))
+        table = [
+            (i, j, coeff)
+            for i in range(args.max_degree + 1)
+            for j in range(args.max_degree + 1 - i)
+            if not (coeff := law.a_coefficient(i, j)).is_zero()
+        ]
+        _emit(
+            args,
+            lambda: [{"i": i, "j": j, "coefficient": c.to_json_terms()} for i, j, c in table],
+            lambda: "\n".join(f"a[{i},{j}] = {c.render()}" for i, j, c in table),
+        )
     return EXIT_OK
 
 
@@ -253,32 +254,38 @@ def cmd_flag(args) -> int:
     parabolic = _parse_parabolic(args.parabolic)
     cosets = system.weyl_group.cosets(parabolic)
     curves = enumerate_curves(system, parabolic)
-    obj = {
-        "type": system.label,
-        "parabolic": sorted(parabolic),
-        "fixed_points": [
-            {"name": c.name("x"), "weight": [str(v) for v in c.anchor]} for c in cosets
-        ],
-        "curves": [
-            {
-                "u": c.u.name("x"),
-                "v": c.v.name("x"),
-                "root": [str(v) for v in c.root],
-                "weight": [str(v) for v in c.weight],
-                "degree": {str(k): str(v) for k, v in sorted(c.degree.items())},
-            }
-            for c in curves
-        ],
-    }
-    lines = [f"{system.label}/P_{{{','.join(f'a{i}' for i in sorted(parabolic))}}}:"]
-    lines.append(f"  {len(cosets)} fixed points, {len(curves)} invariant curves")
-    for c in curves:
-        deg = " + ".join(f"{v}*s{k}" for k, v in sorted(c.degree.items()))
-        lines.append(
-            f"  {c.u.name('x')} -- {c.v.name('x')}  root=({', '.join(str(v) for v in c.root)})"
-            f"  weight=({', '.join(str(v) for v in c.weight)})  degree={deg}"
-        )
-    _emit(args, obj, "\n".join(lines))
+
+    def obj():
+        return {
+            "type": system.label,
+            "parabolic": sorted(parabolic),
+            "fixed_points": [
+                {"name": c.name("x"), "weight": [str(v) for v in c.anchor]} for c in cosets
+            ],
+            "curves": [
+                {
+                    "u": c.u.name("x"),
+                    "v": c.v.name("x"),
+                    "root": [str(v) for v in c.root],
+                    "weight": [str(v) for v in c.weight],
+                    "degree": {str(k): str(v) for k, v in sorted(c.degree.items())},
+                }
+                for c in curves
+            ],
+        }
+
+    def text():
+        lines = [f"{system.label}/P_{{{','.join(f'a{i}' for i in sorted(parabolic))}}}:"]
+        lines.append(f"  {len(cosets)} fixed points, {len(curves)} invariant curves")
+        for c in curves:
+            deg = " + ".join(f"{v}*s{k}" for k, v in sorted(c.degree.items()))
+            lines.append(
+                f"  {c.u.name('x')} -- {c.v.name('x')}  root=({', '.join(str(v) for v in c.root)})"
+                f"  weight=({', '.join(str(v) for v in c.weight)})  degree={deg}"
+            )
+        return "\n".join(lines)
+
+    _emit(args, obj, text)
     return EXIT_OK
 
 
@@ -291,16 +298,19 @@ def cmd_horo(args) -> int:
     triple = PasquierTriple(family=args.family, n=args.n, m=args.m)
     if args.horo_op == "scan":
         scan = surface_scan(triple)
-        text = [f"{triple.describe()}: chi = {scan.chi.render()}"]
-        if scan.root is None:
-            text.append("  no root proportional to chi: no surface components")
-        else:
-            text.append(
-                f"  root {scan.root.render()}, pairings ({', '.join(str(p) for p in scan.pairings)}),"
+
+        def text():
+            head = f"{triple.describe()}: chi = {scan.chi.render()}"
+            if scan.root is None:
+                return f"{head}\n  no root proportional to chi: no surface components"
+            return (
+                f"{head}\n  root {scan.root.render()},"
+                f" pairings ({', '.join(str(p) for p in scan.pairings)}),"
                 f" {scan.fixed_points} fixed points, kind {scan.kind}"
                 + (f" (n={scan.n})" if scan.n else "")
             )
-        _emit(args, scan.to_json_obj(), "\n".join(text))
+
+        _emit(args, scan.to_json_obj, text)
         return EXIT_OK
     try:
         datum = build_gkm(triple, force_kind=args.force_kind)
@@ -360,24 +370,29 @@ def cmd_mult(args) -> int:
                 f"the ambient weights have length {ambient.rank}, the fiber weights {fiber.rank}"
             )
         result = mult.singular_class_pullback(ring, args.point, ambient, fiber)
-        obj = {
-            "terms": [t.to_json_obj() for t in result.terms],
-            "sum": result.localized.to_json_obj(),
-            "cleared": result.series.to_json_obj() if result.cleared.ok else None,
-            "certified_order": result.cleared.certified_order,
-        }
-        text = (
-            f"cleared: {result.series.render() if result.cleared.ok else 'FAILED'}"
-            f"  [certified through {result.cleared.certified_order}]"
+        _emit(
+            args,
+            lambda: {
+                "terms": [t.to_json_obj() for t in result.terms],
+                "sum": result.localized.to_json_obj(),
+                "cleared": result.series.to_json_obj() if result.cleared.ok else None,
+                "certified_order": result.cleared.certified_order,
+            },
+            lambda: (
+                f"cleared: {result.series.render() if result.cleared.ok else 'FAILED'}"
+                f"  [certified through {result.cleared.certified_order}]"
+            ),
         )
-    else:
-        total = mult.fiber_multiplicity(ring, fiber)
-        obj = total.to_json_obj()
-        text = (
+        return EXIT_OK
+    total = mult.fiber_multiplicity(ring, fiber)
+    _emit(
+        args,
+        total.to_json_obj,
+        lambda: (
             f"1/({' '.join('c' + ch.render() for ch in total.denominator)}) * "
             f"({total.numerator.render()})"
-        )
-    _emit(args, obj, text)
+        ),
+    )
     return EXIT_OK
 
 

@@ -41,6 +41,15 @@ k y^(k-1), (s_j^k - y^k)/(s_j - y) and phi^k; each table is a list of
 series, built on first use and kept, and every step runs on the stored
 integer form.
 
+A product of Chern classes, and a numerator times such a product, is
+truncated by t-order.  A factor of t-order v (1 for a Chern class, 0 for a
+unit) raises the t-order of whatever multiplies it by v, so through the
+product's order N the factors before it are needed only through N - v: the
+j-th partial product of k Chern classes is formed through N - (k - j), and
+a numerator of t-order v cuts the chain of classes before it to N - v.
+When the t-orders add up past N the product is the zero series of order N,
+with no product formed.
+
 A ring keeps its Chern classes in `_chern`, by character coords, and its
 classes E, division units and hyperplane tables in `_cache`, by tagged keys;
 fgl._memo fills both, and the per-check cache of reduce_combination.
@@ -48,7 +57,6 @@ fgl._memo fills both, and the per-check cache of reduce_combination.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 from .coeff_series import LazardCoefficient, TruncatedSeries, combination, series_powers
@@ -173,10 +181,35 @@ class TorusRing:
         coords = self._char(chi).coords
         return _memo(self._chern, coords, lambda: self.law.exp_linear(coords, self.order))
 
-    def chern_product(self, chars) -> TruncatedSeries:
-        """The product of the Chern classes of chars, from the first on; one() for none."""
-        classes = [self.chern(ch) for ch in chars]
-        return math.prod(classes[1:], start=classes[0]) if classes else self.one()
+    def chern_product(self, chars, f: TruncatedSeries | None = None) -> TruncatedSeries:
+        """The product of the Chern classes of chars, from the first on, times
+        f last if given: one() times each factor in turn, so one() for none,
+        and through min(f.order, ring order).
+
+        Truncated by t-order (see the module docstring): with N that order
+        and v_i the t-order of factor i, read from its stored form, the
+        partial product through factor j is formed only through N minus the
+        v_i after it, N - (k - j) for k Chern classes.  A zero factor, or
+        t-orders adding up past N, give the zero series of order N at once.
+        """
+        factors = [self.chern(ch) for ch in chars]
+        if f is not None:
+            factors.append(f)
+        if not factors:
+            return self.one()
+        order = min(self.order, *(g.order for g in factors))
+        valuations = [g.t_order() for g in factors]
+        if None in valuations or sum(valuations) > order:
+            return TruncatedSeries.zero(self.rank, order)
+        top = order - sum(valuations[1:])
+        product = factors[0].truncated(top)
+        for g, v in zip(factors[1:], valuations[1:]):
+            # product is known through top; raised to top + v it claims its
+            # unknown tail, of t-degree above top, to be zero, and that tail
+            # meets terms of g, of t-degree v and more, only above top + v
+            top += v
+            product = product.at_order(top) * g
+        return product
 
     def rho_factor(self, n: int, m: int, chi) -> TruncatedSeries:
         """rho_{n/m} of a character's Chern class, at full order (checks read it to first order)."""
@@ -437,8 +470,12 @@ class TorusRing:
     # -- localized arithmetic ---------------------------------------------------
 
     def _times(self, f: TruncatedSeries, chars: Counter) -> TruncatedSeries:
-        """f times the Chern classes of chars; f itself, untruncated, for none."""
-        return f * self.chern_product(chars.elements()) if chars else f
+        """f times the Chern classes of chars; f itself, untruncated, for none.
+
+        One chern_product with f last, so f's t-order v cuts the classes'
+        chain: through order N they are multiplied only through N - v.
+        """
+        return self.chern_product(chars.elements(), f) if chars else f
 
     def loc_add(self, a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
         """a + b over the lcm of the denominators; a side lacking no factor is not multiplied."""
@@ -458,8 +495,8 @@ class TorusRing:
         Exact through the stored order minus the total number of denominator
         factors; extend the working order by that count for full certainty.
         """
-        left = a.numerator * self.chern_product(b.denominator)
-        right = b.numerator * self.chern_product(a.denominator)
+        left = self.chern_product(b.denominator, a.numerator)
+        right = self.chern_product(a.denominator, b.numerator)
         return (left - right).is_zero()
 
 

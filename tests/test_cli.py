@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 from gkmcobordism.cli import _decode_members, main
-from gkmcobordism.coeff_series import TruncatedSeries
+from gkmcobordism.coeff_series import LazardCoefficient, TruncatedSeries
+from gkmcobordism.common import Character
 from gkmcobordism.fgl import FormalGroupLaw
 from gkmcobordism.gkm_model import GkmDatum
 from gkmcobordism.horospherical import PasquierTriple, build_gkm
@@ -194,6 +195,46 @@ def test_flag_curves_json(capsys):
     obj = json.loads(out)
     assert len(obj["fixed_points"]) == 6
     assert len(obj["curves"]) == 15
+
+
+RENDERERS = ((TruncatedSeries, "render"), (LazardCoefficient, "render"), (Character, "render"))
+JSON_BUILDERS = (
+    (TruncatedSeries, "to_json_obj"),
+    (LazardCoefficient, "to_json_terms"),
+    (Character, "to_json_obj"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fgl", "multiple", "3", "--order", "5"),
+        ("fgl", "a", "2", "1"),
+        ("fgl", "table", "--max-degree", "3"),
+        ("horo", "scan", "--family", "5"),
+        ("mult", "fiber-sum", str(DATA / "ig25_x4tilde.json"), "--order", "8"),
+        (
+            "mult", "fiber-sum", str(DATA / "ig25_x4tilde.json"),
+            "--ambient", str(DATA / "ig25_tangent.json"), "--point", "x12", "--order", "6",
+        ),
+    ],
+)  # fmt: skip
+def test_only_the_output_the_format_asks_for_is_built(monkeypatch, capsys, argv):
+    """With --format json no text is rendered, and with --format text no JSON
+    object is built; the spies do see the output that is asked for."""
+    calls = []
+    for cls, name in RENDERERS + JSON_BUILDERS:
+
+        def spy(*args, _original=getattr(cls, name), _kind=(cls, name) in RENDERERS, **kwargs):
+            calls.append("text" if _kind else "json")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+    for fmt in ("json", "text"):
+        calls.clear()
+        code, out = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and out
+        assert set(calls) == {fmt}, (fmt, calls)
 
 
 def test_mult_point_class_cli(capsys):

@@ -27,6 +27,10 @@ through the ring order and every remainder was converted back from there.
 The congruence systems of one datum per surface kind (F0, Fn, and P2 in
 both models) were recorded when each kind's curves and congruence were
 spelled in branches of `congruence_system`.
+The text outputs of `fgl multiple`, `flag curves`, `horo scan` and `mult
+fiber-sum`, and the fiber sum at order 10, were recorded when every command
+built both its JSON object and its text, and every product of Chern classes
+was formed through the full ring order at each step.
 The generator tuples and decompositions of one surface per kind and model
 (P2 in both models, F0, and Fn with n = 1-4, under three laws) were
 recorded when each kind's generators and their inverse were written out by
@@ -70,11 +74,11 @@ IG25_ORDER = 8
 FAILING_ORDER = 10
 
 
-def _fiber_sum(name, law, order):
+def _fiber_sum(name, law, order, fmt="json"):
     return (
         "mult", "fiber-sum", str(DATA / f"ig25_{name}.json"),
         "--ambient", str(DATA / "ig25_tangent.json"), "--point", "x12",
-        "--law", law, "--order", str(order), "--format", "json",
+        "--law", law, "--order", str(order), "--format", fmt,
     )  # fmt: skip
 
 
@@ -82,9 +86,13 @@ COMMANDS = {
     "fgl-table": ("fgl", "table", "--order", "10", "--max-degree", "10", "--format", "json"),
     "fgl-inverse": ("fgl", "inverse", "--order", "7", "--format", "json"),
     "fgl-multiple": ("fgl", "multiple", "3", "--order", "7", "--format", "json"),
+    "fgl-multiple-text": ("fgl", "multiple", "3", "--order", "7", "--format", "text"),
     "fgl-divide": ("fgl", "divide", "2", "--order", "7", "--format", "json"),
     "fgl-rho": ("fgl", "rho", "3", "2", "--order", "7", "--format", "json"),
     "x4tilde-universal": _fiber_sum("x4tilde", "universal", 8),
+    "x4tilde-universal-text": _fiber_sum("x4tilde", "universal", 8, "text"),
+    # the command the x4tilde_pullback benchmark times
+    "x4tilde-universal-10": _fiber_sum("x4tilde", "universal", 10),
     "x4tilde-kt": _fiber_sum("x4tilde", "multiplicative:1", 16),
     "x4tilde_star-universal": _fiber_sum("x4tilde_star", "universal", 8),
     "point-class": (
@@ -101,6 +109,8 @@ COMMANDS = {
     "flag-curves-C3-": ("flag", "curves", "--type", "C3", "--format", "json"),
     "flag-curves-F4-": ("flag", "curves", "--type", "F4", "--format", "json"),
     "flag-curves-B5-13": ("flag", "curves", "--type", "B5", "--parabolic", "1,3", "--format", "json"),
+    "flag-curves-G2-text": ("flag", "curves", "--type", "G2", "--format", "text"),
+    "horo-scan-g2-text": ("horo", "scan", "--family", "5", "--format", "text"),
     # The surface scan of every triple in the datum sweep of test_horospherical.
     **{
         f"horo-scan-{name}": ("horo", "scan", *args, "--format", "json")
@@ -125,9 +135,12 @@ DIGESTS = {
     "fgl-table": "e0fd28d02dd8a6b2e79a3576a7386fac585aa9b1160e49f509b27e3fc5c44848",
     "fgl-inverse": "f2f413cba25bf653c69f48f8dea460fb9a1d28ca8bb20c2d79b29937ef1cc1ec",
     "fgl-multiple": "848b06d7c8fa8f4d05dc27b5c96d0c4d61c34abd78245e99503592b73404756e",
+    "fgl-multiple-text": "80096eb5a1dcdf3c8a9e76233b5b44ca1db32f7c1aae9bea64b533725053d388",
     "fgl-divide": "389bf5307772888104fd389a70369685e2a8efd96582f16ed59bed8cf2ad180f",
     "fgl-rho": "82d42e0aefca44f5a5b3bcffe2689754ddfdffe4ee628749131b11060bf028b2",
     "x4tilde-universal": "f3d020522ed6beabd79269238ccb06ac32c90af72eb7013c043f0d1697e140aa",
+    "x4tilde-universal-text": "e8030b32e76f41e5858f3a7ff91adc255cfd4db24769c5d05dc6b2d21d6bcc1b",
+    "x4tilde-universal-10": "b203daa5ba911fbe5861ebf53076b507cf1c5b158305f0b11acea6f6fa843297",
     "x4tilde-kt": "c649bf485d6dc7b54dafdaf94537801125ec3aa1567e11cf544ec58125f1334e",
     "x4tilde_star-universal": "0a3ccf12b197b8fdcfbe760b701d66f58ff4f4f6ca351b3a496078a902b408ac",
     "point-class": "791322a158a2bed131cf0b1ecb3a8492821f4a627a35d039803e85bb02972a0a",
@@ -140,6 +153,8 @@ DIGESTS = {
     "flag-curves-C3-": "eab42b3818af911a4d9fc350ed325b2af8f74ebf4295046e3c5776ac11564785",
     "flag-curves-F4-": "85f3be1ea52cfa89ecedd476e6cad4c935b536816b3b033a400b24919175bdb5",
     "flag-curves-B5-13": "bf9b888ebdb3920f28d055e7adc971175aa9812e7ee6fdf646880058930ebf36",
+    "flag-curves-G2-text": "f9d50f3a5671b9dbfe1ea2839c31ce2a1b6c9eee189f18f13ebd7f5e8f85ed03",
+    "horo-scan-g2-text": "4f2e0d11a5d0428a6424ff7f14f3a6bd95cd455e6d682b838caea48b913550bd",
     "horo-scan-b3-spinor": "9893a58114342bdbfb1f37b94dadbfd09676cce29d896787d5cfd74f545b85f6",
     "horo-scan-b4-spinor": "b22a6ed18c50c6f32cd4ffeabc06e1468409e48ec5a73f15e113341bc2a441be",
     "horo-scan-b5-spinor": "375e5b48bcbac1ce8fb9a10d08189831291e9ef5a0ec37df25d396939ec3de7e",

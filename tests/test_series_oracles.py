@@ -14,7 +14,9 @@ pivot derivative (the shear reduction), exact division by the shear
 t_j -> t_j + phi, which splits off the quotient, and the membership check's
 full-order route through the logarithmic coordinates (s_route_reduce), which
 read every verdict from values converted through the ring order and
-converted every failing remainder back.  The references compose and
+converted every failing remainder back; and Chern products, with and without
+a series to multiply by, against one() times each factor in turn, every
+partial product through the full order.  The references compose and
 substitute by a schoolbook Horner rule made of series products and sums
 (conftest.horner_substitute), not by the engine's change-of-variables
 routine, which a property test checks against that rule.
@@ -527,6 +529,75 @@ def test_clear_denominators_matches_iterated_shear_division(case):
         assert result.certified_order == report.certified_order
     else:
         assert result.certified_order == expected.order
+
+
+# -- Chern products against the plain left-to-right product --------------------------
+
+PRODUCT_LAWS = {
+    "universal": FormalGroupLaw.universal,
+    "additive": FormalGroupLaw.additive,
+    "multiplicative:1": lambda order: FormalGroupLaw.multiplicative(1, order),
+    "multiplicative:-2/3": lambda order: FormalGroupLaw.multiplicative(QQ(-2, 3), order),
+}
+_PRODUCT_RINGS: dict = {}
+
+
+def product_ring(law: str, rank: int, order: int) -> TorusRing:
+    """One ring per (law, rank, order), so that its Chern classes are built once."""
+    key = (law, rank, order)
+    if key not in _PRODUCT_RINGS:
+        _PRODUCT_RINGS[key] = TorusRing(PRODUCT_LAWS[law](order), rank)
+    return _PRODUCT_RINGS[key]
+
+
+def plain_chern_product(ring, chars, f=None):
+    """one() times the Chern class of each character in turn, and then times
+    f: every partial product through the full order."""
+    product = ring.one()
+    for chi in chars:
+        product = product * ring.chern(chi)
+    return product if f is None else product * f
+
+
+@st.composite
+def chern_product_cases(draw):
+    """(ring, characters, f): 0 to order + 2 characters drawn from a pool of
+    one to three, maybe with the zero character, so that repeats are common;
+    f None, zero, of t-order 0 or of a t-order v >= 1, at an order below, at
+    or above the ring order."""
+    rank = draw(st.integers(1, 3))
+    order = draw(st.integers(3, 10))
+    ring = product_ring(draw(st.sampled_from(sorted(PRODUCT_LAWS))), rank, order)
+    coords = st.tuples(*[st.integers(-2, 2)] * rank)
+    pool = draw(st.lists(coords.filter(any), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        pool.append((0,) * rank)
+    chars = draw(st.lists(st.sampled_from(pool), max_size=order + 2))
+    shape = draw(st.sampled_from(["none", "zero", "t-order 0", "t-order v"]))
+    f_order = draw(st.integers(0, order + 2))
+    if shape == "none":
+        return ring, chars, None
+    if shape == "zero":
+        return ring, chars, TS.zero(rank, f_order)
+    # a monomial of degree v and terms above it: t-order v, or the zero
+    # series when v exceeds the order of f
+    v = 0 if shape == "t-order 0" else draw(st.integers(1, max(f_order, 1)))
+    tail = draw(series(rank, f_order))
+    high = TS(rank, f_order, {k: c for k, c in tail.terms.items() if sum(k) > v})
+    return ring, chars, high + TS.monomial((v,) + (0,) * (rank - 1), 1, rank, f_order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chern_product_cases())
+# the t-orders add up to the order exactly: every partial product is nonzero
+@example((product_ring("universal", 2, 4), [(1, 0), (1, 1), (0, 1)], TS.variable(0, 2, 4)))
+def test_chern_product_matches_the_plain_left_to_right_product(case):
+    ring, chars, f = case
+    got, expected = ring.chern_product(chars), plain_chern_product(ring, chars)
+    assert (got.order, got.den, got.rows) == (expected.order, expected.den, expected.rows)
+    if f is not None:
+        got, expected = ring.chern_product(chars, f), plain_chern_product(ring, chars, f)
+        assert (got.order, got.den, got.rows) == (expected.order, expected.den, expected.rows)
 
 
 @pytest.mark.parametrize(

@@ -215,3 +215,60 @@ def test_chern_cache_grows_once_per_new_character():
     assert ring.chern(C(3, -2)) is first
     assert ring.chern((3, -2)) is first
     assert len(ring._chern) == before + 1
+
+
+def _spy_products(monkeypatch) -> list:
+    """(order, left, right) of every series product run from now on, in call
+    order."""
+    products = []
+    original = TS.__mul__
+
+    def spy(self, other):
+        out = original(self, other)
+        if isinstance(other, TS):
+            products.append((out.order, self, other))
+        return out
+
+    monkeypatch.setattr(TS, "__mul__", spy)
+    return products
+
+
+def _top_degree(f) -> int:
+    return max((sum(k) for k in f.terms), default=-1)
+
+
+def test_chern_products_multiply_only_through_the_degrees_left(monkeypatch):
+    """Each Chern class has t-order 1, so the partial product of the first j
+    of k classes is formed through N - (k - j) only, and k > N classes give
+    zero with no product; a numerator of t-order v cuts the classes' chain
+    to N - v."""
+    N = 8
+    ring = TorusRing(FormalGroupLaw.universal(N), 2)
+    chars = [C(1, 0), C(1, 1), C(2, -1), C(0, 1), C(1, 2)]
+    many = [C(j, 1) for j in range(N + 1)]
+    for chi in chars + many:  # every Chern class is built before the spy
+        ring.chern(chi)
+    expected = ring.one()
+    for chi in chars:
+        expected = expected * ring.chern(chi)
+    v = 3
+    f = TS.monomial((2, 1), LC.generator(1), 2, N) + TS.monomial((0, 4), 1, 2, N)
+    sum_expected = f * expected + ring.one()
+    products = _spy_products(monkeypatch)
+
+    assert ring.chern_product(chars) == expected
+    k = len(chars)
+    assert [order for order, _, _ in products] == list(range(N - k + 2, N + 1))
+
+    products.clear()
+    assert ring.chern_product(many) == TS.zero(2, N)
+    assert products == []
+
+    products.clear()
+    total = ring.loc_add(LocalizedElement(f, ()), LocalizedElement(ring.one(), tuple(chars)))
+    assert total.numerator == sum_expected
+    # the classes' chain runs through N - v, and f meets it at N
+    assert [order for order, _, _ in products] == list(range(N - v - k + 2, N - v + 1)) + [N]
+    _, left, right = products[-1]
+    classes = left if right is f else right
+    assert (left is f or right is f) and _top_degree(classes) <= N - v
