@@ -34,8 +34,13 @@ Every change of variables is TruncatedSeries.substitute: for
 f = sum_k t^k C_k, C_k free of the variable t, it forms sum_k C_k u_k in one
 kernel pass from a table of series u_k.  With u_k = u^k it substitutes
 t -> u (so also f(g) = compose_univariate); for a linear form y free of t,
-u_k = y^k restricts to the hyperplane t = y, k y^(k-1) gives the
-t-derivative there and (t^k - y^k)/(t - y) divides by t - y.
+u_k = y^k restricts to the hyperplane t = y and k y^(k-1) gives the
+t-derivative there.
+
+Exact division by a series c of t-order 1 (`exact_quotient`) runs degree by
+degree on the same integer form: each quotient degree is one synthetic
+division by the linear part of c, and one kernel pass adds it times the
+rest of c into an accumulator shared by all degrees.
 
 Fractions and LazardCoefficient values are built only at the boundary of a
 series: the dict constructor reads them, and the `terms` view,
@@ -65,6 +70,7 @@ from .common import (
     _check_keys,
     _checked,
     as_rational,
+    pivot_index,
 )
 
 # A monomial in the m-generators: sorted tuple of (k, exponent), k >= 1.
@@ -654,9 +660,8 @@ class TruncatedSeries:
         smaller order of self and u.  Or it is the table [u_0, u_1, ...]
         itself, each u_k known through `order` (default self.order): for a
         linear form y free of t, u_k = y^k restricts to the hyperplane
-        t = y, u_k = k y^(k-1) (one order lower) gives the t-derivative
-        there, and u_k = (t^k - y^k) / (t - y) divides by t - y after
-        subtracting the restriction.
+        t = y, and u_k = k y^(k-1) (one order lower) gives the t-derivative
+        there.
 
         One kernel pass of outer products into shared buckets; each table
         row is the left operand, so the inner loop runs over the series'
@@ -671,7 +676,7 @@ class TruncatedSeries:
         else:
             table = replacement
             order = self.order if order is None else order
-        # a quotient table lowers degrees, so every stored term takes part,
+        # a derivative table lowers degrees, so every stored term takes part,
         # in a packing that holds both the terms and the result
         work = max(f.order, order)
         f = f.at_order(work)
@@ -949,3 +954,124 @@ def series_inverse(w: TruncatedSeries) -> TruncatedSeries:
         g = g.at_order(p)
         g = g + g * (TruncatedSeries.one(w.rank, p) - w.truncated(p) * g)
     return g
+
+
+def exact_quotient(f: TruncatedSeries, c: TruncatedSeries) -> tuple | None:
+    """f / c degree by degree through order = min(f.order, c.order), for c
+    of t-order 1 with a rational linear part l.
+
+    With c = l + c_2 + c_3 + ..., the quotient q = q_0 + q_1 + ... solves
+    l q_d = r_(d+1) = f_(d+1) - sum_(k>=2) c_k q_(d+1-k), and r_0 = f_0
+    must vanish.  Returns (q, top): q c = f through degree top, where top =
+    order, or order - 1 when r_order alone is not a multiple of l; q is
+    known through top - 1, and is None when top < 1.  Returns None when
+    some r_d with d < order is not a multiple of l, that is when f is not
+    in the ideal (c) + m^order, m = (t_1, ..., t_r).
+
+    On integers: C = c.den c has integer numerators and linear part g L,
+    for a primitive integer form L = p t_j + y' with j its first variable,
+    and q = c.den f / C.  One accumulator of buckets holds the residual,
+    negated: the sum so far minus c.den f, over one denominator den; each
+    quotient degree adds C_(>=2) times itself into it in one kernel pass.
+    Then the next degree's buckets are popped, by keys enumerated once per
+    degree, and divided by -L and by g: g leaves the numerators when it
+    divides them all, else it joins den, which rescales the accumulator.
+
+    A homogeneous integer form that L divides has an integer quotient
+    (Gauss's lemma, L being primitive), which synthetic division in t_j
+    finds: with t_j in falling powers, each quotient term is its residual
+    divided by p, which must be exact, and meets y' in the residuals one
+    power of t_j lower; the residuals free of t_j must vanish.
+    """
+    f._check_rank(c)
+    order = min(f.order, c.order)
+    rank, bits = f.rank, _bits(order)
+    shift, unit = bits * rank, 1 << bits * rank
+    f, c = f._packed_for(order), c._packed_for(order)
+    rational = f.rational and c.rational
+    rows = _flat if rational else dict.items
+    acc = {key: _times(row, -c.den, rational) for key, row in rows(f.rows) if key < order + 1 << shift}
+    if acc.pop(0, None):  # f_0, which no quotient reaches
+        return None if order else (None, -1)
+    if not order:
+        return None, 0
+    line = [c.rows.get(unit | 1 << bits * i, {}).get(_UNIT, 0) for i in range(rank)]
+    g = gcd(*line)
+    line = [n // g for n in line]
+    j = pivot_index(line)
+    place, p = bits * j, -line[j]
+    others = [(unit | 1 << bits * i, n) for i, n in enumerate(line) if n and i != j]
+    free = [[0]]  # free[d]: the packed degree-d monomials free of t_j, no degree bits
+    for _ in range(order):
+        free.append(sorted({m + (1 << bits * i) for m in free[-1] for i in range(rank) if i != j}))
+    higher = [(key, row) for key, row in rows(c.rows) if key >= 2 * unit]  # C_k, k >= 2
+
+    def divided(base, degree):
+        """-1/L times the popped degree-`degree` buckets, as (key, row)
+        pairs, or None when L does not divide them."""
+        pairs = []
+        for key in [base | e << place | m for e in range(degree, 0, -1) for m in free[degree - e]]:
+            row = acc.pop(key, None)
+            if not row:
+                continue
+            b = _exact(row, p, rational)
+            if b is None:
+                return None
+            key -= unit | 1 << place
+            pairs.append((key, b))
+            for step, li in others:
+                if rational:
+                    acc[key + step] = acc.get(key + step, 0) + li * b
+                else:
+                    into = acc.setdefault(key + step, {})
+                    for m, n in b.items():
+                        into[m] = into.get(m, 0) + li * n
+        for m in free[degree]:
+            row = acc.pop(base | m, None)
+            if row and (rational or any(row.values())):
+                return None
+        return pairs
+
+    den, pieces, top = f.den, [], order  # pieces: (pairs, den) of q_0, q_1, ...
+    for degree in range(1, order + 1):
+        pairs = divided(degree << shift, degree)
+        if pairs is None:
+            if degree < order:
+                return None
+            top -= 1
+            break
+        if g > 1:
+            reduced = [(key, _exact(row, g, rational)) for key, row in pairs]
+            if any(row is None for _, row in reduced):
+                den *= g
+                for key in acc:
+                    acc[key] = _times(acc[key], g, rational)
+            else:
+                pairs = reduced
+        pieces.append((pairs, den))
+        if degree < order:
+            # one degree's pairs: their order does not matter to the kernel
+            _product(pairs, higher, shift, order, acc, rational)
+    buckets = {
+        key: row if d == den else _times(row, den // d, rational) for pairs, d in pieces for key, row in pairs
+    }
+    return (_canonical(rank, order, den, buckets, rational).at_order(top - 1) if top > 0 else None), top
+
+
+def _times(row, s: int, rational: bool):
+    """A stored row (an int when rational) times s."""
+    return row * s if rational else {m: n * s for m, n in row.items()}
+
+
+def _exact(row, p: int, rational: bool):
+    """A stored row (an int when rational) divided by p, or None unless p
+    divides every numerator."""
+    if rational:
+        b, r = divmod(row, p)
+        return None if r else b
+    out = {}
+    for m, n in row.items():
+        out[m], r = divmod(n, p)
+        if r:
+            return None
+    return out

@@ -40,7 +40,6 @@ from .coeff_series import (
     compose_univariate,
     compositional_inverse,
     embed,
-    series_inverse,
     series_powers,
 )
 from .common import QQ, as_rational, pivot_index
@@ -154,16 +153,6 @@ class FormalGroupLaw:
         order = self.order if order is None else order
         g = _at_linear_form(self.exp_series(order), chi)
         return self.convert(g, "log", [i for i, c in enumerate(chi) if c])
-
-    def unit_of_linear_form(self, chi, order: int | None = None) -> TruncatedSeries:
-        """L / e(L) for the linear form L = sum_i chi_i t_i, chi nonzero: in
-        the coordinates t_i = l(u_i), the unit taking a Chern class to L."""
-        order = self.order if order is None else order
-
-        def build():  # y / e(y), from e one order up (e(y) is divisible by y)
-            return series_inverse(self.exp_series(order + 1).divided_by_variable(0))
-
-        return _at_linear_form(_memo(self._cache, ("y/e", order), build), chi)
 
     def multiple_series(self, n, order: int | None = None) -> TruncatedSeries:
         """[n]x = e(n l(x)) as a univariate series, for a rational n; [1/m]x

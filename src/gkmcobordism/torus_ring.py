@@ -5,7 +5,7 @@ equivariant first Chern class is the series e(sum_i chi_i l(t_i)), which makes
 chern an FGL homomorphism from characters into the series ring.
 FormalGroupLaw.exp_linear builds it as e at the linear form sum_i chi_i s_i
 in the logarithmic coordinates s_i = l(t_i), converted to t once with the
-powers of l; the division units are series at the same form.
+powers of l.
 
 A congruence row (point, sign, rho) weighs its value by sign, times
 rho_{n/m}(c) for rho = (n, m) and c = chern(chi), and is read modulo c^2.
@@ -15,8 +15,8 @@ the weight q + b E, E = e_2 c.  That is exact: a multiple of c^2 vanishes,
 with its first derivatives, on the zero locus of c, where every verdict and
 remainder is read.
 
-The verdict of a reduction modulo a Chern class (and its square) and exact
-division run in the logarithmic coordinates s_i = l(t_i).  Over Q the logarithm is an
+The verdict of a reduction modulo a Chern class (and its square) runs in
+the logarithmic coordinates s_i = l(t_i).  Over Q the logarithm is an
 isomorphism onto the additive law, so there chern(chi) = e(L) for the linear
 form L = sum_i chi_i s_i, and e(L)/L is a unit: a series lies in the ideal of
 chern(chi)^k iff it vanishes to order k along the hyperplane L = 0.
@@ -31,15 +31,22 @@ in t instead: the residual, and for the square its t_j-derivative, on the
 zero locus t_j = phi, phi = e(y) with s_i = l(t_i), one substitution of
 t_j against the powers of phi.
 
-Division by chern(chi) is division by the linear form s_j - y and by the
-unit; clearing the denominators of a LocalizedElement converts its numerator
-once, divides by every factor in s and converts back once.  Conversion
-(FormalGroupLaw.convert, with the law's tables e^k or l^k), restriction, the
-s_j-derivative on the hyperplane, division by s_j - y and the value on the
-zero locus are all TruncatedSeries.substitute, with the tables y^k,
-k y^(k-1), (s_j^k - y^k)/(s_j - y) and phi^k; each table is a list of
-series, built on first use and kept, and every step runs on the stored
-integer form.
+Division by c = chern(chi) runs in t, degree by degree
+(coeff_series.exact_quotient).  With c = l + c_2 + c_3 + ..., l = sum_i
+chi_i t_i its linear part, the quotient solves l q_d = f_(d+1) -
+sum_(k>=2) c_k q_(d+1-k), one synthetic division by l per degree against
+the stored Chern class, which in t is sparse.  For f known through degree
+N, every step through degree N - 1 is exact iff f lies in (c) + m^N, m =
+(t_1, ..., t_r); that does not depend on coordinates, so a numerator is
+refused exactly when reduce_mod, certified through N - 1, fails, and the
+quotient, when it exists, is the unique one.  Clearing the denominators of
+a LocalizedElement divides by each factor in turn.
+
+Conversion (FormalGroupLaw.convert, with the law's tables e^k or l^k),
+restriction, the s_j-derivative on the hyperplane and the value on the zero
+locus are all TruncatedSeries.substitute, with the tables y^k, k y^(k-1)
+and phi^k; each table is a list of series, built on first use and kept,
+and every step runs on the stored integer form.
 
 A product of Chern classes, and a numerator times such a product, is
 truncated by t-order.  A factor of t-order v (1 for a Chern class, 0 for a
@@ -51,7 +58,7 @@ When the t-orders add up past N the product is the zero series of order N,
 with no product formed.
 
 A ring keeps its Chern classes in `_chern`, by character coords, and its
-classes E, division units and hyperplane tables in `_cache`, by tagged keys;
+classes E and hyperplane tables in `_cache`, by tagged keys;
 fgl._memo fills both, and the per-check cache of reduce_combination.
 """
 
@@ -59,7 +66,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .coeff_series import LazardCoefficient, TruncatedSeries, combination, series_powers
+from .coeff_series import LazardCoefficient, TruncatedSeries, combination, exact_quotient, series_powers
 from .common import QQ, Character, direction, pivot_index
 from .fgl import FormalGroupLaw, _memo
 
@@ -241,12 +248,11 @@ class TorusRing:
     def _hyperplane(self, line: tuple, kind: str) -> list:
         """The table for TruncatedSeries.substitute in s_j, j =
         pivot_index(line), on the line's hyperplane s_j = y, y = -sum_{i != j}
-        (line_i/line_j) s_i: u_k = y^k gives the value there ("value"),
-        u_k = k y^(k-1) the s_j-derivative ("slope"), u_k = (s_j^k - y^k) /
-        (s_j - y) = s_j u_(k-1) + y^(k-1) the division by s_j - y
-        ("quotient"); k runs through order + 1.  In t, u_k = phi^k for phi =
-        e(y) at s_i = l(t_i) gives the value on the zero locus t_j = phi
-        ("locus"; k and phi through the ring order).  Built on first use."""
+        (line_i/line_j) s_i: u_k = y^k gives the value there ("value"), u_k =
+        k y^(k-1) the s_j-derivative ("slope"); k runs through order + 1.  In
+        t, u_k = phi^k for phi = e(y) at s_i = l(t_i) gives the value on the
+        zero locus t_j = phi ("locus"; k and phi through the ring order).
+        Built on first use."""
 
         def build():
             pivot, top = pivot_index(line), self.order + 1
@@ -262,11 +268,7 @@ class TorusRing:
                 }
                 return series_powers(TruncatedSeries(self.rank, top, terms))
             ys = self._hyperplane(line, "value")
-            s_j = TruncatedSeries.variable(pivot, self.rank, top)
-            table = [TruncatedSeries.zero(self.rank, top)]
-            for k in range(1, top + 1):
-                table.append(ys[k - 1].scale(k) if kind == "slope" else s_j * table[-1] + ys[k - 1])
-            return table
+            return [TruncatedSeries.zero(self.rank, top)] + [ys[k - 1].scale(k) for k in range(1, top + 1)]
 
         return _memo(self._cache, (kind, line), build)
 
@@ -409,63 +411,36 @@ class TorusRing:
             return result.series, None
         return None, result.obstruction
 
-    def _division_unit(self, chi: Character) -> TruncatedSeries:
-        """(L / e(L)) / chi_j in s, for L = sum_i chi_i s_i and the pivot j,
-        through the ring order - 1 (as far as quotients go), cached."""
-
-        def build():
-            unit = self.law.unit_of_linear_form(chi.coords, self.order - 1)
-            return unit.scale(1 / chi.coords[pivot_index(chi.coords)])
-
-        return _memo(self._cache, ("unit", chi.coords), build)
-
     def clear_denominators(self, elem: LocalizedElement) -> ClearResult:
         """Iterated exact division of the numerator by the denominator factors.
 
-        In s_i = l(t_i), chern(chi) = e(L) with L = chi_j (s_j - y): the
-        numerator is converted once, through min(its order, ring order); per
-        factor it must vanish on s_j = y through order - 1 (the certified
-        order of reduce_mod; if it fails only at order, it is divided one
-        order lower) and is divided by s_j - y; the result times each unit
-        (L / e(L)) / chi_j is converted back once.  On failure the
-        obstruction is reduce_mod of the partial quotient, back in t.  A
-        quotient that would be known through no degree (its order would be
+        Per factor, the numerator, known through min(its order, ring
+        order), is divided in t, degree by degree, by the factor's stored
+        Chern class (coeff_series.exact_quotient; see the module docstring).
+        It must be divisible through order - 1, the certified order of
+        reduce_mod; if it fails only at order, it is divided one order
+        lower.  On failure the obstruction is reduce_mod of the partial
+        quotient, which at the first factor is the untruncated numerator.
+        A quotient that would be known through no degree (its order would be
         negative) raises ValueError instead of claiming zero at order 0.
         """
         f = elem.numerator
         if f.rank != self.rank:
             raise ValueError("series rank does not match the ring rank")
-        if not elem.denominator:
-            return ClearResult(f, f.order)
-        g = self.to_log(f)
-        known = g.order
-        units = []
+        known = min(f.order, self.order)
         for ch in elem.denominator:
             ch = self._char(ch)
-            line = direction(ch.coords)
-            pivot = pivot_index(line)
-            rest = g.substitute(pivot, self._hyperplane(line, "value"))
-            if not rest.is_zero_through(g.order - 1):
-                if units:
-                    f = self._from_log_times(g, units)
+            solved = exact_quotient(f, self.chern(ch))
+            if solved is None:
                 report = self.reduce_mod(f, ch, 1)
                 return ClearResult(None, report.certified_order, obstruction=report)
-            top = g.order if rest.is_zero_through(g.order) else g.order - 1
+            f, top = solved
             if top < 1:
                 raise ValueError(
                     f"a numerator known through degree {known} divided by "
                     f"{len(elem.denominator)} Chern factors determines no degree of the quotient"
                 )
-            g = g.substitute(pivot, self._hyperplane(line, "quotient"), top - 1)
-            units.append(self._division_unit(ch))
-        series = self._from_log_times(g, units)
-        return ClearResult(series, series.order)
-
-    def _from_log_times(self, g: TruncatedSeries, units: list) -> TruncatedSeries:
-        """g times each unit, back in t."""
-        for unit in units:
-            g = g * unit
-        return self.from_log(g)
+        return ClearResult(f, f.order)
 
     # -- localized arithmetic ---------------------------------------------------
 

@@ -27,6 +27,11 @@ through the ring order and every remainder was converted back from there.
 The congruence systems of one datum per surface kind (F0, Fn, and P2 in
 both models) were recorded when each kind's curves and congruence were
 spelled in branches of `congruence_system`.
+The fiber sums of x4tilde and x4tilde_star under multiplicative:1 at order
+24, and of x4tilde_star at universal order 12, were recorded when
+denominators were cleared in the logarithmic coordinates s_i = l(t_i), by a
+divided difference in s and a unit series per factor; they are now cleared
+in t, degree by degree.
 The text outputs of `fgl multiple`, `flag curves`, `horo scan` and `mult
 fiber-sum`, and the fiber sum at order 10, were recorded when every command
 built both its JSON object and its text, and every product of Chern classes
@@ -94,7 +99,11 @@ COMMANDS = {
     # the command the x4tilde_pullback benchmark times
     "x4tilde-universal-10": _fiber_sum("x4tilde", "universal", 10),
     "x4tilde-kt": _fiber_sum("x4tilde", "multiplicative:1", 16),
+    # the command the x4tilde_kt benchmark times
+    "x4tilde-kt-24": _fiber_sum("x4tilde", "multiplicative:1", 24),
     "x4tilde_star-universal": _fiber_sum("x4tilde_star", "universal", 8),
+    "x4tilde_star-universal-12": _fiber_sum("x4tilde_star", "universal", 12),
+    "x4tilde_star-kt-24": _fiber_sum("x4tilde_star", "multiplicative:1", 24),
     "point-class": (
         "mult", "point-class", str(DATA / "ig25_tangent.json"), "--point", "x12",
         "--order", "5", "--format", "json",
@@ -142,7 +151,10 @@ DIGESTS = {
     "x4tilde-universal-text": "e8030b32e76f41e5858f3a7ff91adc255cfd4db24769c5d05dc6b2d21d6bcc1b",
     "x4tilde-universal-10": "b203daa5ba911fbe5861ebf53076b507cf1c5b158305f0b11acea6f6fa843297",
     "x4tilde-kt": "c649bf485d6dc7b54dafdaf94537801125ec3aa1567e11cf544ec58125f1334e",
+    "x4tilde-kt-24": "5100c12c284405e94fde1e308c42cfcec3b03b05b974d86198f6d37f46120675",
     "x4tilde_star-universal": "0a3ccf12b197b8fdcfbe760b701d66f58ff4f4f6ca351b3a496078a902b408ac",
+    "x4tilde_star-universal-12": "e37789bd01e0b4e79056ab57e5d91fbab8f43aeb8c0c72904c502a01796d16d4",
+    "x4tilde_star-kt-24": "af7d04276bedfcbf636f634d6f3bf9f2c39b8f7f46181a6c8422d16f39b5dea8",
     "point-class": "791322a158a2bed131cf0b1ecb3a8492821f4a627a35d039803e85bb02972a0a",
     "flag-curves-F4-134": "bde33ad65cfc857b31e66480c89f7cfe57e7956d720933ebd6c7911c608aaa8d",
     "flag-curves-F4-124": "7a12d2c7561ca1d0c418988a3fcfa825bf8bf09964e5d0f45a173b020cb1cdb0",

@@ -272,3 +272,27 @@ def test_chern_products_multiply_only_through_the_degrees_left(monkeypatch):
     _, left, right = products[-1]
     classes = left if right is f else right
     assert (left is f or right is f) and _top_degree(classes) <= N - v
+
+
+def test_clearing_divides_in_t_with_no_change_of_coordinates(monkeypatch):
+    """Denominators clear by division in t: no conversion to logarithmic
+    coordinates and no hyperplane table, under a law with Q[m] coefficients
+    and one with rational ones."""
+    for law in (FormalGroupLaw.universal(8), FormalGroupLaw.multiplicative(1, 8)):
+        ring = TorusRing(law, 2)
+        chars = (C(1, -1), C(2, 0), C(1, 2))
+        t1 = ring.variable(0)
+        f = ring.chern_product(chars) * (ring.one() + t1 * t1)
+        calls = []
+        for owner, name in ((FormalGroupLaw, "convert"), (TorusRing, "_hyperplane")):
+            original = getattr(owner, name)
+
+            def spy(*args, original=original, name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        cleared = ring.clear_denominators(LocalizedElement(f, chars))
+        monkeypatch.undo()
+        assert calls == []
+        assert cleared.ok and cleared.series == (ring.one() + t1 * t1).truncated(8 - len(chars))
