@@ -32,10 +32,9 @@ common denominator.  The gcd is divided out once per result.
 
 Every change of variables is TruncatedSeries.substitute: for
 f = sum_k t^k C_k, C_k free of the variable t, it forms sum_k C_k u_k in one
-kernel pass from a table of series u_k.  With u_k = u^k it substitutes
-t -> u (so also f(g) = compose_univariate); for a linear form y free of t,
-u_k = y^k restricts to the hyperplane t = y and k y^(k-1) gives the
-t-derivative there.
+kernel pass from a table of series u_k, through f's order.  With u_k = u^k
+it substitutes t -> u (so also f(g) = compose_univariate); for a linear form
+y free of t, u_k = y^k restricts to the hyperplane t = y.
 
 Exact division by a series c of t-order 1 (`exact_quotient`) runs degree by
 degree on the same integer form: each quotient degree is one synthetic
@@ -611,18 +610,6 @@ class TruncatedSeries:
             coeff = coeff.rational_value()
         return combination([(as_rational(coeff), self)], self.rank, self.order)
 
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise ValueError("negative powers are not defined for series")
-        result = TruncatedSeries.one(self.rank, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- calculus and substitution ------------------------------------------
 
     def _variable_step(self, index: int) -> tuple:
@@ -652,16 +639,15 @@ class TruncatedSeries:
         quotient = TruncatedSeries._of(self.rank, self.order, self.den, rows, self.rational)
         return quotient.at_order(max(self.order - 1, 0))
 
-    def substitute(self, index: int, replacement, order: int | None = None) -> "TruncatedSeries":
-        """sum_k C_k u_k through `order`, where self = sum_k t^k C_k with
-        t = t_{index+1} and C_k free of t: the one change of variables.
+    def substitute(self, index: int, replacement) -> "TruncatedSeries":
+        """sum_k C_k u_k, where self = sum_k t^k C_k with t = t_{index+1} and
+        C_k free of t: the one change of variables.
 
         replacement is a series u, for u_k = u^k: t -> u, through the
         smaller order of self and u.  Or it is the table [u_0, u_1, ...]
-        itself, each u_k known through `order` (default self.order): for a
-        linear form y free of t, u_k = y^k restricts to the hyperplane
-        t = y, and u_k = k y^(k-1) (one order lower) gives the t-derivative
-        there.
+        itself, each u_k known through self.order, and so is the result:
+        for a linear form y free of t, u_k = y^k restricts to the hyperplane
+        t = y.
 
         One kernel pass of outer products into shared buckets; each table
         row is the left operand, so the inner loop runs over the series'
@@ -674,19 +660,14 @@ class TruncatedSeries:
             order = min(self.order, replacement.order)
             f, table = self.truncated(order), series_powers(replacement.truncated(order))
         else:
-            table = replacement
-            order = self.order if order is None else order
-        # a derivative table lowers degrees, so every stored term takes part,
-        # in a packing that holds both the terms and the result
-        work = max(f.order, order)
-        f = f.at_order(work)
+            table, order = replacement, self.order
         bits, step = f._variable_step(index)
         shift, place, mask = bits * self.rank, bits * index, (1 << bits) - 1
         parts: dict = {}
         for key, row in f.rows.items():
             k = key >> place & mask
             parts.setdefault(k, []).append((key - k * step, row))
-        us = [table[k]._packed_for(work) for k in parts]
+        us = [table[k]._packed_for(order) for k in parts]
         den = lcm(*(u.den for u in us))
         rational = f.rational and all(u.rational for u in us)
         buckets: dict = {}
@@ -699,7 +680,7 @@ class TruncatedSeries:
             if factor != 1:
                 part = [(key, {m: n * factor for m, n in row.items()}) for key, row in part]
             _product(u.rows.items(), part, shift, order, buckets)
-        return _canonical(self.rank, work, f.den * den, buckets, rational).at_order(order)
+        return _canonical(self.rank, order, f.den * den, buckets, rational)
 
     def specialize(self, assignment) -> "TruncatedSeries":
         """Evaluate every mk at a rational; keeps the t-structure."""

@@ -7,11 +7,12 @@ restriction iff every congruence holds, and the checker returns a
 machine-readable certificate either way.  Each congruence is a list of
 per-point weights, +-1 or +-rho_{n/m}(c) (CongruenceConstraint.weights()),
 each read modulo c^2 to first order, q + b e_2 c, which is exact there.
-The checker builds a residual only for a failing congruence: it converts
-each point value to logarithmic coordinates once and reads every verdict
-from a combination of the values' restrictions to the congruence's
-hyperplane (TorusRing.reduce_combination), so a passing congruence costs
-rational linear maps, not series products.
+The checker builds no residual: it converts each point value to
+logarithmic coordinates once and reads every verdict from a combination of
+the values' restrictions to the congruence's hyperplane
+(TorusRing.reduce_combination), so a passing congruence costs rational
+linear maps, not series products, and a failing one's remainder is its
+verdict converted back to t.
 
 Surface components carry generator tuples (gkm_datum.generator_table), and
 a member decomposes over them by a triangular solve.

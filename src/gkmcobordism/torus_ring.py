@@ -26,10 +26,14 @@ each value is converted to s once (one pass per variable against the table
 of powers of e) and the verdict of every congruence through it is a
 rational combination of its restrictions.  The verdict is certified through
 order - k, so each value is converted only through order - 1, as far as the
-s_j-derivative of the square's verdict needs.  A failing remainder is built
-in t instead: the residual, and for the square its t_j-derivative, on the
-zero locus t_j = phi, phi = e(y) with s_i = l(t_i), one substitution of
-t_j against the powers of phi.
+s_j-derivative of the square's verdict needs.
+
+A failing remainder is its verdict carried back to t.  For f = g(l(t)),
+f on the zero locus t_j = phi, phi = e(y) at s_i = l(t_i), is g on the
+hyperplane at s_i = l(t_i) for i != j; there the t_j-derivative is the
+s_j-derivative times ds_j/dt_j = 1/e'(y).  So the components are the
+verdict's, the derivative's times the unit U = 1/e'(y) of the line, each
+converted s_i -> l(t_i) for i != j, and known through the certified order.
 
 Division by c = chern(chi) runs in t, degree by degree
 (coeff_series.exact_quotient).  With c = l + c_2 + c_3 + ..., l = sum_i
@@ -42,11 +46,11 @@ refused exactly when reduce_mod, certified through N - 1, fails, and the
 quotient, when it exists, is the unique one.  Clearing the denominators of
 a LocalizedElement divides by each factor in turn.
 
-Conversion (FormalGroupLaw.convert, with the law's tables e^k or l^k),
-restriction, the s_j-derivative on the hyperplane and the value on the zero
-locus are all TruncatedSeries.substitute, with the tables y^k, k y^(k-1)
-and phi^k; each table is a list of series, built on first use and kept,
-and every step runs on the stored integer form.
+Conversion (FormalGroupLaw.convert, with the law's tables e^k or l^k) and
+restriction to the hyperplane (the table y^k) are both
+TruncatedSeries.substitute, and the s_j-derivative on the hyperplane is the
+restriction of the s_j-partial; each table is a list of series, built on
+first use and kept, and every step runs on the stored integer form.
 
 A product of Chern classes, and a numerator times such a product, is
 truncated by t-order.  A factor of t-order v (1 for a Chern class, 0 for a
@@ -58,7 +62,7 @@ When the t-orders add up past N the product is the zero series of order N,
 with no product formed.
 
 A ring keeps its Chern classes in `_chern`, by character coords, and its
-classes E and hyperplane tables in `_cache`, by tagged keys;
+classes E, hyperplane tables and units U in `_cache`, by tagged keys;
 fgl._memo fills both, and the per-check cache of reduce_combination.
 """
 
@@ -66,7 +70,15 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .coeff_series import LazardCoefficient, TruncatedSeries, combination, exact_quotient, series_powers
+from .coeff_series import (
+    LazardCoefficient,
+    TruncatedSeries,
+    combination,
+    embed,
+    exact_quotient,
+    series_inverse,
+    series_powers,
+)
 from .common import QQ, Character, direction, pivot_index
 from .fgl import FormalGroupLaw, _memo
 
@@ -76,8 +88,8 @@ class RemainderReport:
 
     components[0] is the series evaluated on the zero locus of the Chern
     class; for power 2, components[1] is the pivot-derivative there.  The
-    verdict is certified through order - power; a passing report carries
-    zero components at that order.
+    verdict is certified through order - power, and every component is known
+    through max(that order, 0); a passing report carries zero components.
     """
 
     __slots__ = ("character", "power", "pivot", "components", "certified_order")
@@ -245,32 +257,36 @@ class TorusRing:
 
     # -- the zero locus of a Chern class -------------------------------------
 
-    def _hyperplane(self, line: tuple, kind: str) -> list:
-        """The table for TruncatedSeries.substitute in s_j, j =
-        pivot_index(line), on the line's hyperplane s_j = y, y = -sum_{i != j}
-        (line_i/line_j) s_i: u_k = y^k gives the value there ("value"), u_k =
-        k y^(k-1) the s_j-derivative ("slope"); k runs through order + 1.  In
-        t, u_k = phi^k for phi = e(y) at s_i = l(t_i) gives the value on the
-        zero locus t_j = phi ("locus"; k and phi through the ring order).
-        Built on first use."""
+    def _hyperplane(self, line: tuple) -> list:
+        """The table u_k = y^k, k through the ring order, for
+        TruncatedSeries.substitute in s_j, j = pivot_index(line): it restricts
+        a series in logarithmic coordinates to the line's hyperplane s_j = y,
+        y = -sum_{i != j} (line_i/line_j) s_i.  Built on first use."""
 
         def build():
-            pivot, top = pivot_index(line), self.order + 1
+            pivot = pivot_index(line)
             scale = QQ(-1, line[pivot])
-            if kind == "locus":
-                form = [0 if i == pivot else scale * c for i, c in enumerate(line)]
-                return series_powers(self.law.exp_linear(form, self.order))
-            if kind == "value":
-                terms = {
-                    tuple(int(i == j) for j in range(self.rank)): LazardCoefficient.rational(scale * c)
-                    for i, c in enumerate(line)
-                    if c and i != pivot
-                }
-                return series_powers(TruncatedSeries(self.rank, top, terms))
-            ys = self._hyperplane(line, "value")
-            return [TruncatedSeries.zero(self.rank, top)] + [ys[k - 1].scale(k) for k in range(1, top + 1)]
+            terms = {
+                tuple(int(i == j) for j in range(self.rank)): LazardCoefficient.rational(scale * c)
+                for i, c in enumerate(line)
+                if c and i != pivot
+            }
+            return series_powers(TruncatedSeries(self.rank, self.order, terms))
 
-        return _memo(self._cache, (kind, line), build)
+        return _memo(self._cache, ("y^k", line), build)
+
+    def _unit(self, line: tuple) -> TruncatedSeries:
+        """U = 1/e'(y) on the line's hyperplane, through the ring order - 1:
+        ds_j/dt_j there, which turns an s_j-derivative into a t_j-derivative.
+        From the exponential through the ring order, which needs m_k only
+        below it.  Built on first use."""
+
+        def build():
+            unit = series_inverse(self.law.exp_series(self.order).partial(0))
+            pivot = pivot_index(line)
+            return embed(unit, pivot, self.rank).substitute(pivot, self._hyperplane(line))
+
+        return _memo(self._cache, ("U", line), build)
 
     def _restricted(
         self, cache: dict, point, f: TruncatedSeries, line: tuple, order: int, kind: str
@@ -278,13 +294,13 @@ class TorusRing:
         """g on the line's hyperplane ("value"), or dg/ds_j there ("slope",
         one order lower), for g = f in logarithmic coordinates through
         `order`; the conversion and the restrictions are kept in `cache`."""
-        g = _memo(cache, (point, order), lambda: self.law.convert(f.truncated(order), "exp"))
-        top = g.order if kind == "value" else max(g.order - 1, 0)
-        return _memo(
-            cache,
-            (point, order, line, kind),
-            lambda: g.substitute(pivot_index(line), self._hyperplane(line, kind), top),
-        )
+
+        def build():
+            g = _memo(cache, (point, order), lambda: self.law.convert(f.truncated(order), "exp"))
+            pivot = pivot_index(line)
+            return (g if kind == "value" else g.partial(pivot)).substitute(pivot, self._hyperplane(line))
+
+        return _memo(cache, (point, order, line, kind), build)
 
     def _known_order(self, values: dict, weights) -> int:
         """The order through which sum_P w_P * values[P] is known: the
@@ -296,14 +312,14 @@ class TorusRing:
             order = min(order, self.order)
         return order
 
-    def weighted_sum(self, values: dict, weights, chi, order: int | None = None) -> TruncatedSeries:
+    def weighted_sum(self, values: dict, weights, chi) -> TruncatedSeries:
         """sum_P w_P * values[P] in t modulo chern(chi)^2, for weights as in
         reduce_combination: combination(q f) + E * combination(b f), which
         agrees with the full-rho sum, and so does its derivative, on the zero
-        locus.  Through `order` if given, and never above the smallest order
-        of the values and, with a rho weight, of the ring."""
-        known = self._known_order(values, weights)
-        order = known if order is None else min(order, known)
+        locus.  Through the smallest order of the values and, with a rho
+        weight, of the ring.  The residual of CongruenceConstraint.residual;
+        no reduction builds it."""
+        order = self._known_order(values, weights)
         rows = [(_first_order(sign, rho), values[point]) for point, sign, rho in weights]
         total = combination([(q, f) for (q, _), f in rows], self.rank, order)
         slope = [(b, f) for (_, b), f in rows if b]
@@ -332,9 +348,9 @@ class TorusRing:
         once per order).  Vanishing through an order is invariant under s =
         t + O(t^2) and under a unit factor, so the verdict is read in s.
 
-        Only a failing remainder is computed in t: weighted_sum on the zero
-        locus t_j = phi, through min(order of the combination, ring order),
-        and for power 2 its t_j-derivative there, one order lower.
+        A failing verdict is carried back to t (see the module docstring):
+        the derivative times U = 1/e'(y), and both converted s_i -> l(t_i)
+        for i != j.  Every component is known through max(certified, 0).
         """
         chi = self._char(chi)
         if chi.is_zero():
@@ -348,11 +364,8 @@ class TorusRing:
             cache = {}
         line = direction(chi.coords)
         pivot = pivot_index(line)
-        order = self._known_order(values, weights)
-        # The value on the hyperplane is exact through the ring order, the
-        # derivative one order below the combination's.
-        orders = [min(order, self.order), min(max(order - 1, 0), self.order)]
-        certified = orders[0] - power
+        # the value on the hyperplane is exact through the ring order
+        certified = min(self._known_order(values, weights), self.order) - power
         # each verdict component is one rational combination of restrictions,
         # a list of (rational, restriction), read through `certified`; below
         # order 0 there is nothing to certify
@@ -366,31 +379,26 @@ class TorusRing:
                 terms[1].append((q, self._restricted(*args, "slope")))
                 if b:
                     terms[1].append((b * chi.coords[pivot], value.scale(self._e2())))
-        verdicts = (combination(t, self.rank, certified) for t in terms[:power])
-        if certified < 0 or all(v.is_zero() for v in verdicts):
-            series = [TruncatedSeries.zero(self.rank, max(certified, 0))] * power
-        else:
-            # the powers of phi run through the ring order, so the residual
-            # is cut one order above the derivative's and at the value's
-            table = self._hyperplane(line, "locus")
-            top = orders[0] if power == 1 else orders[1] + 1
-            residual = self.weighted_sum(values, weights, chi, top)
-            series = [residual.truncated(orders[0]).substitute(pivot, table)]
+        verdicts = [combination(t, self.rank, max(certified, 0)) for t in terms[:power]]
+        if not all(v.is_zero() for v in verdicts):
             if power == 2:
-                series.append(residual.partial(pivot).substitute(pivot, table))
+                verdicts[1] = verdicts[1] * self._unit(line)
+            others = [i for i in range(self.rank) if i != pivot]
+            verdicts = [self.law.convert(v, "log", others) for v in verdicts]
         return RemainderReport(
             character=chi,
             power=power,
             pivot=pivot,
-            components=series,
+            components=verdicts,
             certified_order=certified,
         )
 
     def reduce_mod(self, f: TruncatedSeries, chi, power: int = 1) -> RemainderReport:
         """Reduce f modulo chern(chi)^power with an exact certificate.
 
-        For power 1 the report holds f on the zero locus t_j = phi (see the
-        module docstring); for power 2 additionally the t_j-derivative there.
+        For power 1 the report holds f on the zero locus t_j = phi, phi =
+        e(y) at s_i = l(t_i) (see the module docstring); for power 2
+        additionally the t_j-derivative there.
         f lies in the ideal iff all components vanish through the certified
         order: min(f.order, ring order) - power, since the zero locus is
         known only to the ring order.

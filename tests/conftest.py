@@ -92,6 +92,17 @@ def horner_compose(f, g):
     return horner_substitute(TruncatedSeries(g.rank, f.order, terms), 0, g)
 
 
+def series_power(f, n):
+    """f^n for n >= 0 by repeated squaring, from series products only."""
+    result = TruncatedSeries.one(f.rank, f.order)
+    while n:
+        if n & 1:
+            result = result * f
+        f = f * f if n > 1 else f
+        n >>= 1
+    return result
+
+
 def random_character(rng, rank, max_denominator=2):
     while True:
         coords = tuple(

@@ -6,9 +6,11 @@ from gkmcobordism.common import direction
 
 from gkmcobordism.coeff_series import LazardCoefficient, TruncatedSeries
 from gkmcobordism.fgl import FormalGroupLaw
+from gkmcobordism.gkm_model import check_membership
+from gkmcobordism.horospherical import PasquierTriple, build_gkm
 from gkmcobordism.torus_ring import Character, LocalizedElement, TorusRing
 
-from conftest import random_character, random_series
+from conftest import corrupted_hyperplane_tuple, random_character, random_series, series_power
 
 LC = LazardCoefficient
 TS = TruncatedSeries
@@ -81,7 +83,7 @@ def test_reduce_mod_examples(ring):
     assert ring.reduce_mod(t1 - t2, C(1, -1), 1).is_zero
     report = ring.reduce_mod(ring.one(), C(1, 0), 1)
     assert not report.is_zero
-    assert report.components[0] == ring.one()
+    assert report.components[0] == ring.one().truncated(max(report.certified_order, 0))
     report2 = ring.reduce_mod(t1, C(1, 0), 2)
     assert not report2.is_zero
     assert report2.components[1].constant_term() == LC.one()
@@ -94,12 +96,45 @@ def test_reduce_mod_examples(ring):
         ring.reduce_mod(t1, C(1, 0), 3)
 
 
+def test_failing_reduction_needs_m_k_only_below_the_ring_order():
+    """A law from with_assignment sets m_1 .. m_(order-1) only, and a failing
+    square's remainder, whose derivative is carried back to t by 1/e'(y),
+    reads no m_k above them."""
+    law = FormalGroupLaw.with_assignment(6, {k: QQ(1, k + 1) for k in range(1, 6)})
+    ring = TorusRing(law, 2)
+    report = ring.reduce_mod(ring.variable(0), C(1, 0), 2)
+    assert not report.is_zero
+    assert report.components[1].constant_term() == LC.one()
+
+
+def test_failing_check_builds_no_zero_locus_table(monkeypatch):
+    """A failing remainder is its verdict carried back to t: once the values'
+    Chern classes are built, checking the corrupted hyperplane tuple of
+    c3-m2 calls no exp_linear, so builds no series e(y) of a zero locus."""
+    triple = PasquierTriple(3, n=3, m=2)
+    datum = build_gkm(triple)
+    ring = TorusRing(FormalGroupLaw.universal(8), datum.rank)
+    values = corrupted_hyperplane_tuple(triple, ring, 1)
+    calls = []
+    original = FormalGroupLaw.exp_linear
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(FormalGroupLaw, "exp_linear", spy)
+    certificate = check_membership(datum, values, ring)
+    assert not certificate.is_member
+    assert any(r.constraint.power == 2 for r in certificate.failures())
+    assert calls == []
+
+
 def test_reduce_mod_ideal_membership(ring):
     rng = random.Random(22)
     for power in (1, 2):
         chi = random_character(rng, 2)
         f = random_series(rng, 2, 8, terms=3)
-        member = f * ring.chern(chi) ** power
+        member = f * series_power(ring.chern(chi), power)
         assert ring.reduce_mod(member, chi, power).is_zero
     assert ring.reduce_mod(ring.chern(C(1, 1)), C(2, 2), 1).is_zero
 
