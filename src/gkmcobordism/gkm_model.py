@@ -50,10 +50,7 @@ class ConstraintResult:
             "certified_order": self.report.certified_order,
         }
         if not self.passed:
-            obj["remainder"] = [
-                c.truncated(self.report.certified_order).to_json_obj()
-                for c in self.report.components
-            ]
+            obj["remainder"] = [c.to_json_obj() for c in self.report.components]
         return obj
 
 

@@ -30,7 +30,9 @@ labels, and reads its pairings from that root's integer coroot row.  The
 curves of the two closed orbits are read as integer pairs from
 root_flag.curve_scan, coset and root indices, with no curve weight or
 degree built; those are built only by enumerate_curves, for `flag curves`.
-The surfaces are one orbit of (omega_Y, omega_Z, root), each visited once.
+The joining lines are the coset table of the joint stabilizer W_{I_Y & I_Z}
+of (omega_Y, omega_Z), kept by the system's Weyl group, and each surface is
+read off the lines it contains.
 Edge keys are directions of numerators, and the ordering covector is
 chosen and applied by integer inner products of numerators.  Rationals are
 built only for what is emitted: the edge and surface characters, the
@@ -252,8 +254,6 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     forced = None if force_kind is None else parse_surface_kind(force_kind)
     rs = triple.group()
     iy, iz = triple.weight_indices()
-    unit = lambda i: tuple(int(j == i) for j in range(1, rs.rank + 1))
-    omega_y, omega_z = unit(iy), unit(iz)
     parabolic_y, parabolic_z, y_names, z_names, cosets = _point_tables(triple, rs)
     # Weights as integer numerators: every sign, order and direction below is
     # that of the rational weight, which is a positive multiple.
@@ -262,10 +262,14 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
     # One Character per positive root, shared by the edges and surfaces along it.
     root_characters = [Character(root.vector) for root in rs.roots]
 
-    # Surface components, one per Weyl translate of the root along chi: the
-    # orbit of (omega_Y, omega_Z, root), the points of its surface being those
-    # and their images s omega_Y, s omega_Z under the reflection s in the
-    # root.  Each maps its point set to a root index.
+    # Joining lines (w omega_Y, w omega_Z), with weight w chi: the images of
+    # the coset table of their joint stabilizer, in increasing index.
+    pairs = rs.weyl_group.coset_orbit(parabolic_y & parabolic_z)[1]
+    if iy > iz:
+        pairs = [(ya, za) for za, ya in pairs]
+    line_weights = [tuple([x - y for x, y in zip(ya, za)]) for ya, za in pairs]
+    line_numerators = [rs.numerators(w) for w in line_weights]
+
     scan = surface_scan(triple)
     if scan.root is None and forced is not None:
         raise ValueError(
@@ -283,34 +287,21 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
                 f"{tuple(str(p) for p in scan.pairings)}, but no established rule gives its "
                 "Hirzebruch index; pass an explicit kind override to emit it"
             )
+        # Surface components, one per Weyl translate w S, read off each line
+        # (w omega_Y, w omega_Z) in it: the root is r chi in labels, so w root
+        # is r w chi, and the other points are the images under its
+        # reflection.  Each maps its point set to the index of +-w root.
         positive = {root.labels: k for k, root in enumerate(rs.roots)}
         a, b = scan.pairings
-
-        def canonical(item):
-            # (w omega_Y, w omega_Z, w root) and its image under the reflection
-            # in w root name one surface; keep the one whose root is positive.
-            ya, za, root = item
-            if root in positive:
-                return item
-            return (
-                tuple([x - a * r for x, r in zip(ya, root)]),
-                tuple([x - b * r for x, r in zip(za, root)]),
-                tuple([-r for r in root]),
-            )
-
-        seed = (omega_y, omega_z, rs.roots[scan.root_index].labels)
-        for _, (ya, za, root) in rs.weyl_group.orbit(seed, canonical):
-            sya = tuple([x - a * r for x, r in zip(ya, root)])
-            sza = tuple([x - b * r for x, r in zip(za, root)])
-            key = frozenset((y_names[ya], y_names[sya], z_names[za], z_names[sza]))
-            components[key] = positive[root]
-
-    # Joining lines: the orbit of (omega_Y, omega_Z), with weight w.chi.
-    lines = [
-        (y_names[ya], z_names[za], tuple(x - y for x, y in zip(ya, za)))
-        for _, (ya, za) in rs.weyl_group.orbit((omega_y, omega_z))
-    ]
-    line_numerators = [rs.numerators(w) for _, _, w in lines]
+        r = rs.roots[scan.root_index].labels[iy - 1]
+        for (ya, za), weight in zip(pairs, line_weights):
+            root = tuple([r * x for x in weight])
+            sya = tuple([x - a * g for x, g in zip(ya, root)])
+            sza = tuple([x - b * g for x, g in zip(za, root)])
+            k = positive.get(root)
+            if k is None:
+                k = positive[tuple([-g for g in root])]
+            components[frozenset((y_names[ya], y_names[sya], z_names[za], z_names[sza]))] = k
 
     for base in range(1, _COVECTOR_BASES + 1):
         lam = tuple(base**k for k in range(rs.rank))
@@ -361,10 +352,10 @@ def build_gkm(triple: PasquierTriple, force_kind: str | None = None) -> GkmDatum
         for a, b, k, _ in curve_scan(rs, parabolic):
             add_edge(point[a], point[b], rs.roots[k].direction, root_characters[k])
 
-    for (y, z, weight), numer in zip(lines, line_numerators):
+    for (ya, za), weight, numer in zip(pairs, line_weights, line_numerators):
         if inner(lam_numerators, numer) < 0:
             weight = tuple(-x for x in weight)
-        add_edge(y, z, direction(numer), Character(rs.vector(weight)))
+        add_edge(y_names[ya], z_names[za], direction(numer), Character(rs.vector(weight)))
 
     return GkmDatum(
         rank=rs.dim,

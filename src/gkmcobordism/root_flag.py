@@ -3,9 +3,11 @@
 Types A, B, C, F4 and G2 are supported.  The Weyl group acts on weights
 written by their labels <v, alpha_j^vee>, by integer arithmetic through the
 Cartan matrix.  Each root system owns one Weyl group
-(RootSystem.weyl_group), built on first use and shared by every caller, so
-its cosets of W/W_I are enumerated once per parabolic; they, and any other
-orbit a caller needs, are found exactly by BFS over the simple reflections.
+(RootSystem.weyl_group), built on first use and shared by every caller.
+Every orbit it walks is a coset table of W/W_I, found exactly by BFS over
+the simple reflections and kept once per parabolic: the whole group is the
+table of the empty parabolic, and the orbit of a tuple of fundamental
+weights is the table of their joint stabilizer.
 Invariant curves in G/P_I connect fixed-point cosets swapped by a
 reflection.  One integer scan finds them (curve_scan), as the neighbours
 s_gamma u of each coset u: each curve is two coset indices, a root index
@@ -343,28 +345,23 @@ class WeylGroup:
     A weight v is written by its labels l_j = <v, alpha_j^vee>.  The simple
     reflection s_i acts as l_j <- l_j - l_i <alpha_i, alpha_j^vee>, so on
     integral weights the group acts by integer arithmetic through the Cartan
-    matrix of the system.  Orbits, cosets and the full group are enumerated
-    on demand, the last two kept; each system has one, RootSystem.weyl_group.
+    matrix of the system.  Coset tables of W/W_I are enumerated on demand
+    and kept, one per parabolic, the whole group being the table of the
+    empty parabolic; each system has one, RootSystem.weyl_group.
     """
 
     def __init__(self, system: RootSystem):
         self.system = system
         self._cosets = {}
-        self._elements = None
 
     @property
     def order(self) -> int:
         return len(self.elements())
 
     def elements(self):
-        """All elements, as the orbit of the Weyl vector."""
-        if self._elements is None:
-            rho = (1,) * self.system.rank
-            self._elements = [
-                Coset(word, image[0], self.system)
-                for word, image in self.orbit((rho,))
-            ]
-        return list(self._elements)
+        """All elements, as the cosets of the empty parabolic: each a
+        shortest word with the labels of its image of the Weyl vector."""
+        return self.cosets(())
 
     def _reflect(self, labels: tuple, i: int) -> tuple:
         c = labels[i]
@@ -389,18 +386,14 @@ class WeylGroup:
                 v = vadd(v, vscale(x - y, omega))
         return v
 
-    def orbit(self, seed: tuple, canonical=None) -> list:
+    def orbit(self, seed: tuple) -> list:
         """The orbit of a tuple of label vectors, as (word, image) pairs.
 
         BFS over the simple reflections, acting on every vector of the tuple
         at once: images come in BFS order, each with a shortest word, built by
-        left action (leftmost letter applied last).  With canonical, a map
-        from a tuple to one representative of its class under an equivalence
-        the group respects, every image is replaced by its representative,
-        so each class of the orbit is visited once.
+        left action (leftmost letter applied last).  coset_orbit runs it once
+        per parabolic and keeps the result.
         """
-        if canonical is not None:
-            seed = canonical(seed)
         start = ((), seed)
         seen = {seed}
         queue = deque([start])
@@ -410,8 +403,6 @@ class WeylGroup:
             word, point = queue.popleft()
             for i in range(self.system.rank):
                 image = tuple([step(labels, i) for labels in point])
-                if canonical is not None:
-                    image = canonical(image)
                 if image not in seen:
                     seen.add(image)
                     nxt = ((i + 1,) + word, image)
@@ -421,11 +412,11 @@ class WeylGroup:
 
     def cosets(self, parabolic) -> list:
         """Shortest representatives of W/W_I for I given by 1-based indices."""
-        return list(self._coset_orbit(parabolic)[0])
+        return list(self.coset_orbit(parabolic)[0])
 
-    def _coset_orbit(self, parabolic):
+    def coset_orbit(self, parabolic):
         """Cosets of W/W_I and, for each coset w W_I, the labels of w.omega_i
-        for every i outside I; memoised per parabolic."""
+        for every i outside I, in increasing i; memoised per parabolic."""
         parabolic = frozenset(parabolic)
         cached = self._cosets.get(parabolic)
         if cached is not None:
@@ -512,7 +503,7 @@ def curve_scan(system: RootSystem, parabolic) -> list:
     once, from its lower endpoint, and only then is its upper endpoint
     looked up.  Curves come sorted by (a, b).
     """
-    cosets = system.weyl_group._coset_orbit(parabolic)[0]
+    cosets = system.weyl_group.coset_orbit(parabolic)[0]
     if len(cosets) < 2:  # G/P_I is a point
         return []
     index = {c.labels: k for k, c in enumerate(cosets)}
@@ -540,7 +531,7 @@ def enumerate_curves(system: RootSystem, parabolic) -> list:
     of the omega_i that the coset orbit keeps.  Each distinct weight and
     degree value is built once and shared between curves.
     """
-    cosets, images = system.weyl_group._coset_orbit(parabolic)
+    cosets, images = system.weyl_group.coset_orbit(parabolic)
     outside = [i for i in range(1, system.rank + 1) if i not in parabolic]
     weights = {}  # (root index, p) -> p gamma
     values = {}  # |q| -> QQ(|q|)

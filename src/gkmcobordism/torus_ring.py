@@ -111,7 +111,7 @@ class RemainderReport:
             "pivot": self.pivot + 1,
             "certified_order": self.certified_order,
             "is_zero": self.is_zero,
-            "components": [c.truncated(self.certified_order).to_json_obj() for c in self.components],
+            "components": [c.to_json_obj() for c in self.components],
         }
 
 

@@ -156,21 +156,23 @@ def test_builder_reads_curves_without_flag_curves(monkeypatch):
 
 
 def test_rebuild_shares_the_systems_cosets(monkeypatch):
-    # The coset tables of both closed orbits belong to the root system's
-    # one Weyl group, so a second build enumerates only its surface orbit
-    # (of (omega_Y, omega_Z, root)) and its joining-line orbit.
+    # The coset tables of both closed orbits, and that of their joint
+    # stabilizer W_{I_Y & I_Z}, whose images are the joining lines, belong to
+    # the root system's one Weyl group, so a second build walks no orbit.
     triple = PasquierTriple(family=4)
     first = build_gkm(triple, force_kind="fn:2")
     seeds = []
     orbit = root_flag.WeylGroup.orbit
 
-    def counted(self, seed, canonical=None):
+    def counted(self, seed):
         seeds.append(seed)
-        return orbit(self, seed, canonical)
+        return orbit(self, seed)
 
     monkeypatch.setattr(root_flag.WeylGroup, "orbit", counted)
     second = build_gkm(triple, force_kind="fn:2")
-    assert [len(seed) for seed in seeds] == [3, 2]
+    # F4 with (iY, iZ) = (2, 3): P_Y & P_Z is {1, 4}, with 1152 / 4 cosets.
+    assert len(triple.group().weyl_group.cosets({1, 4})) == 288
+    assert seeds == []
     assert second.dumps() == first.dumps()
 
 
@@ -313,6 +315,38 @@ LARGE_SWEEP_SHA256 = {
     "b7-spinor": "b0a90b270244dc4ed81f990e137ed844fca6cc3a06a755cadf3107d3c3ed9f92",
     "c6-m3": "1b2b1ad92edf273862171767ef0036533f924b3a4213cf6efe92bd0e4ddbaf93",
 }
+
+
+# More triples, pinned by sha256 of build_gkm(...).dumps() alone: family 3
+# with n = 5, family 1 with n = 6, and G2 under the kinds it does not have.
+PINNED = {
+    "b6-spinor": (dict(family=1, n=6), None),
+    "c5-m2": (dict(family=3, n=5, m=2), None),
+    "c5-m3": (dict(family=3, n=5, m=3), None),
+    "c5-m4": (dict(family=3, n=5, m=4), None),
+    "c5-m5": (dict(family=3, n=5, m=5), None),
+    "g2-fn1": (dict(family=5), "fn:1"),
+    "g2-fn2": (dict(family=5), "fn:2"),
+    "g2-f0": (dict(family=5), "f0"),
+}
+
+PINNED_SHA256 = {
+    "b6-spinor": "4f2161c6e732a77f617388f18faee527976d0213973d80fac04298f09b62cd67",
+    "c5-m2": "72116770214f149d2137c71fdbf0c059afd49f9a69a26790c5b375ba0c5113f0",
+    "c5-m3": "5aff61c9bc95048086d6a7f566afc5144cc93a5458b6d011560aa308bc73df43",
+    "c5-m4": "b833d8477b4b24b2bd415bfed9eead580c14bce8175ec7eb8f3c10b76b8496e9",
+    "c5-m5": "e2be697a6bd80efa88cc1d8afb4f89c680773c6b8b1583601bb0332b83af07e8",
+    "g2-fn1": "5c6f184702939d37d73d290c0243f51bd8688ea77f976922b3c720f53b3d68e9",
+    "g2-fn2": "b4df2ecb2373477243eda853a9d356408a7801d65ac28a47222a4b320b23887c",
+    "g2-f0": "fcd9246a7f9b901d68312e355ce5d012c4d79a6b0ee879ad34379f727f2c7631",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_datum_bytes(name):
+    args, kind = PINNED[name]
+    datum = build_gkm(PasquierTriple(**args), force_kind=kind)
+    assert hashlib.sha256(datum.dumps().encode()).hexdigest() == PINNED_SHA256[name]
 
 
 @pytest.fixture(scope="module", params=sorted(SWEEP))

@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 from math import gcd
 
@@ -72,6 +72,26 @@ def test_each_root_system_owns_one_weyl_group():
     assert f4.weyl_group.system is f4
     assert isinstance(f4.weyl_group, WeylGroup)
     assert root_system("B4").weyl_group is not f4.weyl_group
+
+
+@pytest.mark.parametrize("label", ("A3", "B3", "C3", "G2", "F4"))
+def test_elements_are_the_weyl_vector_orbit(label):
+    # BFS from the Weyl vector over the simple reflections, acting on labels
+    # by the Cartan matrix: each image with the word that first reached it,
+    # new letters on the left.
+    system = root_system(label)
+    rho = (1,) * system.rank
+    words = {rho: ()}
+    queue = deque([rho])
+    while queue:
+        labels = queue.popleft()
+        for i, row in enumerate(system.cartan):
+            image = tuple(x - labels[i] * r for x, r in zip(labels, row))
+            if image not in words:
+                words[image] = (i + 1,) + words[labels]
+                queue.append(image)
+    elements = system.weyl_group.elements()
+    assert [(w.word, w.labels) for w in elements] == [(w, l) for l, w in words.items()]
 
 
 def test_fundamental_weight_duality():

@@ -147,6 +147,8 @@ def shear_clear(ring, f, chars):
         quotient = shear_divide(ring, f, chi)
         if quotient is None:
             pivot, components, certified = shear_reduce_mod(ring, f, chi, 1)
+            # held as the engine holds them: through max(certified, 0)
+            components = [c.truncated(max(certified, 0)) for c in components]
             report = RemainderReport(Character(chi), 1, pivot, components, certified)
             return None, report.to_json_obj()
         f = quotient

@@ -96,6 +96,23 @@ def test_reduce_mod_examples(ring):
         ring.reduce_mod(t1, C(1, 0), 3)
 
 
+def test_a_passing_report_below_order_zero_is_written_as_held():
+    """A square modulo which a series known only through degree 1 is
+    certified through no degree: it passes, its components are held
+    through degree 0, and it is written as they are held."""
+    ring = TorusRing(FormalGroupLaw.universal(4), 2)
+    report = ring.reduce_mod(TruncatedSeries.one(2, 1), C(1, 0), 2)
+    zero = {"vars": 2, "order": 0, "terms": []}
+    assert report.to_json_obj() == {
+        "character": ["1", "0"],
+        "power": 2,
+        "pivot": 1,
+        "certified_order": -1,
+        "is_zero": True,
+        "components": [zero, zero],
+    }
+
+
 def test_failing_reduction_needs_m_k_only_below_the_ring_order():
     """A law from with_assignment sets m_1 .. m_(order-1) only, and a failing
     square's remainder, whose derivative is carried back to t by 1/e'(y),
