@@ -32,9 +32,12 @@ common denominator.  The gcd is divided out once per result.
 
 Every change of variables is TruncatedSeries.substitute: for
 f = sum_k t^k C_k, C_k free of the variable t, it forms sum_k C_k u_k in one
-kernel pass from a table of series u_k, through f's order.  With u_k = u^k
-it substitutes t -> u (so also f(g) = compose_univariate); for a linear form
-y free of t, u_k = y^k restricts to the hyperplane t = y.
+kernel pass from a table of series u_k, each known through f's order, and
+so is the result.  The powers u_k = u^k (series_powers) substitute t -> u;
+compose_univariate forms f(g) so, with f and g cut to the smaller order.
+For a linear form y free of t, u_k = y^k restricts to the hyperplane t = y.
+Every linear form sum_i c_i t_i is built by linear_form, as a combination of
+the variables.
 
 Exact division by a series c of t-order 1 (`exact_quotient`) runs degree by
 degree on the same integer form: each quotient degree is one synthetic
@@ -629,47 +632,32 @@ class TruncatedSeries:
         derivative = _reduced(self.rank, self.order, self.den, rows)
         return derivative.at_order(max(self.order - 1, 0))
 
-    def divided_by_variable(self, index: int) -> "TruncatedSeries":
-        """self / t_{index+1}, known one order lower; every stored term must
-        contain t_{index+1}."""
-        bits, step = self._variable_step(index)
-        if any(not k >> bits * index & (1 << bits) - 1 for k in self.rows):
-            raise ValueError(f"the series is not divisible by t{index + 1}")
-        rows = {k - step: row for k, row in self.rows.items()}
-        quotient = TruncatedSeries._of(self.rank, self.order, self.den, rows, self.rational)
-        return quotient.at_order(max(self.order - 1, 0))
-
-    def substitute(self, index: int, replacement) -> "TruncatedSeries":
+    def substitute(self, index: int, table: list) -> "TruncatedSeries":
         """sum_k C_k u_k, where self = sum_k t^k C_k with t = t_{index+1} and
         C_k free of t: the one change of variables.
 
-        replacement is a series u, for u_k = u^k: t -> u, through the
-        smaller order of self and u.  Or it is the table [u_0, u_1, ...]
-        itself, each u_k known through self.order, and so is the result:
-        for a linear form y free of t, u_k = y^k restricts to the hyperplane
-        t = y.
+        table is [u_0, u_1, ...], each u_k known through self.order, and so
+        is the result.  The powers u_k = u^k of a series u (series_powers)
+        substitute t -> u; for a linear form y free of t, u_k = y^k
+        restricts to the hyperplane t = y.
 
         One kernel pass of outer products into shared buckets; each table
         row is the left operand, so the inner loop runs over the series'
         m-monomials.  When the series and every table row it uses are
         rational, the pass takes the kernel's flat loop.
         """
-        f = self
-        if isinstance(replacement, TruncatedSeries):
-            self._check_rank(replacement)
-            order = min(self.order, replacement.order)
-            f, table = self.truncated(order), series_powers(replacement.truncated(order))
-        else:
-            table, order = replacement, self.order
-        bits, step = f._variable_step(index)
+        order = self.order
+        bits, step = self._variable_step(index)
         shift, place, mask = bits * self.rank, bits * index, (1 << bits) - 1
         parts: dict = {}
-        for key, row in f.rows.items():
+        for key, row in self.rows.items():
             k = key >> place & mask
             parts.setdefault(k, []).append((key - k * step, row))
+        if any(table[k].order < order for k in parts):
+            raise ValueError("every table entry must be known through the series' order")
         us = [table[k]._packed_for(order) for k in parts]
         den = lcm(*(u.den for u in us))
-        rational = f.rational and all(u.rational for u in us)
+        rational = self.rational and all(u.rational for u in us)
         buckets: dict = {}
         for part, u in zip(parts.values(), us):
             factor = den // u.den
@@ -680,7 +668,7 @@ class TruncatedSeries:
             if factor != 1:
                 part = [(key, {m: n * factor for m, n in row.items()}) for key, row in part]
             _product(u.rows.items(), part, shift, order, buckets)
-        return _canonical(self.rank, order, f.den * den, buckets, rational)
+        return _canonical(self.rank, order, self.den * den, buckets, rational)
 
     def specialize(self, assignment) -> "TruncatedSeries":
         """Evaluate every mk at a rational; keeps the t-structure."""
@@ -860,6 +848,14 @@ def combination(terms, rank: int, order: int) -> TruncatedSeries:
     return _canonical(rank, order, den, buckets)
 
 
+def linear_form(coeffs, order: int) -> TruncatedSeries:
+    """sum_i c_i t_i in len(coeffs) variables through `order`, for rational
+    c_i (ints or Fractions): the combination of the variables."""
+    rank = len(coeffs)
+    variables = [TruncatedSeries.variable(i, rank, order) for i in range(rank)]
+    return combination(zip(coeffs, variables), rank, order)
+
+
 def embed(f: TruncatedSeries, index: int, rank: int) -> TruncatedSeries:
     """The univariate series f as a series in t_{index+1} of `rank` variables."""
     if rank == 1:
@@ -871,12 +867,14 @@ def embed(f: TruncatedSeries, index: int, rank: int) -> TruncatedSeries:
 
 
 def compose_univariate(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """f(g) for univariate f and any series g with zero constant term."""
+    """f(g) for univariate f and any series g with zero constant term,
+    through the smaller order of f and g: f against the powers of g."""
     if f.rank != 1:
         raise ValueError("outer series must be univariate")
     if not g.constant_term().is_zero():
         raise ValueError("inner series must have zero constant term")
-    return embed(f, 0, g.rank).substitute(0, g)
+    order = min(f.order, g.order)
+    return embed(f.truncated(order), 0, g.rank).substitute(0, series_powers(g.truncated(order)))
 
 
 def series_powers(f: TruncatedSeries) -> list:

@@ -9,12 +9,13 @@ One cached power table P = [l^0, l^1, ..., l^N] builds all of these; its
 counterpart [e^0, ..., e^N] (exp_powers) takes series to the logarithmic
 coordinates s_i = l(t_i), where every Chern class is e of a linear form.  The
 exponential is solved from u = sum_a e_a l^a by a triangular solve, one
-degree at a time.  Every series of the form g(sum_i chi_i l(t_i)) (Chern
-classes, [n]x, [1/m]x, the pair table F(u, v)) is g at the linear form
-sum_i chi_i s_i, one TruncatedSeries.substitute of the first s_j with
-chi_j != 0, then converted s_i -> l(t_i) for each such s_i (convert, the one
-loop between the coordinates s and t, with the embedded rows of P);
-rho_series is [n/m]x / x.
+degree at a time.  Every series of the form e(sum_i chi_i l(t_i)) (Chern
+classes, [n]x, [1/m]x, the pair table F(u, v)) is e at the linear form
+L = sum_i chi_i s_i (coeff_series.linear_form): one
+TruncatedSeries.substitute of the first s_j with chi_j != 0 against the
+powers of L, then converted s_i -> l(t_i) for each such s_i (convert, the
+one loop between the coordinates s and t, with the embedded rows of P);
+rho_series is the exact quotient [n/m]x / x (coeff_series.exact_quotient).
 Composition (compose_univariate, a substitution against the powers of the
 inner series) remains for arguments that are not such linear forms: sum,
 inverse, multiple, divide and rho of a series.
@@ -36,10 +37,11 @@ from __future__ import annotations
 from .coeff_series import (
     LazardCoefficient,
     TruncatedSeries,
-    combination,
     compose_univariate,
     compositional_inverse,
     embed,
+    exact_quotient,
+    linear_form,
     series_powers,
 )
 from .common import QQ, as_rational, pivot_index
@@ -149,9 +151,13 @@ class FormalGroupLaw:
 
     def exp_linear(self, chi, order: int | None = None) -> TruncatedSeries:
         """e(sum_i chi_i l(t_i)) in len(chi) variables, for rational chi_i:
-        e at the linear form in s, then s_i -> l(t_i) where chi_i != 0."""
+        e at the linear form L = sum_i chi_i s_i, one substitute of the
+        first s_j with chi_j != 0 (s_1 when there is none, giving e's
+        constant term) against the powers of L, then s_i -> l(t_i) where
+        chi_i != 0."""
         order = self.order if order is None else order
-        g = _at_linear_form(self.exp_series(order), chi)
+        rank, j = len(chi), pivot_index(chi)
+        g = embed(self.exp_series(order), j, rank).substitute(j, series_powers(linear_form(chi, order)))
         return self.convert(g, "log", [i for i, c in enumerate(chi) if c])
 
     def multiple_series(self, n, order: int | None = None) -> TruncatedSeries:
@@ -168,16 +174,18 @@ class FormalGroupLaw:
         return self.multiple_series(QQ(1, m), order)
 
     def rho_series(self, n: int, m: int, order: int | None = None) -> TruncatedSeries:
-        """rho_{n/m} x = [n]([1/m]x)/x = [q]x / x, q = n/m, of degree zero: [q]x
-        one order up, divided by x.  It is q + q (q - 1) e_2 x + O(x^2), as
-        e(q y)/e(y) is for e(y) = y + e_2 y^2 + ..., and modulo x^2 no more of
-        it is needed: torus_ring weighs surface congruences so."""
+        """rho_{n/m} x = [n]([1/m]x)/x = [q]x / x, q = n/m, of degree zero: the
+        exact quotient of [q]x, one order up, by x.  It is q + q (q - 1) e_2 x
+        + O(x^2), as e(q y)/e(y) is for e(y) = y + e_2 y^2 + ..., and modulo
+        x^2 no more of it is needed: torus_ring weighs surface congruences
+        so."""
         if n == 0:
             raise ValueError("rho requires a nonzero numerator")
         if m < 1:
             raise ValueError("rho requires a positive denominator")
         order = self.order if order is None else order
-        return self.multiple_series(QQ(n, m), order + 1).divided_by_variable(0)
+        x = TruncatedSeries.variable(0, 1, order + 1)
+        return exact_quotient(self.multiple_series(QQ(n, m), order + 1), x)[0]
 
     # -- operations on series ---------------------------------------------------
 
@@ -252,15 +260,3 @@ def _memo(cache: dict, key, build):
     if value is None:
         value = cache[key] = build()
     return value
-
-
-def _at_linear_form(g: TruncatedSeries, chi) -> TruncatedSeries:
-    """g(sum_i chi_i t_i) in len(chi) variables through g's order, for a
-    univariate g and rational chi_i: one substitute of the first t_j with
-    chi_j != 0 (t_1 when there is none, giving g's constant term)."""
-    rank = len(chi)
-    form = combination(
-        [(c, TruncatedSeries.variable(i, rank, g.order)) for i, c in enumerate(chi)], rank, g.order
-    )
-    j = pivot_index(chi)
-    return embed(g, j, rank).substitute(j, form)

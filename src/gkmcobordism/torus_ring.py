@@ -76,6 +76,7 @@ from .coeff_series import (
     combination,
     embed,
     exact_quotient,
+    linear_form,
     series_inverse,
     series_powers,
 )
@@ -261,17 +262,14 @@ class TorusRing:
         """The table u_k = y^k, k through the ring order, for
         TruncatedSeries.substitute in s_j, j = pivot_index(line): it restricts
         a series in logarithmic coordinates to the line's hyperplane s_j = y,
-        y = -sum_{i != j} (line_i/line_j) s_i.  Built on first use."""
+        the linear form y = -sum_{i != j} (line_i/line_j) s_i
+        (coeff_series.linear_form).  Built on first use."""
 
         def build():
             pivot = pivot_index(line)
             scale = QQ(-1, line[pivot])
-            terms = {
-                tuple(int(i == j) for j in range(self.rank)): LazardCoefficient.rational(scale * c)
-                for i, c in enumerate(line)
-                if c and i != pivot
-            }
-            return series_powers(TruncatedSeries(self.rank, self.order, terms))
+            coeffs = [0 if i == pivot else scale * c for i, c in enumerate(line)]
+            return series_powers(linear_form(coeffs, self.order))
 
         return _memo(self._cache, ("y^k", line), build)
 

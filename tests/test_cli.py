@@ -189,6 +189,12 @@ def test_horo_scan_text(capsys):
     assert "kind Fn (n=3)" in out
 
 
+def test_horo_scan_text_without_a_root_along_chi(capsys):
+    code, out = run(capsys, "horo", "scan", "--family", "1", "--n", "3")
+    assert code == 0
+    assert out.splitlines()[1] == "  no root proportional to chi: no surface components"
+
+
 def test_flag_curves_json(capsys):
     code, out = run(capsys, "flag", "curves", "--type", "G2", "--parabolic", "a1", "--format", "json")
     assert code == 0
@@ -416,6 +422,17 @@ def test_gkm_datum_value_of_the_wrong_json_type_is_rejected(tmp_path, capsys, ed
     code, err = _congruences_of(tmp_path, capsys, obj)
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+def test_a_long_refused_value_is_cut_in_the_message(tmp_path, capsys):
+    """The refused value, as JSON text of more than 40 characters, is cut
+    to its first 37 and "..."."""
+    obj = _ig25_datum_obj(tmp_path, capsys)
+    obj["rank"] = "abcdefghij" * 6
+    code, err = _congruences_of(tmp_path, capsys, obj)
+    assert code == 2
+    cut = '"' + "abcdefghij" * 3 + "abcdef" + "..."
+    assert err == f"error: datum 'rank' must be an integer, got {cut}\n"
 
 
 def test_weight_file_keys_are_checked(tmp_path, capsys):
@@ -649,6 +666,25 @@ def test_flag_curves_rejects_a_bad_cartan_label(capsys, label, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("B1", "type B needs rank >= 2"),
+        ("C1", "type C needs rank >= 2"),
+        ("F3", "type F has rank 4"),
+        ("G3", "type G has rank 2"),
+        ("E6", "unsupported Cartan type 'E'"),
+    ],
+    ids=("B1", "C1", "F3", "G3", "E6"),
+)
+def test_flag_curves_refuses_a_rank_or_type_with_no_root_system(capsys, label, message):
+    code = main(["flag", "curves", "--type", label])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("op", ("build", "scan"))

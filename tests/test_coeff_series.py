@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from gkmcobordism.coeff_series import QQ
 
@@ -21,7 +21,9 @@ from gkmcobordism.coeff_series import (
     combination,
     compose_univariate,
     compositional_inverse,
+    linear_form,
     series_inverse,
+    series_powers,
 )
 from gkmcobordism.common import dumps
 
@@ -205,7 +207,20 @@ def test_series_inverse():
 def test_substitute():
     t1, t2 = TS.variable(0, 2, 6), TS.variable(1, 2, 6)
     f = t1 * t1 + t1 * t2
-    assert f.substitute(0, t2) == (t2 * t2).scale(2)
+    assert f.substitute(0, series_powers(t2)) == (t2 * t2).scale(2)
+
+
+@pytest.mark.parametrize("known", (2, 3, 5))
+def test_substitute_refuses_a_table_known_below_the_series_order(known):
+    """A power table of u known through a lower order than the series would
+    drop the terms of u above it from a result claimed through the series'
+    order, so it is refused."""
+    t1, t2 = TS.variable(0, 2, 6), TS.variable(1, 2, 6)
+    f = t1 * t1 + t1
+    u = t2 + t2 * t2 * t2 * t2
+    with pytest.raises(ValueError, match="known through the series' order"):
+        f.substitute(0, series_powers(u.truncated(known)))
+    assert f.truncated(known).substitute(0, series_powers(u.truncated(known))) == (u + u * u).truncated(known)
 
 
 def test_partial_derivative():
@@ -654,9 +669,10 @@ def linear_forms(draw, rank, index, order, coeffs):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_substitute_of_a_rational_series_matches_horner(data):
-    """A rational series at a replacement u (the table of powers u^k) and
-    at a linear form y (the hyperplane table y^k), each with rational or
-    Q[m] coefficients, against Horner's rule from products and sums."""
+    """A rational series at a replacement u (the table of powers u^k, both
+    cut to the smaller order) and at a linear form y (the hyperplane table
+    y^k), each with rational or Q[m] coefficients, against Horner's rule
+    from products and sums."""
     rank = data.draw(st.integers(1, 3))
     index = data.draw(st.integers(0, rank - 1))
     order = data.draw(st.integers(0, 20))
@@ -664,7 +680,8 @@ def test_substitute_of_a_rational_series_matches_horner(data):
     assert f.rational
     u_coeffs = data.draw(st.sampled_from((rational_coefficients, coefficients)))
     u = data.draw(series(rank, data.draw(st.integers(0, 20)), u_coeffs))
-    result = f.substitute(index, u)
+    common = min(order, u.order)
+    result = f.truncated(common).substitute(index, series_powers(u.truncated(common)))
     assert result == horner_substitute(f, index, u)
     assert_rational_flag(result)
     y = data.draw(linear_forms(rank, index, order, u_coeffs))
@@ -720,6 +737,24 @@ def test_combination_matches_fraction_reference(drawn):
     assert result == TS(rank, order, {k: LC(c) for k, c in expected.items()})
     if not expected:
         assert result.is_zero() and result.den == 1 and result == TS.zero(rank, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(scalars, min_size=1, max_size=4), st.integers(0, 20))
+@example([0], 3)
+@example([0, 0, 0, 0], 5)
+@example([0, QQ(-2, 3), 0], 1)
+def test_linear_form_matches_the_series_of_its_terms(coeffs, order):
+    """linear_form, on rational vectors of rank 1-4 with zero entries and
+    the zero vector, against the series the constructor builds from the
+    terms c_i t_i."""
+    rank = len(coeffs)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    terms = {unit: LC.rational(c) for unit, c in zip(units, coeffs) if c} if order else {}
+    result = linear_form(coeffs, order)
+    assert (result.rank, result.order) == (rank, order)
+    assert result == TS(rank, order, terms)
+    assert_rational_flag(result)
 
 
 @settings(max_examples=150, deadline=None)

@@ -103,6 +103,14 @@ def test_fundamental_weight_duality():
                 assert pairing(system.simple_root(i), system.fundamental_weight(j)) == expected
 
 
+def test_bourbaki_index_out_of_range_is_refused():
+    g2 = root_system("G2")
+    with pytest.raises(ValueError, match="^simple root index 0 out of range for G2$"):
+        g2.simple_root(0)
+    with pytest.raises(ValueError, match="^fundamental weight index 3 out of range for G2$"):
+        g2.fundamental_weight(3)
+
+
 def test_pairing_worked_values():
     c2 = root_system("C2")
     # alpha = 2 eps_m against omega_m and omega_{m-1} for m = 2

@@ -376,7 +376,9 @@ def test_substitute_and_compose_match_schoolbook_horner(rank, order, constant, d
     if not constant:
         replacement = replacement - replacement.constant_term()
     index = data.draw(st.integers(0, rank - 1))
-    assert f.substitute(index, replacement) == horner_substitute(f, index, replacement)
+    common = min(f.order, replacement.order)
+    powers = series_powers(replacement.truncated(common))
+    assert f.truncated(common).substitute(index, powers) == horner_substitute(f, index, replacement)
     outer = data.draw(series(1, order))
     inner = replacement - replacement.constant_term()
     assert compose_univariate(outer, inner) == horner_compose(outer, inner)
